@@ -262,6 +262,17 @@ def verify_proof_identity(n_max: int = 20) -> Report:
     return report
 
 
+def r_log_concavity_failure(n: int) -> int | None:
+    """First k >= 2 with r(n, k)^2 < r(n, k-1) r(n, k+1), scanning
+    (r(n, k))_{k>=1}, or None.
+
+    The scan starts at k = 1 because r(n, 0) = 1 makes index 1 fail for
+    every n >= 47, which says nothing about the sequence.
+    """
+    failure = first_log_concavity_failure([r_closed(n, k) for k in range(1, n + 1)])
+    return None if failure is None else failure + 1
+
+
 def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = None) -> Report:
     """The degree-89 non-log-concavity witness, plus the convolution identity
     that backs it at desk scale.
@@ -284,15 +295,14 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
             str(r1 * r3),
         )
     )
-    sequence = [r_closed(89, k) for k in range(90)]
-    failure = first_log_concavity_failure(sequence)
+    k = r_log_concavity_failure(89)
     report.add(
         CheckRecord(
             "r89-not-log-concave",
-            (("first_failing_index", failure),),
-            "pass" if failure is not None else "fail",
+            (("first_failing_k", k),),
+            "pass" if k is not None else "fail",
             "log-concavity violated",
-            f"index 2 violated: {r2 * r2 < r1 * r3}",
+            "no k >= 1 violated" if k is None else f"r(89,{k})^2 < r(89,{k - 1})*r(89,{k + 1})",
         )
     )
     for n in range(convolution_n_max + 1):

@@ -96,14 +96,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_budget(value: int, source: str) -> int:
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
+
+
 def _resolve_budget(args) -> int | None:
     if args.budget is not None:
-        if args.budget < 1:
-            raise ValueError("budget must be at least 1")
-        return args.budget
+        return _checked_budget(args.budget, "--budget")
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        return _checked_budget(value, BUDGET_ENV_VAR)
     return None
 
 
@@ -150,6 +158,11 @@ def _run_gamma(args, budget, structured, out) -> int:
         dist = signed_involution_eulerian_recurrence(args.n)
         center_doubled = args.n
     else:
+        if args.n < 1:
+            raise ValueError(
+                f"gamma --kind invA needs --n at least 1, got {args.n}: the S_n involution "
+                "polynomial is symmetric about (n-1)/2, which must not be negative"
+            )
         dist = involution_eulerian(args.n, budget=budget)
         center_doubled = args.n - 1
     gv = gamma_vector(dist.poly, center_doubled)

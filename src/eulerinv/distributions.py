@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .permutations import (
     des_b,
     des_coxeter,
-    descent_set,
     enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
@@ -63,7 +62,7 @@ def _histogram_poly(n: int, values) -> IntPolynomial:
 
 def involution_eulerian(n: int, budget: int | None = None) -> EulerianDistribution:
     """Distribution of the descent number over involutions of S_n."""
-    poly = _histogram_poly(n, (len(descent_set(w)) for w in enumerate_involutions(n, budget)))
+    poly = _histogram_poly(n, map(des_coxeter, enumerate_involutions(n, budget)))
     return EulerianDistribution(n, "A-involutions", poly)
 
 
@@ -72,7 +71,7 @@ def signed_involution_eulerian(
 ) -> EulerianDistribution:
     """Distribution of a type-B descent statistic over involutions of B_n."""
     stat = _statistic(statistic)
-    poly = _histogram_poly(n, (stat(w) for w in enumerate_signed_involutions(n, budget)))
+    poly = _histogram_poly(n, map(stat, enumerate_signed_involutions(n, budget)))
     return EulerianDistribution(n, f"B-involutions-{statistic}", poly)
 
 
@@ -84,9 +83,9 @@ def full_eulerian(
         stat = _statistic(statistic)
         kind = f"B-full-{statistic}"
     else:
-        stat = lambda w: len(descent_set(w))
+        stat = des_coxeter
         kind = "A-full"
-    poly = _histogram_poly(n, (stat(w) for w in enumerate_group(n, signed, budget)))
+    poly = _histogram_poly(n, map(stat, enumerate_group(n, signed, budget)))
     return EulerianDistribution(n, kind, poly)
 
 

@@ -5,6 +5,12 @@ signed permutation additionally carries signs, the implicit symmetry being
 w(-a) = -w(a).  Involutions are generated constructively (fixed points with
 free signs, 2-cycles with a shared sign) rather than by filtering the full
 group: B_9 has about 1.9 * 10^11 elements but only 168,992 involutions.
+
+Descent numbers are counted in one pass over the window, with no descent
+set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
+under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
+the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0.  The
+descent-set functions stay for the checks that need the sets themselves.
 """
 from __future__ import annotations
 
@@ -65,15 +71,6 @@ class SignedDescentSet:
         return len(self.positions) + extra
 
 
-def validate_window(window: Window, signed: bool) -> None:
-    n = len(window)
-    seen = sorted(abs(v) for v in window)
-    if seen != list(range(1, n + 1)):
-        raise ValueError(f"window {window} is not a permutation of 1..{n} in absolute value")
-    if not signed and any(v < 0 for v in window):
-        raise ValueError(f"window {window} carries signs but was declared unsigned")
-
-
 def descent_set(window: Window) -> frozenset[int]:
     """Positions i with w(i) > w(i+1), natural order."""
     return frozenset(i for i in range(1, len(window)) if window[i - 1] > window[i])
@@ -99,13 +96,27 @@ def signed_descent_set(window: Window) -> SignedDescentSet:
 
 
 def des_b(window: Window) -> int:
-    """Type-B descent number of a signed window (colored-permutation order)."""
-    return signed_descent_set(window).type_b_descents()
+    """Type-B descent number of a signed window: descents of
+    (0, w(1), ..., w(n)) under the colored order, counted in one pass."""
+    shift = -len(window) - 1
+    count = 0
+    prev = 0
+    for v in window:
+        if v < 0:
+            v = shift - v
+        if prev > v:
+            count += 1
+        prev = v
+    return count
 
 
 def des_coxeter(window: Window) -> int:
     """Descent number of a signed window in the Coxeter sense: natural
-    integer order with w(0) = 0 prepended."""
+    integer order with w(0) = 0 prepended.
+
+    On an unsigned window the leading 0 is never a descent, so this is also
+    the type-A descent number |Des(w)|.
+    """
     count = 0
     prev = 0
     for v in window:
@@ -166,19 +177,28 @@ def enumerate_involutions(n: int, budget: int | None = None) -> Iterator[Window]
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_budget(n, involution_count(n), budget, "involutions of the symmetric group")
+    if n == 0:
+        yield ()
+        return
     window = [0] * (n + 1)
 
+    # Sets w(p) for the smallest open position p; a choice that leaves no
+    # open position yields the window here instead of one frame deeper.
     def fill(available: tuple[int, ...]) -> Iterator[Window]:
-        if not available:
-            yield tuple(window[1:])
-            return
         p = available[0]
         rest = available[1:]
         window[p] = p
+        if not rest:
+            yield tuple(window[1:])
+            return
         yield from fill(rest)
+        leaf = len(rest) == 1
         for idx, q in enumerate(rest):
             window[p], window[q] = q, p
-            yield from fill(rest[:idx] + rest[idx + 1 :])
+            if leaf:
+                yield tuple(window[1:])
+            else:
+                yield from fill(rest[:idx] + rest[idx + 1 :])
 
     yield from fill(tuple(range(1, n + 1)))
 
@@ -192,27 +212,42 @@ def enumerate_signed_involutions(n: int, budget: int | None = None) -> Iterator[
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_budget(n, signed_involution_count(n), budget, "involutions of the hyperoctahedral group")
+    if n == 0:
+        yield ()
+        return
     window = [0] * (n + 1)
 
+    # Sets w(p) for the smallest open position p; a choice that leaves no
+    # open position yields the window here instead of one frame deeper.
     def fill(available: tuple[int, ...]) -> Iterator[Window]:
-        if not available:
-            yield tuple(window[1:])
-            return
         p = available[0]
         rest = available[1:]
+        if not rest:
+            window[p] = -p
+            yield tuple(window[1:])
+            window[p] = p
+            yield tuple(window[1:])
+            return
+        leaf = len(rest) == 1
         # Candidates for w(p) ascending in the natural integer order:
         # -q for q descending, then +p, then +q ascending.
         for idx in range(len(rest) - 1, -1, -1):
             q = rest[idx]
             window[p], window[q] = -q, -p
-            yield from fill(rest[:idx] + rest[idx + 1 :])
+            if leaf:
+                yield tuple(window[1:])
+            else:
+                yield from fill(rest[:idx] + rest[idx + 1 :])
         window[p] = -p
         yield from fill(rest)
         window[p] = p
         yield from fill(rest)
         for idx, q in enumerate(rest):
             window[p], window[q] = q, p
-            yield from fill(rest[:idx] + rest[idx + 1 :])
+            if leaf:
+                yield tuple(window[1:])
+            else:
+                yield from fill(rest[:idx] + rest[idx + 1 :])
 
     yield from fill(tuple(range(1, n + 1)))
 
@@ -228,6 +263,6 @@ def enumerate_group(n: int, signed: bool, budget: int | None = None) -> Iterator
         for perm in _itertools_permutations(range(1, n + 1)):
             yield perm
         return
+    # sign vectors run from all plus to all minus, the last position fastest
     for perm in _itertools_permutations(range(1, n + 1)):
-        for signs in _itertools_product((1, -1), repeat=n):
-            yield tuple(s * v for s, v in zip(signs, perm))
+        yield from _itertools_product(*[(v, -v) for v in perm])

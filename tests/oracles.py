@@ -50,6 +50,24 @@ def colored_descent_count(window):
     return count
 
 
+def signed_group_by_sign_vectors(n):
+    """All of B_n, each permutation of 1..n multiplied by every sign vector
+    in turn, from all plus to all minus."""
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            yield tuple(s * v for s, v in zip(signs, perm))
+
+
+def squares_to_identity(window):
+    """Whether w(w(i)) = i for every i, extending w to negatives by
+    w(-i) = -w(i)."""
+
+    def w(i):
+        return window[i - 1] if i > 0 else -window[-i - 1]
+
+    return all(w(w(i)) == i for i in range(1, len(window) + 1))
+
+
 def count_chains(n, strict_positions, minimums, m):
     """Count chains 1 <= i_1 <= ... <= i_n <= m by full enumeration."""
     strict = set(strict_positions)

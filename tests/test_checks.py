@@ -51,6 +51,15 @@ def test_counterexample_report():
     assert records["r89-square"].lhs == "113789153706560010000"
     assert records["r89-product"].lhs == "114890217312335629500"
     assert records["r89-not-log-concave"].status == "pass"
+    assert records["r89-not-log-concave"].params == (("first_failing_k", 2),)
+    assert records["r89-not-log-concave"].rhs == "r(89,2)^2 < r(89,1)*r(89,3)"
+
+
+def test_r_log_concavity_scan_skips_k0():
+    # (r(n, k))_{k>=0} fails at k = 1 for every n >= 47, because r(n, 0) = 1;
+    # from k = 1 on, the first failure is at n = 89, k = 2
+    assert checks.r_log_concavity_failure(89) == 2
+    assert checks.r_log_concavity_failure(88) is None
 
 
 def test_convolution_identity_hand_check():

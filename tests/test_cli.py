@@ -102,3 +102,17 @@ def test_budget_env_override(monkeypatch, capsys):
 def test_invalid_budget_is_usage_error():
     code, _ = run_cli(["poly", "--kind", "invB", "--n", "4", "--budget", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_invalid_budget_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    code, _ = run_cli(["poly", "--kind", "invB", "--n", "4"])
+    assert code == 2
+    assert BUDGET_ENV_VAR in capsys.readouterr().err
+
+
+def test_gamma_inva_rejects_n_below_one(capsys):
+    code, _ = run_cli(["gamma", "--kind", "invA", "--n", "0"])
+    assert code == 2
+    assert "at least 1" in capsys.readouterr().err

@@ -17,7 +17,13 @@ from eulerinv.permutations import (
     signed_descent_set,
     signed_involution_count,
 )
-from oracles import colored_descent_count, signed_telephone_number, telephone_number
+from oracles import (
+    colored_descent_count,
+    signed_group_by_sign_vectors,
+    signed_telephone_number,
+    squares_to_identity,
+    telephone_number,
+)
 
 
 def test_descent_set():
@@ -61,6 +67,30 @@ def test_des_b_matches_colored_order_count():
     for n in range(0, 7):
         for w in enumerate_group(n, signed=True):
             assert des_b(w) == colored_descent_count(w), w
+    for n in range(7, 9):
+        for w in enumerate_signed_involutions(n):
+            assert des_b(w) == colored_descent_count(w), w
+
+
+def test_des_coxeter_is_type_a_descent_number_on_unsigned_windows():
+    for n in range(0, 8):
+        for w in enumerate_group(n, signed=False):
+            assert des_coxeter(w) == len(descent_set(w)), w
+
+
+def test_signed_group_matches_sign_vector_construction():
+    for n in range(0, 6):
+        assert list(enumerate_group(n, signed=True)) == list(signed_group_by_sign_vectors(n)), n
+
+
+def test_involution_enumerators_match_filtered_group():
+    for n in range(0, 7):
+        for signed, enumerate_ in (
+            (False, enumerate_involutions),
+            (True, enumerate_signed_involutions),
+        ):
+            expected = sorted(w for w in enumerate_group(n, signed) if squares_to_identity(w))
+            assert list(enumerate_(n)) == expected, (n, signed)
 
 
 def test_des_coxeter_examples():
