@@ -19,6 +19,7 @@ from .distributions import (
     r_recurrence,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
+    signed_involution_recurrence_rows,
 )
 from .permutations import (
     DEFAULT_BUDGET,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import mul, sub
 
 from . import reference
 from .distributions import (
@@ -23,6 +24,7 @@ from .distributions import (
     r_closed,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
+    signed_involution_recurrence_rows,
 )
 from .permutations import (
     descent_set,
@@ -96,35 +98,60 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8, budget: int | None = None) -
     return report
 
 
+def _unsigned_descent_key(des) -> tuple:
+    return (tuple(sorted(des)), ())
+
+
+def _signed_descent_key(sdes) -> tuple:
+    return (tuple(sorted(sdes.positions)), sdes.signs)
+
+
+def _multiset_record(
+    check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str, key
+) -> CheckRecord:
+    """Pass when the two descent-set multisets agree; otherwise fail, naming
+    the first descent set (ordered by `key`) whose multiplicities differ."""
+    perm_total = f"{sum(perm_side.values())} involutions"
+    tab_total = f"{sum(tab_side.values())} {noun}"
+    if perm_side == tab_side:
+        return CheckRecord(check, (("n", n),), "pass", perm_total, tab_total)
+    differing = (d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
+    first = min(differing, key=key)
+    positions, signs = key(first)
+    witness = "Des={" + int_list(positions) + "}"
+    if signs:
+        witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
+    return CheckRecord(
+        check,
+        (("n", n),),
+        "fail",
+        f"{perm_total}, {perm_side[first]} with {witness}",
+        f"{tab_total}, {tab_side[first]} with {witness}",
+    )
+
+
 def verify_descent_multiset_bijection(
     signed_n_max: int = 6, unsigned_n_max: int = 7, budget: int | None = None
 ) -> Report:
     """Descent-preserving bijection consequences, checked as multiset
     equalities: signed descent sets over B-involutions against bitableaux,
-    and descent sets over involutions against standard tableaux."""
+    and descent sets over involutions against standard tableaux.  A failure
+    names the first descent set, in sorted order, whose counts differ."""
     report = Report()
     for n in range(signed_n_max + 1):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n, budget))
         tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
         report.add(
-            CheckRecord(
-                "sdes-multiset-signed",
-                (("n", n),),
-                "pass" if perm_side == tab_side else "fail",
-                f"{sum(perm_side.values())} involutions",
-                f"{sum(tab_side.values())} bitableaux",
+            _multiset_record(
+                "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux", _signed_descent_key
             )
         )
     for n in range(unsigned_n_max + 1):
         perm_side = Counter(descent_set(w) for w in enumerate_involutions(n, budget))
         tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
         report.add(
-            CheckRecord(
-                "des-multiset-unsigned",
-                (("n", n),),
-                "pass" if perm_side == tab_side else "fail",
-                f"{sum(perm_side.values())} involutions",
-                f"{sum(tab_side.values())} tableaux",
+            _multiset_record(
+                "des-multiset-unsigned", n, perm_side, tab_side, "tableaux", _unsigned_descent_key
             )
         )
     return report
@@ -197,7 +224,7 @@ def verify_proof_identity(n_max: int = 20) -> Report:
     value is recorded as a note.
     """
     report = Report()
-    rows = [signed_involution_eulerian_recurrence(n).coefficients() for n in range(n_max + 1)]
+    rows = signed_involution_recurrence_rows(n_max)
 
     def get(row, k):
         return row[k] if 0 <= k < len(row) else 0
@@ -320,6 +347,22 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
     return report
 
 
+def _lemma_instances(trials: int, length_max: int, seed: int):
+    """(a, x) instances for the averaging lemma, in a fixed random stream.
+
+    Prefix sums are drawn nonnegative and differenced into a, so every
+    instance meets the hypothesis; x is drawn and sorted decreasing.
+    """
+    draw = random.Random(seed).randrange
+    length_stop = length_max + 1
+    for _ in range(trials):
+        length = draw(1, length_stop)
+        prefix = [draw(13) for _ in range(length)]
+        a = [prefix[0], *map(sub, prefix[1:], prefix)]
+        x = sorted([draw(13) for _ in range(length)], reverse=True)
+        yield a, x
+
+
 def check_guo_zeng_lemma(
     trials: int = 10_000, length_max: int = 8, seed: int = DEFAULT_SEED
 ) -> Report:
@@ -327,18 +370,18 @@ def check_guo_zeng_lemma(
     nonnegative weights, a sequence with nonnegative prefix sums has a
     nonnegative weighted sum.
 
-    Instances are built so the hypothesis holds by construction (prefix sums
-    drawn nonnegative, then differenced), which keeps every trial productive.
+    Instances are built so the hypothesis holds by construction, which keeps
+    every trial productive.
     """
-    rng = random.Random(seed)
+    if trials < 1 or length_max < 1:
+        raise ValueError(
+            "guo-zeng-lemma needs trials and length_max of at least 1, "
+            f"got {trials} and {length_max}"
+        )
     failures = 0
     first_failure = None
-    for _ in range(trials):
-        length = rng.randint(1, length_max)
-        prefix = [rng.randint(0, 12) for _ in range(length)]
-        a = [prefix[0]] + [prefix[i] - prefix[i - 1] for i in range(1, length)]
-        x = sorted((rng.randint(0, 12) for _ in range(length)), reverse=True)
-        if sum(ai * xi for ai, xi in zip(a, x)) < 0:
+    for a, x in _lemma_instances(trials, length_max, seed):
+        if sum(map(mul, a, x)) < 0:
             failures += 1
             if first_failure is None:
                 first_failure = (a, x)
@@ -407,9 +450,9 @@ def gamma_positivity_report(
     are notes, not assertions.
     """
     report = Report()
+    rows = signed_involution_recurrence_rows(n_max)
     for n in range(1, n_max + 1):
-        row = signed_involution_eulerian_recurrence(n)
-        gv = gamma_vector(row.poly, n)
+        gv = gamma_vector(IntPolynomial(rows[n]), n)
         if n in reference.GAMMA_ROWS_B:
             _compare(
                 report,
@@ -480,8 +523,9 @@ def reference_table_report(budget: int | None = None) -> Report:
         row = signed_involution_eulerian(n, budget=budget)
         gv = gamma_vector(row.poly, n)
         _compare(report, "table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
+    rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):
-        poly = signed_involution_eulerian_recurrence(n).poly
+        poly = IntPolynomial(rows[n])
         ok = is_symmetric(poly, n) and is_unimodal(poly)
         report.add(
             CheckRecord(

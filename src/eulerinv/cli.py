@@ -6,7 +6,8 @@ tab-separated record format and is byte-identical across runs for fixed
 arguments and seed.
 
 Exit status: 0 when every hard assertion passed, 1 on any failure (including
-an exceeded enumeration budget), 2 on usage errors.  The enumeration budget
+an exceeded enumeration budget), 2 on usage errors, among them a verify run
+that makes no pass or fail check.  The enumeration budget
 can also be set through the EULERINV_BUDGET environment variable; an
 explicit --budget wins.
 """
@@ -30,7 +31,7 @@ from .distributions import (
     signed_involution_eulerian_recurrence,
 )
 from .permutations import BudgetExceededError
-from .reports import CheckRecord, Report, int_list
+from .reports import NOTE, CheckRecord, Report, int_list
 
 BUDGET_ENV_VAR = "EULERINV_BUDGET"
 
@@ -250,7 +251,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if args.command == "gamma":
             return _run_gamma(args, budget, structured, out)
         if args.command == "verify":
-            return _emit(_verify_report(args, budget), structured, out)
+            report = _verify_report(args, budget)
+            if all(record.status == NOTE for record in report):
+                raise ValueError(
+                    f"verify {args.target} made no pass or fail check at these arguments, "
+                    "so it has nothing to report"
+                )
+            return _emit(report, structured, out)
         if args.command == "counterexample":
             return _run_counterexample(args, budget, structured, out)
         if args.command == "table":

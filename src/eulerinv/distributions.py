@@ -7,12 +7,16 @@ routes, and the symmetry / unimodality / log-concavity / gamma machinery.
 
 The recurrence divides by n at every step; the division is exact when the
 coefficients are right, so a nonzero remainder aborts loudly instead of
-being rounded away.
+being rounded away.  One run of it yields every row up to n_max
+(signed_involution_recurrence_rows), so a sweep over n computes each row
+once; a caller that wants row n alone keeps no earlier row.  Gamma extraction and reconstruction work with the binomial
+coefficients of (1+x)^e directly and multiply no polynomials.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import comb
 
 from .permutations import (
     des_b,
@@ -96,36 +100,53 @@ def _exact_div(total: int, n: int, context: str) -> int:
     return q
 
 
-def signed_involution_eulerian_recurrence(n: int) -> EulerianDistribution:
-    """Type-B involution distribution computed by the three-term linear
-    recurrence on coefficient rows, entirely without enumeration.
+def _recurrence_rows(n_max: int):
+    """Yield type-B involution rows 0..n_max (none when n_max < 0) from the
+    three-term linear recurrence, holding only the last two.
 
     Row n is assembled from rows n-1 and n-2 and divided by n; the division
     must leave no remainder.
     """
+    seeds = ((1,), (1, 1), (1, 4, 1))
+    yield from seeds[: max(n_max + 1, 0)]
+    prev2, prev = seeds[1:]
+    for size in range(3, n_max + 1):
+        # rows n-1 and n-2 read at k, k-1 and k-2 for k = 0..n, zero outside
+        shifted = zip(
+            prev + (0,), (0,) + prev, prev2 + (0, 0), (0,) + prev2 + (0,), (0, 0) + prev2
+        )
+        row = []
+        for k, (prev_k, prev_k1, prev2_k, prev2_k1, prev2_k2) in enumerate(shifted):
+            total = (
+                (2 * k + 1) * prev_k
+                + (2 * size - 2 * k + 1) * prev_k1
+                + (size - 1 + 2 * k * (k + 1)) * prev2_k
+                + (2 * (size - 1) + 4 * (size - k - 1) * (k - 1)) * prev2_k1
+                + ((2 * size - 3) * (size - 1) + 2 * (k - 2) * (k - 2 * size + 1)) * prev2_k2
+            )
+            quotient, remainder = divmod(total, size)
+            if remainder:
+                raise InexactDivisionError(
+                    f"recurrence row n={size}, k={k}: {total} is not divisible by {size}"
+                )
+            row.append(quotient)
+        prev2, prev = prev, tuple(row)
+        yield prev
+
+
+def signed_involution_recurrence_rows(n_max: int) -> list[tuple[int, ...]]:
+    """Type-B involution rows 0..n_max (none when n_max < 0), from one run of
+    the three-term linear recurrence, entirely without enumeration."""
+    return list(_recurrence_rows(n_max))
+
+
+def signed_involution_eulerian_recurrence(n: int) -> EulerianDistribution:
+    """Type-B involution distribution: row n of the same single run, with
+    no earlier row kept."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows = [(1,), (1, 1), (1, 4, 1)]
-    for size in range(3, n + 1):
-        prev = rows[size - 1]
-        prev2 = rows[size - 2]
-
-        def get(row, k):
-            return row[k] if 0 <= k < len(row) else 0
-
-        row = []
-        for k in range(size + 1):
-            total = (
-                (2 * k + 1) * get(prev, k)
-                + (2 * size - 2 * k + 1) * get(prev, k - 1)
-                + (size - 1 + 2 * k * (k + 1)) * get(prev2, k)
-                + (2 * (size - 1) + 4 * (size - k - 1) * (k - 1)) * get(prev2, k - 1)
-                + ((2 * size - 3) * (size - 1) + 2 * (k - 2) * (k - 2 * size + 1))
-                * get(prev2, k - 2)
-            )
-            row.append(_exact_div(total, size, f"recurrence row n={size}, k={k}"))
-        rows.append(tuple(row))
-    return EulerianDistribution(n, f"B-involutions-{DES_B}", IntPolynomial(rows[n]))
+    (row,) = deque(_recurrence_rows(n), maxlen=1)
+    return EulerianDistribution(n, f"B-involutions-{DES_B}", IntPolynomial(row))
 
 
 def r_closed(n: int, m: int) -> int:
@@ -205,12 +226,17 @@ class GammaVector:
 
     def reconstruct(self) -> IntPolynomial:
         n = self.center_doubled
-        one_plus_x = IntPolynomial((1, 1))
-        total = IntPolynomial()
+        if 2 * (len(self.gammas) - 1) > n:
+            raise ValueError(
+                f"{len(self.gammas)} gamma entries need a doubled center of at least "
+                f"{2 * (len(self.gammas) - 1)}, got {n}"
+            )
+        coeffs = [0] * (n + 1)
         for i, g in enumerate(self.gammas):
-            basis = one_plus_x ** (n - 2 * i)
-            total = total + g * IntPolynomial((0,) * i + (1,)) * basis
-        return total
+            e = n - 2 * i
+            for j in range(e + 1):
+                coeffs[i + j] += g * comb(e, j)
+        return IntPolynomial(coeffs)
 
 
 def gamma_vector(p: IntPolynomial, n: int) -> GammaVector:
@@ -224,14 +250,14 @@ def gamma_vector(p: IntPolynomial, n: int) -> GammaVector:
         raise ValueError(f"polynomial {p!r} is not symmetric with doubled center {n}")
     residual = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
     gammas = []
-    one_plus_x = IntPolynomial((1, 1))
     for i in range(n // 2 + 1):
         g = residual[i]
         gammas.append(g)
         if g:
-            basis = (one_plus_x ** (n - 2 * i)).coeffs
-            for j, c in enumerate(basis):
-                residual[i + j] -= g * c
+            # subtract g x^i (1+x)^e term by term, e = n - 2i
+            e = n - 2 * i
+            for j in range(e + 1):
+                residual[i + j] -= g * comb(e, j)
     if any(residual):
         raise ValueError("gamma extraction left a nonzero residual")
     return GammaVector(n, tuple(gammas))

@@ -102,14 +102,6 @@ class IntPolynomial:
             return IntPolynomial(c * other for c in self.coeffs)
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = IntPolynomial((1,))
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def truncated(self, degree: int) -> "IntPolynomial":
         """Drop every term of degree greater than `degree`."""
         return IntPolynomial(self.coeffs[: degree + 1])

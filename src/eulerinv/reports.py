@@ -60,10 +60,6 @@ class Report:
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
-    def extend(self, other: "Report") -> "Report":
-        self.records.extend(other.records)
-        return self
-
     @property
     def ok(self) -> bool:
         return all(r.status != FAIL for r in self.records)

@@ -7,6 +7,7 @@ orders.  Slow and obviously correct is the point.
 """
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 
@@ -169,3 +170,41 @@ def guo_zeng_counterexample_search(length_max=5, bound=3):
                 if sum(ai * xi for ai, xi in zip(a, x)) < 0:
                     return a, x
     return None
+
+
+def convolve(p, q):
+    """Product of two coefficient lists, term by term."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def gamma_by_convolution(coeffs, n):
+    """Gamma expansion of a polynomial symmetric about n/2, subtracting
+    x^i (1+x)^(n-2i) with each power of (1+x) multiplied out by repeated
+    convolution; None when a nonzero residual is left."""
+    powers = [[1]]
+    for _ in range(n):
+        powers.append(convolve(powers[-1], [1, 1]))
+    residual = list(coeffs) + [0] * (n + 1 - len(coeffs))
+    gammas = []
+    for i in range(n // 2 + 1):
+        g = residual[i]
+        gammas.append(g)
+        for j, c in enumerate(powers[n - 2 * i]):
+            residual[i + j] -= g * c
+    return None if any(residual) else tuple(gammas)
+
+
+def guo_zeng_instances_by_randint(trials, length_max, seed):
+    """The averaging-lemma instances as first written: randint draws,
+    prefix sums differenced by index, weights sorted decreasing."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        length = rng.randint(1, length_max)
+        prefix = [rng.randint(0, 12) for _ in range(length)]
+        a = [prefix[0]] + [prefix[i] - prefix[i - 1] for i in range(1, length)]
+        x = sorted((rng.randint(0, 12) for _ in range(length)), reverse=True)
+        yield a, x

@@ -1,6 +1,8 @@
+import pytest
+
 from eulerinv import checks
 from eulerinv.reports import CheckRecord, Report
-from oracles import guo_zeng_counterexample_search
+from oracles import guo_zeng_counterexample_search, guo_zeng_instances_by_randint
 
 
 def test_recurrence_route():
@@ -130,3 +132,50 @@ def test_record_formats():
     bad = CheckRecord("demo", (), "fail", "1", "2")
     report.add(bad)
     assert not report.ok and report.failures == [bad]
+
+
+def _drop_bitableaux(monkeypatch, n, positions):
+    """Make checks.enumerate_all_syb skip the given positions of its size-n walk."""
+    original = checks.enumerate_all_syb
+
+    def dropping(size):
+        for i, q in enumerate(original(size)):
+            if size != n or i not in positions:
+                yield q
+
+    monkeypatch.setattr(checks, "enumerate_all_syb", dropping)
+
+
+def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
+    passing = checks.verify_descent_multiset_bijection(3, 2)
+    # the first bitableau of size 2 is ((), ((1, 2),)): no descent, both signs negative
+    _drop_bitableaux(monkeypatch, 2, {0})
+    report = checks.verify_descent_multiset_bijection(3, 2)
+    assert [r.status for r in report] == ["pass", "pass", "fail", "pass", "pass", "pass", "pass"]
+    failure = report.failures[0]
+    assert failure.params == (("n", 2),)
+    assert failure.lhs == "6 involutions, 1 with Des={} signs=--"
+    assert failure.rhs == "5 bitableaux, 0 with Des={} signs=--"
+    # the other records are the passes of the unpatched run
+    unchanged = [r for r in passing if (r.check, r.params) != ("sdes-multiset-signed", (("n", 2),))]
+    assert [r for r in report if r.status == "pass"] == unchanged
+
+
+def test_descent_multiset_failure_reports_the_smallest_set_in_sorted_order(monkeypatch):
+    # drop ((), ((1,), (2,))) with Des={1} signs=-- and (((2,),), ((1,),)) with Des={} signs=-+
+    _drop_bitableaux(monkeypatch, 2, {1, 3})
+    failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
+    assert failure.lhs == "6 involutions, 1 with Des={} signs=-+"
+    assert failure.rhs == "4 bitableaux, 0 with Des={} signs=-+"
+
+
+@pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])
+def test_lemma_instances_match_randint_oracle(seed):
+    produced = list(checks._lemma_instances(2000, 8, seed))
+    assert produced == list(guo_zeng_instances_by_randint(2000, 8, seed))
+
+
+@pytest.mark.parametrize("trials, length_max", [(0, 8), (-3, 8), (10, 0)])
+def test_guo_zeng_lemma_rejects_empty_sweeps(trials, length_max):
+    with pytest.raises(ValueError, match="at least 1"):
+        checks.check_guo_zeng_lemma(trials, length_max)

@@ -116,3 +116,35 @@ def test_gamma_inva_rejects_n_below_one(capsys):
     code, _ = run_cli(["gamma", "--kind", "invA", "--n", "0"])
     assert code == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "recurrence", "--n-max", "0"],
+        ["verify", "proof-identity", "--n-max", "2"],
+        ["verify", "conjecture-des", "--n-max", "-1"],
+    ],
+)
+def test_verify_that_checks_nothing_is_usage_error(capsys, argv):
+    code, output = run_cli(argv)
+    assert code == 2 and output == ""
+    assert f"verify {argv[1]} made no pass or fail check" in capsys.readouterr().err
+
+
+def test_verify_with_only_note_records_is_usage_error(monkeypatch, capsys):
+    from eulerinv import checks
+    from eulerinv.reports import CheckRecord, Report
+
+    notes_only = Report([CheckRecord("proof-identity", (("k", 0),), "note", "a note", "")])
+    monkeypatch.setattr(checks, "verify_proof_identity", lambda n_max: notes_only)
+    code, output = run_cli(["verify", "proof-identity"])
+    assert code == 2 and output == ""
+    assert "verify proof-identity made no pass or fail check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--n-max", "0"]])
+def test_guo_zeng_lemma_without_trials_is_usage_error(capsys, flags):
+    code, output = run_cli(["verify", "guo-zeng-lemma", *flags])
+    assert code == 2 and output == ""
+    assert "guo-zeng-lemma needs trials and length_max of at least 1" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from eulerinv.distributions import (
+    GammaVector,
     first_log_concavity_failure,
     full_eulerian,
     gamma_vector,
@@ -14,10 +15,11 @@ from eulerinv.distributions import (
     r_recurrence,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
+    signed_involution_recurrence_rows,
 )
 from eulerinv.polynomials import IntPolynomial, binomial, expand_negative_binomial_product
 from eulerinv.tableaux import enumerate_all_syb, syb_des_b
-from oracles import signed_telephone_number, telephone_number
+from oracles import gamma_by_convolution, signed_telephone_number, telephone_number
 
 INVOLUTION_ROWS = {
     1: (1,),
@@ -216,3 +218,48 @@ def test_recurrence_rows_symmetric_and_unimodal_to_40():
 def test_involution_rows_symmetric():
     for n in range(1, 9):
         assert is_symmetric(involution_eulerian(n).poly, n - 1)
+
+
+def test_recurrence_rows_come_from_one_pass():
+    rows = signed_involution_recurrence_rows(300)
+    assert len(rows) == 301
+    for m, row in enumerate(rows):
+        assert sum(row) == signed_telephone_number(m), m
+    for n in (0, 1, 2, 3, 17, 60):
+        assert signed_involution_recurrence_rows(n) == rows[: n + 1]
+        assert signed_involution_eulerian_recurrence(n).coefficients() == rows[n]
+    assert signed_involution_recurrence_rows(-1) == []
+
+
+def test_recurrence_rows_match_enumeration():
+    for n, row in enumerate(signed_involution_recurrence_rows(8)):
+        assert row == signed_involution_eulerian(n).coefficients(), n
+
+
+def test_recurrence_rows_abort_on_inexact_division(monkeypatch):
+    import eulerinv.distributions as distributions
+
+    # every quotient now comes with a remainder; the first step is n=3, k=0
+    monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
+    message = r"^recurrence row n=3, k=0: 3 is not divisible by 3$"
+    with pytest.raises(distributions.InexactDivisionError, match=message):
+        signed_involution_recurrence_rows(3)
+
+
+def test_gamma_vector_matches_convolution_oracle():
+    for n, row in enumerate(signed_involution_recurrence_rows(120)):
+        poly = IntPolynomial(row)
+        gv = gamma_vector(poly, n)
+        assert gv.gammas == gamma_by_convolution(row, n), n
+        assert gv.reconstruct() == poly, n
+    for n in range(1, 10):
+        poly = involution_eulerian(n).poly
+        gv = gamma_vector(poly, n - 1)
+        assert gv.gammas == gamma_by_convolution(poly.coeffs, n - 1), n
+        assert gv.reconstruct() == poly, n
+
+
+def test_gamma_reconstruct_rejects_too_many_entries():
+    with pytest.raises(ValueError, match="doubled center"):
+        GammaVector(3, (1, 2, 3)).reconstruct()
+    assert GammaVector(4, (1, 2, 3)).reconstruct() == IntPolynomial((1, 6, 13, 6, 1))
