@@ -38,7 +38,6 @@ from .permutations import (
 )
 from .polynomials import (
     IntPolynomial,
-    TruncatedSeries,
     binomial,
     expand_negative_binomial_product,
     poly_multiply,

@@ -48,12 +48,6 @@ from .tableaux import (
 DEFAULT_SEED = 271828
 
 
-def _compare(report: Report, check: str, params, lhs, rhs) -> None:
-    report.add(
-        CheckRecord(check, tuple(params), "pass" if lhs == rhs else "fail", str(lhs), str(rhs))
-    )
-
-
 def verify_recurrence_route(n_max: int = 9, budget: int | None = None) -> Report:
     """Recurrence-computed type-B involution rows against brute-force
     enumeration, coefficient by coefficient."""
@@ -61,8 +55,7 @@ def verify_recurrence_route(n_max: int = 9, budget: int | None = None) -> Report
     for n in range(1, n_max + 1):
         enum_row = signed_involution_eulerian(n, budget=budget).coefficients()
         rec_row = signed_involution_eulerian_recurrence(n).coefficients()
-        _compare(
-            report,
+        report.compare(
             "recurrence-vs-enumeration",
             (("n", n),),
             int_list(rec_row),
@@ -81,7 +74,7 @@ def verify_genfun_a(n_max: int = 8, m_max: int = 6, budget: int | None = None) -
         series = expand_negative_binomial_product(m + 1, m * (m + 1) // 2, n_max)
         for n in range(n_max + 1):
             lhs = sum(c * binomial(n + m - j, n) for j, c in enumerate(rows[n]))
-            _compare(report, "genfun-a", (("n", n), ("m", m)), lhs, series.coefficient(n))
+            report.compare("genfun-a", (("n", n), ("m", m)), lhs, series[n])
     return report
 
 
@@ -94,7 +87,7 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8, budget: int | None = None) -
         row = signed_involution_eulerian(n, budget=budget).coefficients()
         for k in range(k_max + 1):
             lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
-            _compare(report, "genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
+            report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
     return report
 
 
@@ -140,7 +133,7 @@ def verify_descent_multiset_bijection(
     report = Report()
     for n in range(signed_n_max + 1):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n, budget))
-        tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
+        tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n, budget))
         report.add(
             _multiset_record(
                 "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux", _signed_descent_key
@@ -148,7 +141,7 @@ def verify_descent_multiset_bijection(
         )
     for n in range(unsigned_n_max + 1):
         perm_side = Counter(descent_set(w) for w in enumerate_involutions(n, budget))
-        tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
+        tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n, budget))
         report.add(
             _multiset_record(
                 "des-multiset-unsigned", n, perm_side, tab_side, "tableaux", _unsigned_descent_key
@@ -157,7 +150,9 @@ def verify_descent_multiset_bijection(
     return report
 
 
-def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
+def verify_transpose_complement(
+    signed_n_max: int = 6, unsigned_n_max: int = 7, budget: int | None = None
+) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections."""
     report = Report()
@@ -165,7 +160,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
         bad = 0
         seen = set()
         total = 0
-        for q in enumerate_all_syb(n):
+        for q in enumerate_all_syb(n, budget):
             total += 1
             t = syb_transpose(q)
             seen.add(t)
@@ -184,7 +179,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     for n in range(unsigned_n_max + 1):
         bad = 0
         total = 0
-        for q in enumerate_all_syt(n):
+        for q in enumerate_all_syt(n, budget):
             total += 1
             t = syt_transpose(q)
             des_q = len(syt_descent_set(q))
@@ -311,8 +306,8 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
     """
     report = Report()
     r1, r2, r3 = r_closed(89, 1), r_closed(89, 2), r_closed(89, 3)
-    _compare(report, "r89-square", (("k", 2),), r2 * r2, reference.R89_SQUARE_AT_2)
-    _compare(report, "r89-product", (("k", "1*3"),), r1 * r3, reference.R89_PRODUCT_1_3)
+    report.compare("r89-square", (("k", 2),), r2 * r2, reference.R89_SQUARE_AT_2)
+    report.compare("r89-product", (("k", "1*3"),), r1 * r3, reference.R89_PRODUCT_1_3)
     report.add(
         CheckRecord(
             "r89-strict-inequality",
@@ -337,8 +332,7 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
         q_poly = IntPolynomial([binomial(n + k, k) for k in range(n + 1)])
         product = (row * q_poly).truncated(n)
         expected = IntPolynomial([r_closed(n, k) for k in range(n + 1)])
-        _compare(
-            report,
+        report.compare(
             "r-convolution",
             (("n", n),),
             int_list(product.coeffs),
@@ -418,8 +412,7 @@ def check_des_statistic_conjecture(n_max: int = 7, budget: int | None = None) ->
         coxeter = signed_involution_eulerian(n, DES_COXETER, budget=budget).coefficients()
         equal = colored == coxeter
         if n <= 5:
-            _compare(
-                report,
+            report.compare(
                 "des-statistics-agree",
                 (("n", n),),
                 int_list(colored),
@@ -454,8 +447,7 @@ def gamma_positivity_report(
     for n in range(1, n_max + 1):
         gv = gamma_vector(IntPolynomial(rows[n]), n)
         if n in reference.GAMMA_ROWS_B:
-            _compare(
-                report,
+            report.compare(
                 "gamma-signed",
                 (("n", n),),
                 int_list(gv.gammas),
@@ -494,21 +486,20 @@ def reference_table_report(budget: int | None = None) -> Report:
     report = Report()
     for n, expected in sorted(reference.INVOLUTION_ROWS_A.items()):
         computed = involution_eulerian(n, budget=budget).coefficients()
-        _compare(report, "table-a", (("n", n),), int_list(computed), int_list(expected))
+        report.compare("table-a", (("n", n),), int_list(computed), int_list(expected))
     for n, expected in sorted(reference.INVOLUTION_ROWS_B_PRINTED.items()):
         computed = signed_involution_eulerian(n, budget=budget).coefficients()
         if n != 6:
-            _compare(report, "table-b", (("n", n),), int_list(computed), int_list(expected))
+            report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
             continue
         gamma_row = GammaVector(6, reference.GAMMA_ROWS_B[6]).reconstruct().coeffs
-        _compare(
-            report,
+        report.compare(
             "table-b-gamma-expansion",
             (("n", n),),
             int_list(computed),
             int_list(gamma_row),
         )
-        _compare(report, "table-b-total", (("n", n),), sum(computed), 1384)
+        report.compare("table-b-total", (("n", n),), sum(computed), 1384)
         if computed != expected:
             report.add(
                 CheckRecord(
@@ -522,7 +513,7 @@ def reference_table_report(budget: int | None = None) -> Report:
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
         row = signed_involution_eulerian(n, budget=budget)
         gv = gamma_vector(row.poly, n)
-        _compare(report, "table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
+        report.compare("table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):
         poly = IntPolynomial(rows[n])

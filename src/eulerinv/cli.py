@@ -1,19 +1,24 @@
 """Command-line frontend: compute distributions, run verification sweeps.
 
+Each verify target runs one sweep of SWEEPS at the defaults of its signature;
+a verify flag overrides the parameters _FLAG_PARAMS names for it, and a flag
+the sweep has no parameter for is a usage error.
+
 Plain output prints coefficient lists space-separated, lowest degree first,
 so rows diff cleanly against published tables.  Structured output prints the
 tab-separated record format and is byte-identical across runs for fixed
 arguments and seed.
 
 Exit status: 0 when every hard assertion passed, 1 on any failure (including
-an exceeded enumeration budget), 2 on usage errors, among them a verify run
-that makes no pass or fail check.  The enumeration budget
-can also be set through the EULERINV_BUDGET environment variable; an
-explicit --budget wins.
+an exceeded enumeration budget), 2 on usage errors, among them an unused
+verify flag and a verify run that makes no pass or fail check.  The
+enumeration budget can also be set through the EULERINV_BUDGET environment
+variable; an explicit --budget wins.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import Callable, Sequence
@@ -31,22 +36,34 @@ from .distributions import (
     signed_involution_eulerian_recurrence,
 )
 from .permutations import BudgetExceededError
-from .reports import NOTE, CheckRecord, Report, int_list
+from .reports import NOTE, CheckRecord, Params, Report, int_list
 
 BUDGET_ENV_VAR = "EULERINV_BUDGET"
 
-VERIFY_TARGETS: dict[str, str] = {
-    "recurrence": "recurrence-computed rows against brute-force enumeration",
-    "genfun-a": "generating identity for symmetric-group involutions",
-    "genfun-b": "generating identity for hyperoctahedral involutions",
-    "lemma31": "signed specialization closed form over all of B_n",
-    "cauchy": "Schur specialization sum against the product series",
-    "signed-schur": "signed Schur factorization over bitableaux",
-    "sdes-bijection": "descent multisets of involutions against (bi)tableaux",
-    "proof-identity": "difference decomposition and its sign facts",
-    "transpose": "transpose complementation of descent numbers",
-    "conjecture-des": "the two type-B descent statistics on involutions",
-    "guo-zeng-lemma": "randomized check of the averaging lemma",
+#: Each verify target and the sweep that runs it.  A sweep's defaults live in
+#: its signature only; the verify flags override the parameters they name.
+SWEEPS: dict[str, Callable[..., Report]] = {
+    "recurrence": checks.verify_recurrence_route,
+    "genfun-a": checks.verify_genfun_a,
+    "genfun-b": checks.verify_genfun_b,
+    "lemma31": qsym.verify_signed_spec_closed_form,
+    "cauchy": qsym.verify_cauchy_spec,
+    "signed-schur": qsym.verify_signed_schur_spec,
+    "sdes-bijection": checks.verify_descent_multiset_bijection,
+    "proof-identity": checks.verify_proof_identity,
+    "transpose": checks.verify_transpose_complement,
+    "conjecture-des": checks.check_des_statistic_conjecture,
+    "guo-zeng-lemma": checks.check_guo_zeng_lemma,
+}
+
+# The sweep parameters each verify flag sets: --n-max sets every size range a
+# sweep has, each other flag the parameter of its own name.
+_FLAG_PARAMS: dict[str, tuple[str, ...]] = {
+    "--n-max": ("n_max", "signed_n_max", "unsigned_n_max", "length_max"),
+    "--m-max": ("m_max",),
+    "--k-max": ("k_max",),
+    "--trials": ("trials",),
+    "--seed": ("seed",),
 }
 
 
@@ -79,12 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(gamma)
 
     verify = sub.add_parser("verify", help="run a verification sweep")
-    verify.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    verify.add_argument("--n-max", type=int)
-    verify.add_argument("--m-max", type=int)
-    verify.add_argument("--k-max", type=int)
-    verify.add_argument("--trials", type=int, default=10_000)
-    verify.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    verify.add_argument("target", choices=sorted(SWEEPS))
+    for flag in _FLAG_PARAMS:
+        verify.add_argument(flag, type=int)
     add_common(verify)
 
     counter = sub.add_parser("counterexample", help="reproduce a counterexample")
@@ -137,20 +151,18 @@ def _distribution(args, budget) -> EulerianDistribution:
     return full_eulerian(args.n, signed=args.kind == "fullB", statistic=args.stat, budget=budget)
 
 
-def _run_poly(args, budget, structured, out) -> int:
-    dist = _distribution(args, budget)
+def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
     if structured:
-        record = CheckRecord(
-            "poly",
-            (("kind", args.kind), ("n", args.n), ("stat", args.stat)),
-            "note",
-            int_list(dist.coefficients()),
-            "",
-        )
-        print(record.structured(), file=out)
+        print(CheckRecord(check, params, NOTE, int_list(row), "").structured(), file=out)
     else:
-        print(" ".join(map(str, dist.coefficients())), file=out)
+        print(" ".join(map(str, row)), file=out)
     return 0
+
+
+def _run_poly(args, budget, structured, out) -> int:
+    row = _distribution(args, budget).coefficients()
+    params = (("kind", args.kind), ("n", args.n), ("stat", args.stat))
+    return _print_row("poly", params, row, structured, out)
 
 
 def _run_gamma(args, budget, structured, out) -> int:
@@ -167,59 +179,24 @@ def _run_gamma(args, budget, structured, out) -> int:
         dist = involution_eulerian(args.n, budget=budget)
         center_doubled = args.n - 1
     gv = gamma_vector(dist.poly, center_doubled)
-    if structured:
-        record = CheckRecord(
-            "gamma",
-            (("kind", args.kind), ("n", args.n)),
-            "note",
-            int_list(gv.gammas),
-            "",
-        )
-        print(record.structured(), file=out)
-    else:
-        print(" ".join(map(str, gv.gammas)), file=out)
-    return 0
+    return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gv.gammas, structured, out)
 
 
 def _verify_report(args, budget) -> Report:
-    n_max = args.n_max
-    m_max = args.m_max
-    k_max = args.k_max
-    target = args.target
-    runners: dict[str, Callable[[], Report]] = {
-        "recurrence": lambda: checks.verify_recurrence_route(
-            9 if n_max is None else n_max, budget=budget
-        ),
-        "genfun-a": lambda: checks.verify_genfun_a(
-            8 if n_max is None else n_max, 6 if m_max is None else m_max, budget=budget
-        ),
-        "genfun-b": lambda: checks.verify_genfun_b(
-            8 if n_max is None else n_max, 8 if k_max is None else k_max, budget=budget
-        ),
-        "lemma31": lambda: qsym.verify_signed_spec_closed_form(
-            4 if n_max is None else n_max, 6 if m_max is None else m_max
-        ),
-        "cauchy": lambda: qsym.verify_cauchy_spec(
-            6 if n_max is None else n_max, 4 if m_max is None else m_max
-        ),
-        "signed-schur": lambda: qsym.verify_signed_schur_spec(
-            5 if n_max is None else n_max, 4 if m_max is None else m_max
-        ),
-        "sdes-bijection": lambda: checks.verify_descent_multiset_bijection(
-            6 if n_max is None else n_max, 7 if n_max is None else n_max, budget=budget
-        ),
-        "proof-identity": lambda: checks.verify_proof_identity(20 if n_max is None else n_max),
-        "transpose": lambda: checks.verify_transpose_complement(
-            6 if n_max is None else n_max, 7 if n_max is None else n_max
-        ),
-        "conjecture-des": lambda: checks.check_des_statistic_conjecture(
-            7 if n_max is None else n_max, budget=budget
-        ),
-        "guo-zeng-lemma": lambda: checks.check_guo_zeng_lemma(
-            trials=args.trials, length_max=8 if n_max is None else n_max, seed=args.seed
-        ),
-    }
-    return runners[target]()
+    sweep = SWEEPS[args.target]
+    params = inspect.signature(sweep).parameters
+    kwargs = {}
+    for flag, names in _FLAG_PARAMS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        taken = [name for name in names if name in params]
+        if not taken:
+            raise ValueError(f"verify {args.target} takes no {flag}")
+        kwargs.update(dict.fromkeys(taken, value))
+    if "budget" in params:
+        kwargs["budget"] = budget
+    return sweep(**kwargs)
 
 
 def _run_counterexample(args, budget, structured, out) -> int:

@@ -1,4 +1,4 @@
-"""Exact integer polynomials and truncated power series.
+"""Exact integer polynomials, binomial coefficients and one power-series expansion.
 
 Everything here is plain-Python arbitrary-precision arithmetic: no floats
 anywhere, since the identities these objects feed are exact (the largest
@@ -6,7 +6,7 @@ check multiplies 20-digit integers).
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def binomial(a: int, b: int) -> int:
@@ -129,78 +129,8 @@ def poly_multiply(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-class TruncatedSeries:
-    """Integer power series in t, truncated after t^order.
-
-    Arithmetic never reads or writes beyond the truncation order, and two
-    series may only be combined when their orders agree; mixing orders is a
-    bug in the caller, not something to paper over silently.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int], order: int | None = None):
-        coeffs = tuple(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(coeffs) > order + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,), order)
-
-    def coefficient(self, i: int) -> int:
-        if not 0 <= i <= self.order:
-            raise IndexError(f"coefficient index {i} outside truncation order {self.order}")
-        return self.coeffs[i]
-
-    def _check_order(self, other: "TruncatedSeries"):
-        if self.order != other.order:
-            raise ValueError(
-                f"cannot combine series of truncation orders {self.order} and {other.order}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("TruncatedSeries", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-
-def expand_negative_binomial_product(a: int, b: int, order: int) -> TruncatedSeries:
-    """Coefficients of (1-t)^(-a) * (1-t^2)^(-b) through t^order.
+def expand_negative_binomial_product(a: int, b: int, order: int) -> tuple[int, ...]:
+    """Coefficients of (1-t)^(-a) * (1-t^2)^(-b) through t^order; index n holds t^n.
 
     The t^n coefficient is the double-count sum_j multiset(b, j) * multiset(a, n-2j):
     pick j factors of t^2, fill the rest with ordinary t's.
@@ -215,4 +145,4 @@ def expand_negative_binomial_product(a: int, b: int, order: int) -> TruncatedSer
             if left:
                 total += left * multiset_count(a, n - 2 * j)
         coeffs.append(total)
-    return TruncatedSeries(coeffs)
+    return tuple(coeffs)

@@ -84,14 +84,16 @@ def schur_spec(shape: Shape, m: int) -> int:
     return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape))
 
 
-def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
+def verify_signed_spec_closed_form(
+    n_max: int = 4, m_max: int = 6, budget: int | None = None
+) -> Report:
     """Exhaustively check, over every signed permutation of each B_n, that the
     chain-count specialization equals C(n + m - 1 - des_B, n)."""
     report = Report()
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
             bad = None
-            for w in enumerate_group(n, signed=True):
+            for w in enumerate_group(n, signed=True, budget=budget):
                 lhs = signed_fundamental_spec(signed_descent_set(w), m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
@@ -129,16 +131,7 @@ def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
         series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
         for n in range(n_max + 1):
             lhs = sum(schur_spec(shape, m) for shape in partitions(n))
-            rhs = series.coefficient(n)
-            report.add(
-                CheckRecord(
-                    "cauchy-specialization",
-                    (("n", n), ("m", m)),
-                    "pass" if lhs == rhs else "fail",
-                    str(lhs),
-                    str(rhs),
-                )
-            )
+            report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
     return report
 
 
@@ -153,18 +146,11 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
             for m in range(1, m_max + 1):
                 lhs = sum(signed_fundamental_spec(s, m) for s in sdes_list)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
-                report.add(
-                    CheckRecord(
-                        "signed-schur-factorization",
-                        (
-                            ("n", n),
-                            ("plus", ".".join(map(str, plus)) or "0"),
-                            ("minus", ".".join(map(str, minus)) or "0"),
-                            ("m", m),
-                        ),
-                        "pass" if lhs == rhs else "fail",
-                        str(lhs),
-                        str(rhs),
-                    )
+                params = (
+                    ("n", n),
+                    ("plus", ".".join(map(str, plus)) or "0"),
+                    ("minus", ".".join(map(str, minus)) or "0"),
+                    ("m", m),
                 )
+                report.compare("signed-schur-factorization", params, lhs, rhs)
     return report

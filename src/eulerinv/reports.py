@@ -60,6 +60,11 @@ class Report:
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
+    def compare(self, check: str, params: Params, lhs, rhs) -> None:
+        """Add a pass record when the two sides are equal, a fail record otherwise."""
+        status = PASS if lhs == rhs else FAIL
+        self.add(CheckRecord(check, tuple(params), status, str(lhs), str(rhs)))
+
     @property
     def ok(self) -> bool:
         return all(r.status != FAIL for r in self.records)

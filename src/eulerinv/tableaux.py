@@ -14,7 +14,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .permutations import SignedDescentSet
+from .permutations import (
+    SignedDescentSet,
+    _check_budget,
+    involution_count,
+    signed_involution_count,
+)
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -50,28 +55,6 @@ def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
                 yield plus, minus
 
 
-def tableau_shape(tableau: Tableau) -> Shape:
-    return tuple(len(row) for row in tableau)
-
-
-def is_standard_tableau(tableau: Tableau) -> bool:
-    """Rows and columns strictly increase and the shape is a partition."""
-    shape = tableau_shape(tableau)
-    try:
-        validate_shape(shape)
-    except ValueError:
-        return shape == ()
-    for row in tableau:
-        for a, b in zip(row, row[1:]):
-            if a >= b:
-                return False
-    for r in range(1, len(tableau)):
-        for c in range(len(tableau[r])):
-            if tableau[r - 1][c] >= tableau[r][c]:
-                return False
-    return True
-
-
 def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
     """Yield every standard Young tableau of the given shape."""
     validate_shape(shape)
@@ -96,8 +79,10 @@ def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
     yield from place(1)
 
 
-def enumerate_all_syt(n: int) -> Iterator[Tableau]:
-    """All standard Young tableaux with n entries, over every shape."""
+def enumerate_all_syt(n: int, budget: int | None = None) -> Iterator[Tableau]:
+    """All standard Young tableaux with n entries, over every shape; there
+    are as many as involutions of S_n, and that count is held to the budget."""
+    _check_budget(n, involution_count(n), budget, "standard Young tableaux")
     for shape in partitions(n):
         yield from enumerate_syt(shape)
 
@@ -152,8 +137,10 @@ def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
                 yield relabelled_plus, _relabel(m, minus_entries)
 
 
-def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
-    """All standard Young bitableaux with n entries, over every bipartition."""
+def enumerate_all_syb(n: int, budget: int | None = None) -> Iterator[Bitableau]:
+    """All standard Young bitableaux with n entries, over every bipartition;
+    there are as many as involutions of B_n, and that count is held to the budget."""
+    _check_budget(n, signed_involution_count(n), budget, "standard Young bitableaux")
     for shape in bipartitions(n):
         yield from enumerate_syb(shape)
 

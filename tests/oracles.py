@@ -129,6 +129,26 @@ def standard_fillings_by_filtering(shape):
     return out
 
 
+def tableau_shape(tableau):
+    return tuple(len(row) for row in tableau)
+
+
+def is_standard_tableau(tableau):
+    """Rows and columns strictly increase and the shape is a partition."""
+    shape = tableau_shape(tableau)
+    if any(part <= 0 for part in shape) or any(a < b for a, b in zip(shape, shape[1:])):
+        return False
+    for row in tableau:
+        for a, b in zip(row, row[1:]):
+            if a >= b:
+                return False
+    for r in range(1, len(tableau)):
+        for c in range(len(tableau[r])):
+            if tableau[r - 1][c] >= tableau[r][c]:
+                return False
+    return True
+
+
 def telephone_number(n):
     """Involutions of the symmetric group, by the classic recurrence."""
     a, b = 1, 1

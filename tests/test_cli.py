@@ -1,8 +1,40 @@
+import hashlib
 import io
 
 import pytest
 
-from eulerinv.cli import BUDGET_ENV_VAR, VERIFY_TARGETS, main
+from eulerinv.cli import BUDGET_ENV_VAR, SWEEPS, main
+
+# SHA-256 of stdout at default arguments, taken before the verify registry
+# replaced a per-target table of defaults; a changed byte in any record shows here.
+DEFAULT_OUTPUT_SHA256 = {
+    "verify cauchy plain": "b8bcaf5e25cd5ec5148a1c4939fdfff73935f54627b4050d6faeca329abeaebe",
+    "verify cauchy structured": "c2525039bac7a26d8bfb958c609b0a46e9fdc4b83d15a7b178e4768a968f7105",
+    "verify conjecture-des plain": "fdb672339e06c710452caee584c49f4c7f6d2d7e7c4e614510e1481dc1f2a031",
+    "verify conjecture-des structured": "ebfdb6b63ccfa702d2e3318ad96160771f965b997f925effcebcd2815c3c9c4e",
+    "verify genfun-a plain": "6ad170c27d90e07e909e54caf3adac2047f9afe7288635282ed19845737ab1a1",
+    "verify genfun-a structured": "52c5f436fce471a208c09078685f3b050a0fd3edb163f89db97fbdefe93cd916",
+    "verify genfun-b plain": "9c08474e6e956a525dd1f99068e104609b7cf9cf3df432fb0760e3081a2612eb",
+    "verify genfun-b structured": "0317409a2283611c967d4c02d108aed9bdbca73e85c124633f69b008c7ef4219",
+    "verify guo-zeng-lemma plain": "1d4d7b50959628bf2e9f6e96a9e9b1954b9f57880536660fdd6b6e687fc43d8d",
+    "verify guo-zeng-lemma structured": "d4879af89586980a56bea61677a54c986cc95fc30c11c8c874112616657a663e",
+    "verify lemma31 plain": "2ba87a791e12624320b4465ea8b90bce93f64c2962eadf6a160eef146e9650ca",
+    "verify lemma31 structured": "d7f9ef9c94a0c17698d8f804445bd695a8313298cc98cd6219c66ede68e40bdd",
+    "verify proof-identity plain": "3ffb34c9f67317bea37cf47b4503e27513b0c54fda0d4e7811d5f5d2eba4619d",
+    "verify proof-identity structured": "7246ae16286aaa63e48268f6a396da685034e7b2c2e0fdc4f3b4e3279f345cd6",
+    "verify recurrence plain": "0cb614508fc86cb814e926d5222789302caaaed602e9060431581c1782938bd4",
+    "verify recurrence structured": "d122484b9f93e410d1f62d0b054350f3565d11285649f6bf45ff30b0db93351f",
+    "verify sdes-bijection plain": "e2dd73d16d2d331d7d02649975f861a8a0d4946451f6e2f963a30a9d50220ff6",
+    "verify sdes-bijection structured": "8fe07e92b6fd92a13d1b9bdc33f07698a3149e1faf9a2450f0c82a2c382eab38",
+    "verify signed-schur plain": "3024f903e1696e8707fc10f42ba375ff898e62d561de9f0391f7f1b0cfae1d08",
+    "verify signed-schur structured": "48124b893789a149cb3ebaae0b5f5d4e5e658eca87e37805743699759b225902",
+    "verify transpose plain": "77a0ed551e8602487caa24ec81a2ac4a72351c35b31dcc26bda47a4dd57258c4",
+    "verify transpose structured": "16ca35f298070c26600c5bd07d58899760137fb2d8866505dd50d34a018daa3e",
+    "table plain": "17a853ff31a38052f7c907c5931bcee9ea63b73b896a601603fd74fbddac91ca",
+    "table structured": "e232d40be0b1a46cdea23d862de61d21ad04e31083ff9fa578138c920eb7caf1",
+    "counterexample r89 plain": "f2f68bb416a34d3362733e8280583f7e71b5a8aa2b752c1bc970dbc24c18b018",
+    "counterexample r89 structured": "73b81f4f02f97834f3097232963147e6b3c0f89b52c8b2ffaa6c3bd2c47a5400",
+}
 
 
 def run_cli(argv):
@@ -38,9 +70,63 @@ def test_verify_recurrence_exits_zero():
 
 
 def test_every_verify_target_passes_at_defaults():
-    for target in sorted(VERIFY_TARGETS):
-        code, _ = run_cli(["verify", target])
-        assert code == 0, target
+    commands = [["verify", target] for target in sorted(SWEEPS)]
+    digests = {}
+    for argv in [*commands, ["table"], ["counterexample", "r89"]]:
+        for fmt in ("plain", "structured"):
+            code, output = run_cli([*argv, "--format", fmt])
+            assert code == 0, argv
+            digests[f"{' '.join(argv)} {fmt}"] = hashlib.sha256(output.encode()).hexdigest()
+    assert digests == DEFAULT_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "recurrence", "--m-max", "3"], "--m-max"),
+        (["verify", "transpose", "--seed", "1"], "--seed"),
+    ],
+)
+def test_verify_flag_the_sweep_does_not_take_is_usage_error(capsys, argv, flag):
+    code, output = run_cli(argv)
+    assert code == 2 and output == ""
+    assert f"verify {argv[1]} takes no {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, checks",
+    [
+        ("sdes-bijection", ("sdes-multiset-signed", "des-multiset-unsigned")),
+        ("transpose", ("transpose-signed", "transpose-unsigned")),
+    ],
+)
+def test_n_max_sets_both_ranges(target, checks):
+    code, output = run_cli(["verify", target, "--n-max", "3", "--format", "structured"])
+    assert code == 0
+    heads = [line.split("\t")[:2] for line in output.splitlines()]
+    assert heads == [[f"check={c}", f"params=n={n}"] for c in checks for n in range(4)]
+
+
+def test_n_max_sets_the_lemma_length():
+    code, output = run_cli(
+        ["verify", "guo-zeng-lemma", "--n-max", "3", "--trials", "50", "--format", "structured"]
+    )
+    assert code == 0
+    assert output.startswith("check=guo-zeng-lemma\tparams=trials=50,length_max=3,seed=271828\t")
+
+
+@pytest.mark.parametrize(
+    "target, enumerated",
+    [
+        ("lemma31", "the hyperoctahedral group"),
+        ("transpose", "standard Young bitableaux"),
+        ("sdes-bijection", "involutions of the hyperoctahedral group"),
+    ],
+)
+def test_budget_binds_the_enumerating_sweeps(capsys, target, enumerated):
+    code, output = run_cli(["verify", target, "--budget", "1"])
+    assert code == 1 and output == ""
+    assert f"enumerating {enumerated} for n=1" in capsys.readouterr().err
 
 
 def test_counterexample_r89():
@@ -133,11 +219,10 @@ def test_verify_that_checks_nothing_is_usage_error(capsys, argv):
 
 
 def test_verify_with_only_note_records_is_usage_error(monkeypatch, capsys):
-    from eulerinv import checks
     from eulerinv.reports import CheckRecord, Report
 
     notes_only = Report([CheckRecord("proof-identity", (("k", 0),), "note", "a note", "")])
-    monkeypatch.setattr(checks, "verify_proof_identity", lambda n_max: notes_only)
+    monkeypatch.setitem(SWEEPS, "proof-identity", lambda: notes_only)
     code, output = run_cli(["verify", "proof-identity"])
     assert code == 2 and output == ""
     assert "verify proof-identity made no pass or fail check" in capsys.readouterr().err

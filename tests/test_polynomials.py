@@ -5,7 +5,6 @@ import pytest
 
 from eulerinv.polynomials import (
     IntPolynomial,
-    TruncatedSeries,
     binomial,
     expand_negative_binomial_product,
     multiset_count,
@@ -92,35 +91,10 @@ def test_polynomial_immutable_hashable():
     assert hash(p) == hash(IntPolynomial((1, 2, 0)))
 
 
-def test_series_construction_and_padding():
-    s = TruncatedSeries((1, 2), order=4)
-    assert s.coeffs == (1, 2, 0, 0, 0)
-    assert s.order == 4
-    assert TruncatedSeries.one(2).coeffs == (1, 0, 0)
-    with pytest.raises(ValueError):
-        TruncatedSeries((1, 2, 3), order=1)
-
-
-def test_series_mismatched_orders_rejected():
-    a = TruncatedSeries((1, 1), order=3)
-    b = TruncatedSeries((1, 1), order=4)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-
-
-def test_series_multiplication_truncates():
-    geo = TruncatedSeries(geometric(5))
-    assert (geo * geo).coeffs == (1, 2, 3, 4, 5, 6)
-    with pytest.raises(IndexError):
-        geo.coefficient(6)
-
-
 def test_expand_examples():
-    assert expand_negative_binomial_product(3, 1, 2).coeffs == (1, 3, 7)
-    assert expand_negative_binomial_product(1, 0, 3).coeffs == (1, 1, 1, 1)
-    assert expand_negative_binomial_product(0, 0, 2).coeffs == (1, 0, 0)
+    assert expand_negative_binomial_product(3, 1, 2) == (1, 3, 7)
+    assert expand_negative_binomial_product(1, 0, 3) == (1, 1, 1, 1)
+    assert expand_negative_binomial_product(0, 0, 2) == (1, 0, 0)
 
 
 def test_expand_against_naive_product_oracle():
@@ -131,7 +105,7 @@ def test_expand_against_naive_product_oracle():
                 [geometric(order)] * a + [geometric_squares(order)] * b, order
             )
             got = expand_negative_binomial_product(a, b, order)
-            assert list(got.coeffs) == expected, (a, b)
+            assert list(got) == expected, (a, b)
             # shorter truncations are prefixes of longer ones
             shorter = expand_negative_binomial_product(a, b, 7)
-            assert shorter.coeffs == got.coeffs[:8]
+            assert shorter == got[:8]

@@ -108,5 +108,19 @@ def test_verify_signed_schur_spec():
     assert by_params[(("n", 2), ("plus", "1"), ("minus", "1"), ("m", 2))].lhs == "2"
 
 
+def test_specialization_sweeps_fail_when_one_side_is_wrong(monkeypatch):
+    from eulerinv import qsym
+
+    def zeros(a, b, order):
+        return (0,) * (order + 1)
+
+    monkeypatch.setattr(qsym, "expand_negative_binomial_product", zeros)
+    failure = verify_cauchy_spec(1, 1).failures[0]
+    assert (failure.params, failure.lhs, failure.rhs) == ((("n", 0), ("m", 0)), "1", "0")
+    monkeypatch.setattr(qsym, "schur_spec", lambda shape, m: 0)
+    failure = verify_signed_schur_spec(0, 1).failures[0]
+    assert (failure.lhs, failure.rhs) == ("1", "0")
+
+
 def test_verify_signed_spec_closed_form():
     assert verify_signed_spec_closed_form(3, 5).ok

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from eulerinv.permutations import (
+    BudgetExceededError,
     descent_set,
     enumerate_involutions,
     enumerate_signed_involutions,
@@ -14,7 +15,6 @@ from eulerinv.tableaux import (
     enumerate_all_syt,
     enumerate_syb,
     enumerate_syt,
-    is_standard_tableau,
     partitions,
     syb_des_b,
     syb_signed_descent_set,
@@ -23,7 +23,13 @@ from eulerinv.tableaux import (
     syt_transpose,
     validate_shape,
 )
-from oracles import signed_telephone_number, standard_fillings_by_filtering, telephone_number
+from oracles import (
+    is_standard_tableau,
+    signed_telephone_number,
+    standard_fillings_by_filtering,
+    tableau_shape,
+    telephone_number,
+)
 
 
 def test_partitions():
@@ -57,7 +63,7 @@ def test_enumerate_syt_against_filtering_oracle():
         for shape in partitions(n):
             got = sorted(enumerate_syt(shape))
             assert got == sorted(standard_fillings_by_filtering(shape)), shape
-            assert all(is_standard_tableau(q) for q in got)
+            assert all(is_standard_tableau(q) and tableau_shape(q) == shape for q in got)
 
 
 def test_syt_descent_set():
@@ -97,6 +103,16 @@ def test_syb_totals_match_involution_counts():
         assert sum(1 for _ in enumerate_all_syb(n)) == signed_telephone_number(n)
     for n in range(0, 8):
         assert sum(1 for _ in enumerate_all_syt(n)) == telephone_number(n)
+
+
+def test_tableau_enumerators_hold_the_exact_count_to_the_budget():
+    # T(4) = 10 standard tableaux, b(3) = 20 standard bitableaux
+    assert sum(1 for _ in enumerate_all_syt(4, budget=10)) == 10
+    with pytest.raises(BudgetExceededError, match="n=4 needs 10 objects"):
+        next(enumerate_all_syt(4, budget=9))
+    assert sum(1 for _ in enumerate_all_syb(3, budget=20)) == 20
+    with pytest.raises(BudgetExceededError, match="n=3 needs 20 objects"):
+        next(enumerate_all_syb(3, budget=19))
 
 
 def test_syb_signed_descent_set_examples():
