@@ -5,14 +5,12 @@ recurrences, generating functions and counterexamples."""
 from .distributions import (
     DES_B,
     DES_COXETER,
-    EulerianDistribution,
     GammaVector,
     InexactDivisionError,
     first_log_concavity_failure,
     full_eulerian,
     gamma_vector,
     involution_eulerian,
-    is_log_concave,
     is_symmetric,
     is_unimodal,
     r_closed,
@@ -37,7 +35,6 @@ from .permutations import (
     signed_involution_count,
 )
 from .polynomials import (
-    IntPolynomial,
     binomial,
     expand_negative_binomial_product,
     poly_multiply,

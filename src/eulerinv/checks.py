@@ -32,7 +32,7 @@ from .permutations import (
     enumerate_signed_involutions,
     signed_descent_set,
 )
-from .polynomials import IntPolynomial, binomial, expand_negative_binomial_product
+from .polynomials import binomial, expand_negative_binomial_product, poly_multiply
 from .reports import CheckRecord, Report, int_list
 from .tableaux import (
     enumerate_all_syb,
@@ -53,8 +53,8 @@ def verify_recurrence_route(n_max: int = 9, budget: int | None = None) -> Report
     enumeration, coefficient by coefficient."""
     report = Report()
     for n in range(1, n_max + 1):
-        enum_row = signed_involution_eulerian(n, budget=budget).coefficients()
-        rec_row = signed_involution_eulerian_recurrence(n).coefficients()
+        enum_row = signed_involution_eulerian(n, budget=budget)
+        rec_row = signed_involution_eulerian_recurrence(n)
         report.compare(
             "recurrence-vs-enumeration",
             (("n", n),),
@@ -69,7 +69,7 @@ def verify_genfun_a(n_max: int = 8, m_max: int = 6, budget: int | None = None) -
     the x^m coefficient of I_n(x)/(1-x)^(n+1) must equal the t^n coefficient
     of (1-t)^-(m+1) (1-t^2)^-(m(m+1)/2)."""
     report = Report()
-    rows = [involution_eulerian(n, budget=budget).coefficients() for n in range(n_max + 1)]
+    rows = [involution_eulerian(n, budget=budget) for n in range(n_max + 1)]
     for m in range(m_max + 1):
         series = expand_negative_binomial_product(m + 1, m * (m + 1) // 2, n_max)
         for n in range(n_max + 1):
@@ -84,7 +84,7 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8, budget: int | None = None) -
     double-binomial sum r(n, k)."""
     report = Report()
     for n in range(n_max + 1):
-        row = signed_involution_eulerian(n, budget=budget).coefficients()
+        row = signed_involution_eulerian(n, budget=budget)
         for k in range(k_max + 1):
             lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
             report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
@@ -328,16 +328,11 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
         )
     )
     for n in range(convolution_n_max + 1):
-        row = IntPolynomial(signed_involution_eulerian(n, budget=budget).coefficients())
-        q_poly = IntPolynomial([binomial(n + k, k) for k in range(n + 1)])
-        product = (row * q_poly).truncated(n)
-        expected = IntPolynomial([r_closed(n, k) for k in range(n + 1)])
-        report.compare(
-            "r-convolution",
-            (("n", n),),
-            int_list(product.coeffs),
-            int_list(expected.coeffs),
-        )
+        row = signed_involution_eulerian(n, budget=budget)
+        q = tuple(binomial(n + k, k) for k in range(n + 1))
+        product = poly_multiply(row, q)[: n + 1]
+        expected = [r_closed(n, k) for k in range(n + 1)]
+        report.compare("r-convolution", (("n", n),), int_list(product), int_list(expected))
     return report
 
 
@@ -408,8 +403,8 @@ def check_des_statistic_conjecture(n_max: int = 7, budget: int | None = None) ->
     """
     report = Report()
     for n in range(n_max + 1):
-        colored = signed_involution_eulerian(n, DES_B, budget=budget).coefficients()
-        coxeter = signed_involution_eulerian(n, DES_COXETER, budget=budget).coefficients()
+        colored = signed_involution_eulerian(n, DES_B, budget=budget)
+        coxeter = signed_involution_eulerian(n, DES_COXETER, budget=budget)
         equal = colored == coxeter
         if n <= 5:
             report.compare(
@@ -445,7 +440,7 @@ def gamma_positivity_report(
     report = Report()
     rows = signed_involution_recurrence_rows(n_max)
     for n in range(1, n_max + 1):
-        gv = gamma_vector(IntPolynomial(rows[n]), n)
+        gv = gamma_vector(rows[n], n)
         if n in reference.GAMMA_ROWS_B:
             report.compare(
                 "gamma-signed",
@@ -463,8 +458,7 @@ def gamma_positivity_report(
             )
         )
     for n in range(1, min(n_max, unsigned_n_max) + 1):
-        row = involution_eulerian(n, budget=budget)
-        gv = gamma_vector(row.poly, n - 1)
+        gv = gamma_vector(involution_eulerian(n, budget=budget), n - 1)
         report.add(
             CheckRecord(
                 "gamma-unsigned-signs",
@@ -485,14 +479,14 @@ def reference_table_report(budget: int | None = None) -> Report:
     enumerated row, and the printed 632 is flagged as a note."""
     report = Report()
     for n, expected in sorted(reference.INVOLUTION_ROWS_A.items()):
-        computed = involution_eulerian(n, budget=budget).coefficients()
+        computed = involution_eulerian(n, budget=budget)
         report.compare("table-a", (("n", n),), int_list(computed), int_list(expected))
     for n, expected in sorted(reference.INVOLUTION_ROWS_B_PRINTED.items()):
-        computed = signed_involution_eulerian(n, budget=budget).coefficients()
+        computed = signed_involution_eulerian(n, budget=budget)
         if n != 6:
             report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
             continue
-        gamma_row = GammaVector(6, reference.GAMMA_ROWS_B[6]).reconstruct().coeffs
+        gamma_row = GammaVector(6, reference.GAMMA_ROWS_B[6]).reconstruct()
         report.compare(
             "table-b-gamma-expansion",
             (("n", n),),
@@ -511,20 +505,19 @@ def reference_table_report(budget: int | None = None) -> Report:
                 )
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
-        row = signed_involution_eulerian(n, budget=budget)
-        gv = gamma_vector(row.poly, n)
+        gv = gamma_vector(signed_involution_eulerian(n, budget=budget), n)
         report.compare("table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):
-        poly = IntPolynomial(rows[n])
-        ok = is_symmetric(poly, n) and is_unimodal(poly)
+        row = rows[n]
+        ok = is_symmetric(row, n) and is_unimodal(row)
         report.add(
             CheckRecord(
                 "table-shape",
                 (("n", n),),
                 "pass" if ok else "fail",
                 "symmetric and unimodal",
-                int_list(poly.coeffs),
+                int_list(row),
             )
         )
     return report

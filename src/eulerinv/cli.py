@@ -27,7 +27,6 @@ from . import checks, qsym
 from .distributions import (
     DES_B,
     DES_COXETER,
-    EulerianDistribution,
     full_eulerian,
     gamma_vector,
     involution_eulerian,
@@ -82,7 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
             default="plain",
             help="plain human-readable lines or tab-separated records",
         )
-        p.add_argument("--budget", type=int, help="enumeration budget override (objects per call)")
+        p.add_argument(
+            "--budget",
+            type=int,
+            help="most objects one enumeration may generate; binds every enumeration "
+            "the command makes, and a command that enumerates nothing never reaches it",
+        )
 
     poly = sub.add_parser("poly", help="print a descent distribution")
     poly.add_argument("--kind", choices=("invA", "invB", "fullA", "fullB"), required=True)
@@ -97,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("target", choices=sorted(SWEEPS))
-    for flag in _FLAG_PARAMS:
-        verify.add_argument(flag, type=int)
+    for flag, names in _FLAG_PARAMS.items():
+        verify.add_argument(flag, type=int, help="sets the sweep's " + " / ".join(names))
     add_common(verify)
 
     counter = sub.add_parser("counterexample", help="reproduce a counterexample")
@@ -143,7 +147,7 @@ def _emit(report: Report, structured: bool, out) -> int:
     return 0 if report.ok else 1
 
 
-def _distribution(args, budget) -> EulerianDistribution:
+def _distribution(args, budget) -> tuple[int, ...]:
     if args.kind == "invA":
         return involution_eulerian(args.n, budget=budget)
     if args.kind == "invB":
@@ -160,15 +164,14 @@ def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
 
 
 def _run_poly(args, budget, structured, out) -> int:
-    row = _distribution(args, budget).coefficients()
     params = (("kind", args.kind), ("n", args.n), ("stat", args.stat))
-    return _print_row("poly", params, row, structured, out)
+    return _print_row("poly", params, _distribution(args, budget), structured, out)
 
 
 def _run_gamma(args, budget, structured, out) -> int:
     if args.kind == "invB":
         # the recurrence route reaches large n without enumerating involutions
-        dist = signed_involution_eulerian_recurrence(args.n)
+        row = signed_involution_eulerian_recurrence(args.n)
         center_doubled = args.n
     else:
         if args.n < 1:
@@ -176,9 +179,9 @@ def _run_gamma(args, budget, structured, out) -> int:
                 f"gamma --kind invA needs --n at least 1, got {args.n}: the S_n involution "
                 "polynomial is symmetric about (n-1)/2, which must not be negative"
             )
-        dist = involution_eulerian(args.n, budget=budget)
+        row = involution_eulerian(args.n, budget=budget)
         center_doubled = args.n - 1
-    gv = gamma_vector(dist.poly, center_doubled)
+    gv = gamma_vector(row, center_doubled)
     return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gv.gammas, structured, out)
 
 

@@ -5,12 +5,17 @@ enumeration, the type-B involution polynomial by its linear recurrence, the
 coefficient family r(n, m) of the expanded generating function by two
 routes, and the symmetry / unimodality / log-concavity / gamma machinery.
 
+Every polynomial is a plain tuple of integer coefficients, lowest degree
+first, with no trailing zeros: entry k of a distribution counts the
+elements with k descents.
+
 The recurrence divides by n at every step; the division is exact when the
 coefficients are right, so a nonzero remainder aborts loudly instead of
 being rounded away.  One run of it yields every row up to n_max
 (signed_involution_recurrence_rows), so a sweep over n computes each row
-once; a caller that wants row n alone keeps no earlier row.  Gamma extraction and reconstruction work with the binomial
-coefficients of (1+x)^e directly and multiply no polynomials.
+once; a caller that wants row n alone keeps no earlier row.  Gamma
+extraction and reconstruction work with the binomial coefficients of
+(1+x)^e directly and multiply no polynomials.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .permutations import (
     enumerate_involutions,
     enumerate_signed_involutions,
 )
-from .polynomials import IntPolynomial, binomial
+from .polynomials import binomial
 
 DES_B = "desB"
 DES_COXETER = "desCoxeter"
@@ -43,54 +48,32 @@ def _statistic(name: str):
         raise ValueError(f"unknown statistic {name!r}; expected desB or desCoxeter") from None
 
 
-@dataclass(frozen=True)
-class EulerianDistribution:
-    """A descent-number distribution: which class it came from, and the
-    polynomial whose x^k coefficient counts elements with k descents."""
-
-    n: int
-    kind: str
-    poly: IntPolynomial
-
-    def coefficients(self) -> tuple[int, ...]:
-        return self.poly.coeffs
-
-    def total(self) -> int:
-        return self.poly.evaluate(1)
-
-
-def _histogram_poly(n: int, values) -> IntPolynomial:
+def _histogram_poly(values) -> tuple[int, ...]:
+    """Coefficient tuple whose entry k counts the values equal to k; it ends
+    at the largest value seen, so it has no trailing zero."""
     counts = Counter(values)
-    return IntPolynomial(counts.get(k, 0) for k in range(n + 1))
+    return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
-def involution_eulerian(n: int, budget: int | None = None) -> EulerianDistribution:
+def involution_eulerian(n: int, budget: int | None = None) -> tuple[int, ...]:
     """Distribution of the descent number over involutions of S_n."""
-    poly = _histogram_poly(n, map(des_coxeter, enumerate_involutions(n, budget)))
-    return EulerianDistribution(n, "A-involutions", poly)
+    return _histogram_poly(map(des_coxeter, enumerate_involutions(n, budget)))
 
 
 def signed_involution_eulerian(
     n: int, statistic: str = DES_B, budget: int | None = None
-) -> EulerianDistribution:
+) -> tuple[int, ...]:
     """Distribution of a type-B descent statistic over involutions of B_n."""
     stat = _statistic(statistic)
-    poly = _histogram_poly(n, map(stat, enumerate_signed_involutions(n, budget)))
-    return EulerianDistribution(n, f"B-involutions-{statistic}", poly)
+    return _histogram_poly(map(stat, enumerate_signed_involutions(n, budget)))
 
 
 def full_eulerian(
     n: int, signed: bool, statistic: str = DES_B, budget: int | None = None
-) -> EulerianDistribution:
+) -> tuple[int, ...]:
     """Distribution over the whole group S_n or B_n."""
-    if signed:
-        stat = _statistic(statistic)
-        kind = f"B-full-{statistic}"
-    else:
-        stat = des_coxeter
-        kind = "A-full"
-    poly = _histogram_poly(n, map(stat, enumerate_group(n, signed, budget)))
-    return EulerianDistribution(n, kind, poly)
+    stat = _statistic(statistic) if signed else des_coxeter
+    return _histogram_poly(map(stat, enumerate_group(n, signed, budget)))
 
 
 def _exact_div(total: int, n: int, context: str) -> int:
@@ -140,13 +123,13 @@ def signed_involution_recurrence_rows(n_max: int) -> list[tuple[int, ...]]:
     return list(_recurrence_rows(n_max))
 
 
-def signed_involution_eulerian_recurrence(n: int) -> EulerianDistribution:
+def signed_involution_eulerian_recurrence(n: int) -> tuple[int, ...]:
     """Type-B involution distribution: row n of the same single run, with
     no earlier row kept."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     (row,) = deque(_recurrence_rows(n), maxlen=1)
-    return EulerianDistribution(n, f"B-involutions-{DES_B}", IntPolynomial(row))
+    return row
 
 
 def r_closed(n: int, m: int) -> int:
@@ -177,19 +160,17 @@ def r_recurrence(n: int, m: int) -> int:
     return prev
 
 
-def is_symmetric(p: IntPolynomial, n: int) -> bool:
+def is_symmetric(coeffs: tuple[int, ...], n: int) -> bool:
     """Whether coefficients satisfy a_i = a_{n-i} for 0 <= i <= n, reading
     absent coefficients as zero."""
-    if p.is_zero:
-        return True
-    if n < p.degree:
+    if len(coeffs) > n + 1:
         return False
-    return all(p.coefficient(i) == p.coefficient(n - i) for i in range(n + 1))
+    padded = coeffs + (0,) * (n + 1 - len(coeffs))
+    return padded == padded[::-1]
 
 
-def is_unimodal(p: IntPolynomial) -> bool:
+def is_unimodal(coeffs: tuple[int, ...]) -> bool:
     """Whether coefficients weakly rise and then weakly fall."""
-    coeffs = p.coeffs
     i = 0
     while i + 1 < len(coeffs) and coeffs[i] <= coeffs[i + 1]:
         i += 1
@@ -207,11 +188,6 @@ def first_log_concavity_failure(values) -> int | None:
     return None
 
 
-def is_log_concave(p: IntPolynomial) -> bool:
-    """Whether a_i^2 >= a_{i-1} a_{i+1} at every interior index."""
-    return first_log_concavity_failure(p.coeffs) is None
-
-
 @dataclass(frozen=True)
 class GammaVector:
     """Expansion of a symmetric polynomial in the basis x^i (1+x)^(n-2i),
@@ -224,31 +200,35 @@ class GammaVector:
     def is_nonnegative(self) -> bool:
         return all(g >= 0 for g in self.gammas)
 
-    def reconstruct(self) -> IntPolynomial:
+    def reconstruct(self) -> tuple[int, ...]:
         n = self.center_doubled
         if 2 * (len(self.gammas) - 1) > n:
             raise ValueError(
                 f"{len(self.gammas)} gamma entries need a doubled center of at least "
                 f"{2 * (len(self.gammas) - 1)}, got {n}"
             )
-        coeffs = [0] * (n + 1)
+        # only the first nonzero gamma_i reaches degree n - i, so the tuple
+        # ends there with a nonzero coefficient
+        top = next((n - i for i, g in enumerate(self.gammas) if g), -1)
+        coeffs = [0] * (top + 1)
         for i, g in enumerate(self.gammas):
-            e = n - 2 * i
-            for j in range(e + 1):
-                coeffs[i + j] += g * comb(e, j)
-        return IntPolynomial(coeffs)
+            if g:
+                e = n - 2 * i
+                for j in range(e + 1):
+                    coeffs[i + j] += g * comb(e, j)
+        return tuple(coeffs)
 
 
-def gamma_vector(p: IntPolynomial, n: int) -> GammaVector:
+def gamma_vector(coeffs: tuple[int, ...], n: int) -> GammaVector:
     """Extract the gamma expansion of a polynomial symmetric with center n/2.
 
     Works from the bottom coefficient up: gamma_i is whatever coefficient of
     x^i the previous subtractions left behind.  Entries may be negative;
     asymmetric input is rejected.
     """
-    if not is_symmetric(p, n):
-        raise ValueError(f"polynomial {p!r} is not symmetric with doubled center {n}")
-    residual = list(p.coeffs) + [0] * (n + 1 - len(p.coeffs))
+    if not is_symmetric(coeffs, n):
+        raise ValueError(f"polynomial {coeffs!r} is not symmetric with doubled center {n}")
+    residual = list(coeffs) + [0] * (n + 1 - len(coeffs))
     gammas = []
     for i in range(n // 2 + 1):
         g = residual[i]

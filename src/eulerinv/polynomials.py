@@ -1,12 +1,11 @@
-"""Exact integer polynomials, binomial coefficients and one power-series expansion.
+"""Binomial coefficients, one power-series expansion and one convolution.
 
+A polynomial is a plain tuple of integer coefficients, lowest degree first.
 Everything here is plain-Python arbitrary-precision arithmetic: no floats
-anywhere, since the identities these objects feed are exact (the largest
+anywhere, since the identities these values feed are exact (the largest
 check multiplies 20-digit integers).
 """
 from __future__ import annotations
-
-from typing import Iterable
 
 
 def binomial(a: int, b: int) -> int:
@@ -33,100 +32,17 @@ def multiset_count(symbols: int, size: int) -> int:
     return binomial(symbols + size - 1, size)
 
 
-def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-class IntPolynomial:
-    """Dense univariate polynomial with integer coefficients.
-
-    coeffs[i] is the coefficient of x^i.  The zero polynomial is the empty
-    tuple; construction strips trailing zeros so degree is always
-    len(coeffs) - 1.  Values are immutable and hashable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> int:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return poly_multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
-        return NotImplemented
-
-    def truncated(self, degree: int) -> "IntPolynomial":
-        """Drop every term of degree greater than `degree`."""
-        return IntPolynomial(self.coeffs[: degree + 1])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPolynomial", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
-
-
-def poly_multiply(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact convolution product of two integer polynomials."""
-    if p.is_zero or q.is_zero:
-        return IntPolynomial()
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
+def poly_multiply(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact convolution product of two coefficient tuples, lowest degree first."""
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
         if a == 0:
             continue
-        for j, b in enumerate(q.coeffs):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return IntPolynomial(out)
+    return tuple(out)
 
 
 def expand_negative_binomial_product(a: int, b: int, order: int) -> tuple[int, ...]:

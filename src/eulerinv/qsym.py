@@ -73,7 +73,7 @@ def signed_fundamental_spec(sdes: SignedDescentSet, m: int) -> int:
     return _count_chains(sdes.n, sdes.positions, minimums, m)
 
 
-def schur_spec(shape: Shape, m: int) -> int:
+def schur_spec(shape: Shape, m: int, budget: int | None = None) -> int:
     """Principal specialization of a Schur function: the sum of fundamental
     specializations over the standard tableaux of the shape.  Counts the
     semistandard fillings with entries at most m."""
@@ -81,7 +81,7 @@ def schur_spec(shape: Shape, m: int) -> int:
     n = sum(shape)
     if m == 0:
         return 1 if n == 0 else 0
-    return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape))
+    return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape, budget))
 
 
 def verify_signed_spec_closed_form(
@@ -123,29 +123,29 @@ def verify_signed_spec_closed_form(
     return report
 
 
-def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
+def verify_cauchy_spec(n_max: int = 6, m_max: int = 4, budget: int | None = None) -> Report:
     """Check that summing Schur specializations over all partitions of n
     matches the t^n coefficient of (1-t)^(-m) (1-t^2)^(-C(m,2))."""
     report = Report()
     for m in range(m_max + 1):
         series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
         for n in range(n_max + 1):
-            lhs = sum(schur_spec(shape, m) for shape in partitions(n))
+            lhs = sum(schur_spec(shape, m, budget) for shape in partitions(n))
             report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
     return report
 
 
-def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
+def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4, budget: int | None = None) -> Report:
     """Check, shape pair by shape pair, that summing signed specializations
     over the bitableaux of a bipartition factors as the product of the two
     Schur specializations at m and m-1 variables."""
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
-            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
+            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus), budget)]
             for m in range(1, m_max + 1):
                 lhs = sum(signed_fundamental_spec(s, m) for s in sdes_list)
-                rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
+                rhs = schur_spec(plus, m, budget) * schur_spec(minus, m - 1, budget)
                 params = (
                     ("n", n),
                     ("plus", ".".join(map(str, plus)) or "0"),

@@ -12,6 +12,7 @@ of each part through the unique order isomorphism.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb, factorial
 from typing import Iterator
 
 from .permutations import (
@@ -55,10 +56,23 @@ def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
                 yield plus, minus
 
 
-def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
-    """Yield every standard Young tableau of the given shape."""
+def _syt_count(shape: Shape) -> int:
+    """f^shape, the number of standard Young tableaux of a shape, by the
+    hook-length formula."""
+    columns = [sum(1 for part in shape if part > c) for c in range(max(shape, default=0))]
+    hooks = 1
+    for r, part in enumerate(shape):
+        for c in range(part):
+            hooks *= (part - c - 1) + (columns[c] - r - 1) + 1  # arm + leg + the cell
+    return factorial(sum(shape)) // hooks
+
+
+def enumerate_syt(shape: Shape, budget: int | None = None) -> Iterator[Tableau]:
+    """Yield every standard Young tableau of the given shape; their count
+    f^shape is held to the budget."""
     validate_shape(shape)
     n = sum(shape)
+    _check_budget(n, _syt_count(shape), budget, f"standard Young tableaux of shape {shape}")
     rows: list[list[int]] = [[] for _ in shape]
 
     def place(entry: int) -> Iterator[Tableau]:
@@ -84,7 +98,7 @@ def enumerate_all_syt(n: int, budget: int | None = None) -> Iterator[Tableau]:
     are as many as involutions of S_n, and that count is held to the budget."""
     _check_budget(n, involution_count(n), budget, "standard Young tableaux")
     for shape in partitions(n):
-        yield from enumerate_syt(shape)
+        yield from enumerate_syt(shape, budget)
 
 
 def syt_row_of_entry(tableau: Tableau) -> dict[int, int]:
@@ -114,20 +128,23 @@ def _relabel(tableau: Tableau, entries: tuple[int, ...]) -> Tableau:
     return tuple(tuple(entries[v - 1] for v in row) for row in tableau)
 
 
-def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
+def enumerate_syb(shape: tuple[Shape, Shape], budget: int | None = None) -> Iterator[Bitableau]:
     """Yield every standard Young bitableau of shape (plus, minus).
 
     Entries 1..n are split between the parts in all C(n, |plus|) ways; each
     part is then a standard filling of its shape, transported through the
-    order isomorphism from 1..k to its entry set.
+    order isomorphism from 1..k to its entry set.  Their count
+    C(n, |plus|) f^plus f^minus is held to the budget.
     """
     plus_shape, minus_shape = shape
     validate_shape(plus_shape)
     validate_shape(minus_shape)
     k = sum(plus_shape)
     n = k + sum(minus_shape)
-    plus_fillings = list(enumerate_syt(plus_shape))
-    minus_fillings = list(enumerate_syt(minus_shape))
+    count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
+    _check_budget(n, count, budget, f"standard Young bitableaux of shape {shape}")
+    plus_fillings = list(enumerate_syt(plus_shape, budget))
+    minus_fillings = list(enumerate_syt(minus_shape, budget))
     universe = range(1, n + 1)
     for plus_entries in combinations(universe, k):
         minus_entries = tuple(v for v in universe if v not in set(plus_entries))
@@ -142,7 +159,7 @@ def enumerate_all_syb(n: int, budget: int | None = None) -> Iterator[Bitableau]:
     there are as many as involutions of B_n, and that count is held to the budget."""
     _check_budget(n, signed_involution_count(n), budget, "standard Young bitableaux")
     for shape in bipartitions(n):
-        yield from enumerate_syb(shape)
+        yield from enumerate_syb(shape, budget)
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescentSet:

@@ -65,16 +65,16 @@ def passed(number, label):
 
 def test_criterion_01_small_reference_tables():
     for n, row in ROWS_A.items():
-        assert involution_eulerian(n).coefficients() == row, n
+        assert involution_eulerian(n) == row, n
     for n, row in ROWS_B.items():
-        assert signed_involution_eulerian(n).coefficients() == row, n
+        assert signed_involution_eulerian(n) == row, n
     passed(1, "reference rows (A: n<=6, B: n<=5) by brute force")
 
 
 def test_criterion_02_row_six_reconciliation():
-    dist = signed_involution_eulerian(6)
-    assert dist.total() == 1384
-    assert dist.coefficients() == (1, 43, 331, 634, 331, 43, 1)
+    row = signed_involution_eulerian(6)
+    assert sum(row) == 1384
+    assert row == (1, 43, 331, 634, 331, 43, 1)
     report = checks.reference_table_report()
     assert report.ok
     flags = [r for r in report.notes() if r.check == "table-b-print-discrepancy"]
@@ -84,8 +84,8 @@ def test_criterion_02_row_six_reconciliation():
 
 def test_criterion_03_recurrence_matches_enumeration():
     for n in range(3, 10):
-        rec = signed_involution_eulerian_recurrence(n).coefficients()
-        enum = signed_involution_eulerian(n).coefficients()
+        rec = signed_involution_eulerian_recurrence(n)
+        enum = signed_involution_eulerian(n)
         assert rec == enum, n
     passed(3, "recurrence equals brute force for 3<=n<=9, divisions exact")
 
@@ -142,7 +142,7 @@ def test_criterion_08_transpose_complementation():
 
 def test_criterion_09_unimodality_at_scale():
     for n in range(41):
-        poly = signed_involution_eulerian_recurrence(n).poly
+        poly = signed_involution_eulerian_recurrence(n)
         assert is_symmetric(poly, n), n
         assert is_unimodal(poly), n
     assert checks.verify_proof_identity(20).ok
@@ -160,7 +160,7 @@ def test_criterion_10_counterexample_89():
 
 def test_criterion_11_gamma_table_and_signs():
     for n, expected in GAMMA_B.items():
-        poly = signed_involution_eulerian(n).poly
+        poly = signed_involution_eulerian(n)
         assert gamma_vector(poly, n).gammas == expected, n
     report = checks.gamma_positivity_report(30, unsigned_n_max=8)
     assert report.ok
@@ -172,8 +172,8 @@ def test_criterion_11_gamma_table_and_signs():
 
 def test_criterion_12_descent_statistic_agreement():
     for n in range(6):
-        colored = signed_involution_eulerian(n, "desB").poly
-        coxeter = signed_involution_eulerian(n, "desCoxeter").poly
+        colored = signed_involution_eulerian(n, "desB")
+        coxeter = signed_involution_eulerian(n, "desCoxeter")
         assert colored == coxeter, n
     report = checks.check_des_statistic_conjecture(7)
     assert report.ok

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from eulerinv.cli import BUDGET_ENV_VAR, SWEEPS, main
+from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, main
 
 # SHA-256 of stdout at default arguments, taken before the verify registry
 # replaced a per-target table of defaults; a changed byte in any record shows here.
@@ -36,6 +36,50 @@ DEFAULT_OUTPUT_SHA256 = {
     "counterexample r89 structured": "73b81f4f02f97834f3097232963147e6b3c0f89b52c8b2ffaa6c3bd2c47a5400",
 }
 
+# SHA-256 of stdout of the coefficient-printing commands, taken before the
+# distributions became plain coefficient tuples.  An S_n histogram with n + 1
+# slots ends in a zero at n >= 1 (invA, fullA), which must not be printed.
+ROW_OUTPUT_SHA256 = {
+    "poly --kind invA --n 0 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind invA --n 0 structured": "50befe79fa077fb3850c4dd3f5a4ce26055e4aabd16bc9ba4916f2f39cd199a1",
+    "poly --kind invA --n 1 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind invA --n 1 structured": "c5eb4e51a78adb51d66aadcae597011395074232db319832546586386f600a3f",
+    "poly --kind invA --n 6 plain": "4aac0f5c745f3a0c1782e36ee5aa8df545a6799544f1a329224786c6ec1f1053",
+    "poly --kind invA --n 6 structured": "83a9d0a4b627c139f82433c0068d136724a91197fb4bb618e17e163188ee679a",
+    "poly --kind fullA --n 0 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind fullA --n 0 structured": "f04680bee70f2c15e37e6813e68a2e27f9116b3cefb8f082af03f76d59173d00",
+    "poly --kind fullA --n 1 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind fullA --n 1 structured": "843a129deca5408554450b56a905b4d40ceddbee65ec255063f803605c0553fe",
+    "poly --kind fullA --n 6 plain": "ec760944beae1cf6f5f23c1bf38198595f083cf612d6a339f0c179f09660557f",
+    "poly --kind fullA --n 6 structured": "5ef2e377fa48050193b96a4b7ca77f8bf4cc9613c39be1e249909bc017488b24",
+    "poly --kind invB --n 0 --stat desB plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind invB --n 0 --stat desB structured": "bfc425f00d4e1ffae3bbcc4a77a985e2f8b4a3f352431120bd588ca0e2585724",
+    "poly --kind invB --n 0 --stat desCoxeter plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind invB --n 0 --stat desCoxeter structured": "00de5adc66bdee32e639d7c4230e50ab8966e708cad7255c0cebd1dadbab6269",
+    "poly --kind invB --n 4 --stat desB plain": "4c714336d2f1d90b92dbb66da03554e643b1394913d1630a61444cfde7d7ca54",
+    "poly --kind invB --n 4 --stat desB structured": "07e83ddf063fe7c94d54da2b4c761796c4aff32d739af912b9a57e6d50198303",
+    "poly --kind invB --n 4 --stat desCoxeter plain": "4c714336d2f1d90b92dbb66da03554e643b1394913d1630a61444cfde7d7ca54",
+    "poly --kind invB --n 4 --stat desCoxeter structured": "bb952b7014436afc1bd6edb9cd14beaf2e54cd9e0a808e5a64b06300e76bea42",
+    "poly --kind fullB --n 0 --stat desB plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind fullB --n 0 --stat desB structured": "7e53189c4a1211fd9df1b4df6989e45a89ea54ab1f13410fee8659cd50e782cb",
+    "poly --kind fullB --n 0 --stat desCoxeter plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "poly --kind fullB --n 0 --stat desCoxeter structured": "f9be4515a088c6dec5d57e7840ca09033ea25c874f24f6deef83389416a732b4",
+    "poly --kind fullB --n 4 --stat desB plain": "52ba44e3aacf65522bbe0433a35f3dbfcc3cbed58d393bb9771a65f74aacca2f",
+    "poly --kind fullB --n 4 --stat desB structured": "9872f0fed86a2974c922ff8a267c3fcd1209e435dda12ef764e42ae187e4e7a9",
+    "poly --kind fullB --n 4 --stat desCoxeter plain": "52ba44e3aacf65522bbe0433a35f3dbfcc3cbed58d393bb9771a65f74aacca2f",
+    "poly --kind fullB --n 4 --stat desCoxeter structured": "824f08b31c15c20911d3e10939fe929d47dcc16636693f5c7e349970414a17b7",
+    "gamma --kind invB --n 0 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "gamma --kind invB --n 0 structured": "e51bf01b6b04735ad1eb43e5e6fbc9a4e96c81f2727d7ce550ca0b27c67c4f26",
+    "gamma --kind invB --n 1 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "gamma --kind invB --n 1 structured": "2c035a6edfac5d86323d7f6d8491c252466a822c2f5b23ef627ca6c7ddeee240",
+    "gamma --kind invB --n 40 plain": "bf7dbec3aa42e462ff741df82aa0098f8b8bc9b6209b19f09a5f54eab8c6bcc8",
+    "gamma --kind invB --n 40 structured": "0fa31dd54ea235eedf72901894cce67ba2cd16739ffa234d8370a6027a895e07",
+    "gamma --kind invA --n 1 plain": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "gamma --kind invA --n 1 structured": "b448a1f5d98b0733a04e4f76231cde44d79996bb539ca03b2cad117d1a2b69ab",
+    "gamma --kind invA --n 9 plain": "70723329d2e52d0e68101ec1ce1dcea52da0aa8cd6f0cb1d5b85308747b6b297",
+    "gamma --kind invA --n 9 structured": "ba35b5e3f307f011224a409368c46fb96561f9f43468483a91043bd2150561e2",
+}
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -61,6 +105,16 @@ def test_gamma_command():
     assert run_cli(["gamma", "--kind", "invB", "--n", "6"])[1] == "1 37 168 56\n"
     assert run_cli(["gamma", "--kind", "invB", "--n", "40"])[0] == 0
     assert run_cli(["gamma", "--kind", "invA", "--n", "3"])[1] == "1 0\n"
+
+
+def test_poly_and_gamma_rows_are_pinned():
+    digests = {}
+    for key in ROW_OUTPUT_SHA256:
+        *argv, fmt = key.split()
+        code, output = run_cli([*argv, "--format", fmt])
+        assert code == 0, key
+        digests[key] = hashlib.sha256(output.encode()).hexdigest()
+    assert digests == ROW_OUTPUT_SHA256
 
 
 def test_verify_recurrence_exits_zero():
@@ -121,12 +175,27 @@ def test_n_max_sets_the_lemma_length():
         ("lemma31", "the hyperoctahedral group"),
         ("transpose", "standard Young bitableaux"),
         ("sdes-bijection", "involutions of the hyperoctahedral group"),
+        ("cauchy", "standard Young tableaux of shape (2, 1)"),
+        ("signed-schur", "standard Young bitableaux of shape ((1,), (1,))"),
     ],
 )
 def test_budget_binds_the_enumerating_sweeps(capsys, target, enumerated):
     code, output = run_cli(["verify", target, "--budget", "1"])
     assert code == 1 and output == ""
-    assert f"enumerating {enumerated} for n=1" in capsys.readouterr().err
+    # the per-shape walks first yield two objects at these sizes
+    n = {"cauchy": 3, "signed-schur": 2}.get(target, 1)
+    assert f"enumerating {enumerated} for n={n}" in capsys.readouterr().err
+
+
+def test_verify_help_says_what_each_flag_sets(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, names in _FLAG_PARAMS.items():
+        metavar = flag[2:].replace("-", "_").upper()
+        assert f"{flag} {metavar} sets the sweep's {' / '.join(names)}" in text
+    assert "binds every enumeration" in text
 
 
 def test_counterexample_r89():

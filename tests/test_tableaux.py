@@ -115,6 +115,42 @@ def test_tableau_enumerators_hold_the_exact_count_to_the_budget():
         next(enumerate_all_syb(3, budget=19))
 
 
+def test_per_shape_walks_hold_the_exact_count_to_the_budget():
+    for n in range(9):
+        for shape in partitions(n):
+            f = sum(1 for _ in enumerate_syt(shape))
+            assert sum(1 for _ in enumerate_syt(shape, budget=f)) == f
+            with pytest.raises(BudgetExceededError, match=f"n={n} needs {f} objects"):
+                next(enumerate_syt(shape, budget=f - 1))
+    for n in range(6):
+        for shape in bipartitions(n):
+            count = sum(1 for _ in enumerate_syb(shape))
+            assert sum(1 for _ in enumerate_syb(shape, budget=count)) == count
+            with pytest.raises(BudgetExceededError, match=f"n={n} needs {count} objects"):
+                next(enumerate_syb(shape, budget=count - 1))
+
+
+def test_walks_pass_the_budget_to_each_shape(monkeypatch):
+    import eulerinv.tableaux as tableaux
+
+    seen = set()
+
+    def recording(name, original):
+        def walk(shape, budget=None):
+            seen.add((name, budget))
+            return original(shape, budget)
+
+        return walk
+
+    monkeypatch.setattr(tableaux, "enumerate_syt", recording("syt", tableaux.enumerate_syt))
+    monkeypatch.setattr(tableaux, "enumerate_syb", recording("syb", tableaux.enumerate_syb))
+    list(enumerate_all_syt(3, budget=40))
+    assert seen == {("syt", 40)}
+    seen.clear()
+    list(enumerate_all_syb(2, budget=50))
+    assert seen == {("syb", 50), ("syt", 50)}
+
+
 def test_syb_signed_descent_set_examples():
     s = syb_signed_descent_set((((1, 2),), ()))
     assert (s.positions, s.signs) == (frozenset(), (1, 1))
