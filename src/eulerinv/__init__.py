@@ -29,8 +29,8 @@ from .permutations import (
     enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
+    enumeration_budget,
     involution_count,
-    is_involution,
     signed_descent_set,
     signed_involution_count,
 )

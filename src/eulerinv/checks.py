@@ -48,12 +48,12 @@ from .tableaux import (
 DEFAULT_SEED = 271828
 
 
-def verify_recurrence_route(n_max: int = 9, budget: int | None = None) -> Report:
+def verify_recurrence_route(n_max: int = 9) -> Report:
     """Recurrence-computed type-B involution rows against brute-force
     enumeration, coefficient by coefficient."""
     report = Report()
     for n in range(1, n_max + 1):
-        enum_row = signed_involution_eulerian(n, budget=budget)
+        enum_row = signed_involution_eulerian(n)
         rec_row = signed_involution_eulerian_recurrence(n)
         report.compare(
             "recurrence-vs-enumeration",
@@ -64,12 +64,12 @@ def verify_recurrence_route(n_max: int = 9, budget: int | None = None) -> Report
     return report
 
 
-def verify_genfun_a(n_max: int = 8, m_max: int = 6, budget: int | None = None) -> Report:
+def verify_genfun_a(n_max: int = 8, m_max: int = 6) -> Report:
     """Coefficient extraction of the symmetric-group generating identity:
     the x^m coefficient of I_n(x)/(1-x)^(n+1) must equal the t^n coefficient
     of (1-t)^-(m+1) (1-t^2)^-(m(m+1)/2)."""
     report = Report()
-    rows = [involution_eulerian(n, budget=budget) for n in range(n_max + 1)]
+    rows = [involution_eulerian(n) for n in range(n_max + 1)]
     for m in range(m_max + 1):
         series = expand_negative_binomial_product(m + 1, m * (m + 1) // 2, n_max)
         for n in range(n_max + 1):
@@ -78,13 +78,13 @@ def verify_genfun_a(n_max: int = 8, m_max: int = 6, budget: int | None = None) -
     return report
 
 
-def verify_genfun_b(n_max: int = 8, k_max: int = 8, budget: int | None = None) -> Report:
+def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     """Coefficient extraction of the hyperoctahedral generating identity:
     the x^k coefficient of I_n^B(x)/(1-x)^(n+1) must equal the closed
     double-binomial sum r(n, k)."""
     report = Report()
     for n in range(n_max + 1):
-        row = signed_involution_eulerian(n, budget=budget)
+        row = signed_involution_eulerian(n)
         for k in range(k_max + 1):
             lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
             report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
@@ -123,25 +123,23 @@ def _multiset_record(
     )
 
 
-def verify_descent_multiset_bijection(
-    signed_n_max: int = 6, unsigned_n_max: int = 7, budget: int | None = None
-) -> Report:
+def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Descent-preserving bijection consequences, checked as multiset
     equalities: signed descent sets over B-involutions against bitableaux,
     and descent sets over involutions against standard tableaux.  A failure
     names the first descent set, in sorted order, whose counts differ."""
     report = Report()
     for n in range(signed_n_max + 1):
-        perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n, budget))
-        tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n, budget))
+        perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
+        tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
         report.add(
             _multiset_record(
                 "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux", _signed_descent_key
             )
         )
     for n in range(unsigned_n_max + 1):
-        perm_side = Counter(descent_set(w) for w in enumerate_involutions(n, budget))
-        tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n, budget))
+        perm_side = Counter(descent_set(w) for w in enumerate_involutions(n))
+        tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
         report.add(
             _multiset_record(
                 "des-multiset-unsigned", n, perm_side, tab_side, "tableaux", _unsigned_descent_key
@@ -150,9 +148,7 @@ def verify_descent_multiset_bijection(
     return report
 
 
-def verify_transpose_complement(
-    signed_n_max: int = 6, unsigned_n_max: int = 7, budget: int | None = None
-) -> Report:
+def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections."""
     report = Report()
@@ -160,7 +156,7 @@ def verify_transpose_complement(
         bad = 0
         seen = set()
         total = 0
-        for q in enumerate_all_syb(n, budget):
+        for q in enumerate_all_syb(n):
             total += 1
             t = syb_transpose(q)
             seen.add(t)
@@ -179,7 +175,7 @@ def verify_transpose_complement(
     for n in range(unsigned_n_max + 1):
         bad = 0
         total = 0
-        for q in enumerate_all_syt(n, budget):
+        for q in enumerate_all_syt(n):
             total += 1
             t = syt_transpose(q)
             des_q = len(syt_descent_set(q))
@@ -295,7 +291,7 @@ def r_log_concavity_failure(n: int) -> int | None:
     return None if failure is None else failure + 1
 
 
-def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = None) -> Report:
+def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
     """The degree-89 non-log-concavity witness, plus the convolution identity
     that backs it at desk scale.
 
@@ -328,7 +324,7 @@ def verify_counterexample_89(convolution_n_max: int = 8, budget: int | None = No
         )
     )
     for n in range(convolution_n_max + 1):
-        row = signed_involution_eulerian(n, budget=budget)
+        row = signed_involution_eulerian(n)
         q = tuple(binomial(n + k, k) for k in range(n + 1))
         product = poly_multiply(row, q)[: n + 1]
         expected = [r_closed(n, k) for k in range(n + 1)]
@@ -394,7 +390,7 @@ def check_guo_zeng_lemma(
     return report
 
 
-def check_des_statistic_conjecture(n_max: int = 7, budget: int | None = None) -> Report:
+def check_des_statistic_conjecture(n_max: int = 7) -> Report:
     """Compare the two type-B descent statistics over involutions.
 
     Equality is a hard assertion for n <= 5 (the confirmed range) and an
@@ -403,8 +399,8 @@ def check_des_statistic_conjecture(n_max: int = 7, budget: int | None = None) ->
     """
     report = Report()
     for n in range(n_max + 1):
-        colored = signed_involution_eulerian(n, DES_B, budget=budget)
-        coxeter = signed_involution_eulerian(n, DES_COXETER, budget=budget)
+        colored = signed_involution_eulerian(n, DES_B)
+        coxeter = signed_involution_eulerian(n, DES_COXETER)
         equal = colored == coxeter
         if n <= 5:
             report.compare(
@@ -426,9 +422,7 @@ def check_des_statistic_conjecture(n_max: int = 7, budget: int | None = None) ->
     return report
 
 
-def gamma_positivity_report(
-    n_max: int = 30, unsigned_n_max: int = 10, budget: int | None = None
-) -> Report:
+def gamma_positivity_report(n_max: int = 30, unsigned_n_max: int = 10) -> Report:
     """Gamma vectors of both involution polynomial families.
 
     The type-B side runs on the recurrence, so it reaches large n cheaply;
@@ -458,7 +452,7 @@ def gamma_positivity_report(
             )
         )
     for n in range(1, min(n_max, unsigned_n_max) + 1):
-        gv = gamma_vector(involution_eulerian(n, budget=budget), n - 1)
+        gv = gamma_vector(involution_eulerian(n), n - 1)
         report.add(
             CheckRecord(
                 "gamma-unsigned-signs",
@@ -471,7 +465,7 @@ def gamma_positivity_report(
     return report
 
 
-def reference_table_report(budget: int | None = None) -> Report:
+def reference_table_report() -> Report:
     """Recompute every published reference row and compare.
 
     The n = 6 type-B row is handled specially: enumeration decides the
@@ -479,10 +473,10 @@ def reference_table_report(budget: int | None = None) -> Report:
     enumerated row, and the printed 632 is flagged as a note."""
     report = Report()
     for n, expected in sorted(reference.INVOLUTION_ROWS_A.items()):
-        computed = involution_eulerian(n, budget=budget)
+        computed = involution_eulerian(n)
         report.compare("table-a", (("n", n),), int_list(computed), int_list(expected))
     for n, expected in sorted(reference.INVOLUTION_ROWS_B_PRINTED.items()):
-        computed = signed_involution_eulerian(n, budget=budget)
+        computed = signed_involution_eulerian(n)
         if n != 6:
             report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
             continue
@@ -505,7 +499,7 @@ def reference_table_report(budget: int | None = None) -> Report:
                 )
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
-        gv = gamma_vector(signed_involution_eulerian(n, budget=budget), n)
+        gv = gamma_vector(signed_involution_eulerian(n), n)
         report.compare("table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):

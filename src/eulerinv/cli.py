@@ -11,9 +11,12 @@ arguments and seed.
 
 Exit status: 0 when every hard assertion passed, 1 on any failure (including
 an exceeded enumeration budget), 2 on usage errors, among them an unused
-verify flag and a verify run that makes no pass or fail check.  The
-enumeration budget can also be set through the EULERINV_BUDGET environment
-variable; an explicit --budget wins.
+verify flag and a verify run that makes no pass or fail check.
+
+The enumeration budget comes from --budget, else from the EULERINV_BUDGET
+environment variable, else DEFAULT_BUDGET.  main resolves it once and runs
+the command inside enumeration_budget, so every enumeration the command
+makes is held to that one cap and no command function passes it on.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .distributions import (
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
 )
-from .permutations import BudgetExceededError
+from .permutations import DEFAULT_BUDGET, BudgetExceededError, enumeration_budget
 from .reports import NOTE, CheckRecord, Params, Report, int_list
 
 BUDGET_ENV_VAR = "EULERINV_BUDGET"
@@ -121,7 +124,7 @@ def _checked_budget(value: int, source: str) -> int:
     return value
 
 
-def _resolve_budget(args) -> int | None:
+def _resolve_budget(args) -> int:
     if args.budget is not None:
         return _checked_budget(args.budget, "--budget")
     env = os.environ.get(BUDGET_ENV_VAR)
@@ -131,7 +134,7 @@ def _resolve_budget(args) -> int | None:
         except ValueError:
             raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
         return _checked_budget(value, BUDGET_ENV_VAR)
-    return None
+    return DEFAULT_BUDGET
 
 
 def _emit(report: Report, structured: bool, out) -> int:
@@ -147,12 +150,12 @@ def _emit(report: Report, structured: bool, out) -> int:
     return 0 if report.ok else 1
 
 
-def _distribution(args, budget) -> tuple[int, ...]:
+def _distribution(args) -> tuple[int, ...]:
     if args.kind == "invA":
-        return involution_eulerian(args.n, budget=budget)
+        return involution_eulerian(args.n)
     if args.kind == "invB":
-        return signed_involution_eulerian(args.n, args.stat, budget=budget)
-    return full_eulerian(args.n, signed=args.kind == "fullB", statistic=args.stat, budget=budget)
+        return signed_involution_eulerian(args.n, args.stat)
+    return full_eulerian(args.n, signed=args.kind == "fullB", statistic=args.stat)
 
 
 def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
@@ -163,12 +166,12 @@ def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
     return 0
 
 
-def _run_poly(args, budget, structured, out) -> int:
+def _run_poly(args, structured, out) -> int:
     params = (("kind", args.kind), ("n", args.n), ("stat", args.stat))
-    return _print_row("poly", params, _distribution(args, budget), structured, out)
+    return _print_row("poly", params, _distribution(args), structured, out)
 
 
-def _run_gamma(args, budget, structured, out) -> int:
+def _run_gamma(args, structured, out) -> int:
     if args.kind == "invB":
         # the recurrence route reaches large n without enumerating involutions
         row = signed_involution_eulerian_recurrence(args.n)
@@ -179,13 +182,13 @@ def _run_gamma(args, budget, structured, out) -> int:
                 f"gamma --kind invA needs --n at least 1, got {args.n}: the S_n involution "
                 "polynomial is symmetric about (n-1)/2, which must not be negative"
             )
-        row = involution_eulerian(args.n, budget=budget)
+        row = involution_eulerian(args.n)
         center_doubled = args.n - 1
     gv = gamma_vector(row, center_doubled)
     return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gv.gammas, structured, out)
 
 
-def _verify_report(args, budget) -> Report:
+def _verify_report(args) -> Report:
     sweep = SWEEPS[args.target]
     params = inspect.signature(sweep).parameters
     kwargs = {}
@@ -197,13 +200,11 @@ def _verify_report(args, budget) -> Report:
         if not taken:
             raise ValueError(f"verify {args.target} takes no {flag}")
         kwargs.update(dict.fromkeys(taken, value))
-    if "budget" in params:
-        kwargs["budget"] = budget
     return sweep(**kwargs)
 
 
-def _run_counterexample(args, budget, structured, out) -> int:
-    report = checks.verify_counterexample_89(budget=budget)
+def _run_counterexample(args, structured, out) -> int:
+    report = checks.verify_counterexample_89()
     if structured:
         return _emit(report, structured=True, out=out)
     r1, r2, r3 = r_closed(89, 1), r_closed(89, 2), r_closed(89, 3)
@@ -225,23 +226,23 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     structured = args.format == "structured"
     try:
-        budget = _resolve_budget(args)
-        if args.command == "poly":
-            return _run_poly(args, budget, structured, out)
-        if args.command == "gamma":
-            return _run_gamma(args, budget, structured, out)
-        if args.command == "verify":
-            report = _verify_report(args, budget)
-            if all(record.status == NOTE for record in report):
-                raise ValueError(
-                    f"verify {args.target} made no pass or fail check at these arguments, "
-                    "so it has nothing to report"
-                )
-            return _emit(report, structured, out)
-        if args.command == "counterexample":
-            return _run_counterexample(args, budget, structured, out)
-        if args.command == "table":
-            return _emit(checks.reference_table_report(budget=budget), structured, out)
+        with enumeration_budget(_resolve_budget(args)):
+            if args.command == "poly":
+                return _run_poly(args, structured, out)
+            if args.command == "gamma":
+                return _run_gamma(args, structured, out)
+            if args.command == "verify":
+                report = _verify_report(args)
+                if all(record.status == NOTE for record in report):
+                    raise ValueError(
+                        f"verify {args.target} made no pass or fail check at these arguments, "
+                        "so it has nothing to report"
+                    )
+                return _emit(report, structured, out)
+            if args.command == "counterexample":
+                return _run_counterexample(args, structured, out)
+            if args.command == "table":
+                return _emit(checks.reference_table_report(), structured, out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,25 +55,21 @@ def _histogram_poly(values) -> tuple[int, ...]:
     return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
-def involution_eulerian(n: int, budget: int | None = None) -> tuple[int, ...]:
+def involution_eulerian(n: int) -> tuple[int, ...]:
     """Distribution of the descent number over involutions of S_n."""
-    return _histogram_poly(map(des_coxeter, enumerate_involutions(n, budget)))
+    return _histogram_poly(map(des_coxeter, enumerate_involutions(n)))
 
 
-def signed_involution_eulerian(
-    n: int, statistic: str = DES_B, budget: int | None = None
-) -> tuple[int, ...]:
+def signed_involution_eulerian(n: int, statistic: str = DES_B) -> tuple[int, ...]:
     """Distribution of a type-B descent statistic over involutions of B_n."""
     stat = _statistic(statistic)
-    return _histogram_poly(map(stat, enumerate_signed_involutions(n, budget)))
+    return _histogram_poly(map(stat, enumerate_signed_involutions(n)))
 
 
-def full_eulerian(
-    n: int, signed: bool, statistic: str = DES_B, budget: int | None = None
-) -> tuple[int, ...]:
+def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:
     """Distribution over the whole group S_n or B_n."""
     stat = _statistic(statistic) if signed else des_coxeter
-    return _histogram_poly(map(stat, enumerate_group(n, signed, budget)))
+    return _histogram_poly(map(stat, enumerate_group(n, signed)))
 
 
 def _exact_div(total: int, n: int, context: str) -> int:

@@ -11,9 +11,17 @@ set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
 the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0.  The
 descent-set functions stay for the checks that need the sets themselves.
+
+Every enumerator, here and in the tableau walks, holds the number of objects
+it is about to generate to one cap, which _check_budget reads when the walk
+starts, at its first next().  The cap lives in a context variable: it is
+DEFAULT_BUDGET unless an enclosing ``with enumeration_budget(cap):`` block
+has set it, so a caller sets it once and every walk below sees the same value.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
@@ -25,13 +33,31 @@ Window = tuple[int, ...]
 #: Cap on objects a single enumeration call may generate.
 DEFAULT_BUDGET = 20_000_000
 
+#: The cap in force; only enumeration_budget sets it.
+_BUDGET: ContextVar[int] = ContextVar("enumeration_budget", default=DEFAULT_BUDGET)
+
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration would exceed the configured object budget."""
 
 
-def _check_budget(n: int, count: int, budget: int | None, what: str) -> None:
-    cap = DEFAULT_BUDGET if budget is None else budget
+@contextmanager
+def enumeration_budget(cap: int) -> Iterator[None]:
+    """Hold every enumeration inside the block to ``cap`` objects per call,
+    restoring the cap in force before on exit, as decimal.localcontext does.
+
+    The cap belongs to the current thread or context: a new thread starts
+    at DEFAULT_BUDGET.
+    """
+    token = _BUDGET.set(cap)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def _check_budget(n: int, count: int, what: str) -> None:
+    cap = _BUDGET.get()
     if count > cap:
         raise BudgetExceededError(
             f"enumerating {what} for n={n} needs {count} objects, over the budget of {cap}"
@@ -126,34 +152,6 @@ def des_coxeter(window: Window) -> int:
     return count
 
 
-def is_involution(window: Window) -> bool:
-    """Whether composing the (possibly signed) window with itself is the identity."""
-    n = len(window)
-    values = {abs(v) for v in window}
-    if values != set(range(1, n + 1)):
-        return False
-    for i in range(1, n + 1):
-        j = window[i - 1]
-        image = window[abs(j) - 1]
-        if j < 0:
-            image = -image
-        if image != i:
-            return False
-    return True
-
-
-def inverse(window: Window) -> Window:
-    """Inverse of a (possibly signed) window."""
-    n = len(window)
-    out = [0] * n
-    for i, v in enumerate(window, start=1):
-        if v > 0:
-            out[v - 1] = i
-        else:
-            out[-v - 1] = -i
-    return tuple(out)
-
-
 def involution_count(n: int) -> int:
     """Number of involutions in S_n: T(n) = T(n-1) + (n-1) T(n-2)."""
     a, b = 1, 1
@@ -172,11 +170,11 @@ def signed_involution_count(n: int) -> int:
     return b
 
 
-def enumerate_involutions(n: int, budget: int | None = None) -> Iterator[Window]:
+def enumerate_involutions(n: int) -> Iterator[Window]:
     """Yield each involution of S_n once, in lexicographic window order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_budget(n, involution_count(n), budget, "involutions of the symmetric group")
+    _check_budget(n, involution_count(n), "involutions of the symmetric group")
     if n == 0:
         yield ()
         return
@@ -203,7 +201,7 @@ def enumerate_involutions(n: int, budget: int | None = None) -> Iterator[Window]
     yield from fill(tuple(range(1, n + 1)))
 
 
-def enumerate_signed_involutions(n: int, budget: int | None = None) -> Iterator[Window]:
+def enumerate_signed_involutions(n: int) -> Iterator[Window]:
     """Yield each involution of B_n once, in lexicographic window order.
 
     Fixed points take either sign; the two positions of a 2-cycle must agree
@@ -211,7 +209,7 @@ def enumerate_signed_involutions(n: int, budget: int | None = None) -> Iterator[
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_budget(n, signed_involution_count(n), budget, "involutions of the hyperoctahedral group")
+    _check_budget(n, signed_involution_count(n), "involutions of the hyperoctahedral group")
     if n == 0:
         yield ()
         return
@@ -252,13 +250,13 @@ def enumerate_signed_involutions(n: int, budget: int | None = None) -> Iterator[
     yield from fill(tuple(range(1, n + 1)))
 
 
-def enumerate_group(n: int, signed: bool, budget: int | None = None) -> Iterator[Window]:
+def enumerate_group(n: int, signed: bool) -> Iterator[Window]:
     """Yield all of S_n (n! windows) or B_n (2^n n! windows)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     order = factorial(n) * (2**n if signed else 1)
     name = "the hyperoctahedral group" if signed else "the symmetric group"
-    _check_budget(n, order, budget, name)
+    _check_budget(n, order, name)
     if not signed:
         for perm in _itertools_permutations(range(1, n + 1)):
             yield perm

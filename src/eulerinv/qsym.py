@@ -73,7 +73,7 @@ def signed_fundamental_spec(sdes: SignedDescentSet, m: int) -> int:
     return _count_chains(sdes.n, sdes.positions, minimums, m)
 
 
-def schur_spec(shape: Shape, m: int, budget: int | None = None) -> int:
+def schur_spec(shape: Shape, m: int) -> int:
     """Principal specialization of a Schur function: the sum of fundamental
     specializations over the standard tableaux of the shape.  Counts the
     semistandard fillings with entries at most m."""
@@ -81,19 +81,17 @@ def schur_spec(shape: Shape, m: int, budget: int | None = None) -> int:
     n = sum(shape)
     if m == 0:
         return 1 if n == 0 else 0
-    return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape, budget))
+    return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape))
 
 
-def verify_signed_spec_closed_form(
-    n_max: int = 4, m_max: int = 6, budget: int | None = None
-) -> Report:
+def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
     """Exhaustively check, over every signed permutation of each B_n, that the
     chain-count specialization equals C(n + m - 1 - des_B, n)."""
     report = Report()
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
             bad = None
-            for w in enumerate_group(n, signed=True, budget=budget):
+            for w in enumerate_group(n, signed=True):
                 lhs = signed_fundamental_spec(signed_descent_set(w), m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
@@ -123,29 +121,29 @@ def verify_signed_spec_closed_form(
     return report
 
 
-def verify_cauchy_spec(n_max: int = 6, m_max: int = 4, budget: int | None = None) -> Report:
+def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
     """Check that summing Schur specializations over all partitions of n
     matches the t^n coefficient of (1-t)^(-m) (1-t^2)^(-C(m,2))."""
     report = Report()
     for m in range(m_max + 1):
         series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
         for n in range(n_max + 1):
-            lhs = sum(schur_spec(shape, m, budget) for shape in partitions(n))
+            lhs = sum(schur_spec(shape, m) for shape in partitions(n))
             report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
     return report
 
 
-def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4, budget: int | None = None) -> Report:
+def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     """Check, shape pair by shape pair, that summing signed specializations
     over the bitableaux of a bipartition factors as the product of the two
     Schur specializations at m and m-1 variables."""
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
-            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus), budget)]
+            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
             for m in range(1, m_max + 1):
                 lhs = sum(signed_fundamental_spec(s, m) for s in sdes_list)
-                rhs = schur_spec(plus, m, budget) * schur_spec(minus, m - 1, budget)
+                rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
                 params = (
                     ("n", n),
                     ("plus", ".".join(map(str, plus)) or "0"),

@@ -67,12 +67,12 @@ def _syt_count(shape: Shape) -> int:
     return factorial(sum(shape)) // hooks
 
 
-def enumerate_syt(shape: Shape, budget: int | None = None) -> Iterator[Tableau]:
+def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
     """Yield every standard Young tableau of the given shape; their count
     f^shape is held to the budget."""
     validate_shape(shape)
     n = sum(shape)
-    _check_budget(n, _syt_count(shape), budget, f"standard Young tableaux of shape {shape}")
+    _check_budget(n, _syt_count(shape), f"standard Young tableaux of shape {shape}")
     rows: list[list[int]] = [[] for _ in shape]
 
     def place(entry: int) -> Iterator[Tableau]:
@@ -93,12 +93,12 @@ def enumerate_syt(shape: Shape, budget: int | None = None) -> Iterator[Tableau]:
     yield from place(1)
 
 
-def enumerate_all_syt(n: int, budget: int | None = None) -> Iterator[Tableau]:
+def enumerate_all_syt(n: int) -> Iterator[Tableau]:
     """All standard Young tableaux with n entries, over every shape; there
     are as many as involutions of S_n, and that count is held to the budget."""
-    _check_budget(n, involution_count(n), budget, "standard Young tableaux")
+    _check_budget(n, involution_count(n), "standard Young tableaux")
     for shape in partitions(n):
-        yield from enumerate_syt(shape, budget)
+        yield from enumerate_syt(shape)
 
 
 def syt_row_of_entry(tableau: Tableau) -> dict[int, int]:
@@ -128,7 +128,7 @@ def _relabel(tableau: Tableau, entries: tuple[int, ...]) -> Tableau:
     return tuple(tuple(entries[v - 1] for v in row) for row in tableau)
 
 
-def enumerate_syb(shape: tuple[Shape, Shape], budget: int | None = None) -> Iterator[Bitableau]:
+def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
     """Yield every standard Young bitableau of shape (plus, minus).
 
     Entries 1..n are split between the parts in all C(n, |plus|) ways; each
@@ -142,24 +142,25 @@ def enumerate_syb(shape: tuple[Shape, Shape], budget: int | None = None) -> Iter
     k = sum(plus_shape)
     n = k + sum(minus_shape)
     count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
-    _check_budget(n, count, budget, f"standard Young bitableaux of shape {shape}")
-    plus_fillings = list(enumerate_syt(plus_shape, budget))
-    minus_fillings = list(enumerate_syt(minus_shape, budget))
+    _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
+    plus_fillings = list(enumerate_syt(plus_shape))
+    minus_fillings = list(enumerate_syt(minus_shape))
     universe = range(1, n + 1)
     for plus_entries in combinations(universe, k):
-        minus_entries = tuple(v for v in universe if v not in set(plus_entries))
+        taken = set(plus_entries)
+        minus_entries = tuple(v for v in universe if v not in taken)
         for p in plus_fillings:
             relabelled_plus = _relabel(p, plus_entries)
             for m in minus_fillings:
                 yield relabelled_plus, _relabel(m, minus_entries)
 
 
-def enumerate_all_syb(n: int, budget: int | None = None) -> Iterator[Bitableau]:
+def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
     """All standard Young bitableaux with n entries, over every bipartition;
     there are as many as involutions of B_n, and that count is held to the budget."""
-    _check_budget(n, signed_involution_count(n), budget, "standard Young bitableaux")
+    _check_budget(n, signed_involution_count(n), "standard Young bitableaux")
     for shape in bipartitions(n):
-        yield from enumerate_syb(shape, budget)
+        yield from enumerate_syb(shape)
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescentSet:

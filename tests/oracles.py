@@ -59,6 +59,34 @@ def signed_group_by_sign_vectors(n):
             yield tuple(s * v for s, v in zip(signs, perm))
 
 
+def is_involution(window):
+    """Whether composing the (possibly signed) window with itself is the identity."""
+    n = len(window)
+    values = {abs(v) for v in window}
+    if values != set(range(1, n + 1)):
+        return False
+    for i in range(1, n + 1):
+        j = window[i - 1]
+        image = window[abs(j) - 1]
+        if j < 0:
+            image = -image
+        if image != i:
+            return False
+    return True
+
+
+def inverse(window):
+    """Inverse of a (possibly signed) window."""
+    n = len(window)
+    out = [0] * n
+    for i, v in enumerate(window, start=1):
+        if v > 0:
+            out[v - 1] = i
+        else:
+            out[-v - 1] = -i
+    return tuple(out)
+
+
 def squares_to_identity(window):
     """Whether w(w(i)) = i for every i, extending w to negatives by
     w(-i) = -w(i)."""

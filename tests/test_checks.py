@@ -145,32 +145,13 @@ def _drop_bitableaux(monkeypatch, n, positions):
     """Make checks.enumerate_all_syb skip the given positions of its size-n walk."""
     original = checks.enumerate_all_syb
 
-    def dropping(size, budget=None):
-        for i, q in enumerate(original(size, budget)):
+    def dropping(size):
+        for i, q in enumerate(original(size)):
             if size != n or i not in positions:
                 yield q
 
     monkeypatch.setattr(checks, "enumerate_all_syb", dropping)
 
-
-def test_tableau_sides_get_the_budget(monkeypatch):
-    seen = []
-
-    def recording(name, original):
-        def enumerate_all(n, budget=None):
-            seen.append((name, n, budget))
-            return original(n, budget)
-
-        return enumerate_all
-
-    monkeypatch.setattr(checks, "enumerate_all_syb", recording("syb", checks.enumerate_all_syb))
-    monkeypatch.setattr(checks, "enumerate_all_syt", recording("syt", checks.enumerate_all_syt))
-    checks.verify_descent_multiset_bijection(1, 0, budget=50)
-    checks.verify_transpose_complement(0, 1, budget=60)
-    assert seen == [
-        *[("syb", 0, 50), ("syb", 1, 50), ("syt", 0, 50)],
-        *[("syb", 0, 60), ("syt", 0, 60), ("syt", 1, 60)],
-    ]
 
 
 def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):

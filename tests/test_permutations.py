@@ -1,8 +1,10 @@
+import threading
 from collections import Counter
 
 import pytest
 
 from eulerinv.permutations import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     SignedDescentSet,
     des_b,
@@ -11,14 +13,15 @@ from eulerinv.permutations import (
     enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
-    inverse,
+    enumeration_budget,
     involution_count,
-    is_involution,
     signed_descent_set,
     signed_involution_count,
 )
 from oracles import (
     colored_descent_count,
+    inverse,
+    is_involution,
     signed_group_by_sign_vectors,
     signed_telephone_number,
     squares_to_identity,
@@ -172,12 +175,56 @@ def test_enumerate_group_counts():
 
 
 def test_budget_exceeded_names_n():
-    with pytest.raises(BudgetExceededError, match="n=12"):
-        list(enumerate_group(12, signed=True, budget=1000))
-    with pytest.raises(BudgetExceededError, match="n=9"):
-        list(enumerate_signed_involutions(9, budget=1000))
+    with enumeration_budget(1000):
+        with pytest.raises(BudgetExceededError, match="n=12"):
+            list(enumerate_group(12, signed=True))
+        with pytest.raises(BudgetExceededError, match="n=9"):
+            list(enumerate_signed_involutions(9))
     # generous budget passes
-    assert len(list(enumerate_group(3, signed=False, budget=10))) == 6
+    with enumeration_budget(10):
+        assert len(list(enumerate_group(3, signed=False))) == 6
+
+
+def _cap_in_force() -> int:
+    """The cap an enumeration started here meets, read from the error of a
+    walk far over any cap."""
+    with pytest.raises(BudgetExceededError) as excinfo:
+        next(enumerate_group(30, signed=True))
+    return int(str(excinfo.value).rsplit(" ", 1)[1])
+
+
+def test_enumeration_budget_restores_the_cap_on_exit():
+    assert _cap_in_force() == DEFAULT_BUDGET
+    with enumeration_budget(10):
+        assert _cap_in_force() == 10
+    assert _cap_in_force() == DEFAULT_BUDGET
+    with pytest.raises(BudgetExceededError, match="n=4 needs 24 objects, over the budget of 10"):
+        with enumeration_budget(10):
+            list(enumerate_group(4, signed=False))
+    assert _cap_in_force() == DEFAULT_BUDGET
+
+
+def test_nested_enumeration_budget_restores_the_outer_cap():
+    with enumeration_budget(10):
+        with enumeration_budget(100):
+            assert _cap_in_force() == 100
+            assert len(list(enumerate_group(4, signed=False))) == 24
+        assert _cap_in_force() == 10
+        with pytest.raises(BudgetExceededError, match="over the budget of 5"):
+            with enumeration_budget(5):
+                list(enumerate_group(3, signed=False))
+        assert _cap_in_force() == 10
+    assert _cap_in_force() == DEFAULT_BUDGET
+
+
+def test_a_new_thread_starts_at_the_default_cap():
+    seen = []
+    with enumeration_budget(10):
+        worker = threading.Thread(target=lambda: seen.append(_cap_in_force()))
+        worker.start()
+        worker.join()
+        assert _cap_in_force() == 10
+    assert seen == [DEFAULT_BUDGET]
 
 
 def test_counting_recurrences():

@@ -117,30 +117,10 @@ def test_specialization_sweeps_fail_when_one_side_is_wrong(monkeypatch):
     monkeypatch.setattr(qsym, "expand_negative_binomial_product", zeros)
     failure = verify_cauchy_spec(1, 1).failures[0]
     assert (failure.params, failure.lhs, failure.rhs) == ((("n", 0), ("m", 0)), "1", "0")
-    monkeypatch.setattr(qsym, "schur_spec", lambda shape, m, budget=None: 0)
+    monkeypatch.setattr(qsym, "schur_spec", lambda shape, m: 0)
     failure = verify_signed_schur_spec(0, 1).failures[0]
     assert (failure.lhs, failure.rhs) == ("1", "0")
 
-
-def test_schur_sweeps_pass_the_budget_on(monkeypatch):
-    from eulerinv import qsym
-
-    seen = set()
-
-    def recording(name, original):
-        def walk(shape, budget=None):
-            seen.add((name, budget))
-            return original(shape, budget)
-
-        return walk
-
-    monkeypatch.setattr(qsym, "enumerate_syt", recording("syt", qsym.enumerate_syt))
-    monkeypatch.setattr(qsym, "enumerate_syb", recording("syb", qsym.enumerate_syb))
-    assert verify_cauchy_spec(2, 1, budget=70).ok
-    assert seen == {("syt", 70)}
-    seen.clear()
-    assert verify_signed_schur_spec(2, 2, budget=80).ok
-    assert seen == {("syb", 80), ("syt", 80)}
 
 
 def test_verify_signed_spec_closed_form():

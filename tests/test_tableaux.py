@@ -2,11 +2,14 @@ from collections import Counter
 
 import pytest
 
+from eulerinv import checks, qsym, tableaux
 from eulerinv.permutations import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     descent_set,
     enumerate_involutions,
     enumerate_signed_involutions,
+    enumeration_budget,
     signed_descent_set,
 )
 from eulerinv.tableaux import (
@@ -107,48 +110,60 @@ def test_syb_totals_match_involution_counts():
 
 def test_tableau_enumerators_hold_the_exact_count_to_the_budget():
     # T(4) = 10 standard tableaux, b(3) = 20 standard bitableaux
-    assert sum(1 for _ in enumerate_all_syt(4, budget=10)) == 10
-    with pytest.raises(BudgetExceededError, match="n=4 needs 10 objects"):
-        next(enumerate_all_syt(4, budget=9))
-    assert sum(1 for _ in enumerate_all_syb(3, budget=20)) == 20
-    with pytest.raises(BudgetExceededError, match="n=3 needs 20 objects"):
-        next(enumerate_all_syb(3, budget=19))
+    with enumeration_budget(10):
+        assert sum(1 for _ in enumerate_all_syt(4)) == 10
+    with enumeration_budget(9), pytest.raises(BudgetExceededError, match="n=4 needs 10 objects"):
+        next(enumerate_all_syt(4))
+    with enumeration_budget(20):
+        assert sum(1 for _ in enumerate_all_syb(3)) == 20
+    with enumeration_budget(19), pytest.raises(BudgetExceededError, match="n=3 needs 20 objects"):
+        next(enumerate_all_syb(3))
 
 
 def test_per_shape_walks_hold_the_exact_count_to_the_budget():
     for n in range(9):
         for shape in partitions(n):
             f = sum(1 for _ in enumerate_syt(shape))
-            assert sum(1 for _ in enumerate_syt(shape, budget=f)) == f
-            with pytest.raises(BudgetExceededError, match=f"n={n} needs {f} objects"):
-                next(enumerate_syt(shape, budget=f - 1))
+            with enumeration_budget(f):
+                assert sum(1 for _ in enumerate_syt(shape)) == f
+            with enumeration_budget(f - 1):
+                with pytest.raises(BudgetExceededError, match=f"n={n} needs {f} objects"):
+                    next(enumerate_syt(shape))
     for n in range(6):
         for shape in bipartitions(n):
             count = sum(1 for _ in enumerate_syb(shape))
-            assert sum(1 for _ in enumerate_syb(shape, budget=count)) == count
-            with pytest.raises(BudgetExceededError, match=f"n={n} needs {count} objects"):
-                next(enumerate_syb(shape, budget=count - 1))
+            with enumeration_budget(count):
+                assert sum(1 for _ in enumerate_syb(shape)) == count
+            with enumeration_budget(count - 1):
+                with pytest.raises(BudgetExceededError, match=f"n={n} needs {count} objects"):
+                    next(enumerate_syb(shape))
 
 
-def test_walks_pass_the_budget_to_each_shape(monkeypatch):
-    import eulerinv.tableaux as tableaux
-
-    seen = set()
-
-    def recording(name, original):
-        def walk(shape, budget=None):
-            seen.add((name, budget))
-            return original(shape, budget)
-
-        return walk
-
-    monkeypatch.setattr(tableaux, "enumerate_syt", recording("syt", tableaux.enumerate_syt))
-    monkeypatch.setattr(tableaux, "enumerate_syb", recording("syb", tableaux.enumerate_syb))
-    list(enumerate_all_syt(3, budget=40))
-    assert seen == {("syt", 40)}
-    seen.clear()
-    list(enumerate_all_syb(2, budget=50))
-    assert seen == {("syb", 50), ("syt", 50)}
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: sum(1 for _ in enumerate_all_syt(3)) == 4,
+        lambda: sum(1 for _ in enumerate_all_syb(3)) == 20,
+        lambda: qsym.verify_cauchy_spec(3, 2).ok,
+        lambda: qsym.verify_signed_schur_spec(3, 2).ok,
+        lambda: checks.verify_descent_multiset_bijection(3, 3).ok,
+        lambda: checks.verify_transpose_complement(3, 3).ok,
+    ],
+    ids=["all-syt", "all-syb", "cauchy", "signed-schur", "sdes-bijection", "transpose"],
+)
+def test_a_raised_cap_reaches_every_per_shape_walk(monkeypatch, walk):
+    # shape (2, 1) claims one object more than the default cap, so any walk
+    # that met the default instead of the cap in force would raise
+    real_count = tableaux._syt_count
+    monkeypatch.setattr(
+        tableaux,
+        "_syt_count",
+        lambda shape: DEFAULT_BUDGET + 1 if shape == (2, 1) else real_count(shape),
+    )
+    with pytest.raises(BudgetExceededError, match=r"shape .*\(2, 1\)"):
+        walk()
+    with enumeration_budget(DEFAULT_BUDGET + 1):
+        assert walk()
 
 
 def test_syb_signed_descent_set_examples():
