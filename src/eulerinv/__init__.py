@@ -22,7 +22,6 @@ from .distributions import (
 from .permutations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    SignedDescentSet,
     des_b,
     des_coxeter,
     descent_set,

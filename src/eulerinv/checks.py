@@ -91,26 +91,22 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     return report
 
 
-def _unsigned_descent_key(des) -> tuple:
-    return (tuple(sorted(des)), ())
-
-
-def _signed_descent_key(sdes) -> tuple:
-    return (tuple(sorted(sdes.positions)), sdes.signs)
-
-
 def _multiset_record(
-    check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str, key
+    check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str
 ) -> CheckRecord:
     """Pass when the two descent-set multisets agree; otherwise fail, naming
-    the first descent set (ordered by `key`) whose multiplicities differ."""
+    the first descent set, in natural tuple order, whose multiplicities differ.
+
+    Keys are descent sets (ascending positions) or signed descent sets
+    (positions, signs)."""
     perm_total = f"{sum(perm_side.values())} involutions"
     tab_total = f"{sum(tab_side.values())} {noun}"
     if perm_side == tab_side:
         return CheckRecord(check, (("n", n),), "pass", perm_total, tab_total)
     differing = (d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
-    first = min(differing, key=key)
-    positions, signs = key(first)
+    first = min(differing)
+    # a signed set starts with its tuple of positions, a plain one with a position
+    positions, signs = first if first and isinstance(first[0], tuple) else (first, ())
     witness = "Des={" + int_list(positions) + "}"
     if signs:
         witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
@@ -132,19 +128,11 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     for n in range(signed_n_max + 1):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
         tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
-        report.add(
-            _multiset_record(
-                "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux", _signed_descent_key
-            )
-        )
+        report.add(_multiset_record("sdes-multiset-signed", n, perm_side, tab_side, "bitableaux"))
     for n in range(unsigned_n_max + 1):
         perm_side = Counter(descent_set(w) for w in enumerate_involutions(n))
         tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
-        report.add(
-            _multiset_record(
-                "des-multiset-unsigned", n, perm_side, tab_side, "tableaux", _unsigned_descent_key
-            )
-        )
+        report.add(_multiset_record("des-multiset-unsigned", n, perm_side, tab_side, "tableaux"))
     return report
 
 
@@ -174,18 +162,21 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
         )
     for n in range(unsigned_n_max + 1):
         bad = 0
+        seen = set()
         total = 0
         for q in enumerate_all_syt(n):
             total += 1
             t = syt_transpose(q)
+            seen.add(t)
             des_q = len(syt_descent_set(q))
             if n and (len(syt_descent_set(t)) != n - 1 - des_q or syt_transpose(t) != q):
                 bad += 1
+        ok = bad == 0 and len(seen) == total
         report.add(
             CheckRecord(
                 "transpose-unsigned",
                 (("n", n),),
-                "pass" if bad == 0 else "fail",
+                "pass" if ok else "fail",
                 f"{total} tableaux",
                 f"{bad} violations",
             )

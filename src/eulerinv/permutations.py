@@ -10,7 +10,11 @@ Descent numbers are counted in one pass over the window, with no descent
 set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
 the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0.  The
-descent-set functions stay for the checks that need the sets themselves.
+descent-set functions stay for the checks that need the sets themselves,
+and return plain tuples: a descent set is its positions in ascending order,
+and a signed descent set is the pair (positions, signs), with one +1/-1 sign
+per entry of the window.  A -,+ sign step is never a descent.  The tableau
+side of the bijection builds the same formats by its own code.
 
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
@@ -22,13 +26,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
 from math import factorial
 from typing import Iterator
 
 Window = tuple[int, ...]
+#: Descent positions, ascending.
+Descents = tuple[int, ...]
+#: (positions, signs): descent positions ascending, and one +1/-1 sign for
+#: each of the n positions of the window.
+SignedDescents = tuple[Descents, tuple[int, ...]]
 
 #: Cap on objects a single enumeration call may generate.
 DEFAULT_BUDGET = 20_000_000
@@ -64,45 +72,12 @@ def _check_budget(n: int, count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SignedDescentSet:
-    """Descent positions together with the sign vector, shared by signed
-    permutations and bitableaux.
-
-    Signs are +1/-1 per position.  A sign rise (-, +) can never be a descent,
-    which the constructor enforces.
-    """
-
-    positions: frozenset[int]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.signs)
-        for s in self.signs:
-            if s not in (-1, 1):
-                raise ValueError(f"signs must be +1 or -1, got {s}")
-        for i in self.positions:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"descent position {i} outside 1..{n - 1}")
-            if self.signs[i - 1] == -1 and self.signs[i] == 1:
-                raise ValueError(f"position {i} has a -,+ sign rise and cannot be a descent")
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    def type_b_descents(self) -> int:
-        """|Des| plus one when the first sign is negative."""
-        extra = 1 if self.signs and self.signs[0] == -1 else 0
-        return len(self.positions) + extra
+def descent_set(window: Window) -> Descents:
+    """Positions i with w(i) > w(i+1) in the natural order, ascending."""
+    return tuple(i for i in range(1, len(window)) if window[i - 1] > window[i])
 
 
-def descent_set(window: Window) -> frozenset[int]:
-    """Positions i with w(i) > w(i+1), natural order."""
-    return frozenset(i for i in range(1, len(window)) if window[i - 1] > window[i])
-
-
-def signed_descent_set(window: Window) -> SignedDescentSet:
+def signed_descent_set(window: Window) -> SignedDescents:
     """Signed descent set (Des(w), epsilon) of a signed window.
 
     i is a descent when the signs step +,- , or when they agree and the
@@ -118,7 +93,7 @@ def signed_descent_set(window: Window) -> SignedDescentSet:
             positions.append(i)
         elif sa == sb and abs(a) > abs(b):
             positions.append(i)
-    return SignedDescentSet(frozenset(positions), signs)
+    return tuple(positions), signs
 
 
 def des_b(window: Window) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from .permutations import SignedDescentSet, des_b, enumerate_group, signed_descent_set
+from .permutations import SignedDescents, des_b, enumerate_group, signed_descent_set
 from .polynomials import binomial, expand_negative_binomial_product
 from .reports import CheckRecord, Report
 from .tableaux import (
@@ -64,13 +64,15 @@ def fundamental_spec(n: int, strict_positions: Collection[int], m: int) -> int:
     return _count_chains(n, frozenset(strict_positions), (1,) * n, m)
 
 
-def signed_fundamental_spec(sdes: SignedDescentSet, m: int) -> int:
+def signed_fundamental_spec(sdes: SignedDescents, m: int) -> int:
     """Specialize the two-alphabet fundamental function of a signed descent
-    set at (1^m, 01^(m-1)): negative positions must avoid index 1."""
+    set (positions, signs) at (1^m, 01^(m-1)): negative positions must avoid
+    index 1."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    minimums = tuple(2 if s == -1 else 1 for s in sdes.signs)
-    return _count_chains(sdes.n, sdes.positions, minimums, m)
+    positions, signs = sdes
+    minimums = tuple(2 if s == -1 else 1 for s in signs)
+    return _count_chains(len(signs), positions, minimums, m)
 
 
 def schur_spec(shape: Shape, m: int) -> int:

@@ -8,6 +8,12 @@ Standard tableaux are enumerated by growing the shape one entry at a time,
 which enforces standardness by construction.  Bitableaux are enumerated by
 choosing the entry set of the plus part and relabelling standard fillings
 of each part through the unique order isomorphism.
+
+Descent sets are read off the rows, in the formats of permutations.py: a
+descent set is an ascending tuple of entries i, and a signed descent set is
+the pair (positions, signs) with the sign of the part holding each entry.
+Nothing here calls the window-side descent functions, so the two sides of
+the bijection share only the type aliases.
 """
 from __future__ import annotations
 
@@ -16,7 +22,8 @@ from math import comb, factorial
 from typing import Iterator
 
 from .permutations import (
-    SignedDescentSet,
+    Descents,
+    SignedDescents,
     _check_budget,
     involution_count,
     signed_involution_count,
@@ -105,11 +112,11 @@ def syt_row_of_entry(tableau: Tableau) -> dict[int, int]:
     return {entry: r for r, row in enumerate(tableau) for entry in row}
 
 
-def syt_descent_set(tableau: Tableau) -> frozenset[int]:
-    """Entries i whose successor i+1 sits in a strictly lower row."""
+def syt_descent_set(tableau: Tableau) -> Descents:
+    """Entries i whose successor i+1 sits in a strictly lower row, ascending."""
     row_of = syt_row_of_entry(tableau)
     n = len(row_of)
-    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+    return tuple(i for i in range(1, n) if row_of[i + 1] > row_of[i])
 
 
 def syt_transpose(tableau: Tableau) -> Tableau:
@@ -163,7 +170,7 @@ def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
         yield from enumerate_syb(shape)
 
 
-def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescentSet:
+def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
     """Signed descent set of a bitableau.
 
     The sign of i is the sign of the part containing it; i is a descent when
@@ -187,12 +194,14 @@ def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescentSet:
             positions.append(i)
         elif sa == sb and row_of[i + 1] > row_of[i]:
             positions.append(i)
-    return SignedDescentSet(frozenset(positions), signs)
+    return tuple(positions), signs
 
 
 def syb_des_b(bitableau: Bitableau) -> int:
-    """Type-B descent number of a bitableau."""
-    return syb_signed_descent_set(bitableau).type_b_descents()
+    """Type-B descent number of a bitableau: |Des| plus one when the first
+    sign is negative."""
+    positions, signs = syb_signed_descent_set(bitableau)
+    return len(positions) + (1 if signs and signs[0] == -1 else 0)
 
 
 def syb_transpose(bitableau: Bitableau) -> Bitableau:

@@ -87,16 +87,6 @@ def inverse(window):
     return tuple(out)
 
 
-def squares_to_identity(window):
-    """Whether w(w(i)) = i for every i, extending w to negatives by
-    w(-i) = -w(i)."""
-
-    def w(i):
-        return window[i - 1] if i > 0 else -window[-i - 1]
-
-    return all(w(w(i)) == i for i in range(1, len(window) + 1))
-
-
 def count_chains(n, strict_positions, minimums, m):
     """Count chains 1 <= i_1 <= ... <= i_n <= m by full enumeration."""
     strict = set(strict_positions)

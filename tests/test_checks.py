@@ -141,23 +141,35 @@ def test_record_formats():
     ]
 
 
-def _drop_bitableaux(monkeypatch, n, positions):
-    """Make checks.enumerate_all_syb skip the given positions of its size-n walk."""
-    original = checks.enumerate_all_syb
+def _drop_from_walk(monkeypatch, walk, n, positions):
+    """Make the named walk of checks skip the given positions of its size-n walk."""
+    original = getattr(checks, walk)
 
     def dropping(size):
         for i, q in enumerate(original(size)):
             if size != n or i not in positions:
                 yield q
 
-    monkeypatch.setattr(checks, "enumerate_all_syb", dropping)
+    monkeypatch.setattr(checks, walk, dropping)
 
+
+def _repeat_first(monkeypatch, walk, n):
+    """Make the named walk of checks yield the first object of its size-n walk twice."""
+    original = getattr(checks, walk)
+
+    def repeating(size):
+        objects = list(original(size))
+        if size == n:
+            objects.insert(1, objects[0])
+        yield from objects
+
+    monkeypatch.setattr(checks, walk, repeating)
 
 
 def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
     passing = checks.verify_descent_multiset_bijection(3, 2)
     # the first bitableau of size 2 is ((), ((1, 2),)): no descent, both signs negative
-    _drop_bitableaux(monkeypatch, 2, {0})
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {0})
     report = checks.verify_descent_multiset_bijection(3, 2)
     assert [r.status for r in report] == ["pass", "pass", "fail", "pass", "pass", "pass", "pass"]
     failure = report.failures[0]
@@ -171,10 +183,36 @@ def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
 
 def test_descent_multiset_failure_reports_the_smallest_set_in_sorted_order(monkeypatch):
     # drop ((), ((1,), (2,))) with Des={1} signs=-- and (((2,),), ((1,),)) with Des={} signs=-+
-    _drop_bitableaux(monkeypatch, 2, {1, 3})
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {1, 3})
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.lhs == "6 involutions, 1 with Des={} signs=-+"
     assert failure.rhs == "4 bitableaux, 0 with Des={} signs=-+"
+
+
+def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch):
+    # the second tableau of size 3 is ((1, 2), (3,)), with its one descent at 2
+    _drop_from_walk(monkeypatch, "enumerate_all_syt", 3, {1})
+    report = checks.verify_descent_multiset_bijection(0, 4)
+    assert [(r.check, r.status) for r in report] == [("sdes-multiset-signed", "pass")] + [
+        ("des-multiset-unsigned", status) for status in ("pass", "pass", "pass", "fail", "pass")
+    ]
+    failure = report.failures[0]
+    assert failure.params == (("n", 3),)
+    assert failure.lhs == "4 involutions, 1 with Des={2}"
+    assert failure.rhs == "3 tableaux, 0 with Des={2}"
+
+
+@pytest.mark.parametrize(
+    "walk, check",
+    [("enumerate_all_syb", "transpose-signed"), ("enumerate_all_syt", "transpose-unsigned")],
+)
+def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, check):
+    # the repeat passes both per-object tests, so only the distinctness check sees it
+    _repeat_first(monkeypatch, walk, 3)
+    report = checks.verify_transpose_complement(4, 4)
+    failures = [(r.check, r.params) for r in report.failures]
+    assert failures == [(check, (("n", 3),))]
+    assert report.failures[0].rhs == "0 violations"
 
 
 @pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])

@@ -6,7 +6,6 @@ import pytest
 from eulerinv.permutations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    SignedDescentSet,
     des_b,
     des_coxeter,
     descent_set,
@@ -18,41 +17,58 @@ from eulerinv.permutations import (
     signed_descent_set,
     signed_involution_count,
 )
+from eulerinv.tableaux import (
+    enumerate_all_syb,
+    enumerate_all_syt,
+    syb_signed_descent_set,
+    syt_descent_set,
+)
 from oracles import (
     colored_descent_count,
     inverse,
     is_involution,
     signed_group_by_sign_vectors,
     signed_telephone_number,
-    squares_to_identity,
     telephone_number,
 )
 
 
 def test_descent_set():
-    assert descent_set((1, 2, 3, 4)) == frozenset()
-    assert descent_set((5, 4, 3, 2, 1)) == frozenset({1, 2, 3, 4})
-    assert descent_set((2, 1, 3)) == frozenset({1})
-    assert descent_set(()) == frozenset()
+    assert descent_set((1, 2, 3, 4)) == ()
+    assert descent_set((5, 4, 3, 2, 1)) == (1, 2, 3, 4)
+    assert descent_set((2, 1, 3)) == (1,)
+    assert descent_set(()) == ()
 
 
 def test_signed_descent_set_examples():
-    s = signed_descent_set((1, 2))
-    assert (s.positions, s.signs) == (frozenset(), (1, 1))
-    s = signed_descent_set((-1, 2))
-    assert (s.positions, s.signs) == (frozenset(), (-1, 1))
-    s = signed_descent_set((2, -1))
-    assert (s.positions, s.signs) == (frozenset({1}), (1, -1))
+    assert signed_descent_set((1, 2)) == ((), (1, 1))
+    assert signed_descent_set((-1, 2)) == ((), (-1, 1))
+    assert signed_descent_set((2, -1)) == ((1,), (1, -1))
 
 
-def test_signed_descent_set_invariant_enforced():
+def _assert_well_formed(sdes, n, source):
+    positions, signs = sdes
+    assert list(positions) == sorted(set(positions)), source
+    assert all(1 <= i <= n - 1 for i in positions), source
+    assert len(signs) == n and all(s in (1, -1) for s in signs), source
     # a -,+ sign rise can never be a descent position
-    with pytest.raises(ValueError):
-        SignedDescentSet(frozenset({1}), (-1, 1))
-    with pytest.raises(ValueError):
-        SignedDescentSet(frozenset({3}), (1, 1))
-    with pytest.raises(ValueError):
-        SignedDescentSet(frozenset(), (1, 0))
+    assert not any(signs[i - 1] == -1 and signs[i] == 1 for i in positions), source
+
+
+def test_descent_set_producers_build_well_formed_sets():
+    for n in range(0, 7):
+        for w in enumerate_signed_involutions(n):
+            _assert_well_formed(signed_descent_set(w), n, w)
+        for q in enumerate_all_syb(n):
+            _assert_well_formed(syb_signed_descent_set(q), n, q)
+        # an unsigned set meets the same conditions with every sign plus
+        for w in enumerate_involutions(n):
+            _assert_well_formed((descent_set(w), (1,) * n), n, w)
+        for q in enumerate_all_syt(n):
+            _assert_well_formed((syt_descent_set(q), (1,) * n), n, q)
+    for n in range(0, 5):
+        for w in enumerate_group(n, signed=True):
+            _assert_well_formed(signed_descent_set(w), n, w)
 
 
 def test_des_b_examples():
@@ -92,7 +108,7 @@ def test_involution_enumerators_match_filtered_group():
             (False, enumerate_involutions),
             (True, enumerate_signed_involutions),
         ):
-            expected = sorted(w for w in enumerate_group(n, signed) if squares_to_identity(w))
+            expected = sorted(w for w in enumerate_group(n, signed) if is_involution(w))
             assert list(enumerate_(n)) == expected, (n, signed)
 
 

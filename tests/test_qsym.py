@@ -49,10 +49,11 @@ def test_signed_fundamental_spec_against_chain_enumeration():
     for n in range(0, 4):
         for w in enumerate_group(n, signed=True):
             sdes = signed_descent_set(w)
-            minimums = tuple(2 if s == -1 else 1 for s in sdes.signs)
+            positions, signs = sdes
+            minimums = tuple(2 if s == -1 else 1 for s in signs)
             for m in range(1, 5):
                 assert signed_fundamental_spec(sdes, m) == count_chains(
-                    n, sdes.positions, minimums, m
+                    n, positions, minimums, m
                 ), (w, m)
 
 
