@@ -3,7 +3,9 @@
 Each sweep compares two independently computed sides of an identity and
 emits one record per checked case, in deterministic (n, k) order.  Hard
 identities get pass/fail records; open questions and known print
-discrepancies get note records that never fail a run.
+discrepancies get note records that never fail a run.  The transpose sweep
+counts a (bi)tableau whose transpose repeats an earlier one as a violation,
+since transposition must be a bijection.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .permutations import (
     signed_descent_set,
 )
 from .polynomials import binomial, expand_negative_binomial_product, poly_multiply
-from .reports import CheckRecord, Report, int_list
+from .reports import Report, int_list
 from .tableaux import (
     enumerate_all_syb,
     enumerate_all_syt,
@@ -91,32 +93,27 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     return report
 
 
-def _multiset_record(
-    check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str
-) -> CheckRecord:
+def _compare_multisets(
+    report: Report, check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str
+) -> None:
     """Pass when the two descent-set multisets agree; otherwise fail, naming
     the first descent set, in natural tuple order, whose multiplicities differ.
 
     Keys are descent sets (ascending positions) or signed descent sets
     (positions, signs)."""
-    perm_total = f"{sum(perm_side.values())} involutions"
-    tab_total = f"{sum(tab_side.values())} {noun}"
-    if perm_side == tab_side:
-        return CheckRecord(check, (("n", n),), "pass", perm_total, tab_total)
-    differing = (d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
-    first = min(differing)
-    # a signed set starts with its tuple of positions, a plain one with a position
-    positions, signs = first if first and isinstance(first[0], tuple) else (first, ())
-    witness = "Des={" + int_list(positions) + "}"
-    if signs:
-        witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
-    return CheckRecord(
-        check,
-        (("n", n),),
-        "fail",
-        f"{perm_total}, {perm_side[first]} with {witness}",
-        f"{tab_total}, {tab_side[first]} with {witness}",
-    )
+    lhs = f"{sum(perm_side.values())} involutions"
+    rhs = f"{sum(tab_side.values())} {noun}"
+    ok = perm_side == tab_side
+    if not ok:
+        first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
+        # a signed set starts with its tuple of positions, a plain one with a position
+        positions, signs = first if first and isinstance(first[0], tuple) else (first, ())
+        witness = "Des={" + int_list(positions) + "}"
+        if signs:
+            witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
+        lhs += f", {perm_side[first]} with {witness}"
+        rhs += f", {tab_side[first]} with {witness}"
+    report.check(check, (("n", n),), ok, lhs, rhs)
 
 
 def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
@@ -128,58 +125,57 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     for n in range(signed_n_max + 1):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
         tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
-        report.add(_multiset_record("sdes-multiset-signed", n, perm_side, tab_side, "bitableaux"))
+        _compare_multisets(report, "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux")
     for n in range(unsigned_n_max + 1):
         perm_side = Counter(descent_set(w) for w in enumerate_involutions(n))
         tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
-        report.add(_multiset_record("des-multiset-unsigned", n, perm_side, tab_side, "tableaux"))
+        _compare_multisets(report, "des-multiset-unsigned", n, perm_side, tab_side, "tableaux")
     return report
+
+
+def _check_transposes(
+    report: Report, check: str, n: int, walk, transpose, des, target: int, noun: str
+) -> None:
+    """One record for the size-n walk: an object violates the rule when its
+    transpose's descent number is not target minus its own, when transposing
+    twice does not give it back, or when its transpose repeats an earlier one."""
+    seen = set()
+    total = bad = 0
+    for q in walk:
+        total += 1
+        t = transpose(q)
+        if des(t) != target - des(q) or transpose(t) != q or t in seen:
+            bad += 1
+        seen.add(t)
+    report.check(check, (("n", n),), bad == 0, f"{total} {noun}", f"{bad} violations")
 
 
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
-    bitableaux, n - 1 - des on tableaux; both maps are involutive bijections."""
+    bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
+    A transpose that repeats an earlier one counts as a violation."""
     report = Report()
     for n in range(signed_n_max + 1):
-        bad = 0
-        seen = set()
-        total = 0
-        for q in enumerate_all_syb(n):
-            total += 1
-            t = syb_transpose(q)
-            seen.add(t)
-            if syb_des_b(t) != n - syb_des_b(q) or syb_transpose(t) != q:
-                bad += 1
-        ok = bad == 0 and len(seen) == total
-        report.add(
-            CheckRecord(
-                "transpose-signed",
-                (("n", n),),
-                "pass" if ok else "fail",
-                f"{total} bitableaux",
-                f"{bad} violations",
-            )
+        _check_transposes(
+            report,
+            "transpose-signed",
+            n,
+            enumerate_all_syb(n),
+            syb_transpose,
+            syb_des_b,
+            n,
+            "bitableaux",
         )
     for n in range(unsigned_n_max + 1):
-        bad = 0
-        seen = set()
-        total = 0
-        for q in enumerate_all_syt(n):
-            total += 1
-            t = syt_transpose(q)
-            seen.add(t)
-            des_q = len(syt_descent_set(q))
-            if n and (len(syt_descent_set(t)) != n - 1 - des_q or syt_transpose(t) != q):
-                bad += 1
-        ok = bad == 0 and len(seen) == total
-        report.add(
-            CheckRecord(
-                "transpose-unsigned",
-                (("n", n),),
-                "pass" if ok else "fail",
-                f"{total} tableaux",
-                f"{bad} violations",
-            )
+        _check_transposes(
+            report,
+            "transpose-unsigned",
+            n,
+            enumerate_all_syt(n),
+            syt_transpose,
+            lambda q: len(syt_descent_set(q)),
+            max(n - 1, 0),
+            "tableaux",
         )
     return report
 
@@ -207,66 +203,37 @@ def verify_proof_identity(n_max: int = 20) -> Report:
     """
     report = Report()
     rows = signed_involution_recurrence_rows(n_max)
-
-    def get(row, k):
-        return row[k] if 0 <= k < len(row) else 0
-
     for n in range(3, n_max + 1):
-        row, prev, prev2 = rows[n], rows[n - 1], rows[n - 2]
-        for k in range(n + 4):
-            a, d = _proof_coefficients(n, k)
-            lhs = n * (get(row, k) - get(row, k - 1))
-            rhs = (
-                a[0] * get(prev, k)
-                + a[1] * get(prev, k - 1)
-                + a[2] * get(prev, k - 2)
-                + d[0] * get(prev2, k)
-                + d[1] * get(prev2, k - 1)
-                + d[2] * get(prev2, k - 2)
-                + d[3] * get(prev2, k - 3)
-            )
-            if lhs != rhs:
-                report.add(
-                    CheckRecord(
-                        "proof-identity",
-                        (("n", n), ("k", k)),
-                        "fail",
-                        str(lhs),
-                        str(rhs),
-                    )
-                )
-        # zero-sum identities hold for every k; sign facts on the proof's range
+        # three zeros in front and enough behind: index k + 3 holds coefficient k
+        row, prev, prev2 = ((0,) * 3 + r + (0,) * (n + 4 - len(r)) for r in rows[n : n - 3 : -1])
         facts_ok = True
         for k in range(n + 4):
             a, d = _proof_coefficients(n, k)
-            if sum(a) != 0 or sum(d) != 0:
-                facts_ok = False
-        for k in range(n // 2 + 1):
-            a, d = _proof_coefficients(n, k)
-            if a[0] < 0 or a[0] + a[1] < 0:
-                facts_ok = False
-            if d[0] < 0 or d[0] + d[1] + d[2] < 0:
-                facts_ok = False
-            if k >= 1 and d[0] + d[1] < 0:
-                facts_ok = False
-        report.add(
-            CheckRecord(
-                "proof-identity",
-                (("n", n),),
-                "pass" if facts_ok else "fail",
-                "identity and sign facts",
-                f"k=0..{n + 3}",
+            lhs = n * (row[k + 3] - row[k + 2])
+            rhs = (
+                a[0] * prev[k + 3]
+                + a[1] * prev[k + 2]
+                + a[2] * prev[k + 1]
+                + d[0] * prev2[k + 3]
+                + d[1] * prev2[k + 2]
+                + d[2] * prev2[k + 1]
+                + d[3] * prev2[k]
             )
-        )
+            if lhs != rhs:
+                report.check("proof-identity", (("n", n), ("k", k)), False, lhs, rhs)
+            # zero-sum identities hold for every k; sign facts on the proof's range
+            facts_ok = facts_ok and sum(a) == 0 and sum(d) == 0
+            if k <= n // 2:
+                facts_ok = facts_ok and min(a[0], a[0] + a[1], d[0], d[0] + d[1] + d[2]) >= 0
+                facts_ok = facts_ok and (k == 0 or d[0] + d[1] >= 0)
+        facts = "identity and sign facts"
+        report.check("proof-identity", (("n", n),), facts_ok, facts, f"k=0..{n + 3}")
     if n_max >= 3:
-        report.add(
-            CheckRecord(
-                "proof-identity",
-                (("k", 0),),
-                "note",
-                "D0+D1 = 2-2n at k=0",
-                "averaging lemma unused there; single-term positivity suffices",
-            )
+        report.note(
+            "proof-identity",
+            (("k", 0),),
+            "D0+D1 = 2-2n at k=0",
+            "averaging lemma unused there; single-term positivity suffices",
         )
     return report
 
@@ -295,24 +262,14 @@ def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
     r1, r2, r3 = r_closed(89, 1), r_closed(89, 2), r_closed(89, 3)
     report.compare("r89-square", (("k", 2),), r2 * r2, reference.R89_SQUARE_AT_2)
     report.compare("r89-product", (("k", "1*3"),), r1 * r3, reference.R89_PRODUCT_1_3)
-    report.add(
-        CheckRecord(
-            "r89-strict-inequality",
-            (),
-            "pass" if r2 * r2 < r1 * r3 else "fail",
-            str(r2 * r2),
-            str(r1 * r3),
-        )
-    )
+    report.check("r89-strict-inequality", (), r2 * r2 < r1 * r3, r2 * r2, r1 * r3)
     k = r_log_concavity_failure(89)
-    report.add(
-        CheckRecord(
-            "r89-not-log-concave",
-            (("first_failing_k", k),),
-            "pass" if k is not None else "fail",
-            "log-concavity violated",
-            "no k >= 1 violated" if k is None else f"r(89,{k})^2 < r(89,{k - 1})*r(89,{k + 1})",
-        )
+    report.check(
+        "r89-not-log-concave",
+        (("first_failing_k", k),),
+        k is not None,
+        "log-concavity violated",
+        "no k >= 1 violated" if k is None else f"r(89,{k})^2 < r(89,{k - 1})*r(89,{k + 1})",
     )
     for n in range(convolution_n_max + 1):
         row = signed_involution_eulerian(n)
@@ -354,30 +311,15 @@ def check_guo_zeng_lemma(
             "guo-zeng-lemma needs trials and length_max of at least 1, "
             f"got {trials} and {length_max}"
         )
-    failures = 0
-    first_failure = None
-    for a, x in _lemma_instances(trials, length_max, seed):
-        if sum(map(mul, a, x)) < 0:
-            failures += 1
-            if first_failure is None:
-                first_failure = (a, x)
+    instances = _lemma_instances(trials, length_max, seed)
+    counterexample = next(((a, x) for a, x in instances if sum(map(mul, a, x)) < 0), None)
     report = Report()
     params = (("trials", trials), ("length_max", length_max), ("seed", seed))
-    if failures == 0:
-        report.add(
-            CheckRecord("guo-zeng-lemma", params, "pass", f"{trials} trials", "0 counterexamples")
-        )
+    if counterexample is None:
+        report.check("guo-zeng-lemma", params, True, f"{trials} trials", "0 counterexamples")
     else:
-        a, x = first_failure
-        report.add(
-            CheckRecord(
-                "guo-zeng-lemma",
-                params,
-                "fail",
-                f"a={int_list(a)}",
-                f"x={int_list(x)}",
-            )
-        )
+        a, x = counterexample
+        report.check("guo-zeng-lemma", params, False, f"a={int_list(a)}", f"x={int_list(x)}")
     return report
 
 
@@ -392,7 +334,6 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
     for n in range(n_max + 1):
         colored = signed_involution_eulerian(n, DES_B)
         coxeter = signed_involution_eulerian(n, DES_COXETER)
-        equal = colored == coxeter
         if n <= 5:
             report.compare(
                 "des-statistics-agree",
@@ -401,16 +342,17 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
                 int_list(coxeter),
             )
         else:
-            report.add(
-                CheckRecord(
-                    "des-statistics-agree",
-                    (("n", n), ("equal", equal)),
-                    "note",
-                    int_list(colored),
-                    int_list(coxeter),
-                )
+            report.note(
+                "des-statistics-agree",
+                (("n", n), ("equal", colored == coxeter)),
+                int_list(colored),
+                int_list(coxeter),
             )
     return report
+
+
+def _sign_phrase(gv: GammaVector) -> str:
+    return "all nonnegative" if gv.is_nonnegative else "NEGATIVE ENTRY"
 
 
 def gamma_positivity_report(n_max: int = 30, unsigned_n_max: int = 10) -> Report:
@@ -433,26 +375,10 @@ def gamma_positivity_report(n_max: int = 30, unsigned_n_max: int = 10) -> Report
                 int_list(gv.gammas),
                 int_list(reference.GAMMA_ROWS_B[n]),
             )
-        report.add(
-            CheckRecord(
-                "gamma-signed-signs",
-                (("n", n),),
-                "note",
-                int_list(gv.gammas),
-                "all nonnegative" if gv.is_nonnegative else "NEGATIVE ENTRY",
-            )
-        )
+        report.note("gamma-signed-signs", (("n", n),), int_list(gv.gammas), _sign_phrase(gv))
     for n in range(1, min(n_max, unsigned_n_max) + 1):
         gv = gamma_vector(involution_eulerian(n), n - 1)
-        report.add(
-            CheckRecord(
-                "gamma-unsigned-signs",
-                (("n", n),),
-                "note",
-                int_list(gv.gammas),
-                "all nonnegative" if gv.is_nonnegative else "NEGATIVE ENTRY",
-            )
-        )
+        report.note("gamma-unsigned-signs", (("n", n),), int_list(gv.gammas), _sign_phrase(gv))
     return report
 
 
@@ -480,14 +406,11 @@ def reference_table_report() -> Report:
         )
         report.compare("table-b-total", (("n", n),), sum(computed), 1384)
         if computed != expected:
-            report.add(
-                CheckRecord(
-                    "table-b-print-discrepancy",
-                    (("n", n),),
-                    "note",
-                    f"printed row {int_list(expected)}",
-                    f"enumeration gives {int_list(computed)}",
-                )
+            report.note(
+                "table-b-print-discrepancy",
+                (("n", n),),
+                f"printed row {int_list(expected)}",
+                f"enumeration gives {int_list(computed)}",
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
         gv = gamma_vector(signed_involution_eulerian(n), n)
@@ -496,13 +419,5 @@ def reference_table_report() -> Report:
     for n in range(1, 13):
         row = rows[n]
         ok = is_symmetric(row, n) and is_unimodal(row)
-        report.add(
-            CheckRecord(
-                "table-shape",
-                (("n", n),),
-                "pass" if ok else "fail",
-                "symmetric and unimodal",
-                int_list(row),
-            )
-        )
+        report.check("table-shape", (("n", n),), ok, "symmetric and unimodal", int_list(row))
     return report

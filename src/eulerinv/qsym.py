@@ -16,7 +16,7 @@ from collections.abc import Collection
 
 from .permutations import SignedDescents, des_b, enumerate_group, signed_descent_set
 from .polynomials import binomial, expand_negative_binomial_product
-from .reports import CheckRecord, Report
+from .reports import Report
 from .tableaux import (
     Shape,
     bipartitions,
@@ -92,34 +92,16 @@ def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
     report = Report()
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
-            bad = None
             for w in enumerate_group(n, signed=True):
                 lhs = signed_fundamental_spec(signed_descent_set(w), m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
-                    bad = (w, lhs, rhs)
+                    params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
+                    report.check("signed-spec-closed-form", params, False, lhs, rhs)
                     break
-            if bad is None:
-                report.add(
-                    CheckRecord(
-                        "signed-spec-closed-form",
-                        (("n", n), ("m", m)),
-                        "pass",
-                        "chain-count",
-                        "binomial",
-                    )
-                )
             else:
-                w, lhs, rhs = bad
-                report.add(
-                    CheckRecord(
-                        "signed-spec-closed-form",
-                        (("n", n), ("m", m), ("w", " ".join(map(str, w)))),
-                        "fail",
-                        str(lhs),
-                        str(rhs),
-                    )
-                )
+                params = (("n", n), ("m", m))
+                report.check("signed-spec-closed-form", params, True, "chain-count", "binomial")
     return report
 
 

@@ -7,6 +7,8 @@ across runs.
 
 Statuses: "pass" and "fail" are hard outcomes; "note" marks informational
 findings (open questions, known discrepancies) that never fail a run.
+Sweeps add records only through ``Report.check``, ``Report.compare`` and
+``Report.note``, so this module is the only place a status is set.
 """
 from __future__ import annotations
 
@@ -60,10 +62,17 @@ class Report:
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
+    def check(self, check: str, params: Params, ok: bool, lhs, rhs) -> None:
+        """Add a pass record when ok holds, a fail record otherwise."""
+        self.add(CheckRecord(check, tuple(params), PASS if ok else FAIL, str(lhs), str(rhs)))
+
     def compare(self, check: str, params: Params, lhs, rhs) -> None:
         """Add a pass record when the two sides are equal, a fail record otherwise."""
-        status = PASS if lhs == rhs else FAIL
-        self.add(CheckRecord(check, tuple(params), status, str(lhs), str(rhs)))
+        self.check(check, params, lhs == rhs, lhs, rhs)
+
+    def note(self, check: str, params: Params, lhs, rhs) -> None:
+        """Add an informational record that never fails the report."""
+        self.add(CheckRecord(check, tuple(params), NOTE, str(lhs), str(rhs)))
 
     @property
     def ok(self) -> bool:

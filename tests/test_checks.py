@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from eulerinv import checks
@@ -139,6 +141,21 @@ def test_record_formats():
         CheckRecord("demo", (("n", 3),), "pass", "4", "4"),
         CheckRecord("demo", (("n", 3),), "fail", "4", "5"),
     ]
+    checked = Report()
+    checked.check("demo", [("n", 3)], True, "symmetric", "1,2,1")
+    checked.check("demo", (), False, 10**20, -7)
+    assert checked.records == [
+        CheckRecord("demo", (("n", 3),), "pass", "symmetric", "1,2,1"),
+        CheckRecord("demo", (), "fail", "100000000000000000000", "-7"),
+    ]
+    assert not checked.ok and checked.failures == checked.records[1:]
+    noted = Report()
+    noted.note("demo", [("n", 6), ("equal", False)], 632, "NEGATIVE ENTRY")
+    assert noted.records == [
+        CheckRecord("demo", (("n", 6), ("equal", False)), "note", "632", "NEGATIVE ENTRY")
+    ]
+    assert noted.ok and not noted.failures and noted.notes() == noted.records
+    assert noted.records[0].plain() == "demo n=6 equal=False: note: 632 | NEGATIVE ENTRY"
 
 
 def _drop_from_walk(monkeypatch, walk, n, positions):
@@ -207,12 +224,108 @@ def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch
     [("enumerate_all_syb", "transpose-signed"), ("enumerate_all_syt", "transpose-unsigned")],
 )
 def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, check):
-    # the repeat passes both per-object tests, so only the distinctness check sees it
+    # the repeat passes both per-object tests; its repeated transpose is the one violation
     _repeat_first(monkeypatch, walk, 3)
     report = checks.verify_transpose_complement(4, 4)
     failures = [(r.check, r.params) for r in report.failures]
     assert failures == [(check, (("n", 3),))]
-    assert report.failures[0].rhs == "0 violations"
+    assert report.failures[0].rhs == "1 violations"
+
+
+def _structured(report):
+    return [record.structured() for record in report]
+
+
+def test_proof_identity_fails_at_each_k_a_bumped_row_reaches(monkeypatch):
+    rows_of = checks.signed_involution_recurrence_rows
+
+    def bumped(n_max):
+        rows = rows_of(n_max)
+        rows[5] = (1, 29, *rows[5][2:])  # the true row 5 is 1,28,127,127,28,1
+        return rows
+
+    monkeypatch.setattr(checks, "signed_involution_recurrence_rows", bumped)
+    # row 5 enters the identity at n = 5, 6, 7; the sign facts do not read rows
+    facts = "status=pass\tlhs=identity and sign facts\trhs=k=0..{}"
+    assert _structured(checks.verify_proof_identity(8)) == [
+        "check=proof-identity\tparams=n=3\t" + facts.format(6),
+        "check=proof-identity\tparams=n=4\t" + facts.format(7),
+        "check=proof-identity\tparams=n=5,k=1\tstatus=fail\tlhs=140\trhs=135",
+        "check=proof-identity\tparams=n=5,k=2\tstatus=fail\tlhs=490\trhs=495",
+        "check=proof-identity\tparams=n=5\t" + facts.format(8),
+        "check=proof-identity\tparams=n=6,k=1\tstatus=fail\tlhs=252\trhs=255",
+        "check=proof-identity\tparams=n=6,k=2\tstatus=fail\tlhs=1728\trhs=1734",
+        "check=proof-identity\tparams=n=6,k=3\tstatus=fail\tlhs=1818\trhs=1809",
+        "check=proof-identity\tparams=n=6\t" + facts.format(9),
+        "check=proof-identity\tparams=n=7,k=1\tstatus=fail\tlhs=427\trhs=437",
+        "check=proof-identity\tparams=n=7,k=2\tstatus=fail\tlhs=4830\trhs=4848",
+        "check=proof-identity\tparams=n=7,k=3\tstatus=fail\tlhs=11823\trhs=11841",
+        "check=proof-identity\tparams=n=7,k=4\tstatus=fail\tlhs=0\trhs=-46",
+        "check=proof-identity\tparams=n=7\t" + facts.format(10),
+        "check=proof-identity\tparams=n=8\t" + facts.format(11),
+        "check=proof-identity\tparams=k=0\tstatus=note\tlhs=D0+D1 = 2-2n at k=0"
+        "\trhs=averaging lemma unused there; single-term positivity suffices",
+    ]
+
+
+def test_proof_identity_facts_record_fails_when_a_zero_sum_breaks(monkeypatch):
+    coefficients = checks._proof_coefficients
+
+    def broken(n, k):
+        a, d = coefficients(n, k)
+        # at n = 4, k = 6 every row term is zero, so only the zero-sum fact can see it
+        return ((a[0] + 1, *a[1:]), d) if (n, k) == (4, 6) else (a, d)
+
+    monkeypatch.setattr(checks, "_proof_coefficients", broken)
+    report = checks.verify_proof_identity(5)
+    assert [(r.check, r.params, r.status, r.lhs, r.rhs) for r in report.failures] == [
+        ("proof-identity", (("n", 4),), "fail", "identity and sign facts", "k=0..7")
+    ]
+    assert [r.status for r in report] == ["pass", "fail", "pass", "note"]
+
+
+def test_table_shape_fails_on_a_row_that_is_not_symmetric(monkeypatch):
+    rows_of = checks.signed_involution_recurrence_rows
+
+    def bumped(n_max):
+        rows = rows_of(n_max)
+        rows[5] = (*rows[5][:4], 29, 1)
+        return rows
+
+    monkeypatch.setattr(checks, "signed_involution_recurrence_rows", bumped)
+    report = checks.reference_table_report()
+    shape = [r for r in report if r.check == "table-shape"]
+    assert [r.status for r in shape] == ["pass"] * 4 + ["fail"] + ["pass"] * 7
+    assert [(r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ((("n", 5),), "symmetric and unimodal", "1,28,127,127,29,1")
+    ]
+
+
+def test_guo_zeng_lemma_fails_with_the_first_counterexample(monkeypatch):
+    instances = [([1, 2], [3, 1]), ([0, -1], [2, 1]), ([0, -2], [1, 1])]
+    monkeypatch.setattr(checks, "_lemma_instances", lambda trials, length_max, seed: instances)
+    assert _structured(checks.check_guo_zeng_lemma(3, 2, 5)) == [
+        "check=guo-zeng-lemma\tparams=trials=3,length_max=2,seed=5\tstatus=fail"
+        "\tlhs=a=0,-1\trhs=x=2,1"
+    ]
+
+
+def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
+    r_closed = checks.r_closed
+    # binomial coefficients are log-concave, so neither witness survives at n = 89
+    monkeypatch.setattr(checks, "r_closed", lambda n, k: comb(n, k) if n == 89 else r_closed(n, k))
+    report = checks.verify_counterexample_89(convolution_n_max=1)
+    records = {record.check: record for record in report}
+    strict, scan = records["r89-strict-inequality"], records["r89-not-log-concave"]
+    assert (strict.params, strict.status) == ((), "fail")
+    assert (strict.lhs, strict.rhs) == ("15335056", "10107196")
+    assert (scan.params, scan.status, scan.lhs, scan.rhs) == (
+        (("first_failing_k", None),),
+        "fail",
+        "log-concavity violated",
+        "no k >= 1 violated",
+    )
+    assert [r.status for r in report] == ["fail"] * 4 + ["pass"] * 2
 
 
 @pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])

@@ -126,3 +126,20 @@ def test_specialization_sweeps_fail_when_one_side_is_wrong(monkeypatch):
 
 def test_verify_signed_spec_closed_form():
     assert verify_signed_spec_closed_form(3, 5).ok
+
+
+def test_signed_spec_closed_form_failure_names_the_first_element(monkeypatch):
+    from eulerinv import qsym
+
+    binomial_of = qsym.binomial
+    # C(3, 2) is the closed form at n = 2 wherever m - 1 - des_B = 1
+    monkeypatch.setattr(qsym, "binomial", lambda a, b: binomial_of(a, b) + ((a, b) == (3, 2)))
+    report = verify_signed_spec_closed_form(2, 4)
+    assert [r.status for r in report] == ["pass"] * 9 + ["fail"] * 3
+    assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ("signed-spec-closed-form", (("n", 2), ("m", 2), ("w", "1 2")), "3", "4"),
+        ("signed-spec-closed-form", (("n", 2), ("m", 3), ("w", "1 -2")), "3", "4"),
+        ("signed-spec-closed-form", (("n", 2), ("m", 4), ("w", "-2 -1")), "3", "4"),
+    ]
+    passing = report.records[0]
+    assert (passing.params, passing.lhs, passing.rhs) == ((("n", 0), ("m", 1)), "chain-count", "binomial")
