@@ -221,8 +221,8 @@ def verify_proof_identity(n_max: int = 20) -> Report:
             )
             if lhs != rhs:
                 report.check("proof-identity", (("n", n), ("k", k)), False, lhs, rhs)
-            # zero-sum identities hold for every k; sign facts on the proof's range
-            facts_ok = facts_ok and sum(a) == 0 and sum(d) == 0
+            # the identity and the zero sums hold for every k; sign facts on the proof's range
+            facts_ok = facts_ok and lhs == rhs and sum(a) == 0 and sum(d) == 0
             if k <= n // 2:
                 facts_ok = facts_ok and min(a[0], a[0] + a[1], d[0], d[0] + d[1] + d[2]) >= 0
                 facts_ok = facts_ok and (k == 0 or d[0] + d[1] >= 0)

@@ -38,7 +38,7 @@ from .distributions import (
     signed_involution_eulerian_recurrence,
 )
 from .permutations import DEFAULT_BUDGET, BudgetExceededError, enumeration_budget
-from .reports import NOTE, CheckRecord, Params, Report, int_list
+from .reports import NOTE, Params, Report, int_list
 
 BUDGET_ENV_VAR = "EULERINV_BUDGET"
 
@@ -160,9 +160,10 @@ def _distribution(args) -> tuple[int, ...]:
 
 def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
     if structured:
-        print(CheckRecord(check, params, NOTE, int_list(row), "").structured(), file=out)
-    else:
-        print(" ".join(map(str, row)), file=out)
+        report = Report()
+        report.note(check, params, int_list(row), "")
+        return _emit(report, structured=True, out=out)
+    print(" ".join(map(str, row)), file=out)
     return 0
 
 

@@ -5,6 +5,8 @@ signed permutation additionally carries signs, the implicit symmetry being
 w(-a) = -w(a).  Involutions are generated constructively (fixed points with
 free signs, 2-cycles with a shared sign) rather than by filtering the full
 group: B_9 has about 1.9 * 10^11 elements but only 168,992 involutions.
+One walk serves both groups: the involutions of S_n are the involutions of
+B_n with no negative entry, and the S_n walk is that all-positive slice.
 
 Descent numbers are counted in one pass over the window, with no descent
 set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
@@ -145,49 +147,17 @@ def signed_involution_count(n: int) -> int:
     return b
 
 
-def enumerate_involutions(n: int) -> Iterator[Window]:
-    """Yield each involution of S_n once, in lexicographic window order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_budget(n, involution_count(n), "involutions of the symmetric group")
-    if n == 0:
-        yield ()
-        return
-    window = [0] * (n + 1)
-
-    # Sets w(p) for the smallest open position p; a choice that leaves no
-    # open position yields the window here instead of one frame deeper.
-    def fill(available: tuple[int, ...]) -> Iterator[Window]:
-        p = available[0]
-        rest = available[1:]
-        window[p] = p
-        if not rest:
-            yield tuple(window[1:])
-            return
-        yield from fill(rest)
-        leaf = len(rest) == 1
-        for idx, q in enumerate(rest):
-            window[p], window[q] = q, p
-            if leaf:
-                yield tuple(window[1:])
-            else:
-                yield from fill(rest[:idx] + rest[idx + 1 :])
-
-    yield from fill(tuple(range(1, n + 1)))
-
-
-def enumerate_signed_involutions(n: int) -> Iterator[Window]:
-    """Yield each involution of B_n once, in lexicographic window order.
+def _involution_walk(n: int, signed: bool) -> Iterator[Window]:
+    """Each involution of B_n (signed) or S_n once, in lexicographic window
+    order: the S_n walk is the B_n walk without its negative candidates.
 
     Fixed points take either sign; the two positions of a 2-cycle must agree
-    in sign for the square to be the identity.
+    in sign for the square to be the identity.  This returns the recursive
+    generator itself rather than wrapping it, so the public enumerators
+    delegate to it through no extra frame.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_budget(n, signed_involution_count(n), "involutions of the hyperoctahedral group")
     if n == 0:
-        yield ()
-        return
+        return iter(((),))
     window = [0] * (n + 1)
 
     # Sets w(p) for the smallest open position p; a choice that leaves no
@@ -196,23 +166,25 @@ def enumerate_signed_involutions(n: int) -> Iterator[Window]:
         p = available[0]
         rest = available[1:]
         if not rest:
-            window[p] = -p
-            yield tuple(window[1:])
+            if signed:
+                window[p] = -p
+                yield tuple(window[1:])
             window[p] = p
             yield tuple(window[1:])
             return
         leaf = len(rest) == 1
         # Candidates for w(p) ascending in the natural integer order:
-        # -q for q descending, then +p, then +q ascending.
-        for idx in range(len(rest) - 1, -1, -1):
-            q = rest[idx]
-            window[p], window[q] = -q, -p
-            if leaf:
-                yield tuple(window[1:])
-            else:
-                yield from fill(rest[:idx] + rest[idx + 1 :])
-        window[p] = -p
-        yield from fill(rest)
+        # -q for q descending and -p (B_n only), then +p, then +q ascending.
+        if signed:
+            for idx in range(len(rest) - 1, -1, -1):
+                q = rest[idx]
+                window[p], window[q] = -q, -p
+                if leaf:
+                    yield tuple(window[1:])
+                else:
+                    yield from fill(rest[:idx] + rest[idx + 1 :])
+            window[p] = -p
+            yield from fill(rest)
         window[p] = p
         yield from fill(rest)
         for idx, q in enumerate(rest):
@@ -222,7 +194,23 @@ def enumerate_signed_involutions(n: int) -> Iterator[Window]:
             else:
                 yield from fill(rest[:idx] + rest[idx + 1 :])
 
-    yield from fill(tuple(range(1, n + 1)))
+    return fill(tuple(range(1, n + 1)))
+
+
+def enumerate_involutions(n: int) -> Iterator[Window]:
+    """Yield each involution of S_n once, in lexicographic window order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_budget(n, involution_count(n), "involutions of the symmetric group")
+    yield from _involution_walk(n, signed=False)
+
+
+def enumerate_signed_involutions(n: int) -> Iterator[Window]:
+    """Yield each involution of B_n once, in lexicographic window order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_budget(n, signed_involution_count(n), "involutions of the hyperoctahedral group")
+    yield from _involution_walk(n, signed=True)
 
 
 def enumerate_group(n: int, signed: bool) -> Iterator[Window]:

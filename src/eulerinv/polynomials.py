@@ -7,6 +7,8 @@ check multiplies 20-digit integers).
 """
 from __future__ import annotations
 
+from math import comb
+
 
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b) for a >= 0, with C(a, b) = 0 outside 0 <= b <= a."""
@@ -14,11 +16,7 @@ def binomial(a: int, b: int) -> int:
         raise ValueError(f"binomial expects a nonnegative first argument, got {a}")
     if b < 0 or b > a:
         return 0
-    b = min(b, a - b)
-    result = 1
-    for i in range(1, b + 1):
-        result = result * (a - b + i) // i
-    return result
+    return comb(a, b)
 
 
 def multiset_count(symbols: int, size: int) -> int:

@@ -245,24 +245,25 @@ def test_proof_identity_fails_at_each_k_a_bumped_row_reaches(monkeypatch):
         return rows
 
     monkeypatch.setattr(checks, "signed_involution_recurrence_rows", bumped)
-    # row 5 enters the identity at n = 5, 6, 7; the sign facts do not read rows
-    facts = "status=pass\tlhs=identity and sign facts\trhs=k=0..{}"
+    # row 5 enters the identity at n = 5, 6, 7, so their per-n records fail too;
+    # the sign facts do not read rows
+    facts = "status={}\tlhs=identity and sign facts\trhs=k=0..{}"
     assert _structured(checks.verify_proof_identity(8)) == [
-        "check=proof-identity\tparams=n=3\t" + facts.format(6),
-        "check=proof-identity\tparams=n=4\t" + facts.format(7),
+        "check=proof-identity\tparams=n=3\t" + facts.format("pass", 6),
+        "check=proof-identity\tparams=n=4\t" + facts.format("pass", 7),
         "check=proof-identity\tparams=n=5,k=1\tstatus=fail\tlhs=140\trhs=135",
         "check=proof-identity\tparams=n=5,k=2\tstatus=fail\tlhs=490\trhs=495",
-        "check=proof-identity\tparams=n=5\t" + facts.format(8),
+        "check=proof-identity\tparams=n=5\t" + facts.format("fail", 8),
         "check=proof-identity\tparams=n=6,k=1\tstatus=fail\tlhs=252\trhs=255",
         "check=proof-identity\tparams=n=6,k=2\tstatus=fail\tlhs=1728\trhs=1734",
         "check=proof-identity\tparams=n=6,k=3\tstatus=fail\tlhs=1818\trhs=1809",
-        "check=proof-identity\tparams=n=6\t" + facts.format(9),
+        "check=proof-identity\tparams=n=6\t" + facts.format("fail", 9),
         "check=proof-identity\tparams=n=7,k=1\tstatus=fail\tlhs=427\trhs=437",
         "check=proof-identity\tparams=n=7,k=2\tstatus=fail\tlhs=4830\trhs=4848",
         "check=proof-identity\tparams=n=7,k=3\tstatus=fail\tlhs=11823\trhs=11841",
         "check=proof-identity\tparams=n=7,k=4\tstatus=fail\tlhs=0\trhs=-46",
-        "check=proof-identity\tparams=n=7\t" + facts.format(10),
-        "check=proof-identity\tparams=n=8\t" + facts.format(11),
+        "check=proof-identity\tparams=n=7\t" + facts.format("fail", 10),
+        "check=proof-identity\tparams=n=8\t" + facts.format("pass", 11),
         "check=proof-identity\tparams=k=0\tstatus=note\tlhs=D0+D1 = 2-2n at k=0"
         "\trhs=averaging lemma unused there; single-term positivity suffices",
     ]

@@ -151,10 +151,14 @@ def test_enumerate_involutions_counts():
         assert all(is_involution(w) for w in windows)
 
 
+def _strictly_increasing(windows):
+    return all(a < b for a, b in zip(windows, windows[1:]))
+
+
 def test_enumerate_involutions_lexicographic():
-    windows = list(enumerate_involutions(4))
-    assert windows == sorted(windows)
-    assert windows[0] == (1, 2, 3, 4)
+    for n in range(0, 9):
+        assert _strictly_increasing(list(enumerate_involutions(n))), n
+    assert next(enumerate_involutions(4)) == (1, 2, 3, 4)
 
 
 def test_enumerate_signed_involutions_counts():
@@ -172,8 +176,25 @@ def test_enumerate_signed_involutions_counts():
 
 
 def test_enumerate_signed_involutions_lexicographic():
-    windows = list(enumerate_signed_involutions(3))
-    assert windows == sorted(windows)
+    for n in range(0, 9):
+        assert _strictly_increasing(list(enumerate_signed_involutions(n))), n
+
+
+def test_involutions_are_the_all_positive_signed_involutions_in_order():
+    for n in range(0, 9):
+        positive = [w for w in enumerate_signed_involutions(n) if min(w, default=1) > 0]
+        assert list(enumerate_involutions(n)) == positive, n
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_involutions, enumerate_signed_involutions])
+def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
+    walk = enumerate_(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(walk)
+    with enumeration_budget(3):
+        walk = enumerate_(4)
+        with pytest.raises(BudgetExceededError, match="n=4"):
+            next(walk)
 
 
 def test_involutions_equal_their_inverses():
