@@ -83,19 +83,24 @@ def signed_descent_set(window: Window) -> SignedDescents:
     """Signed descent set (Des(w), epsilon) of a signed window.
 
     i is a descent when the signs step +,- , or when they agree and the
-    absolute values step down; a -,+ step is never a descent.
+    absolute values step down; a -,+ step is never a descent.  In one pass
+    over the window: before a positive entry that is w(i) > w(i+1), and
+    before a negative one it is w(i) > 0 or w(i) < w(i+1).
     """
-    n = len(window)
-    signs = tuple(1 if v > 0 else -1 for v in window)
     positions = []
-    for i in range(1, n):
-        a, b = window[i - 1], window[i]
-        sa, sb = signs[i - 1], signs[i]
-        if sa == 1 and sb == -1:
-            positions.append(i)
-        elif sa == sb and abs(a) > abs(b):
-            positions.append(i)
-    return tuple(positions), signs
+    signs = []
+    prev = 0  # a leading 0 is never a descent under either test
+    for i, v in enumerate(window):
+        if v > 0:
+            signs.append(1)
+            if prev > v:
+                positions.append(i)
+        else:
+            signs.append(-1)
+            if prev > 0 or prev < v:
+                positions.append(i)
+        prev = v
+    return tuple(positions), tuple(signs)
 
 
 def des_b(window: Window) -> int:

@@ -5,14 +5,21 @@ A specialization count is the number of weakly increasing index chains into
 additionally bans index 1 at negatively signed positions, which is exactly
 what substituting 0 for the first variable of the second alphabet does.
 
-Counts are computed by dynamic programming over chain positions.  The
-matching closed forms (single binomial coefficients) are deliberately NOT
-used here: they serve as the independent second route in the verification
-sweeps and the test suite.
+Counts are computed by dynamic programming over chain positions, each step
+one pass of itertools.accumulate prefix sums.  The matching closed forms
+(single binomial coefficients) are deliberately NOT used here: they serve
+as the independent second route in the verification sweeps and the test
+suite.
+
+A Schur specialization walks the standard tableaux of its shape once,
+counts how many have each descent set, and runs the dynamic program once
+per distinct set, weighted by that count.  Nothing is kept between calls.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection
+from itertools import accumulate
 
 from .permutations import SignedDescents, des_b, enumerate_group, signed_descent_set
 from .polynomials import binomial, expand_negative_binomial_product
@@ -36,22 +43,20 @@ def _count_chains(n: int, strict_after: Collection[int], minimums: tuple[int, ..
         return 1
     if m <= 0:
         return 0
-    # ways[v] = chains so far ending at value v (1-indexed into 1..m)
-    ways = [0] * (m + 1)
-    for v in range(minimums[0], m + 1):
-        ways[v] = 1
-    for j in range(2, n + 1):
-        strict = (j - 1) in strict_after
-        prefix = 0
-        new = [0] * (m + 1)
-        for v in range(1, m + 1):
-            if strict:
-                new[v] = prefix if v >= minimums[j - 1] else 0
-                prefix += ways[v]
-            else:
-                prefix += ways[v]
-                new[v] = prefix if v >= minimums[j - 1] else 0
-        ways = new
+    # ways[v - 1] = chains so far ending at value v, for v in 1..m; the next
+    # entry may repeat v or exceed it, or must exceed it after a strict step,
+    # so its ways are prefix sums of these, shifted one value up when strict
+    lo = minimums[0]
+    ways = [0] * (lo - 1) + [1] * (m + 1 - lo)
+    for j in range(1, n):
+        if j in strict_after:
+            ways = [0, *accumulate(ways)]
+            ways.pop()
+        else:
+            ways = list(accumulate(ways))
+        lo = minimums[j]
+        if lo > 1:
+            ways[: lo - 1] = [0] * (lo - 1)
     return sum(ways)
 
 
@@ -83,7 +88,8 @@ def schur_spec(shape: Shape, m: int) -> int:
     n = sum(shape)
     if m == 0:
         return 1 if n == 0 else 0
-    return sum(fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape))
+    walk = Counter(syt_descent_set(q) for q in enumerate_syt(shape))
+    return sum(count * fundamental_spec(n, des, m) for des, count in walk.items())
 
 
 def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:

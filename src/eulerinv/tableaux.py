@@ -5,20 +5,28 @@ larger row index.  A tableau is a tuple of row tuples; a bitableau is a
 (plus, minus) pair of tableaux whose entries partition 1..n.
 
 Standard tableaux are enumerated by growing the shape one entry at a time,
-which enforces standardness by construction.  Bitableaux are enumerated by
-choosing the entry set of the plus part and relabelling standard fillings
-of each part through the unique order isomorphism.
+which enforces standardness by construction: one iterative walk in a single
+generator frame keeps the row chosen for each entry on a stack and yields
+when entry n is placed.  Bitableaux are enumerated by choosing the entry set
+of the plus part and relabelling standard fillings of each part through the
+unique order isomorphism; each minus filling is relabelled once per entry
+set, not once per plus filling.  Every walk yields each object once, in the
+order of the plain recursive walks that tests/oracles.py keeps as references.
 
-Descent sets are read off the rows, in the formats of permutations.py: a
-descent set is an ascending tuple of entries i, and a signed descent set is
-the pair (positions, signs) with the sign of the part holding each entry.
-Nothing here calls the window-side descent functions, so the two sides of
-the bijection share only the type aliases.
+Descent sets are read off a list holding the row of each entry, in the
+formats of permutations.py: a descent set is an ascending tuple of entries
+i, and a signed descent set is the pair (positions, signs) with the sign of
+the part holding each entry.  On a bitableau the rows of the minus part are
+numbered after all of the plus part's, so a single comparison of neighbours
+tests each i and des_B is counted without building the set.  Nothing here
+calls the window-side descent functions, so the two sides of the bijection
+share only the type aliases.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, zip_longest
 from math import comb, factorial
+from operator import lt
 from typing import Iterator
 
 from .permutations import (
@@ -76,28 +84,44 @@ def _syt_count(shape: Shape) -> int:
 
 def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
     """Yield every standard Young tableau of the given shape; their count
-    f^shape is held to the budget."""
+    f^shape is held to the budget.
+
+    Entries 1..n are placed in turn, each in the top-most row that can take
+    it next, then in each lower one; the walk keeps the row chosen for each
+    entry on an explicit stack and yields when entry n is placed.
+    """
     validate_shape(shape)
     n = sum(shape)
     _check_budget(n, _syt_count(shape), f"standard Young tableaux of shape {shape}")
+    if n == 0:
+        yield ()
+        return
+    height = len(shape)
     rows: list[list[int]] = [[] for _ in shape]
-
-    def place(entry: int) -> Iterator[Tableau]:
-        if entry > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for r, row in enumerate(rows):
-            col = len(row)
-            if col >= shape[r]:
-                continue
+    chosen = [0] * (n + 1)  # chosen[e]: the row entry e went into
+    entry, r = 1, 0  # place entry in row r or a lower one
+    while True:
+        while r < height:
+            col = len(rows[r])
             # cells fill left to right, so only the column constraint remains
-            if r > 0 and len(rows[r - 1]) <= col:
+            if col < shape[r] and (r == 0 or len(rows[r - 1]) > col):
+                break
+            r += 1
+        if r < height:
+            rows[r].append(entry)
+            if entry < n:
+                chosen[entry] = r
+                entry, r = entry + 1, 0
                 continue
-            row.append(entry)
-            yield from place(entry + 1)
-            row.pop()
-
-    yield from place(1)
+            yield tuple(map(tuple, rows))
+        else:
+            # no row takes this entry: move the previous one a row lower
+            entry -= 1
+            if entry == 0:
+                return
+            r = chosen[entry]
+        rows[r].pop()
+        r += 1
 
 
 def enumerate_all_syt(n: int) -> Iterator[Tableau]:
@@ -108,31 +132,27 @@ def enumerate_all_syt(n: int) -> Iterator[Tableau]:
         yield from enumerate_syt(shape)
 
 
-def syt_row_of_entry(tableau: Tableau) -> dict[int, int]:
-    return {entry: r for r, row in enumerate(tableau) for entry in row}
-
-
 def syt_descent_set(tableau: Tableau) -> Descents:
     """Entries i whose successor i+1 sits in a strictly lower row, ascending."""
-    row_of = syt_row_of_entry(tableau)
-    n = len(row_of)
-    return tuple(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+    row_of = [0] * (sum(map(len, tableau)) + 1)  # row_of[e]: the row holding e
+    for r, row in enumerate(tableau[1:], 1):  # the first row keeps row 0
+        for entry in row:
+            row_of[entry] = r
+    return tuple(compress(range(1, len(row_of)), map(lt, row_of[1:], row_of[2:])))
 
 
 def syt_transpose(tableau: Tableau) -> Tableau:
     """The tableau whose rows are the columns of the input."""
-    if not tableau:
-        return ()
-    width = len(tableau[0])
-    out = []
-    for c in range(width):
-        out.append(tuple(row[c] for row in tableau if len(row) > c))
-    return tuple(out)
+    # zip_longest pads the short columns with None, which filter drops;
+    # entries are positive, so no entry is dropped with it
+    return tuple([tuple(filter(None, column)) for column in zip_longest(*tableau)])
 
 
 def _relabel(tableau: Tableau, entries: tuple[int, ...]) -> Tableau:
-    # entries sorted ascending; tableau entries are 1..k
-    return tuple(tuple(entries[v - 1] for v in row) for row in tableau)
+    # entries sorted ascending; tableau entries are 1..k, and the 0 in front
+    # puts entry v at index v
+    lookup = (0, *entries).__getitem__
+    return tuple([tuple(map(lookup, row)) for row in tableau])
 
 
 def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
@@ -156,10 +176,13 @@ def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
     for plus_entries in combinations(universe, k):
         taken = set(plus_entries)
         minus_entries = tuple(v for v in universe if v not in taken)
+        # each minus filling is relabelled once per split, then paired with
+        # every plus filling
+        minus_parts = [_relabel(m, minus_entries) for m in minus_fillings]
         for p in plus_fillings:
-            relabelled_plus = _relabel(p, plus_entries)
-            for m in minus_fillings:
-                yield relabelled_plus, _relabel(m, minus_entries)
+            plus_part = _relabel(p, plus_entries)
+            for minus_part in minus_parts:
+                yield plus_part, minus_part
 
 
 def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
@@ -170,38 +193,47 @@ def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
         yield from enumerate_syb(shape)
 
 
+def _levels(bitableau: Bitableau) -> list[int]:
+    """levels[e] for each entry e of a bitableau with n entries: its row in
+    the plus part, or n plus its row in the minus part.  Every minus level
+    lies above every plus level; levels[0] is 0."""
+    plus, minus = bitableau
+    n = sum(map(len, plus)) + sum(map(len, minus))
+    levels = [0] * (n + 1)
+    for r, row in enumerate(plus[1:], 1):  # the first row keeps level 0
+        for entry in row:
+            levels[entry] = r
+    for r, row in enumerate(minus, n):
+        for entry in row:
+            levels[entry] = r
+    return levels
+
+
 def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
     """Signed descent set of a bitableau.
 
     The sign of i is the sign of the part containing it; i is a descent when
     the signs step +,- , or when they agree and i+1 sits in a strictly lower
-    row of that shared part.
+    row of that shared part.  On levels that is one test, levels[i+1] >
+    levels[i]: a +,- step always climbs to the minus levels, and a -,+ step
+    never does.
     """
-    plus, minus = bitableau
-    row_of: dict[int, int] = {}
-    sign_of: dict[int, int] = {}
-    for part, sign in ((plus, 1), (minus, -1)):
-        for r, row in enumerate(part):
-            for entry in row:
-                row_of[entry] = r
-                sign_of[entry] = sign
-    n = len(row_of)
-    signs = tuple(sign_of[i] for i in range(1, n + 1))
-    positions = []
-    for i in range(1, n):
-        sa, sb = signs[i - 1], signs[i]
-        if sa == 1 and sb == -1:
-            positions.append(i)
-        elif sa == sb and row_of[i + 1] > row_of[i]:
-            positions.append(i)
-    return tuple(positions), signs
+    levels = _levels(bitableau)
+    n = len(levels) - 1
+    signs = tuple([1 if level < n else -1 for level in levels[1:]])
+    return tuple(compress(range(1, n), map(lt, levels[1:], levels[2:]))), signs
 
 
 def syb_des_b(bitableau: Bitableau) -> int:
     """Type-B descent number of a bitableau: |Des| plus one when the first
-    sign is negative."""
-    positions, signs = syb_signed_descent_set(bitableau)
-    return len(positions) + (1 if signs and signs[0] == -1 else 0)
+    sign is negative, counted in one pass over the levels.
+
+    levels[0] = 0 plays the leading 0 of a window.  Entry 1 is the corner of
+    its part, at level 0 when positive and at level n when negative, so the
+    step from levels[0] climbs exactly when the first sign is negative.
+    """
+    levels = _levels(bitableau)
+    return sum(map(lt, levels, levels[1:]))
 
 
 def syb_transpose(bitableau: Bitableau) -> Bitableau:

@@ -3,12 +3,14 @@
 Nothing here imports the library's computation paths for the quantities it
 checks: series are multiplied naively, chains and tableaux are enumerated by
 filtering, and descents are recounted straight from the defining total
-orders.  Slow and obviously correct is the point.
+orders.  Slow and obviously correct is the point.  The plain recursive
+tableau walks are kept here too, as references for the order in which the
+library's faster walks must yield.
 """
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def naive_truncated_product(factor_lists, order):
@@ -88,16 +90,14 @@ def inverse(window):
 
 
 def count_chains(n, strict_positions, minimums, m):
-    """Count chains 1 <= i_1 <= ... <= i_n <= m by full enumeration."""
+    """Count chains 1 <= i_1 <= ... <= i_n <= m by full enumeration of the
+    weakly increasing sequences, keeping those strict at each given position
+    j (i_j < i_{j+1}) and at least minimums[j-1] at each position j."""
     strict = set(strict_positions)
     total = 0
-    for chain in product(range(1, m + 1), repeat=n):
+    for chain in combinations_with_replacement(range(1, m + 1), n):
         ok = all(chain[j] >= minimums[j] for j in range(n))
-        for j in range(1, n):
-            if chain[j - 1] > chain[j] or (j in strict and chain[j - 1] == chain[j]):
-                ok = False
-                break
-        if ok:
+        if ok and all(chain[j - 1] < chain[j] for j in strict):
             total += 1
     return total
 
@@ -145,6 +145,73 @@ def standard_fillings_by_filtering(shape):
         if ok:
             out.append(tuple(rows))
     return out
+
+
+def standard_fillings_by_placing(shape):
+    """Standard tableaux of a shape in the order of the recursive walk:
+    entries 1..n placed in turn, each tried in every row from the top that
+    has room and lies under a longer row."""
+    n = sum(shape)
+    rows = [[] for _ in shape]
+
+    def place(entry):
+        if entry > n:
+            yield tuple(tuple(row) for row in rows)
+            return
+        for r, row in enumerate(rows):
+            col = len(row)
+            if col >= shape[r]:
+                continue
+            if r > 0 and len(rows[r - 1]) <= col:
+                continue
+            row.append(entry)
+            yield from place(entry + 1)
+            row.pop()
+
+    return list(place(1))
+
+
+def bitableaux_by_pairing(plus_shape, minus_shape):
+    """Standard bitableaux of shape (plus, minus) in the order of the pairing
+    walk: each entry set of the plus part ascending, then each plus filling,
+    then each minus filling, both relabelled afresh for every pair."""
+    k = sum(plus_shape)
+    n = k + sum(minus_shape)
+    plus_fillings = standard_fillings_by_placing(plus_shape)
+    minus_fillings = standard_fillings_by_placing(minus_shape)
+
+    def relabel(tableau, entries):
+        return tuple(tuple(entries[v - 1] for v in row) for row in tableau)
+
+    out = []
+    for plus_entries in combinations(range(1, n + 1), k):
+        minus_entries = tuple(v for v in range(1, n + 1) if v not in plus_entries)
+        for p in plus_fillings:
+            for q in minus_fillings:
+                out.append((relabel(p, plus_entries), relabel(q, minus_entries)))
+    return out
+
+
+def transpose_by_columns(tableau):
+    """The columns of a tableau, read top to bottom, as its rows."""
+    if not tableau:
+        return ()
+    return tuple(
+        tuple(row[c] for row in tableau if len(row) > c) for c in range(len(tableau[0]))
+    )
+
+
+def signed_descent_set_by_definition(window):
+    """(Des(w), signs): i is a descent when the signs step +,- , or when they
+    agree and the absolute values step down."""
+    signs = tuple(1 if v > 0 else -1 for v in window)
+    positions = tuple(
+        i
+        for i in range(1, len(window))
+        if (signs[i - 1], signs[i]) == (1, -1)
+        or (signs[i - 1] == signs[i] and abs(window[i - 1]) > abs(window[i]))
+    )
+    return positions, signs
 
 
 def tableau_shape(tableau):

@@ -27,6 +27,7 @@ from oracles import (
     colored_descent_count,
     inverse,
     is_involution,
+    signed_descent_set_by_definition,
     signed_group_by_sign_vectors,
     signed_telephone_number,
     telephone_number,
@@ -44,6 +45,12 @@ def test_signed_descent_set_examples():
     assert signed_descent_set((1, 2)) == ((), (1, 1))
     assert signed_descent_set((-1, 2)) == ((), (-1, 1))
     assert signed_descent_set((2, -1)) == ((1,), (1, -1))
+
+
+def test_signed_descent_set_matches_the_definition():
+    for n in range(0, 6):
+        for w in enumerate_group(n, signed=True):
+            assert signed_descent_set(w) == signed_descent_set_by_definition(w), w
 
 
 def _assert_well_formed(sdes, n, source):

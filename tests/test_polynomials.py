@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -29,12 +28,6 @@ def test_binomial_pascal_rule():
     for a in range(1, 65):
         for b in range(1, a + 1):
             assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
-
-
-def test_binomial_matches_math_comb():
-    for a in range(0, 40):
-        for b in range(0, a + 1):
-            assert binomial(a, b) == math.comb(a, b)
 
 
 def test_multiset_count():

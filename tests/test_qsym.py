@@ -1,8 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 from eulerinv.permutations import des_b, enumerate_group, signed_descent_set
 from eulerinv.polynomials import binomial
 from eulerinv.qsym import (
+    _count_chains,
     fundamental_spec,
     schur_spec,
     signed_fundamental_spec,
@@ -10,7 +11,7 @@ from eulerinv.qsym import (
     verify_signed_schur_spec,
     verify_signed_spec_closed_form,
 )
-from eulerinv.tableaux import partitions
+from eulerinv.tableaux import enumerate_syt, partitions, syt_descent_set
 from oracles import count_chains, count_ssyt
 
 
@@ -43,6 +44,20 @@ def test_signed_fundamental_spec_examples():
             )
     # the one-descent, trailing-minus window: only the chain (1, 2) survives
     assert signed_fundamental_spec(signed_descent_set((2, -1)), 2) == 1
+
+
+def test_count_chains_against_chain_enumeration():
+    # every strict set with the minimums the specializations use (1, and 2
+    # for a negative sign), and for small n every minimum up to m + 1
+    for n in range(0, 7):
+        for m in range(0, 6):
+            floors = range(1, m + 2) if n <= 3 else (1, 2)
+            for size in range(n):
+                for strict in combinations(range(1, n), size):
+                    for minimums in product(floors, repeat=n):
+                        assert _count_chains(n, strict, minimums, m) == count_chains(
+                            n, strict, minimums, m
+                        ), (n, strict, minimums, m)
 
 
 def test_signed_fundamental_spec_against_chain_enumeration():
@@ -78,6 +93,16 @@ def test_schur_spec_matches_ssyt_oracle():
         for shape in partitions(n):
             for m in range(0, 5):
                 assert schur_spec(shape, m) == count_ssyt(shape, m), (shape, m)
+
+
+def test_schur_spec_matches_the_per_tableau_sum():
+    for n in range(0, 9):
+        for shape in partitions(n):
+            for m in range(0, 6):
+                per_tableau = sum(
+                    fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape)
+                )
+                assert schur_spec(shape, m) == per_tableau, (shape, m)
 
 
 def test_specializations_weakly_increase_in_m():

@@ -27,11 +27,14 @@ from eulerinv.tableaux import (
     validate_shape,
 )
 from oracles import (
+    bitableaux_by_pairing,
     is_standard_tableau,
     signed_telephone_number,
     standard_fillings_by_filtering,
+    standard_fillings_by_placing,
     tableau_shape,
     telephone_number,
+    transpose_by_columns,
 )
 
 
@@ -67,6 +70,24 @@ def test_enumerate_syt_against_filtering_oracle():
             got = sorted(enumerate_syt(shape))
             assert got == sorted(standard_fillings_by_filtering(shape)), shape
             assert all(is_standard_tableau(q) and tableau_shape(q) == shape for q in got)
+
+
+def test_enumerate_syt_keeps_the_recursive_order():
+    for n in range(0, 9):
+        for shape in partitions(n):
+            assert list(enumerate_syt(shape)) == standard_fillings_by_placing(shape), shape
+
+
+def test_enumerate_syb_keeps_the_pairing_order():
+    for n in range(0, 7):
+        for plus, minus in bipartitions(n):
+            assert list(enumerate_syb((plus, minus))) == bitableaux_by_pairing(plus, minus)
+
+
+def test_syt_transpose_matches_the_column_reading():
+    for n in range(0, 9):
+        for q in enumerate_all_syt(n):
+            assert syt_transpose(q) == transpose_by_columns(q), q
 
 
 def test_syt_descent_set():
@@ -178,6 +199,13 @@ def test_syb_des_b_examples():
     for n in range(1, 6):
         column = tuple((i,) for i in range(1, n + 1))
         assert syb_des_b(((), column)) == n
+
+
+def test_syb_des_b_counts_the_signed_descent_set():
+    for n in range(0, 8):
+        for q in enumerate_all_syb(n):
+            positions, signs = syb_signed_descent_set(q)
+            assert syb_des_b(q) == len(positions) + (signs[:1] == (-1,)), q
 
 
 def test_syb_transpose_examples():
