@@ -7,6 +7,9 @@ free signs, 2-cycles with a shared sign) rather than by filtering the full
 group: B_9 has about 1.9 * 10^11 elements but only 168,992 involutions.
 One walk serves both groups: the involutions of S_n are the involutions of
 B_n with no negative entry, and the S_n walk is that all-positive slice.
+The walk is iterative and runs in a single generator frame, with an explicit
+stack of the choices still open on its path, so a window reaches the caller
+through no chain of nested generators.
 
 Descent numbers are counted in one pass over the window, with no descent
 set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
@@ -152,54 +155,67 @@ def signed_involution_count(n: int) -> int:
     return b
 
 
+#: One choice of the involution walk, (i, w(i), j, w(j), rest): set the
+#: entries at positions i and j, counted from 0, and leave the positions in
+#: rest open.
+_Step = tuple[int, int, int, int, tuple[int, ...]]
+
+
 def _involution_walk(n: int, signed: bool) -> Iterator[Window]:
     """Each involution of B_n (signed) or S_n once, in lexicographic window
     order: the S_n walk is the B_n walk without its negative candidates.
 
     Fixed points take either sign; the two positions of a 2-cycle must agree
-    in sign for the square to be the identity.  This returns the recursive
-    generator itself rather than wrapping it, so the public enumerators
-    delegate to it through no extra frame.
+    in sign for the square to be the identity.  The smallest open position
+    takes each candidate in turn, one _Step each; a fixed point is the step
+    with i = j, which writes its slot twice.  The walk keeps an explicit
+    stack of step iterators, one for each tuple of open positions on the
+    current path, and yields from this one frame.  The steps of each open
+    tuple are built once per call, and the last open position is set in
+    place rather than pushed.
     """
     if n == 0:
-        return iter(((),))
-    window = [0] * (n + 1)
+        yield ()
+        return
+    window = [0] * n  # 0-based: window[i] is w(i + 1)
+    memo: dict[tuple[int, ...], list[_Step]] = {}
 
-    # Sets w(p) for the smallest open position p; a choice that leaves no
-    # open position yields the window here instead of one frame deeper.
-    def fill(available: tuple[int, ...]) -> Iterator[Window]:
-        p = available[0]
-        rest = available[1:]
-        if not rest:
-            if signed:
-                window[p] = -p
-                yield tuple(window[1:])
-            window[p] = p
-            yield tuple(window[1:])
-            return
-        leaf = len(rest) == 1
-        # Candidates for w(p) ascending in the natural integer order:
-        # -q for q descending and -p (B_n only), then +p, then +q ascending.
+    def steps(open_: tuple[int, ...]) -> list[_Step]:
+        # Candidates for the entry at p ascending in the natural integer
+        # order, positions counted from 1 here: -q for q descending and -p
+        # (B_n only), then +p, then +q ascending.
+        p, rest = open_[0], open_[1:]
+        out = []
         if signed:
             for idx in range(len(rest) - 1, -1, -1):
                 q = rest[idx]
-                window[p], window[q] = -q, -p
-                if leaf:
-                    yield tuple(window[1:])
-                else:
-                    yield from fill(rest[:idx] + rest[idx + 1 :])
-            window[p] = -p
-            yield from fill(rest)
-        window[p] = p
-        yield from fill(rest)
+                out.append((p, -q - 1, q, -p - 1, rest[:idx] + rest[idx + 1 :]))
+            out.append((p, -p - 1, p, -p - 1, rest))
+        out.append((p, p + 1, p, p + 1, rest))
         for idx, q in enumerate(rest):
-            window[p], window[q] = q, p
-            if leaf:
-                yield tuple(window[1:])
-            else:
-                yield from fill(rest[:idx] + rest[idx + 1 :])
+            out.append((p, q + 1, q, p + 1, rest[:idx] + rest[idx + 1 :]))
+        return out
 
-    return fill(tuple(range(1, n + 1)))
+    stack = [iter(steps(tuple(range(n))))]
+    while stack:
+        for i, a, j, b, rest in stack[-1]:
+            window[i] = a
+            window[j] = b
+            if len(rest) > 1:
+                todo = memo.get(rest)
+                if todo is None:
+                    todo = memo[rest] = steps(rest)
+                stack.append(iter(todo))
+                break
+            if rest:  # one open position left: a fixed point
+                k = rest[0]
+                if signed:
+                    window[k] = -k - 1
+                    yield tuple(window)
+                window[k] = k + 1
+            yield tuple(window)
+        else:
+            stack.pop()
 
 
 def enumerate_involutions(n: int) -> Iterator[Window]:

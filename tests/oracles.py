@@ -4,8 +4,8 @@ Nothing here imports the library's computation paths for the quantities it
 checks: series are multiplied naively, chains and tableaux are enumerated by
 filtering, and descents are recounted straight from the defining total
 orders.  Slow and obviously correct is the point.  The plain recursive
-tableau walks are kept here too, as references for the order in which the
-library's faster walks must yield.
+involution and tableau walks are kept here too, as references for the order
+in which the library's faster walks must yield.
 """
 from __future__ import annotations
 
@@ -87,6 +87,36 @@ def inverse(window):
         else:
             out[-v - 1] = -i
     return tuple(out)
+
+
+def involutions_by_recursive_walk(n, signed):
+    """Involutions of B_n (signed) or S_n in the order of the recursive walk:
+    the smallest open position p takes each candidate w(p) in ascending
+    order, -q for q descending and -p (B_n only), then +p, then +q ascending,
+    and a 2-cycle (p q) gives its partner the same sign."""
+    window = [0] * (n + 1)
+    out = []
+
+    def fill(available):
+        if not available:
+            out.append(tuple(window[1:]))
+            return
+        p, rest = available[0], available[1:]
+        if signed:
+            for idx in range(len(rest) - 1, -1, -1):
+                q = rest[idx]
+                window[p], window[q] = -q, -p
+                fill(rest[:idx] + rest[idx + 1 :])
+            window[p] = -p
+            fill(rest)
+        window[p] = p
+        fill(rest)
+        for idx, q in enumerate(rest):
+            window[p], window[q] = q, p
+            fill(rest[:idx] + rest[idx + 1 :])
+
+    fill(tuple(range(1, n + 1)))
+    return out
 
 
 def count_chains(n, strict_positions, minimums, m):

@@ -1,5 +1,6 @@
 import threading
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -25,6 +26,7 @@ from eulerinv.tableaux import (
 )
 from oracles import (
     colored_descent_count,
+    involutions_by_recursive_walk,
     inverse,
     is_involution,
     signed_descent_set_by_definition,
@@ -117,6 +119,40 @@ def test_involution_enumerators_match_filtered_group():
         ):
             expected = sorted(w for w in enumerate_group(n, signed) if is_involution(w))
             assert list(enumerate_(n)) == expected, (n, signed)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_involution_enumerators_match_the_recursive_walk(n):
+    assert list(enumerate_involutions(n)) == involutions_by_recursive_walk(n, signed=False)
+    assert list(enumerate_signed_involutions(n)) == involutions_by_recursive_walk(n, signed=True)
+
+
+def test_interleaved_involution_walks_do_not_share_state():
+    starts = [
+        lambda: enumerate_signed_involutions(5),
+        lambda: enumerate_involutions(6),
+        lambda: enumerate_signed_involutions(4),
+        lambda: enumerate_signed_involutions(4),
+    ]
+    walks = [start() for start in starts]
+    seen: list[list] = [[] for _ in walks]
+    # the second copy of B_4 runs three windows ahead of the first
+    seen[3].extend(islice(walks[3], 3))
+    live = set(range(len(walks)))
+    while live:  # one window from each unfinished walk per round
+        for k in sorted(live):
+            w = next(walks[k], None)
+            if w is None:
+                live.discard(k)
+            else:
+                seen[k].append(w)
+    assert [len(windows) for windows in seen] == [
+        signed_involution_count(5),
+        involution_count(6),
+        signed_involution_count(4),
+        signed_involution_count(4),
+    ]
+    assert seen == [list(start()) for start in starts]
 
 
 def test_des_coxeter_examples():
