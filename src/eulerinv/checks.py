@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import islice, repeat
 from operator import mul, sub
 
 from . import reference
@@ -48,6 +49,8 @@ from .tableaux import (
 
 #: Seed for the randomized lemma check; fixed so runs are reproducible.
 DEFAULT_SEED = 271828
+#: Prefix sums and weights of a lemma instance are drawn from range(LEMMA_VALUE_BOUND).
+LEMMA_VALUE_BOUND = 13
 
 
 def verify_recurrence_route(n_max: int = 9) -> Report:
@@ -285,14 +288,27 @@ def _lemma_instances(trials: int, length_max: int, seed: int):
 
     Prefix sums are drawn nonnegative and differenced into a, so every
     instance meets the hypothesis; x is drawn and sorted decreasing.
+
+    Every draw comes straight from ``Random(seed).getrandbits`` by the rule
+    of ``Random._randbelow``: to draw below a bound, take as many bits as
+    the bound has and draw again while the value is not below it.  The
+    length is 1 plus a draw below length_max; each prefix value and weight
+    is a draw below LEMMA_VALUE_BOUND.  The value filter is lazy, so draws
+    are taken one at a time in stream order, and the instances equal those
+    of ``randint(1, length_max)`` and ``randint(0, LEMMA_VALUE_BOUND - 1)``.
     """
-    draw = random.Random(seed).randrange
-    length_stop = length_max + 1
+    getrandbits = random.Random(seed).getrandbits
+    length_bits = length_max.bit_length()
+    value_bits = LEMMA_VALUE_BOUND.bit_length()
+    values = filter(LEMMA_VALUE_BOUND.__gt__, map(getrandbits, repeat(value_bits)))
     for _ in range(trials):
-        length = draw(1, length_stop)
-        prefix = [draw(13) for _ in range(length)]
+        length = getrandbits(length_bits)
+        while length >= length_max:
+            length = getrandbits(length_bits)
+        length += 1
+        prefix = list(islice(values, length))
         a = [prefix[0], *map(sub, prefix[1:], prefix)]
-        x = sorted([draw(13) for _ in range(length)], reverse=True)
+        x = sorted(islice(values, length), reverse=True)
         yield a, x
 
 
@@ -311,6 +327,8 @@ def check_guo_zeng_lemma(
             "guo-zeng-lemma needs trials and length_max of at least 1, "
             f"got {trials} and {length_max}"
         )
+    if seed < 0:
+        raise ValueError(f"guo-zeng-lemma needs a nonnegative seed, got {seed}")
     instances = _lemma_instances(trials, length_max, seed)
     counterexample = next(((a, x) for a, x in instances if sum(map(mul, a, x)) < 0), None)
     report = Report()

@@ -331,8 +331,15 @@ def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
 
 @pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])
 def test_lemma_instances_match_randint_oracle(seed):
-    produced = list(checks._lemma_instances(2000, 8, seed))
-    assert produced == list(guo_zeng_instances_by_randint(2000, 8, seed))
+    # the lengths straddle the jumps in the bit width of the length draw
+    for length_max in (1, 2, 3, 7, 8, 9, 16, 40):
+        produced = list(checks._lemma_instances(2000, length_max, seed))
+        assert produced == list(guo_zeng_instances_by_randint(2000, length_max, seed)), length_max
+
+
+def test_lemma_instances_of_the_default_run_match_randint_oracle():
+    produced = list(checks._lemma_instances(10_000, 8, checks.DEFAULT_SEED))
+    assert produced == list(guo_zeng_instances_by_randint(10_000, 8, checks.DEFAULT_SEED))
 
 
 @pytest.mark.parametrize("trials, length_max", [(0, 8), (-3, 8), (10, 0)])

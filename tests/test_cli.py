@@ -302,3 +302,9 @@ def test_guo_zeng_lemma_without_trials_is_usage_error(capsys, flags):
     code, output = run_cli(["verify", "guo-zeng-lemma", *flags])
     assert code == 2 and output == ""
     assert "guo-zeng-lemma needs trials and length_max of at least 1" in capsys.readouterr().err
+
+
+def test_guo_zeng_lemma_with_negative_seed_is_usage_error(capsys):
+    code, output = run_cli(["verify", "guo-zeng-lemma", "--seed", "-5"])
+    assert code == 2 and output == ""
+    assert "guo-zeng-lemma needs a nonnegative seed, got -5" in capsys.readouterr().err
