@@ -14,7 +14,6 @@ from .distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    r_recurrence,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,

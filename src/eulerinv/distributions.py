@@ -2,8 +2,9 @@
 
 Builds the involution and whole-group Eulerian polynomials by direct
 enumeration, the type-B involution polynomial by its linear recurrence, the
-coefficient family r(n, m) of the expanded generating function by two
-routes, and the symmetry / unimodality / log-concavity / gamma machinery.
+coefficient family r(n, m) of the expanded generating function by its
+closed double-binomial sum, and the symmetry / unimodality / log-concavity /
+gamma machinery.
 
 Every polynomial is a plain tuple of integer coefficients, lowest degree
 first, with no trailing zeros: entry k of a distribution counts the
@@ -72,13 +73,6 @@ def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ..
     return _histogram_poly(map(stat, enumerate_group(n, signed)))
 
 
-def _exact_div(total: int, n: int, context: str) -> int:
-    q, r = divmod(total, n)
-    if r:
-        raise InexactDivisionError(f"{context}: {total} is not divisible by {n}")
-    return q
-
-
 def _recurrence_rows(n_max: int):
     """Yield type-B involution rows 0..n_max (none when n_max < 0) from the
     three-term linear recurrence, holding only the last two.
@@ -139,21 +133,6 @@ def r_closed(n: int, m: int) -> int:
         if left:
             total += left * binomial(2 * m + n - 2 * j, n - 2 * j)
     return total
-
-
-def r_recurrence(n: int, m: int) -> int:
-    """Same quantity by the two-term recurrence in n, seeded from the closed
-    form at n = 0, 1; every division by n must be exact."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if n <= 1:
-        return r_closed(n, m)
-    prev2 = r_closed(0, m)
-    prev = r_closed(1, m)
-    for size in range(2, n + 1):
-        total = (2 * m + 1) * prev + (2 * m * m + 2 * m + size - 1) * prev2
-        prev2, prev = prev, _exact_div(total, size, f"r-recurrence n={size}, m={m}")
-    return prev
 
 
 def is_symmetric(coeffs: tuple[int, ...], n: int) -> bool:

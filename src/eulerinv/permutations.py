@@ -23,7 +23,9 @@ side of the bijection builds the same formats by its own code.
 
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
-starts, at its first next().  The cap lives in a context variable: it is
+starts, at its first next().  The count is also where a negative n is
+rejected, so a walk over involutions or tableaux raises ValueError at its
+first next() too.  The cap lives in a context variable: it is
 DEFAULT_BUDGET unless an enclosing ``with enumeration_budget(cap):`` block
 has set it, so a caller sets it once and every walk below sees the same value.
 """
@@ -139,18 +141,20 @@ def des_coxeter(window: Window) -> int:
 
 def involution_count(n: int) -> int:
     """Number of involutions in S_n: T(n) = T(n-1) + (n-1) T(n-2)."""
-    a, b = 1, 1
-    for k in range(2, n + 1):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a, b = 0, 1  # T(-1) = 0 makes the step at k = 1 give T(1) = 1
+    for k in range(1, n + 1):
         a, b = b, b + (k - 1) * a
-    return b if n >= 1 else 1
+    return b
 
 
 def signed_involution_count(n: int) -> int:
     """Number of involutions in B_n: b(n) = 2 b(n-1) + 2(n-1) b(n-2)."""
-    a, b = 1, 2
-    if n == 0:
-        return 1
-    for k in range(2, n + 1):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a, b = 0, 1  # b(-1) = 0 makes the step at k = 1 give b(1) = 2
+    for k in range(1, n + 1):
         a, b = b, 2 * b + 2 * (k - 1) * a
     return b
 
@@ -220,16 +224,12 @@ def _involution_walk(n: int, signed: bool) -> Iterator[Window]:
 
 def enumerate_involutions(n: int) -> Iterator[Window]:
     """Yield each involution of S_n once, in lexicographic window order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     _check_budget(n, involution_count(n), "involutions of the symmetric group")
     yield from _involution_walk(n, signed=False)
 
 
 def enumerate_signed_involutions(n: int) -> Iterator[Window]:
     """Yield each involution of B_n once, in lexicographic window order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     _check_budget(n, signed_involution_count(n), "involutions of the hyperoctahedral group")
     yield from _involution_walk(n, signed=True)
 

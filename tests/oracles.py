@@ -282,6 +282,22 @@ def signed_telephone_number(n):
     return b
 
 
+def r_by_recurrence(n, m):
+    """r(n, m), the x^m coefficient of I_n^B(x) / (1-x)^(n+1), by the
+    two-term recurrence in n from r(0, m) = 1 and r(1, m) = 2m + 1; every
+    division by n must be exact."""
+    prev2, prev = 1, 2 * m + 1
+    if n == 0:
+        return prev2
+    for size in range(2, n + 1):
+        total = (2 * m + 1) * prev + (2 * m * m + 2 * m + size - 1) * prev2
+        quotient, remainder = divmod(total, size)
+        if remainder:
+            raise ArithmeticError(f"r-recurrence n={size}, m={m}: {total} is not divisible")
+        prev2, prev = prev, quotient
+    return prev
+
+
 def guo_zeng_counterexample_search(length_max=5, bound=3):
     """Exhaustively search small integer instances for a violation of the
     averaging lemma; returns the first violation or None."""

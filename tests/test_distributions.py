@@ -11,14 +11,18 @@ from eulerinv.distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    r_recurrence,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
 from eulerinv.polynomials import binomial, expand_negative_binomial_product
 from eulerinv.tableaux import enumerate_all_syb, syb_des_b
-from oracles import gamma_by_convolution, signed_telephone_number, telephone_number
+from oracles import (
+    gamma_by_convolution,
+    r_by_recurrence,
+    signed_telephone_number,
+    telephone_number,
+)
 
 INVOLUTION_ROWS = {
     1: (1,),
@@ -107,16 +111,16 @@ def test_r_closed_values():
 
 
 def test_r_recurrence_values():
-    assert r_recurrence(2, 1) == 7
-    assert r_recurrence(2, 0) == 1
-    assert r_recurrence(3, 1) == r_closed(3, 1)
+    assert r_by_recurrence(2, 1) == 7
+    assert r_by_recurrence(2, 0) == 1
+    assert r_by_recurrence(3, 1) == r_closed(3, 1)
 
 
 def test_r_three_routes_agree():
     for n in range(0, 21):
         for m in range(0, 7):
             closed = r_closed(n, m)
-            assert closed == r_recurrence(n, m)
+            assert closed == r_by_recurrence(n, m)
             series = expand_negative_binomial_product(2 * m + 1, m * m, n)
             assert closed == series[n]
 
@@ -140,14 +144,9 @@ def test_genfun_a_with_frozen_row_six():
 
 
 def test_inexact_division_aborts_loudly():
-    from eulerinv.distributions import InexactDivisionError, _exact_div
-
-    assert _exact_div(160, 4, "test") == 40
-    with pytest.raises(InexactDivisionError, match="not divisible"):
-        _exact_div(7, 3, "test")
-    # n up to 40 never trips it: every recurrence division is exact
+    # neither recurrence trips its abort here: every division is exact
     signed_involution_eulerian_recurrence(40)
-    assert r_recurrence(50, 6) == r_closed(50, 6)
+    assert r_by_recurrence(50, 6) == r_closed(50, 6)
 
 
 def test_is_symmetric():

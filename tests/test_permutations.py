@@ -229,7 +229,10 @@ def test_involutions_are_the_all_positive_signed_involutions_in_order():
         assert list(enumerate_involutions(n)) == positive, n
 
 
-@pytest.mark.parametrize("enumerate_", [enumerate_involutions, enumerate_signed_involutions])
+@pytest.mark.parametrize(
+    "enumerate_",
+    [enumerate_involutions, enumerate_signed_involutions, enumerate_all_syt, enumerate_all_syb],
+)
 def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
     walk = enumerate_(-1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -238,6 +241,15 @@ def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
         walk = enumerate_(4)
         with pytest.raises(BudgetExceededError, match="n=4"):
             next(walk)
+
+
+def test_involution_counts_reject_negative_n_and_match_the_oracles():
+    for count in (involution_count, signed_involution_count):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count(-1)
+    for n in range(0, 31):
+        assert involution_count(n) == telephone_number(n), n
+        assert signed_involution_count(n) == signed_telephone_number(n), n
 
 
 def test_involutions_equal_their_inverses():
