@@ -5,10 +5,10 @@ recurrences, generating functions and counterexamples."""
 from .distributions import (
     DES_B,
     DES_COXETER,
-    GammaVector,
     InexactDivisionError,
     first_log_concavity_failure,
     full_eulerian,
+    gamma_reconstruct,
     gamma_vector,
     involution_eulerian,
     is_symmetric,

@@ -18,8 +18,8 @@ from . import reference
 from .distributions import (
     DES_B,
     DES_COXETER,
-    GammaVector,
     first_log_concavity_failure,
+    gamma_reconstruct,
     gamma_vector,
     involution_eulerian,
     is_symmetric,
@@ -369,37 +369,6 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
     return report
 
 
-def _sign_phrase(gv: GammaVector) -> str:
-    return "all nonnegative" if gv.is_nonnegative else "NEGATIVE ENTRY"
-
-
-def gamma_positivity_report(n_max: int = 30, unsigned_n_max: int = 10) -> Report:
-    """Gamma vectors of both involution polynomial families.
-
-    The type-B side runs on the recurrence, so it reaches large n cheaply;
-    rows n <= 6 must reproduce the published expansions exactly.  The
-    symmetric-group side needs enumeration and is capped separately.
-    Positivity beyond the published range is conjectural, so sign findings
-    are notes, not assertions.
-    """
-    report = Report()
-    rows = signed_involution_recurrence_rows(n_max)
-    for n in range(1, n_max + 1):
-        gv = gamma_vector(rows[n], n)
-        if n in reference.GAMMA_ROWS_B:
-            report.compare(
-                "gamma-signed",
-                (("n", n),),
-                int_list(gv.gammas),
-                int_list(reference.GAMMA_ROWS_B[n]),
-            )
-        report.note("gamma-signed-signs", (("n", n),), int_list(gv.gammas), _sign_phrase(gv))
-    for n in range(1, min(n_max, unsigned_n_max) + 1):
-        gv = gamma_vector(involution_eulerian(n), n - 1)
-        report.note("gamma-unsigned-signs", (("n", n),), int_list(gv.gammas), _sign_phrase(gv))
-    return report
-
-
 def reference_table_report() -> Report:
     """Recompute every published reference row and compare.
 
@@ -415,7 +384,7 @@ def reference_table_report() -> Report:
         if n != 6:
             report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
             continue
-        gamma_row = GammaVector(6, reference.GAMMA_ROWS_B[6]).reconstruct()
+        gamma_row = gamma_reconstruct(reference.GAMMA_ROWS_B[6], 6)
         report.compare(
             "table-b-gamma-expansion",
             (("n", n),),
@@ -431,8 +400,8 @@ def reference_table_report() -> Report:
                 f"enumeration gives {int_list(computed)}",
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
-        gv = gamma_vector(signed_involution_eulerian(n), n)
-        report.compare("table-gamma-b", (("n", n),), int_list(gv.gammas), int_list(expected))
+        gammas = gamma_vector(signed_involution_eulerian(n), n)
+        report.compare("table-gamma-b", (("n", n),), int_list(gammas), int_list(expected))
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):
         row = rows[n]

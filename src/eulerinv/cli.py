@@ -185,8 +185,8 @@ def _run_gamma(args, structured, out) -> int:
             )
         row = involution_eulerian(args.n)
         center_doubled = args.n - 1
-    gv = gamma_vector(row, center_doubled)
-    return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gv.gammas, structured, out)
+    gammas = gamma_vector(row, center_doubled)
+    return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gammas, structured, out)
 
 
 def _verify_report(args) -> Report:

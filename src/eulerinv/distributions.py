@@ -14,14 +14,16 @@ The recurrence divides by n at every step; the division is exact when the
 coefficients are right, so a nonzero remainder aborts loudly instead of
 being rounded away.  One run of it yields every row up to n_max
 (signed_involution_recurrence_rows), so a sweep over n computes each row
-once; a caller that wants row n alone keeps no earlier row.  Gamma
-extraction and reconstruction work with the binomial coefficients of
-(1+x)^e directly and multiply no polynomials.
+once; a caller that wants row n alone keeps no earlier row.
+
+A gamma vector is a plain tuple too: gamma_vector(coeffs, n) extracts it and
+gamma_reconstruct(gammas, n) rebuilds the coefficients from it, n being twice
+the center of symmetry.  Both work with the binomial coefficients of (1+x)^e
+directly and multiply no polynomials.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from math import comb
 
 from .permutations import (
@@ -163,39 +165,9 @@ def first_log_concavity_failure(values) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    """Expansion of a symmetric polynomial in the basis x^i (1+x)^(n-2i),
-    where n is twice the center of symmetry."""
-
-    center_doubled: int
-    gammas: tuple[int, ...]
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(g >= 0 for g in self.gammas)
-
-    def reconstruct(self) -> tuple[int, ...]:
-        n = self.center_doubled
-        if 2 * (len(self.gammas) - 1) > n:
-            raise ValueError(
-                f"{len(self.gammas)} gamma entries need a doubled center of at least "
-                f"{2 * (len(self.gammas) - 1)}, got {n}"
-            )
-        # only the first nonzero gamma_i reaches degree n - i, so the tuple
-        # ends there with a nonzero coefficient
-        top = next((n - i for i, g in enumerate(self.gammas) if g), -1)
-        coeffs = [0] * (top + 1)
-        for i, g in enumerate(self.gammas):
-            if g:
-                e = n - 2 * i
-                for j in range(e + 1):
-                    coeffs[i + j] += g * comb(e, j)
-        return tuple(coeffs)
-
-
-def gamma_vector(coeffs: tuple[int, ...], n: int) -> GammaVector:
-    """Extract the gamma expansion of a polynomial symmetric with center n/2.
+def gamma_vector(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Extract the gamma expansion of a polynomial symmetric with center n/2:
+    the tuple of gamma_i with coeffs = sum_i gamma_i x^i (1+x)^(n-2i).
 
     Works from the bottom coefficient up: gamma_i is whatever coefficient of
     x^i the previous subtractions left behind.  Entries may be negative;
@@ -215,4 +187,24 @@ def gamma_vector(coeffs: tuple[int, ...], n: int) -> GammaVector:
                 residual[i + j] -= g * comb(e, j)
     if any(residual):
         raise ValueError("gamma extraction left a nonzero residual")
-    return GammaVector(n, tuple(gammas))
+    return tuple(gammas)
+
+
+def gamma_reconstruct(gammas: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Rebuild sum_i gammas[i] x^i (1+x)^(n-2i), where n is twice the center
+    of symmetry; the result has no trailing zero."""
+    if 2 * (len(gammas) - 1) > n:
+        raise ValueError(
+            f"{len(gammas)} gamma entries need a doubled center of at least "
+            f"{2 * (len(gammas) - 1)}, got {n}"
+        )
+    # only the first nonzero gamma_i reaches degree n - i, so the tuple
+    # ends there with a nonzero coefficient
+    top = next((n - i for i, g in enumerate(gammas) if g), -1)
+    coeffs = [0] * (top + 1)
+    for i, g in enumerate(gammas):
+        if g:
+            e = n - 2 * i
+            for j in range(e + 1):
+                coeffs[i + j] += g * comb(e, j)
+    return tuple(coeffs)

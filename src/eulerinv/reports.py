@@ -82,9 +82,6 @@ class Report:
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if r.status == FAIL]
 
-    def notes(self) -> list[CheckRecord]:
-        return [r for r in self.records if r.status == NOTE]
-
     def lines(self, structured: bool = True) -> Iterator[str]:
         for r in self.records:
             yield r.structured() if structured else r.plain()

@@ -18,6 +18,7 @@ from eulerinv.distributions import (
     r_closed,
     signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
+    signed_involution_recurrence_rows,
 )
 from eulerinv.permutations import (
     des_b,
@@ -77,7 +78,7 @@ def test_criterion_02_row_six_reconciliation():
     assert row == (1, 43, 331, 634, 331, 43, 1)
     report = checks.reference_table_report()
     assert report.ok
-    flags = [r for r in report.notes() if r.check == "table-b-print-discrepancy"]
+    flags = [r for r in report if r.check == "table-b-print-discrepancy"]
     assert len(flags) == 1 and "632" in flags[0].lhs
     passed(2, "n=6 row sums to 1384, matches gamma expansion, 632 flagged")
 
@@ -161,13 +162,11 @@ def test_criterion_10_counterexample_89():
 def test_criterion_11_gamma_table_and_signs():
     for n, expected in GAMMA_B.items():
         poly = signed_involution_eulerian(n)
-        assert gamma_vector(poly, n).gammas == expected, n
-    report = checks.gamma_positivity_report(30, unsigned_n_max=8)
-    assert report.ok
-    signed_notes = [r for r in report.notes() if r.check == "gamma-signed-signs"]
-    assert len(signed_notes) == 30
-    assert all(r.rhs == "all nonnegative" for r in signed_notes)
-    passed(11, "gamma rows match for n<=6; entries reported nonnegative to n=30")
+        assert gamma_vector(poly, n) == expected, n
+    rows = signed_involution_recurrence_rows(30)
+    for n in range(1, 31):
+        assert min(gamma_vector(rows[n], n)) >= 0, n
+    passed(11, "gamma rows match for n<=6; entries nonnegative to n=30")
 
 
 def test_criterion_12_descent_statistic_agreement():
@@ -177,6 +176,6 @@ def test_criterion_12_descent_statistic_agreement():
         assert colored == coxeter, n
     report = checks.check_des_statistic_conjecture(7)
     assert report.ok
-    reported = {r.params[0][1] for r in report.notes()}
+    reported = {r.params[0][1] for r in report if r.status == "note"}
     assert reported == {6, 7}
     passed(12, "statistics agree for n<=5 (hard); n=6,7 reported")

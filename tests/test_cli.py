@@ -1,9 +1,12 @@
 import hashlib
+import inspect
 import io
 
 import pytest
 
+from eulerinv import checks, qsym
 from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, main
+from eulerinv.reports import Report
 
 # SHA-256 of stdout at default arguments, taken before the verify registry
 # replaced a per-target table of defaults; a changed byte in any record shows here.
@@ -132,6 +135,20 @@ def test_every_verify_target_passes_at_defaults():
             assert code == 0, argv
             digests[f"{' '.join(argv)} {fmt}"] = hashlib.sha256(output.encode()).hexdigest()
     assert digests == DEFAULT_OUTPUT_SHA256
+
+
+def test_every_report_function_is_reached_by_a_command():
+    # a public sweep that returns a Report but no command runs checks nothing a user sees
+    sweeps = {
+        function
+        for module in (checks, qsym)
+        for name, function in inspect.getmembers(module, inspect.isfunction)
+        if not name.startswith("_")
+        and function.__module__ == module.__name__
+        and inspect.signature(function, eval_str=True).return_annotation is Report
+    }
+    commands = {checks.verify_counterexample_89, checks.reference_table_report}
+    assert sweeps == set(SWEEPS.values()) | commands
 
 
 @pytest.mark.parametrize(
