@@ -6,7 +6,6 @@ from .distributions import (
     DES_B,
     DES_COXETER,
     InexactDivisionError,
-    first_log_concavity_failure,
     full_eulerian,
     gamma_reconstruct,
     gamma_vector,
@@ -30,11 +29,11 @@ from .permutations import (
     enumeration_budget,
     involution_count,
     signed_descent_set,
-    signed_involution_count,
 )
 from .polynomials import (
     binomial,
     expand_negative_binomial_product,
+    negative_binomial_coefficient,
     poly_multiply,
 )
 from .qsym import (

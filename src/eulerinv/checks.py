@@ -18,7 +18,6 @@ from . import reference
 from .distributions import (
     DES_B,
     DES_COXETER,
-    first_log_concavity_failure,
     gamma_reconstruct,
     gamma_vector,
     involution_eulerian,
@@ -85,8 +84,8 @@ def verify_genfun_a(n_max: int = 8, m_max: int = 6) -> Report:
 
 def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     """Coefficient extraction of the hyperoctahedral generating identity:
-    the x^k coefficient of I_n^B(x)/(1-x)^(n+1) must equal the closed
-    double-binomial sum r(n, k)."""
+    the x^k coefficient of I_n^B(x)/(1-x)^(n+1) must equal r(n, k), the t^n
+    coefficient of (1-t)^-(2k+1) (1-t^2)^-(k^2)."""
     report = Report()
     for n in range(n_max + 1):
         row = signed_involution_eulerian(n)
@@ -242,14 +241,19 @@ def verify_proof_identity(n_max: int = 20) -> Report:
 
 
 def r_log_concavity_failure(n: int) -> int | None:
-    """First k >= 2 with r(n, k)^2 < r(n, k-1) r(n, k+1), scanning
-    (r(n, k))_{k>=1}, or None.
+    """First k in 2..n-1 with r(n, k)^2 < r(n, k-1) r(n, k+1), or None.
 
-    The scan starts at k = 1 because r(n, 0) = 1 makes index 1 fail for
-    every n >= 47, which says nothing about the sequence.
+    The scan reads r(n, k) from k = 1 on, each value once, because
+    r(n, 0) = 1 makes k = 1 fail for every n >= 47, which says nothing
+    about the sequence.
     """
-    failure = first_log_concavity_failure([r_closed(n, k) for k in range(1, n + 1)])
-    return None if failure is None else failure + 1
+    before, here = r_closed(n, 1), r_closed(n, 2)
+    for k in range(2, n):
+        after = r_closed(n, k + 1)
+        if here * here < before * after:
+            return k
+        before, here = here, after
+    return None
 
 
 def verify_counterexample_89(convolution_n_max: int = 8) -> Report:

@@ -2,9 +2,9 @@
 
 Builds the involution and whole-group Eulerian polynomials by direct
 enumeration, the type-B involution polynomial by its linear recurrence, the
-coefficient family r(n, m) of the expanded generating function by its
-closed double-binomial sum, and the symmetry / unimodality / log-concavity /
-gamma machinery.
+coefficient family r(n, m) of the expanded generating function as a
+coefficient of the product series in polynomials, and the symmetry /
+unimodality / gamma machinery.
 
 Every polynomial is a plain tuple of integer coefficients, lowest degree
 first, with no trailing zeros: entry k of a distribution counts the
@@ -33,7 +33,7 @@ from .permutations import (
     enumerate_involutions,
     enumerate_signed_involutions,
 )
-from .polynomials import binomial
+from .polynomials import negative_binomial_coefficient
 
 DES_B = "desB"
 DES_COXETER = "desCoxeter"
@@ -71,7 +71,7 @@ def signed_involution_eulerian(n: int, statistic: str = DES_B) -> tuple[int, ...
 
 def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:
     """Distribution over the whole group S_n or B_n."""
-    stat = _statistic(statistic) if signed else des_coxeter
+    stat = _statistic(statistic)
     return _histogram_poly(map(stat, enumerate_group(n, signed)))
 
 
@@ -126,15 +126,11 @@ def signed_involution_eulerian_recurrence(n: int) -> tuple[int, ...]:
 
 def r_closed(n: int, m: int) -> int:
     """The x^m coefficient of the B-involution polynomial divided by
-    (1-x)^(n+1), as the closed double-binomial sum."""
+    (1-x)^(n+1): the t^n coefficient of (1-t)^-(2m+1) (1-t^2)^-(m^2), since
+    sum_n r(n, m) t^n is that product."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    total = 0
-    for j in range(n // 2 + 1):
-        left = 1 if j == 0 else binomial(m * m + j - 1, j)
-        if left:
-            total += left * binomial(2 * m + n - 2 * j, n - 2 * j)
-    return total
+    return negative_binomial_coefficient(2 * m + 1, m * m, n)
 
 
 def is_symmetric(coeffs: tuple[int, ...], n: int) -> bool:
@@ -154,15 +150,6 @@ def is_unimodal(coeffs: tuple[int, ...]) -> bool:
     while i + 1 < len(coeffs) and coeffs[i] >= coeffs[i + 1]:
         i += 1
     return i + 1 >= len(coeffs)
-
-
-def first_log_concavity_failure(values) -> int | None:
-    """First interior index where a_i^2 < a_{i-1} a_{i+1}, or None."""
-    values = list(values)
-    for i in range(1, len(values) - 1):
-        if values[i] ** 2 < values[i - 1] * values[i + 1]:
-            return i
-    return None
 
 
 def gamma_vector(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:

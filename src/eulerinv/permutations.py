@@ -139,23 +139,15 @@ def des_coxeter(window: Window) -> int:
     return count
 
 
-def involution_count(n: int) -> int:
-    """Number of involutions in S_n: T(n) = T(n-1) + (n-1) T(n-2)."""
+def involution_count(n: int, signed: bool = False) -> int:
+    """Number of involutions in B_n (signed) or S_n:
+    c(n) = f (c(n-1) + (n-1) c(n-2)), with f = 2 for B_n and 1 for S_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a, b = 0, 1  # T(-1) = 0 makes the step at k = 1 give T(1) = 1
+    factor = 2 if signed else 1
+    a, b = 0, 1  # c(-1) = 0 makes the step at k = 1 give c(1) = f
     for k in range(1, n + 1):
-        a, b = b, b + (k - 1) * a
-    return b
-
-
-def signed_involution_count(n: int) -> int:
-    """Number of involutions in B_n: b(n) = 2 b(n-1) + 2(n-1) b(n-2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a, b = 0, 1  # b(-1) = 0 makes the step at k = 1 give b(1) = 2
-    for k in range(1, n + 1):
-        a, b = b, 2 * b + 2 * (k - 1) * a
+        a, b = b, factor * (b + (k - 1) * a)
     return b
 
 
@@ -230,7 +222,7 @@ def enumerate_involutions(n: int) -> Iterator[Window]:
 
 def enumerate_signed_involutions(n: int) -> Iterator[Window]:
     """Yield each involution of B_n once, in lexicographic window order."""
-    _check_budget(n, signed_involution_count(n), "involutions of the hyperoctahedral group")
+    _check_budget(n, involution_count(n, signed=True), "involutions of the hyperoctahedral group")
     yield from _involution_walk(n, signed=True)
 
 

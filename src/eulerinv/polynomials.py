@@ -1,4 +1,9 @@
-"""Binomial coefficients, one power-series expansion and one convolution.
+"""Binomial coefficients, one product series and one convolution.
+
+The product series is (1-t)^(-a) (1-t^2)^(-b): negative_binomial_coefficient
+gives one of its coefficients and expand_negative_binomial_product the first
+several.  The type-A generating function and the r-values r(n, m) of type B
+are both coefficients of it.
 
 A polynomial is a plain tuple of integer coefficients, lowest degree first.
 Everything here is plain-Python arbitrary-precision arithmetic: no floats
@@ -43,20 +48,24 @@ def poly_multiply(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def expand_negative_binomial_product(a: int, b: int, order: int) -> tuple[int, ...]:
-    """Coefficients of (1-t)^(-a) * (1-t^2)^(-b) through t^order; index n holds t^n.
+def negative_binomial_coefficient(a: int, b: int, n: int) -> int:
+    """The t^n coefficient of (1-t)^(-a) * (1-t^2)^(-b), for a, b >= 0.
 
-    The t^n coefficient is the double-count sum_j multiset(b, j) * multiset(a, n-2j):
-    pick j factors of t^2, fill the rest with ordinary t's.
+    It is the double count sum_j multiset(b, j) * multiset(a, n-2j): pick j
+    factors of t^2, fill the rest with ordinary t's.
     """
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
-    coeffs = []
-    for n in range(order + 1):
-        total = 0
-        for j in range(n // 2 + 1):
-            left = multiset_count(b, j)
-            if left:
-                total += left * multiset_count(a, n - 2 * j)
-        coeffs.append(total)
-    return tuple(coeffs)
+    total = 0
+    for j in range(n // 2 + 1):
+        left = multiset_count(b, j)
+        if left:
+            total += left * multiset_count(a, n - 2 * j)
+    return total
+
+
+def expand_negative_binomial_product(a: int, b: int, order: int) -> tuple[int, ...]:
+    """Coefficients of (1-t)^(-a) * (1-t^2)^(-b) through t^order; index n holds t^n."""
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be nonnegative")
+    return tuple(negative_binomial_coefficient(a, b, n) for n in range(order + 1))

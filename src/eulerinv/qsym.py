@@ -64,9 +64,12 @@ def fundamental_spec(n: int, strict_positions: Collection[int], m: int) -> int:
     """Specialize the fundamental quasisymmetric function indexed by a subset
     of 1..n-1 at m variables set to one: the count of weakly increasing
     chains into 1..m, strict where prescribed."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _count_chains(n, frozenset(strict_positions), (1,) * n, m)
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    strict = frozenset(strict_positions)
+    if strict and (min(strict) < 1 or max(strict) >= n):
+        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {sorted(strict)}")
+    return _count_chains(n, strict, (1,) * n, m)
 
 
 def signed_fundamental_spec(sdes: SignedDescents, m: int) -> int:

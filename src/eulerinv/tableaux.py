@@ -34,7 +34,6 @@ from .permutations import (
     SignedDescents,
     _check_budget,
     involution_count,
-    signed_involution_count,
 )
 
 Shape = tuple[int, ...]
@@ -188,7 +187,7 @@ def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
 def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
     """All standard Young bitableaux with n entries, over every bipartition;
     there are as many as involutions of B_n, and that count is held to the budget."""
-    _check_budget(n, signed_involution_count(n), "standard Young bitableaux")
+    _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
     for shape in bipartitions(n):
         yield from enumerate_syb(shape)
 

@@ -16,7 +16,6 @@ from eulerinv.permutations import (
     enumeration_budget,
     involution_count,
     signed_descent_set,
-    signed_involution_count,
 )
 from eulerinv.tableaux import (
     enumerate_all_syb,
@@ -147,10 +146,10 @@ def test_interleaved_involution_walks_do_not_share_state():
             else:
                 seen[k].append(w)
     assert [len(windows) for windows in seen] == [
-        signed_involution_count(5),
+        involution_count(5, signed=True),
         involution_count(6),
-        signed_involution_count(4),
-        signed_involution_count(4),
+        involution_count(4, signed=True),
+        involution_count(4, signed=True),
     ]
     assert seen == [list(start()) for start in starts]
 
@@ -244,12 +243,12 @@ def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
 
 
 def test_involution_counts_reject_negative_n_and_match_the_oracles():
-    for count in (involution_count, signed_involution_count):
+    for signed in (False, True):
         with pytest.raises(ValueError, match="nonnegative"):
-            count(-1)
+            involution_count(-1, signed=signed)
     for n in range(0, 31):
         assert involution_count(n) == telephone_number(n), n
-        assert signed_involution_count(n) == signed_telephone_number(n), n
+        assert involution_count(n, signed=True) == signed_telephone_number(n), n
 
 
 def test_involutions_equal_their_inverses():
@@ -321,5 +320,5 @@ def test_a_new_thread_starts_at_the_default_cap():
 
 def test_counting_recurrences():
     assert [involution_count(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
-    assert [signed_involution_count(n) for n in range(7)] == [1, 2, 6, 20, 76, 312, 1384]
-    assert signed_involution_count(9) == 168_992
+    assert [involution_count(n, signed=True) for n in range(7)] == [1, 2, 6, 20, 76, 312, 1384]
+    assert involution_count(9, signed=True) == 168_992

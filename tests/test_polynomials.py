@@ -6,6 +6,7 @@ from eulerinv.polynomials import (
     binomial,
     expand_negative_binomial_product,
     multiset_count,
+    negative_binomial_coefficient,
     poly_multiply,
 )
 from oracles import geometric, geometric_squares, naive_truncated_product
@@ -62,6 +63,9 @@ def test_expand_examples():
     assert expand_negative_binomial_product(3, 1, 2) == (1, 3, 7)
     assert expand_negative_binomial_product(1, 0, 3) == (1, 1, 1, 1)
     assert expand_negative_binomial_product(0, 0, 2) == (1, 0, 0)
+    assert negative_binomial_coefficient(3, 1, 2) == 7
+    with pytest.raises(ValueError, match="nonnegative"):
+        negative_binomial_coefficient(-1, 0, 2)
 
 
 def test_expand_against_naive_product_oracle():

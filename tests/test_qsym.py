@@ -1,5 +1,7 @@
 from itertools import combinations, product
 
+import pytest
+
 from eulerinv.permutations import des_b, enumerate_group, signed_descent_set
 from eulerinv.polynomials import binomial
 from eulerinv.qsym import (
@@ -21,6 +23,14 @@ def test_fundamental_spec_examples():
     assert fundamental_spec(3, (), 1) == 1
     assert fundamental_spec(0, (), 5) == 1
     assert fundamental_spec(2, (), 0) == 0
+
+
+@pytest.mark.parametrize(
+    "n, strict, m", [(-1, (), 3), (2, {5}, 3), (2, {0}, 3), (2, {2}, 3), (0, {1}, 2)]
+)
+def test_fundamental_spec_rejects_bad_input(n, strict, m):
+    with pytest.raises(ValueError):
+        fundamental_spec(n, strict, m)
 
 
 def test_fundamental_spec_closed_form():
