@@ -13,12 +13,20 @@ suite.
 
 A Schur specialization walks the standard tableaux of its shape once,
 counts how many have each descent set, and runs the dynamic program once
-per distinct set, weighted by that count.  Nothing is kept between calls.
+per distinct set, weighted by that count.
+
+The dynamic program is memoized for the life of the process.  Its key is
+(n, strict positions as an ascending tuple, minimums, m): both entry points
+check their input and then pass the positions in that one form, so {1},
+(1,) and [1] share an entry.  The memo stays small because a key is a
+descent set, not an object: at most 2^(n-1) strict sets per (n, m) for
+unsigned input, and 2^(n-1) * 2^n for signed input.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection
+from functools import cache
 from itertools import accumulate
 
 from .permutations import SignedDescents, des_b, enumerate_group, signed_descent_set
@@ -36,7 +44,8 @@ from .tableaux import (
 )
 
 
-def _count_chains(n: int, strict_after: Collection[int], minimums: tuple[int, ...], m: int) -> int:
+@cache
+def _count_chains(n: int, strict_after: tuple[int, ...], minimums: tuple[int, ...], m: int) -> int:
     """Chains 1 <= i_1 <= ... <= i_n <= m with i_j < i_{j+1} for j in
     strict_after and i_j >= minimums[j-1] throughout."""
     if n == 0:
@@ -60,16 +69,22 @@ def _count_chains(n: int, strict_after: Collection[int], minimums: tuple[int, ..
     return sum(ways)
 
 
+def _strict_key(n: int, strict_positions: Collection[int]) -> tuple[int, ...]:
+    """The strict positions as the memo keys them: ascending, each once, and
+    each in 1..n-1."""
+    strict = tuple(sorted(set(strict_positions)))
+    if strict and (strict[0] < 1 or strict[-1] >= n):
+        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {list(strict)}")
+    return strict
+
+
 def fundamental_spec(n: int, strict_positions: Collection[int], m: int) -> int:
     """Specialize the fundamental quasisymmetric function indexed by a subset
     of 1..n-1 at m variables set to one: the count of weakly increasing
     chains into 1..m, strict where prescribed."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    strict = frozenset(strict_positions)
-    if strict and (min(strict) < 1 or max(strict) >= n):
-        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {sorted(strict)}")
-    return _count_chains(n, strict, (1,) * n, m)
+    return _count_chains(n, _strict_key(n, strict_positions), (1,) * n, m)
 
 
 def signed_fundamental_spec(sdes: SignedDescents, m: int) -> int:
@@ -79,8 +94,11 @@ def signed_fundamental_spec(sdes: SignedDescents, m: int) -> int:
     if m < 0:
         raise ValueError("m must be nonnegative")
     positions, signs = sdes
+    if not set(signs) <= {1, -1}:
+        raise ValueError(f"signs must be +1 or -1, got {list(signs)}")
+    n = len(signs)
     minimums = tuple(2 if s == -1 else 1 for s in signs)
-    return _count_chains(len(signs), positions, minimums, m)
+    return _count_chains(n, _strict_key(n, positions), minimums, m)
 
 
 def schur_spec(shape: Shape, m: int) -> int:

@@ -17,6 +17,13 @@ from eulerinv.tableaux import enumerate_syt, partitions, syt_descent_set
 from oracles import count_chains, count_ssyt
 
 
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Start every test with an empty chain-count memo, so that no test
+    passes on what an earlier one cached."""
+    _count_chains.cache_clear()
+
+
 def test_fundamental_spec_examples():
     assert fundamental_spec(2, (), 2) == 3
     assert fundamental_spec(2, {1}, 2) == 1
@@ -31,6 +38,15 @@ def test_fundamental_spec_examples():
 def test_fundamental_spec_rejects_bad_input(n, strict, m):
     with pytest.raises(ValueError):
         fundamental_spec(n, strict, m)
+
+
+def test_strict_positions_of_any_collection_share_one_memo_entry():
+    assert {fundamental_spec(3, strict, 3) for strict in ({1}, (1,), [1], [1, 1])} == {4}
+    assert _count_chains.cache_info().currsize == 1
+    assert signed_fundamental_spec(([1], [1, 1]), 2) == 1
+    assert signed_fundamental_spec(((1,), (1, 1)), 2) == 1
+    assert signed_fundamental_spec(({1}, [1, 1]), 3) == signed_fundamental_spec(((1,), (1, 1)), 3)
+    assert _count_chains.cache_info().currsize == 3
 
 
 def test_fundamental_spec_closed_form():
@@ -59,15 +75,31 @@ def test_signed_fundamental_spec_examples():
 def test_count_chains_against_chain_enumeration():
     # every strict set with the minimums the specializations use (1, and 2
     # for a negative sign), and for small n every minimum up to m + 1
-    for n in range(0, 7):
-        for m in range(0, 6):
-            floors = range(1, m + 2) if n <= 3 else (1, 2)
-            for size in range(n):
-                for strict in combinations(range(1, n), size):
-                    for minimums in product(floors, repeat=n):
-                        assert _count_chains(n, strict, minimums, m) == count_chains(
-                            n, strict, minimums, m
-                        ), (n, strict, minimums, m)
+    cases = [
+        (n, strict, minimums, m)
+        for n in range(0, 7)
+        for m in range(0, 6)
+        for size in range(n)
+        for strict in combinations(range(1, n), size)
+        for minimums in product(range(1, m + 2) if n <= 3 else (1, 2), repeat=n)
+    ]
+    expected = [count_chains(*case) for case in cases]
+    # once cold and once from the memo: both must match the enumeration
+    for _ in ("cold", "warm"):
+        for case, count in zip(cases, expected):
+            assert _count_chains(*case) == count, case
+    assert _count_chains.cache_info()[:2] == (len(cases), len(cases))  # hits, misses
+
+
+@pytest.mark.parametrize(
+    "sdes", [((5,), (1, 1)), ((0,), (1, 1)), ((), (0, 7)), ((1,), (1, 2)), ((2,), (1, 1))]
+)
+def test_signed_fundamental_spec_rejects_bad_input(sdes):
+    # a position outside 1..n-1 or a sign other than +-1, each time it is asked
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            signed_fundamental_spec(sdes, 2)
+    assert _count_chains.cache_info().currsize == 0
 
 
 def test_signed_fundamental_spec_against_chain_enumeration():
