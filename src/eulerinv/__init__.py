@@ -13,7 +13,6 @@ from .distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
@@ -39,7 +38,6 @@ from .polynomials import (
 from .qsym import (
     fundamental_spec,
     schur_spec,
-    signed_fundamental_spec,
     verify_cauchy_spec,
     verify_signed_schur_spec,
 )

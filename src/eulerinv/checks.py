@@ -24,8 +24,6 @@ from .distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    signed_involution_eulerian,
-    signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
 from .permutations import (
@@ -53,16 +51,19 @@ LEMMA_VALUE_BOUND = 13
 
 
 def verify_recurrence_route(n_max: int = 9) -> Report:
-    """Recurrence-computed type-B involution rows against brute-force
-    enumeration, coefficient by coefficient."""
+    """Type-B involution rows from one run of the recurrence against
+    brute-force enumeration, coefficient by coefficient.
+
+    The enumeration runs first, so an n_max past the enumeration budget
+    fails there before the recurrence holds rows 0..n_max in memory."""
     report = Report()
-    for n in range(1, n_max + 1):
-        enum_row = signed_involution_eulerian(n)
-        rec_row = signed_involution_eulerian_recurrence(n)
+    enum_rows = [involution_eulerian(n, signed=True) for n in range(1, n_max + 1)]
+    rows = signed_involution_recurrence_rows(n_max)
+    for n, enum_row in enumerate(enum_rows, start=1):
         report.compare(
             "recurrence-vs-enumeration",
             (("n", n),),
-            int_list(rec_row),
+            int_list(rows[n]),
             int_list(enum_row),
         )
     return report
@@ -88,7 +89,7 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     coefficient of (1-t)^-(2k+1) (1-t^2)^-(k^2)."""
     report = Report()
     for n in range(n_max + 1):
-        row = signed_involution_eulerian(n)
+        row = involution_eulerian(n, signed=True)
         for k in range(k_max + 1):
             lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
             report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
@@ -279,7 +280,7 @@ def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
         "no k >= 1 violated" if k is None else f"r(89,{k})^2 < r(89,{k - 1})*r(89,{k + 1})",
     )
     for n in range(convolution_n_max + 1):
-        row = signed_involution_eulerian(n)
+        row = involution_eulerian(n, signed=True)
         q = tuple(binomial(n + k, k) for k in range(n + 1))
         product = poly_multiply(row, q)[: n + 1]
         expected = [r_closed(n, k) for k in range(n + 1)]
@@ -354,8 +355,8 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
     """
     report = Report()
     for n in range(n_max + 1):
-        colored = signed_involution_eulerian(n, DES_B)
-        coxeter = signed_involution_eulerian(n, DES_COXETER)
+        colored = involution_eulerian(n, signed=True, statistic=DES_B)
+        coxeter = involution_eulerian(n, signed=True, statistic=DES_COXETER)
         if n <= 5:
             report.compare(
                 "des-statistics-agree",
@@ -384,7 +385,7 @@ def reference_table_report() -> Report:
         computed = involution_eulerian(n)
         report.compare("table-a", (("n", n),), int_list(computed), int_list(expected))
     for n, expected in sorted(reference.INVOLUTION_ROWS_B_PRINTED.items()):
-        computed = signed_involution_eulerian(n)
+        computed = involution_eulerian(n, signed=True)
         if n != 6:
             report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
             continue
@@ -404,7 +405,7 @@ def reference_table_report() -> Report:
                 f"enumeration gives {int_list(computed)}",
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
-        gammas = gamma_vector(signed_involution_eulerian(n), n)
+        gammas = gamma_vector(involution_eulerian(n, signed=True), n)
         report.compare("table-gamma-b", (("n", n),), int_list(gammas), int_list(expected))
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):

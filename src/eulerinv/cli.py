@@ -34,7 +34,6 @@ from .distributions import (
     gamma_vector,
     involution_eulerian,
     r_closed,
-    signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
 )
 from .permutations import DEFAULT_BUDGET, BudgetExceededError, enumeration_budget
@@ -151,11 +150,8 @@ def _emit(report: Report, structured: bool, out) -> int:
 
 
 def _distribution(args) -> tuple[int, ...]:
-    if args.kind == "invA":
-        return involution_eulerian(args.n)
-    if args.kind == "invB":
-        return signed_involution_eulerian(args.n, args.stat)
-    return full_eulerian(args.n, signed=args.kind == "fullB", statistic=args.stat)
+    rows = involution_eulerian if args.kind.startswith("inv") else full_eulerian
+    return rows(args.n, signed=args.kind.endswith("B"), statistic=args.stat)
 
 
 def _print_row(check: str, params: Params, row, structured: bool, out) -> int:

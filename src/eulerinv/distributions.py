@@ -6,6 +6,9 @@ coefficient family r(n, m) of the expanded generating function as a
 coefficient of the product series in polynomials, and the symmetry /
 unimodality / gamma machinery.
 
+S_n is the all-positive slice of B_n, so each enumerated row comes from
+one function with a signed flag, taking (n, signed, statistic).
+
 Every polynomial is a plain tuple of integer coefficients, lowest degree
 first, with no trailing zeros: entry k of a distribution counts the
 elements with k descents.
@@ -58,15 +61,13 @@ def _histogram_poly(values) -> tuple[int, ...]:
     return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
-def involution_eulerian(n: int) -> tuple[int, ...]:
-    """Distribution of the descent number over involutions of S_n."""
-    return _histogram_poly(map(des_coxeter, enumerate_involutions(n)))
-
-
-def signed_involution_eulerian(n: int, statistic: str = DES_B) -> tuple[int, ...]:
-    """Distribution of a type-B descent statistic over involutions of B_n."""
+def involution_eulerian(n: int, signed: bool = False, statistic: str = DES_B) -> tuple[int, ...]:
+    """Distribution of a descent statistic over the involutions of S_n or
+    B_n.  On S_n, the positive windows, both statistics count ordinary
+    descents."""
     stat = _statistic(statistic)
-    return _histogram_poly(map(stat, enumerate_signed_involutions(n)))
+    walk = enumerate_signed_involutions if signed else enumerate_involutions
+    return _histogram_poly(map(stat, walk(n)))
 
 
 def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:

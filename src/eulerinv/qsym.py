@@ -1,9 +1,11 @@
 """Principal specializations of fundamental quasisymmetric and Schur functions.
 
 A specialization count is the number of weakly increasing index chains into
-1..m, strict at prescribed positions; the two-alphabet (signed) variant
-additionally bans index 1 at negatively signed positions, which is exactly
-what substituting 0 for the first variable of the second alphabet does.
+1..m, strict at prescribed positions, that avoid index 1 at negatively
+signed positions, which is exactly what substituting 0 for the first
+variable of the second alphabet does.  One function takes a signed descent
+set (positions, signs); the descent set of a permutation of 1..n is the
+signed one with all n signs +1, whose value is the one-alphabet value.
 
 Counts are computed by dynamic programming over chain positions, each step
 one pass of itertools.accumulate prefix sums.  The matching closed forms
@@ -16,8 +18,8 @@ counts how many have each descent set, and runs the dynamic program once
 per distinct set, weighted by that count.
 
 The dynamic program is memoized for the life of the process.  Its key is
-(n, strict positions as an ascending tuple, minimums, m): both entry points
-check their input and then pass the positions in that one form, so {1},
+(n, strict positions as an ascending tuple, minimums, m): fundamental_spec
+checks its input and then passes the positions in that one form, so {1},
 (1,) and [1] share an entry.  The memo stays small because a key is a
 descent set, not an object: at most 2^(n-1) strict sets per (n, m) for
 unsigned input, and 2^(n-1) * 2^n for signed input.
@@ -25,7 +27,6 @@ unsigned input, and 2^(n-1) * 2^n for signed input.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection
 from functools import cache
 from itertools import accumulate
 
@@ -42,6 +43,9 @@ from .tableaux import (
     syt_descent_set,
     validate_shape,
 )
+
+#: The least index a chain entry may take under each sign.
+_MINIMUM_OF_SIGN = {1: 1, -1: 2}
 
 
 @cache
@@ -69,36 +73,24 @@ def _count_chains(n: int, strict_after: tuple[int, ...], minimums: tuple[int, ..
     return sum(ways)
 
 
-def _strict_key(n: int, strict_positions: Collection[int]) -> tuple[int, ...]:
-    """The strict positions as the memo keys them: ascending, each once, and
-    each in 1..n-1."""
-    strict = tuple(sorted(set(strict_positions)))
-    if strict and (strict[0] < 1 or strict[-1] >= n):
-        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {list(strict)}")
-    return strict
-
-
-def fundamental_spec(n: int, strict_positions: Collection[int], m: int) -> int:
-    """Specialize the fundamental quasisymmetric function indexed by a subset
-    of 1..n-1 at m variables set to one: the count of weakly increasing
-    chains into 1..m, strict where prescribed."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    return _count_chains(n, _strict_key(n, strict_positions), (1,) * n, m)
-
-
-def signed_fundamental_spec(sdes: SignedDescents, m: int) -> int:
-    """Specialize the two-alphabet fundamental function of a signed descent
-    set (positions, signs) at (1^m, 01^(m-1)): negative positions must avoid
-    index 1."""
+def fundamental_spec(sdes: SignedDescents, m: int) -> int:
+    """Specialize the fundamental quasisymmetric function of a signed descent
+    set (positions, signs) at (1^m, 01^(m-1)): the count of weakly increasing
+    chains into 1..m, strict after each position, in which negatively signed
+    entries avoid index 1.  With every sign +1 this is the one-alphabet
+    specialization of the descent set at 1^m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     positions, signs = sdes
-    if not set(signs) <= {1, -1}:
-        raise ValueError(f"signs must be +1 or -1, got {list(signs)}")
+    try:
+        minimums = tuple(map(_MINIMUM_OF_SIGN.__getitem__, signs))
+    except KeyError:
+        raise ValueError(f"signs must be +1 or -1, got {list(signs)}") from None
     n = len(signs)
-    minimums = tuple(2 if s == -1 else 1 for s in signs)
-    return _count_chains(n, _strict_key(n, positions), minimums, m)
+    strict = tuple(sorted(set(positions)))
+    if strict and (strict[0] < 1 or strict[-1] >= n):
+        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {list(strict)}")
+    return _count_chains(n, strict, minimums, m)
 
 
 def schur_spec(shape: Shape, m: int) -> int:
@@ -110,7 +102,8 @@ def schur_spec(shape: Shape, m: int) -> int:
     if m == 0:
         return 1 if n == 0 else 0
     walk = Counter(syt_descent_set(q) for q in enumerate_syt(shape))
-    return sum(count * fundamental_spec(n, des, m) for des, count in walk.items())
+    signs = (1,) * n
+    return sum(count * fundamental_spec((des, signs), m) for des, count in walk.items())
 
 
 def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
@@ -120,7 +113,7 @@ def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
             for w in enumerate_group(n, signed=True):
-                lhs = signed_fundamental_spec(signed_descent_set(w), m)
+                lhs = fundamental_spec(signed_descent_set(w), m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
                     params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
@@ -153,7 +146,7 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
         for plus, minus in bipartitions(n):
             sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
             for m in range(1, m_max + 1):
-                lhs = sum(signed_fundamental_spec(s, m) for s in sdes_list)
+                lhs = sum(fundamental_spec(s, m) for s in sdes_list)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
                 params = (
                     ("n", n),

@@ -77,6 +77,16 @@ def is_involution(window):
     return True
 
 
+def type_a_involution_row(n):
+    """Descent-number distribution over the involutions of S_n, filtered
+    from every permutation and counted as w(i) > w(i+1)."""
+    counts = [0] * max(n, 1)
+    for w in permutations(range(1, n + 1)):
+        if is_involution(w):
+            counts[sum(a > b for a, b in zip(w, w[1:]))] += 1
+    return tuple(counts)
+
+
 def inverse(window):
     """Inverse of a (possibly signed) window."""
     n = len(window)

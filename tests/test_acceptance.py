@@ -16,7 +16,6 @@ from eulerinv.distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
@@ -29,7 +28,7 @@ from eulerinv.permutations import (
     signed_descent_set,
 )
 from eulerinv.polynomials import binomial
-from eulerinv.qsym import schur_spec, signed_fundamental_spec
+from eulerinv.qsym import fundamental_spec, schur_spec
 from eulerinv.tableaux import (
     enumerate_all_syb,
     enumerate_all_syt,
@@ -68,12 +67,12 @@ def test_criterion_01_small_reference_tables():
     for n, row in ROWS_A.items():
         assert involution_eulerian(n) == row, n
     for n, row in ROWS_B.items():
-        assert signed_involution_eulerian(n) == row, n
+        assert involution_eulerian(n, signed=True) == row, n
     passed(1, "reference rows (A: n<=6, B: n<=5) by brute force")
 
 
 def test_criterion_02_row_six_reconciliation():
-    row = signed_involution_eulerian(6)
+    row = involution_eulerian(6, signed=True)
     assert sum(row) == 1384
     assert row == (1, 43, 331, 634, 331, 43, 1)
     report = checks.reference_table_report()
@@ -86,7 +85,7 @@ def test_criterion_02_row_six_reconciliation():
 def test_criterion_03_recurrence_matches_enumeration():
     for n in range(3, 10):
         rec = signed_involution_eulerian_recurrence(n)
-        enum = signed_involution_eulerian(n)
+        enum = involution_eulerian(n, signed=True)
         assert rec == enum, n
     passed(3, "recurrence equals brute force for 3<=n<=9, divisions exact")
 
@@ -103,7 +102,7 @@ def test_criterion_05_signed_specialization_closed_form():
             sdes = signed_descent_set(w)
             expected_descents = des_b(w)
             for m in range(1, 7):
-                assert signed_fundamental_spec(sdes, m) == binomial(
+                assert fundamental_spec(sdes, m) == binomial(
                     n + m - 1 - expected_descents, n
                 ), (w, m)
     passed(5, "signed specialization equals its closed form over B_n, n<=4, m<=6")
@@ -161,7 +160,7 @@ def test_criterion_10_counterexample_89():
 
 def test_criterion_11_gamma_table_and_signs():
     for n, expected in GAMMA_B.items():
-        poly = signed_involution_eulerian(n)
+        poly = involution_eulerian(n, signed=True)
         assert gamma_vector(poly, n) == expected, n
     rows = signed_involution_recurrence_rows(30)
     for n in range(1, 31):
@@ -171,8 +170,8 @@ def test_criterion_11_gamma_table_and_signs():
 
 def test_criterion_12_descent_statistic_agreement():
     for n in range(6):
-        colored = signed_involution_eulerian(n, "desB")
-        coxeter = signed_involution_eulerian(n, "desCoxeter")
+        colored = involution_eulerian(n, signed=True, statistic="desB")
+        coxeter = involution_eulerian(n, signed=True, statistic="desCoxeter")
         assert colored == coxeter, n
     report = checks.check_des_statistic_conjecture(7)
     assert report.ok

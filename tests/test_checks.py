@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from eulerinv import checks
+from eulerinv.permutations import BudgetExceededError, enumeration_budget
 from eulerinv.reports import CheckRecord, Report
 from oracles import guo_zeng_counterexample_search, guo_zeng_instances_by_randint
 
@@ -10,6 +11,29 @@ from oracles import guo_zeng_counterexample_search, guo_zeng_instances_by_randin
 def test_recurrence_route():
     report = checks.verify_recurrence_route(7)
     assert report.ok and len(report) == 7
+
+
+def test_recurrence_route_runs_the_recurrence_once_and_fails_on_a_bad_row(monkeypatch):
+    rows_of = checks.signed_involution_recurrence_rows
+    calls = []
+
+    def bumped(n_max):
+        calls.append(n_max)
+        rows = rows_of(n_max)
+        rows[3] = (1, 9, 10, 1)
+        return rows
+
+    monkeypatch.setattr(checks, "signed_involution_recurrence_rows", bumped)
+    report = checks.verify_recurrence_route(4)
+    assert calls == [4]
+    assert [(r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ((("n", 3),), "1,9,10,1", "1,9,9,1")
+    ]
+    assert len(report) == 4
+    # b(5) = 312 windows exceed the budget before the recurrence is asked for rows
+    with enumeration_budget(100), pytest.raises(BudgetExceededError):
+        checks.verify_recurrence_route(12)
+    assert calls == [4]
 
 
 def test_genfun_sweeps():

@@ -3,6 +3,8 @@ from collections import Counter
 import pytest
 
 from eulerinv.distributions import (
+    DES_B,
+    DES_COXETER,
     full_eulerian,
     gamma_reconstruct,
     gamma_vector,
@@ -10,7 +12,6 @@ from eulerinv.distributions import (
     is_symmetric,
     is_unimodal,
     r_closed,
-    signed_involution_eulerian,
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
@@ -24,6 +25,7 @@ from oracles import (
     r_by_recurrence,
     signed_telephone_number,
     telephone_number,
+    type_a_involution_row,
 )
 
 INVOLUTION_ROWS = {
@@ -52,12 +54,12 @@ def test_involution_rows():
 
 def test_signed_involution_rows():
     for n, row in SIGNED_ROWS.items():
-        assert signed_involution_eulerian(n) == row
+        assert involution_eulerian(n, signed=True) == row
 
 
 def test_signed_involution_row_six_reconciliation():
     # the disputed row: enumeration decides 634, and the total must be b(6)
-    row = signed_involution_eulerian(6)
+    row = involution_eulerian(6, signed=True)
     assert row == (1, 43, 331, 634, 331, 43, 1)
     assert sum(row) == 1384
 
@@ -65,7 +67,7 @@ def test_signed_involution_row_six_reconciliation():
 def test_totals_match_counting_recurrences():
     for n in range(0, 8):
         assert sum(involution_eulerian(n)) == telephone_number(n)
-        assert sum(signed_involution_eulerian(n)) == signed_telephone_number(n)
+        assert sum(involution_eulerian(n, signed=True)) == signed_telephone_number(n)
 
 
 def test_full_eulerian_examples():
@@ -75,9 +77,17 @@ def test_full_eulerian_examples():
     assert full_eulerian(3, signed=True, statistic="desCoxeter") == (1, 23, 23, 1)
 
 
+def test_involution_rows_match_the_oracle_under_both_statistics():
+    for n in range(0, 9):
+        expected = type_a_involution_row(n)
+        for statistic in (DES_B, DES_COXETER):
+            assert involution_eulerian(n, statistic=statistic) == expected, (n, statistic)
+
+
 def test_unknown_statistic_rejected():
-    with pytest.raises(ValueError):
-        signed_involution_eulerian(2, statistic="major")
+    for signed in (False, True):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            involution_eulerian(3, signed, statistic="major")
     for signed in (False, True):
         with pytest.raises(ValueError, match="unknown statistic"):
             full_eulerian(3, signed, "bogus")
@@ -98,14 +108,14 @@ def test_recurrence_decomposition_by_hand():
 
 def test_recurrence_agrees_with_enumeration():
     for n in range(1, 8):
-        assert signed_involution_eulerian_recurrence(n) == signed_involution_eulerian(n), n
+        assert signed_involution_eulerian_recurrence(n) == involution_eulerian(n, signed=True), n
 
 
 def test_bitableau_route_gives_same_polynomial():
     for n in range(0, 7):
         histogram = Counter(syb_des_b(q) for q in enumerate_all_syb(n))
         row = tuple(histogram.get(k, 0) for k in range(n + 1))
-        assert row == signed_involution_eulerian(n), n
+        assert row == involution_eulerian(n, signed=True), n
 
 
 def test_r_closed_values():
@@ -136,7 +146,7 @@ def test_r_three_routes_agree():
 
 def test_genfun_hand_checks():
     # type B at n=1, k=1: 1*C(2,1) + 1*C(1,1) = 3 = r(1,1)
-    row = signed_involution_eulerian(1)
+    row = involution_eulerian(1, signed=True)
     assert sum(c * binomial(1 + 1 - j, 1) for j, c in enumerate(row)) == 3 == r_closed(1, 1)
     # type A at n=1, m=1 against the series route
     series = expand_negative_binomial_product(2, 1, 1)
@@ -232,7 +242,7 @@ def test_recurrence_rows_come_from_one_pass():
 
 def test_recurrence_rows_match_enumeration():
     for n, row in enumerate(signed_involution_recurrence_rows(8)):
-        assert row == signed_involution_eulerian(n), n
+        assert row == involution_eulerian(n, signed=True), n
 
 
 def test_recurrence_rows_abort_on_inexact_division(monkeypatch):

@@ -8,7 +8,6 @@ from eulerinv.qsym import (
     _count_chains,
     fundamental_spec,
     schur_spec,
-    signed_fundamental_spec,
     verify_cauchy_spec,
     verify_signed_schur_spec,
     verify_signed_spec_closed_form,
@@ -25,51 +24,55 @@ def cold_memo():
 
 
 def test_fundamental_spec_examples():
-    assert fundamental_spec(2, (), 2) == 3
-    assert fundamental_spec(2, {1}, 2) == 1
-    assert fundamental_spec(3, (), 1) == 1
-    assert fundamental_spec(0, (), 5) == 1
-    assert fundamental_spec(2, (), 0) == 0
+    assert fundamental_spec(((), (1, 1)), 2) == 3
+    assert fundamental_spec(({1}, (1, 1)), 2) == 1
+    assert fundamental_spec(((), (1, 1, 1)), 1) == 1
+    assert fundamental_spec(((), ()), 5) == 1
+    assert fundamental_spec(((), (1, 1)), 0) == 0
 
 
 @pytest.mark.parametrize(
-    "n, strict, m", [(-1, (), 3), (2, {5}, 3), (2, {0}, 3), (2, {2}, 3), (0, {1}, 2)]
+    "n, strict, m", [(2, (), -1), (2, {5}, 3), (2, {0}, 3), (2, {2}, 3), (0, {1}, 2)]
 )
 def test_fundamental_spec_rejects_bad_input(n, strict, m):
+    # m < 0, or a position outside 1..n-1 of an all-plus descent set
     with pytest.raises(ValueError):
-        fundamental_spec(n, strict, m)
+        fundamental_spec((strict, (1,) * n), m)
 
 
 def test_strict_positions_of_any_collection_share_one_memo_entry():
-    assert {fundamental_spec(3, strict, 3) for strict in ({1}, (1,), [1], [1, 1])} == {4}
+    strict_sets = ({1}, (1,), [1], [1, 1])
+    assert {fundamental_spec((strict, (1, 1, 1)), 3) for strict in strict_sets} == {4}
     assert _count_chains.cache_info().currsize == 1
-    assert signed_fundamental_spec(([1], [1, 1]), 2) == 1
-    assert signed_fundamental_spec(((1,), (1, 1)), 2) == 1
-    assert signed_fundamental_spec(({1}, [1, 1]), 3) == signed_fundamental_spec(((1,), (1, 1)), 3)
+    assert fundamental_spec(([1], [1, 1]), 2) == 1
+    assert fundamental_spec(((1,), (1, 1)), 2) == 1
+    assert fundamental_spec(({1}, [1, 1]), 3) == fundamental_spec(((1,), (1, 1)), 3)
     assert _count_chains.cache_info().currsize == 3
 
 
 def test_fundamental_spec_closed_form():
+    # all-plus signs give the one-alphabet value C(n + m - 1 - |D|, n)
     for n in range(0, 7):
-        for size in range(n):
+        plus = (1,) * n
+        for size in range(max(n, 1)):
             for strict in combinations(range(1, n), size):
                 for m in range(1, 9):
-                    assert fundamental_spec(n, strict, m) == binomial(
+                    assert fundamental_spec((strict, plus), m) == binomial(
                         n + m - 1 - len(strict), n
                     ), (n, strict, m)
 
 
 def test_signed_fundamental_spec_examples():
-    assert signed_fundamental_spec(signed_descent_set((-1,)), 3) == 2
+    assert fundamental_spec(signed_descent_set((-1,)), 3) == 2
     # identity: unconstrained multiset count
     for n in range(0, 5):
         identity = tuple(range(1, n + 1))
         for m in range(1, 5):
-            assert signed_fundamental_spec(signed_descent_set(identity), m) == binomial(
+            assert fundamental_spec(signed_descent_set(identity), m) == binomial(
                 n + m - 1, n
             )
     # the one-descent, trailing-minus window: only the chain (1, 2) survives
-    assert signed_fundamental_spec(signed_descent_set((2, -1)), 2) == 1
+    assert fundamental_spec(signed_descent_set((2, -1)), 2) == 1
 
 
 def test_count_chains_against_chain_enumeration():
@@ -98,7 +101,7 @@ def test_signed_fundamental_spec_rejects_bad_input(sdes):
     # a position outside 1..n-1 or a sign other than +-1, each time it is asked
     for _ in range(2):
         with pytest.raises(ValueError):
-            signed_fundamental_spec(sdes, 2)
+            fundamental_spec(sdes, 2)
     assert _count_chains.cache_info().currsize == 0
 
 
@@ -109,7 +112,7 @@ def test_signed_fundamental_spec_against_chain_enumeration():
             positions, signs = sdes
             minimums = tuple(2 if s == -1 else 1 for s in signs)
             for m in range(1, 5):
-                assert signed_fundamental_spec(sdes, m) == count_chains(
+                assert fundamental_spec(sdes, m) == count_chains(
                     n, positions, minimums, m
                 ), (w, m)
 
@@ -119,7 +122,7 @@ def test_signed_fundamental_spec_closed_form_exhaustive():
         for w in enumerate_group(n, signed=True):
             sdes = signed_descent_set(w)
             for m in range(1, 7):
-                assert signed_fundamental_spec(sdes, m) == binomial(n + m - 1 - des_b(w), n)
+                assert fundamental_spec(sdes, m) == binomial(n + m - 1 - des_b(w), n)
 
 
 def test_schur_spec_examples():
@@ -142,7 +145,8 @@ def test_schur_spec_matches_the_per_tableau_sum():
         for shape in partitions(n):
             for m in range(0, 6):
                 per_tableau = sum(
-                    fundamental_spec(n, syt_descent_set(q), m) for q in enumerate_syt(shape)
+                    fundamental_spec((syt_descent_set(q), (1,) * n), m)
+                    for q in enumerate_syt(shape)
                 )
                 assert schur_spec(shape, m) == per_tableau, (shape, m)
 
@@ -154,7 +158,7 @@ def test_specializations_weakly_increase_in_m():
             assert all(a <= b for a, b in zip(values, values[1:]))
     for w in enumerate_group(3, signed=True):
         sdes = signed_descent_set(w)
-        values = [signed_fundamental_spec(sdes, m) for m in range(1, 7)]
+        values = [fundamental_spec(sdes, m) for m in range(1, 7)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
