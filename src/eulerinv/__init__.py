@@ -2,6 +2,7 @@
 hyperoctahedral groups, with mechanical verification of their identities,
 recurrences, generating functions and counterexamples."""
 
+from .checks import verify_cauchy_spec, verify_signed_schur_spec
 from .distributions import (
     DES_B,
     DES_COXETER,
@@ -21,7 +22,6 @@ from .permutations import (
     BudgetExceededError,
     des_b,
     des_coxeter,
-    descent_set,
     enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
@@ -35,12 +35,7 @@ from .polynomials import (
     negative_binomial_coefficient,
     poly_multiply,
 )
-from .qsym import (
-    fundamental_spec,
-    schur_spec,
-    verify_cauchy_spec,
-    verify_signed_schur_spec,
-)
+from .qsym import fundamental_spec, schur_spec
 from .reports import CheckRecord, Report
 from .tableaux import (
     bipartitions,

@@ -1,11 +1,15 @@
 """Verification sweeps: every identity the library can check, as reports.
 
-Each sweep compares two independently computed sides of an identity and
-emits one record per checked case, in deterministic (n, k) order.  Hard
-identities get pass/fail records; open questions and known print
-discrepancies get note records that never fail a run.  The transpose sweep
-counts a (bi)tableau whose transpose repeats an earlier one as a violation,
-since transposition must be a bijection.
+Every sweep a command runs lives here, the specialization sweeps among
+them: qsym computes only the chain-count side, and the binomial closed forms
+and series it is compared with are computed here.  Each sweep compares two
+independently computed sides of an identity and emits one record per
+checked case, in deterministic (n, k) order, handing the report its values
+(integers, rows, gamma vectors) as they are.  Hard identities get pass/fail
+records; open questions and known print discrepancies get note records that
+never fail a run.  The transpose sweep counts a (bi)tableau whose transpose
+repeats an earlier one as a violation, since transposition must be a
+bijection.
 """
 from __future__ import annotations
 
@@ -27,16 +31,21 @@ from .distributions import (
     signed_involution_recurrence_rows,
 )
 from .permutations import (
-    descent_set,
+    des_b,
+    enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
     signed_descent_set,
 )
 from .polynomials import binomial, expand_negative_binomial_product, poly_multiply
+from .qsym import fundamental_spec, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
+    bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
+    enumerate_syb,
+    partitions,
     syb_des_b,
     syb_signed_descent_set,
     syb_transpose,
@@ -60,12 +69,7 @@ def verify_recurrence_route(n_max: int = 9) -> Report:
     enum_rows = [involution_eulerian(n, signed=True) for n in range(1, n_max + 1)]
     rows = signed_involution_recurrence_rows(n_max)
     for n, enum_row in enumerate(enum_rows, start=1):
-        report.compare(
-            "recurrence-vs-enumeration",
-            (("n", n),),
-            int_list(rows[n]),
-            int_list(enum_row),
-        )
+        report.compare("recurrence-vs-enumeration", (("n", n),), rows[n], enum_row)
     return report
 
 
@@ -93,6 +97,58 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
         for k in range(k_max + 1):
             lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
             report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
+    return report
+
+
+def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
+    """Exhaustively check, over every signed permutation of each B_n, that the
+    chain-count specialization equals C(n + m - 1 - des_B, n)."""
+    report = Report()
+    for n in range(n_max + 1):
+        for m in range(1, m_max + 1):
+            for w in enumerate_group(n, signed=True):
+                lhs = fundamental_spec(signed_descent_set(w), m)
+                rhs = binomial(n + m - 1 - des_b(w), n)
+                if lhs != rhs:
+                    params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
+                    report.check("signed-spec-closed-form", params, False, lhs, rhs)
+                    break
+            else:
+                params = (("n", n), ("m", m))
+                report.check("signed-spec-closed-form", params, True, "chain-count", "binomial")
+    return report
+
+
+def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
+    """Check that summing Schur specializations over all partitions of n
+    matches the t^n coefficient of (1-t)^(-m) (1-t^2)^(-C(m,2))."""
+    report = Report()
+    for m in range(m_max + 1):
+        series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
+        for n in range(n_max + 1):
+            lhs = sum(schur_spec(shape, m) for shape in partitions(n))
+            report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
+    return report
+
+
+def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
+    """Check, shape pair by shape pair, that summing signed specializations
+    over the bitableaux of a bipartition factors as the product of the two
+    Schur specializations at m and m-1 variables."""
+    report = Report()
+    for n in range(n_max + 1):
+        for plus, minus in bipartitions(n):
+            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
+            for m in range(1, m_max + 1):
+                lhs = sum(fundamental_spec(s, m) for s in sdes_list)
+                rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
+                params = (
+                    ("n", n),
+                    ("plus", ".".join(map(str, plus)) or "0"),
+                    ("minus", ".".join(map(str, minus)) or "0"),
+                    ("m", m),
+                )
+                report.compare("signed-schur-factorization", params, lhs, rhs)
     return report
 
 
@@ -130,7 +186,7 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
         tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
         _compare_multisets(report, "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux")
     for n in range(unsigned_n_max + 1):
-        perm_side = Counter(descent_set(w) for w in enumerate_involutions(n))
+        perm_side = Counter(signed_descent_set(w)[0] for w in enumerate_involutions(n))
         tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
         _compare_multisets(report, "des-multiset-unsigned", n, perm_side, tab_side, "tableaux")
     return report
@@ -283,8 +339,8 @@ def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
         row = involution_eulerian(n, signed=True)
         q = tuple(binomial(n + k, k) for k in range(n + 1))
         product = poly_multiply(row, q)[: n + 1]
-        expected = [r_closed(n, k) for k in range(n + 1)]
-        report.compare("r-convolution", (("n", n),), int_list(product), int_list(expected))
+        expected = tuple(r_closed(n, k) for k in range(n + 1))
+        report.compare("r-convolution", (("n", n),), product, expected)
     return report
 
 
@@ -358,19 +414,10 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
         colored = involution_eulerian(n, signed=True, statistic=DES_B)
         coxeter = involution_eulerian(n, signed=True, statistic=DES_COXETER)
         if n <= 5:
-            report.compare(
-                "des-statistics-agree",
-                (("n", n),),
-                int_list(colored),
-                int_list(coxeter),
-            )
+            report.compare("des-statistics-agree", (("n", n),), colored, coxeter)
         else:
-            report.note(
-                "des-statistics-agree",
-                (("n", n), ("equal", colored == coxeter)),
-                int_list(colored),
-                int_list(coxeter),
-            )
+            params = (("n", n), ("equal", colored == coxeter))
+            report.note("des-statistics-agree", params, colored, coxeter)
     return report
 
 
@@ -383,19 +430,14 @@ def reference_table_report() -> Report:
     report = Report()
     for n, expected in sorted(reference.INVOLUTION_ROWS_A.items()):
         computed = involution_eulerian(n)
-        report.compare("table-a", (("n", n),), int_list(computed), int_list(expected))
+        report.compare("table-a", (("n", n),), computed, expected)
     for n, expected in sorted(reference.INVOLUTION_ROWS_B_PRINTED.items()):
         computed = involution_eulerian(n, signed=True)
         if n != 6:
-            report.compare("table-b", (("n", n),), int_list(computed), int_list(expected))
+            report.compare("table-b", (("n", n),), computed, expected)
             continue
         gamma_row = gamma_reconstruct(reference.GAMMA_ROWS_B[6], 6)
-        report.compare(
-            "table-b-gamma-expansion",
-            (("n", n),),
-            int_list(computed),
-            int_list(gamma_row),
-        )
+        report.compare("table-b-gamma-expansion", (("n", n),), computed, gamma_row)
         report.compare("table-b-total", (("n", n),), sum(computed), 1384)
         if computed != expected:
             report.note(
@@ -406,10 +448,10 @@ def reference_table_report() -> Report:
             )
     for n, expected in sorted(reference.GAMMA_ROWS_B.items()):
         gammas = gamma_vector(involution_eulerian(n, signed=True), n)
-        report.compare("table-gamma-b", (("n", n),), int_list(gammas), int_list(expected))
+        report.compare("table-gamma-b", (("n", n),), gammas, expected)
     rows = signed_involution_recurrence_rows(12)
     for n in range(1, 13):
         row = rows[n]
         ok = is_symmetric(row, n) and is_unimodal(row)
-        report.check("table-shape", (("n", n),), ok, "symmetric and unimodal", int_list(row))
+        report.check("table-shape", (("n", n),), ok, "symmetric and unimodal", row)
     return report

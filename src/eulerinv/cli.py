@@ -1,8 +1,11 @@
 """Command-line frontend: compute distributions, run verification sweeps.
 
-Each verify target runs one sweep of SWEEPS at the defaults of its signature;
-a verify flag overrides the parameters _FLAG_PARAMS names for it, and a flag
-the sweep has no parameter for is a usage error.
+Each subcommand's parser names its runner with set_defaults(run=...), and
+main calls args.run(args, structured, out) inside the budget block, so the
+parser alone picks the runner.  Each verify target runs one sweep of SWEEPS,
+every one of them from checks, at the defaults of its signature; a verify
+flag overrides the parameters _FLAG_PARAMS names for it, and a flag the
+sweep has no parameter for is a usage error.
 
 Plain output prints coefficient lists space-separated, lowest degree first,
 so rows diff cleanly against published tables.  Structured output prints the
@@ -26,7 +29,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from . import checks, qsym
+from . import checks
 from .distributions import (
     DES_B,
     DES_COXETER,
@@ -37,7 +40,7 @@ from .distributions import (
     signed_involution_eulerian_recurrence,
 )
 from .permutations import DEFAULT_BUDGET, BudgetExceededError, enumeration_budget
-from .reports import NOTE, Params, Report, int_list
+from .reports import NOTE, Params, Report
 
 BUDGET_ENV_VAR = "EULERINV_BUDGET"
 
@@ -47,9 +50,9 @@ SWEEPS: dict[str, Callable[..., Report]] = {
     "recurrence": checks.verify_recurrence_route,
     "genfun-a": checks.verify_genfun_a,
     "genfun-b": checks.verify_genfun_b,
-    "lemma31": qsym.verify_signed_spec_closed_form,
-    "cauchy": qsym.verify_cauchy_spec,
-    "signed-schur": qsym.verify_signed_schur_spec,
+    "lemma31": checks.verify_signed_spec_closed_form,
+    "cauchy": checks.verify_cauchy_spec,
+    "signed-schur": checks.verify_signed_schur_spec,
     "sdes-bijection": checks.verify_descent_multiset_bijection,
     "proof-identity": checks.verify_proof_identity,
     "transpose": checks.verify_transpose_complement,
@@ -95,24 +98,29 @@ def _build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--n", type=int, required=True)
     poly.add_argument("--stat", choices=(DES_B, DES_COXETER), default=DES_B)
     add_common(poly)
+    poly.set_defaults(run=_run_poly)
 
     gamma = sub.add_parser("gamma", help="print a gamma vector")
     gamma.add_argument("--kind", choices=("invA", "invB"), default="invB")
     gamma.add_argument("--n", type=int, required=True)
     add_common(gamma)
+    gamma.set_defaults(run=_run_gamma)
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("target", choices=sorted(SWEEPS))
     for flag, names in _FLAG_PARAMS.items():
         verify.add_argument(flag, type=int, help="sets the sweep's " + " / ".join(names))
     add_common(verify)
+    verify.set_defaults(run=_run_verify)
 
     counter = sub.add_parser("counterexample", help="reproduce a counterexample")
     counter.add_argument("target", choices=("r89",))
     add_common(counter)
+    counter.set_defaults(run=_run_counterexample)
 
     table = sub.add_parser("table", help="recompute and compare all reference rows")
     add_common(table)
+    table.set_defaults(run=_run_table)
 
     return parser
 
@@ -157,7 +165,7 @@ def _distribution(args) -> tuple[int, ...]:
 def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
     if structured:
         report = Report()
-        report.note(check, params, int_list(row), "")
+        report.note(check, params, row, "")
         return _emit(report, structured=True, out=out)
     print(" ".join(map(str, row)), file=out)
     return 0
@@ -185,7 +193,7 @@ def _run_gamma(args, structured, out) -> int:
     return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gammas, structured, out)
 
 
-def _verify_report(args) -> Report:
+def _run_verify(args, structured, out) -> int:
     sweep = SWEEPS[args.target]
     params = inspect.signature(sweep).parameters
     kwargs = {}
@@ -197,7 +205,13 @@ def _verify_report(args) -> Report:
         if not taken:
             raise ValueError(f"verify {args.target} takes no {flag}")
         kwargs.update(dict.fromkeys(taken, value))
-    return sweep(**kwargs)
+    report = sweep(**kwargs)
+    if all(record.status == NOTE for record in report):
+        raise ValueError(
+            f"verify {args.target} made no pass or fail check at these arguments, "
+            "so it has nothing to report"
+        )
+    return _emit(report, structured, out)
 
 
 def _run_counterexample(args, structured, out) -> int:
@@ -217,6 +231,10 @@ def _run_counterexample(args, structured, out) -> int:
     return 0 if report.ok else 1
 
 
+def _run_table(args, structured, out) -> int:
+    return _emit(checks.reference_table_report(), structured, out)
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = sys.stdout if out is None else out
     parser = _build_parser()
@@ -224,29 +242,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     structured = args.format == "structured"
     try:
         with enumeration_budget(_resolve_budget(args)):
-            if args.command == "poly":
-                return _run_poly(args, structured, out)
-            if args.command == "gamma":
-                return _run_gamma(args, structured, out)
-            if args.command == "verify":
-                report = _verify_report(args)
-                if all(record.status == NOTE for record in report):
-                    raise ValueError(
-                        f"verify {args.target} made no pass or fail check at these arguments, "
-                        "so it has nothing to report"
-                    )
-                return _emit(report, structured, out)
-            if args.command == "counterexample":
-                return _run_counterexample(args, structured, out)
-            if args.command == "table":
-                return _emit(checks.reference_table_report(), structured, out)
+            return args.run(args, structured, out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main_entry() -> None:

@@ -64,10 +64,12 @@ def _histogram_poly(values) -> tuple[int, ...]:
 def involution_eulerian(n: int, signed: bool = False, statistic: str = DES_B) -> tuple[int, ...]:
     """Distribution of a descent statistic over the involutions of S_n or
     B_n.  On S_n, the positive windows, both statistics count ordinary
-    descents."""
+    descents, so an S_n row counts them with des_coxeter, which makes no
+    sign test."""
     stat = _statistic(statistic)
-    walk = enumerate_signed_involutions if signed else enumerate_involutions
-    return _histogram_poly(map(stat, walk(n)))
+    if not signed:
+        return _histogram_poly(map(des_coxeter, enumerate_involutions(n)))
+    return _histogram_poly(map(stat, enumerate_signed_involutions(n)))
 
 
 def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:

@@ -15,11 +15,12 @@ Descent numbers are counted in one pass over the window, with no descent
 set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
 the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0.  The
-descent-set functions stay for the checks that need the sets themselves,
-and return plain tuples: a descent set is its positions in ascending order,
-and a signed descent set is the pair (positions, signs), with one +1/-1 sign
-per entry of the window.  A -,+ sign step is never a descent.  The tableau
-side of the bijection builds the same formats by its own code.
+signed descent set stays for the checks that need the sets themselves, as
+plain tuples: the pair (positions, signs), with the positions ascending and
+one +1/-1 sign per entry of the window.  A -,+ sign step is never a
+descent.  S_n is the all-positive slice of B_n, so the descent set of a
+permutation is the positions of its signed descent set.  The tableau side
+of the bijection builds the same formats by its own code.
 
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
@@ -77,11 +78,6 @@ def _check_budget(n: int, count: int, what: str) -> None:
         raise BudgetExceededError(
             f"enumerating {what} for n={n} needs {count} objects, over the budget of {cap}"
         )
-
-
-def descent_set(window: Window) -> Descents:
-    """Positions i with w(i) > w(i+1) in the natural order, ascending."""
-    return tuple(i for i in range(1, len(window)) if window[i - 1] > window[i])
 
 
 def signed_descent_set(window: Window) -> SignedDescents:

@@ -10,8 +10,9 @@ signed one with all n signs +1, whose value is the one-alphabet value.
 Counts are computed by dynamic programming over chain positions, each step
 one pass of itertools.accumulate prefix sums.  The matching closed forms
 (single binomial coefficients) are deliberately NOT used here: they serve
-as the independent second route in the verification sweeps and the test
-suite.
+as the independent second route in the verification sweeps of checks and
+in the test suite.  This module holds the counts only; the sweeps that
+compare them with those closed forms live in checks.
 
 A Schur specialization walks the standard tableaux of its shape once,
 counts how many have each descent set, and runs the dynamic program once
@@ -30,19 +31,8 @@ from collections import Counter
 from functools import cache
 from itertools import accumulate
 
-from .permutations import SignedDescents, des_b, enumerate_group, signed_descent_set
-from .polynomials import binomial, expand_negative_binomial_product
-from .reports import Report
-from .tableaux import (
-    Shape,
-    bipartitions,
-    enumerate_syb,
-    enumerate_syt,
-    partitions,
-    syb_signed_descent_set,
-    syt_descent_set,
-    validate_shape,
-)
+from .permutations import SignedDescents
+from .tableaux import Shape, enumerate_syt, syt_descent_set, validate_shape
 
 #: The least index a chain entry may take under each sign.
 _MINIMUM_OF_SIGN = {1: 1, -1: 2}
@@ -105,54 +95,3 @@ def schur_spec(shape: Shape, m: int) -> int:
     signs = (1,) * n
     return sum(count * fundamental_spec((des, signs), m) for des, count in walk.items())
 
-
-def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
-    """Exhaustively check, over every signed permutation of each B_n, that the
-    chain-count specialization equals C(n + m - 1 - des_B, n)."""
-    report = Report()
-    for n in range(n_max + 1):
-        for m in range(1, m_max + 1):
-            for w in enumerate_group(n, signed=True):
-                lhs = fundamental_spec(signed_descent_set(w), m)
-                rhs = binomial(n + m - 1 - des_b(w), n)
-                if lhs != rhs:
-                    params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
-                    report.check("signed-spec-closed-form", params, False, lhs, rhs)
-                    break
-            else:
-                params = (("n", n), ("m", m))
-                report.check("signed-spec-closed-form", params, True, "chain-count", "binomial")
-    return report
-
-
-def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
-    """Check that summing Schur specializations over all partitions of n
-    matches the t^n coefficient of (1-t)^(-m) (1-t^2)^(-C(m,2))."""
-    report = Report()
-    for m in range(m_max + 1):
-        series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
-        for n in range(n_max + 1):
-            lhs = sum(schur_spec(shape, m) for shape in partitions(n))
-            report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
-    return report
-
-
-def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
-    """Check, shape pair by shape pair, that summing signed specializations
-    over the bitableaux of a bipartition factors as the product of the two
-    Schur specializations at m and m-1 variables."""
-    report = Report()
-    for n in range(n_max + 1):
-        for plus, minus in bipartitions(n):
-            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
-            for m in range(1, m_max + 1):
-                lhs = sum(fundamental_spec(s, m) for s in sdes_list)
-                rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
-                params = (
-                    ("n", n),
-                    ("plus", ".".join(map(str, plus)) or "0"),
-                    ("minus", ".".join(map(str, minus)) or "0"),
-                    ("m", m),
-                )
-                report.compare("signed-schur-factorization", params, lhs, rhs)
-    return report

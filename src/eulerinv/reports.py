@@ -3,7 +3,9 @@
 Every sweep produces one record per checked identity: a check name, the
 parameters, a status and the two compared values.  Integers are printed in
 plain decimal with no grouping so records are diffable and byte-stable
-across runs.
+across runs.  A record renders the values it is given: a tuple or list (a
+coefficient row, a gamma vector) as comma-separated decimals, anything
+else with str(), so a sweep passes its values as they are.
 
 Statuses: "pass" and "fail" are hard outcomes; "note" marks informational
 findings (open questions, known discrepancies) that never fail a run.
@@ -64,15 +66,16 @@ class Report:
 
     def check(self, check: str, params: Params, ok: bool, lhs, rhs) -> None:
         """Add a pass record when ok holds, a fail record otherwise."""
-        self.add(CheckRecord(check, tuple(params), PASS if ok else FAIL, str(lhs), str(rhs)))
+        status = PASS if ok else FAIL
+        self.add(CheckRecord(check, tuple(params), status, _render(lhs), _render(rhs)))
 
     def compare(self, check: str, params: Params, lhs, rhs) -> None:
-        """Add a pass record when the two sides are equal, a fail record otherwise."""
+        """Add a pass record when the two values are equal, a fail record otherwise."""
         self.check(check, params, lhs == rhs, lhs, rhs)
 
     def note(self, check: str, params: Params, lhs, rhs) -> None:
         """Add an informational record that never fails the report."""
-        self.add(CheckRecord(check, tuple(params), NOTE, str(lhs), str(rhs)))
+        self.add(CheckRecord(check, tuple(params), NOTE, _render(lhs), _render(rhs)))
 
     @property
     def ok(self) -> bool:
@@ -96,3 +99,7 @@ class Report:
 def int_list(values: Iterable[int]) -> str:
     """Render a coefficient list as comma-separated plain decimals."""
     return ",".join(str(v) for v in values)
+
+
+def _render(value) -> str:
+    return int_list(value) if isinstance(value, (tuple, list)) else str(value)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from eulerinv import checks, qsym
+from eulerinv import checks
 from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, main
 from eulerinv.reports import Report
 
@@ -141,10 +141,9 @@ def test_every_report_function_is_reached_by_a_command():
     # a public sweep that returns a Report but no command runs checks nothing a user sees
     sweeps = {
         function
-        for module in (checks, qsym)
-        for name, function in inspect.getmembers(module, inspect.isfunction)
+        for name, function in inspect.getmembers(checks, inspect.isfunction)
         if not name.startswith("_")
-        and function.__module__ == module.__name__
+        and function.__module__ == checks.__name__
         and inspect.signature(function, eval_str=True).return_annotation is Report
     }
     commands = {checks.verify_counterexample_89, checks.reference_table_report}

@@ -9,7 +9,6 @@ from eulerinv.permutations import (
     BudgetExceededError,
     des_b,
     des_coxeter,
-    descent_set,
     enumerate_group,
     enumerate_involutions,
     enumerate_signed_involutions,
@@ -36,10 +35,11 @@ from oracles import (
 
 
 def test_descent_set():
-    assert descent_set((1, 2, 3, 4)) == ()
-    assert descent_set((5, 4, 3, 2, 1)) == (1, 2, 3, 4)
-    assert descent_set((2, 1, 3)) == (1,)
-    assert descent_set(()) == ()
+    # a permutation is an all-positive signed window: its descent set is the positions
+    assert signed_descent_set((1, 2, 3, 4))[0] == ()
+    assert signed_descent_set((5, 4, 3, 2, 1))[0] == (1, 2, 3, 4)
+    assert signed_descent_set((2, 1, 3))[0] == (1,)
+    assert signed_descent_set(())[0] == ()
 
 
 def test_signed_descent_set_examples():
@@ -71,7 +71,7 @@ def test_descent_set_producers_build_well_formed_sets():
             _assert_well_formed(syb_signed_descent_set(q), n, q)
         # an unsigned set meets the same conditions with every sign plus
         for w in enumerate_involutions(n):
-            _assert_well_formed((descent_set(w), (1,) * n), n, w)
+            _assert_well_formed((signed_descent_set(w)[0], (1,) * n), n, w)
         for q in enumerate_all_syt(n):
             _assert_well_formed((syt_descent_set(q), (1,) * n), n, q)
     for n in range(0, 5):
@@ -102,7 +102,8 @@ def test_des_b_matches_colored_order_count():
 def test_des_coxeter_is_type_a_descent_number_on_unsigned_windows():
     for n in range(0, 8):
         for w in enumerate_group(n, signed=False):
-            assert des_coxeter(w) == len(descent_set(w)), w
+            positions, signs = signed_descent_set(w)
+            assert signs == (1,) * n and des_coxeter(w) == len(positions), w
 
 
 def test_signed_group_matches_sign_vector_construction():

@@ -4,14 +4,12 @@ import pytest
 
 from eulerinv.permutations import des_b, enumerate_group, signed_descent_set
 from eulerinv.polynomials import binomial
-from eulerinv.qsym import (
-    _count_chains,
-    fundamental_spec,
-    schur_spec,
+from eulerinv.checks import (
     verify_cauchy_spec,
     verify_signed_schur_spec,
     verify_signed_spec_closed_form,
 )
+from eulerinv.qsym import _count_chains, fundamental_spec, schur_spec
 from eulerinv.tableaux import enumerate_syt, partitions, syt_descent_set
 from oracles import count_chains, count_ssyt
 
@@ -181,15 +179,15 @@ def test_verify_signed_schur_spec():
 
 
 def test_specialization_sweeps_fail_when_one_side_is_wrong(monkeypatch):
-    from eulerinv import qsym
+    from eulerinv import checks
 
     def zeros(a, b, order):
         return (0,) * (order + 1)
 
-    monkeypatch.setattr(qsym, "expand_negative_binomial_product", zeros)
+    monkeypatch.setattr(checks, "expand_negative_binomial_product", zeros)
     failure = verify_cauchy_spec(1, 1).failures[0]
     assert (failure.params, failure.lhs, failure.rhs) == ((("n", 0), ("m", 0)), "1", "0")
-    monkeypatch.setattr(qsym, "schur_spec", lambda shape, m: 0)
+    monkeypatch.setattr(checks, "schur_spec", lambda shape, m: 0)
     failure = verify_signed_schur_spec(0, 1).failures[0]
     assert (failure.lhs, failure.rhs) == ("1", "0")
 
@@ -200,11 +198,11 @@ def test_verify_signed_spec_closed_form():
 
 
 def test_signed_spec_closed_form_failure_names_the_first_element(monkeypatch):
-    from eulerinv import qsym
+    from eulerinv import checks
 
-    binomial_of = qsym.binomial
+    binomial_of = checks.binomial
     # C(3, 2) is the closed form at n = 2 wherever m - 1 - des_B = 1
-    monkeypatch.setattr(qsym, "binomial", lambda a, b: binomial_of(a, b) + ((a, b) == (3, 2)))
+    monkeypatch.setattr(checks, "binomial", lambda a, b: binomial_of(a, b) + ((a, b) == (3, 2)))
     report = verify_signed_spec_closed_form(2, 4)
     assert [r.status for r in report] == ["pass"] * 9 + ["fail"] * 3
     assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [

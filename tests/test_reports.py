@@ -34,3 +34,18 @@ def test_only_reports_sets_a_status():
     assert "reports.py" in [path.name for path in _modules()]
     assert spelled == []
     assert built == []
+
+
+def test_records_render_the_values_they_are_given():
+    report = eulerinv.Report()
+    # a tuple or list as comma-separated decimals, anything else with str()
+    report.compare("row", (("n", 3),), (1, 9, 9, 1), (1, 9, 9, 1))
+    report.compare("row", (("n", 4),), (1, 17, 40, 17, 1), (1, 17, 41, 17, 1))
+    report.check("gamma", (), True, [1, 37, 168, 56], "text")
+    report.note("count", (), 1384, ())
+    assert list(report.lines()) == [
+        "check=row\tparams=n=3\tstatus=pass\tlhs=1,9,9,1\trhs=1,9,9,1",
+        "check=row\tparams=n=4\tstatus=fail\tlhs=1,17,40,17,1\trhs=1,17,41,17,1",
+        "check=gamma\tparams=-\tstatus=pass\tlhs=1,37,168,56\trhs=text",
+        "check=count\tparams=-\tstatus=note\tlhs=1384\trhs=-",
+    ]
