@@ -156,19 +156,16 @@ def _compare_multisets(
     report: Report, check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str
 ) -> None:
     """Pass when the two descent-set multisets agree; otherwise fail, naming
-    the first descent set, in natural tuple order, whose multiplicities differ.
-
-    Keys are descent sets (ascending positions) or signed descent sets
-    (positions, signs)."""
+    the first descent set (positions, signs), in natural tuple order, whose
+    multiplicities differ.  Its signs are printed only when one is -1."""
     lhs = f"{sum(perm_side.values())} involutions"
     rhs = f"{sum(tab_side.values())} {noun}"
     ok = perm_side == tab_side
     if not ok:
         first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
-        # a signed set starts with its tuple of positions, a plain one with a position
-        positions, signs = first if first and isinstance(first[0], tuple) else (first, ())
+        positions, signs = first
         witness = "Des={" + int_list(positions) + "}"
-        if signs:
+        if -1 in signs:
             witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
         lhs += f", {perm_side[first]} with {witness}"
         rhs += f", {tab_side[first]} with {witness}"
@@ -182,12 +179,12 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     names the first descent set, in sorted order, whose counts differ."""
     report = Report()
     for n in range(signed_n_max + 1):
-        perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
-        tab_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
+        perm_side = Counter(map(signed_descent_set, enumerate_signed_involutions(n)))
+        tab_side = Counter(map(syb_signed_descent_set, enumerate_all_syb(n)))
         _compare_multisets(report, "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux")
     for n in range(unsigned_n_max + 1):
-        perm_side = Counter(signed_descent_set(w)[0] for w in enumerate_involutions(n))
-        tab_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
+        perm_side = Counter(map(signed_descent_set, enumerate_involutions(n)))
+        tab_side = Counter(map(syt_descent_set, enumerate_all_syt(n)))
         _compare_multisets(report, "des-multiset-unsigned", n, perm_side, tab_side, "tableaux")
     return report
 
@@ -232,7 +229,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
             n,
             enumerate_all_syt(n),
             syt_transpose,
-            lambda q: len(syt_descent_set(q)),
+            lambda q: len(syt_descent_set(q)[0]),
             max(n - 1, 0),
             "tableaux",
         )

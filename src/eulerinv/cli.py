@@ -157,11 +157,6 @@ def _emit(report: Report, structured: bool, out) -> int:
     return 0 if report.ok else 1
 
 
-def _distribution(args) -> tuple[int, ...]:
-    rows = involution_eulerian if args.kind.startswith("inv") else full_eulerian
-    return rows(args.n, signed=args.kind.endswith("B"), statistic=args.stat)
-
-
 def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
     if structured:
         report = Report()
@@ -172,8 +167,10 @@ def _print_row(check: str, params: Params, row, structured: bool, out) -> int:
 
 
 def _run_poly(args, structured, out) -> int:
+    rows = involution_eulerian if args.kind.startswith("inv") else full_eulerian
+    row = rows(args.n, signed=args.kind.endswith("B"), statistic=args.stat)
     params = (("kind", args.kind), ("n", args.n), ("stat", args.stat))
-    return _print_row("poly", params, _distribution(args), structured, out)
+    return _print_row("poly", params, row, structured, out)
 
 
 def _run_gamma(args, structured, out) -> int:

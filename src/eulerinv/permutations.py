@@ -19,8 +19,8 @@ signed descent set stays for the checks that need the sets themselves, as
 plain tuples: the pair (positions, signs), with the positions ascending and
 one +1/-1 sign per entry of the window.  A -,+ sign step is never a
 descent.  S_n is the all-positive slice of B_n, so the descent set of a
-permutation is the positions of its signed descent set.  The tableau side
-of the bijection builds the same formats by its own code.
+permutation is its signed descent set, every sign +1.  The tableau side of
+the bijection builds the same format by its own code.
 
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
@@ -40,11 +40,10 @@ from math import factorial
 from typing import Iterator
 
 Window = tuple[int, ...]
-#: Descent positions, ascending.
-Descents = tuple[int, ...]
 #: (positions, signs): descent positions ascending, and one +1/-1 sign for
-#: each of the n positions of the window.
-SignedDescents = tuple[Descents, tuple[int, ...]]
+#: each of the n positions; the one descent-set format, for windows and
+#: (bi)tableaux alike.
+SignedDescents = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: Cap on objects a single enumeration call may generate.
 DEFAULT_BUDGET = 20_000_000
@@ -230,8 +229,7 @@ def enumerate_group(n: int, signed: bool) -> Iterator[Window]:
     name = "the hyperoctahedral group" if signed else "the symmetric group"
     _check_budget(n, order, name)
     if not signed:
-        for perm in _itertools_permutations(range(1, n + 1)):
-            yield perm
+        yield from _itertools_permutations(range(1, n + 1))
         return
     # sign vectors run from all plus to all minus, the last position fastest
     for perm in _itertools_permutations(range(1, n + 1)):

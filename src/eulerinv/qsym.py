@@ -3,9 +3,9 @@
 A specialization count is the number of weakly increasing index chains into
 1..m, strict at prescribed positions, that avoid index 1 at negatively
 signed positions, which is exactly what substituting 0 for the first
-variable of the second alphabet does.  One function takes a signed descent
-set (positions, signs); the descent set of a permutation of 1..n is the
-signed one with all n signs +1, whose value is the one-alphabet value.
+variable of the second alphabet does.  One function takes a descent set
+(positions, signs); a permutation's or a standard tableau's carries all n
+signs +1, and its value is the one-alphabet value.
 
 Counts are computed by dynamic programming over chain positions, each step
 one pass of itertools.accumulate prefix sums.  The matching closed forms
@@ -22,8 +22,8 @@ The dynamic program is memoized for the life of the process.  Its key is
 (n, strict positions as an ascending tuple, minimums, m): fundamental_spec
 checks its input and then passes the positions in that one form, so {1},
 (1,) and [1] share an entry.  The memo stays small because a key is a
-descent set, not an object: at most 2^(n-1) strict sets per (n, m) for
-unsigned input, and 2^(n-1) * 2^n for signed input.
+descent set, not an object: at most 2^(n-1) strict sets per (n, m) when
+every sign is +1, and 2^(n-1) * 2^n with mixed signs.
 """
 from __future__ import annotations
 
@@ -88,10 +88,8 @@ def schur_spec(shape: Shape, m: int) -> int:
     specializations over the standard tableaux of the shape.  Counts the
     semistandard fillings with entries at most m."""
     validate_shape(shape)
-    n = sum(shape)
     if m == 0:
-        return 1 if n == 0 else 0
-    walk = Counter(syt_descent_set(q) for q in enumerate_syt(shape))
-    signs = (1,) * n
-    return sum(count * fundamental_spec((des, signs), m) for des, count in walk.items())
+        return 1 if sum(shape) == 0 else 0
+    walk = Counter(map(syt_descent_set, enumerate_syt(shape)))
+    return sum(count * fundamental_spec(des, m) for des, count in walk.items())
 

@@ -61,13 +61,10 @@ class CheckRecord:
 class Report:
     records: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
-
     def check(self, check: str, params: Params, ok: bool, lhs, rhs) -> None:
         """Add a pass record when ok holds, a fail record otherwise."""
         status = PASS if ok else FAIL
-        self.add(CheckRecord(check, tuple(params), status, _render(lhs), _render(rhs)))
+        self.records.append(CheckRecord(check, tuple(params), status, _render(lhs), _render(rhs)))
 
     def compare(self, check: str, params: Params, lhs, rhs) -> None:
         """Add a pass record when the two values are equal, a fail record otherwise."""
@@ -75,7 +72,7 @@ class Report:
 
     def note(self, check: str, params: Params, lhs, rhs) -> None:
         """Add an informational record that never fails the report."""
-        self.add(CheckRecord(check, tuple(params), NOTE, _render(lhs), _render(rhs)))
+        self.records.append(CheckRecord(check, tuple(params), NOTE, _render(lhs), _render(rhs)))
 
     @property
     def ok(self) -> bool:

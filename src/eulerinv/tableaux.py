@@ -13,14 +13,14 @@ unique order isomorphism; each minus filling is relabelled once per entry
 set, not once per plus filling.  Every walk yields each object once, in the
 order of the plain recursive walks that tests/oracles.py keeps as references.
 
-Descent sets are read off a list holding the row of each entry, in the
-formats of permutations.py: a descent set is an ascending tuple of entries
-i, and a signed descent set is the pair (positions, signs) with the sign of
-the part holding each entry.  On a bitableau the rows of the minus part are
+Descent sets are read off a list holding the row of each entry, in the one
+format of permutations.py: the pair (positions, signs), the entries i
+ascending and the sign of the part holding each entry.  Every sign of a
+standard tableau is +1.  On a bitableau the rows of the minus part are
 numbered after all of the plus part's, so a single comparison of neighbours
 tests each i and des_B is counted without building the set.  Nothing here
 calls the window-side descent functions, so the two sides of the bijection
-share only the type aliases.
+share only the type alias.
 """
 from __future__ import annotations
 
@@ -29,12 +29,7 @@ from math import comb, factorial
 from operator import lt
 from typing import Iterator
 
-from .permutations import (
-    Descents,
-    SignedDescents,
-    _check_budget,
-    involution_count,
-)
+from .permutations import SignedDescents, _check_budget, involution_count
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -131,13 +126,15 @@ def enumerate_all_syt(n: int) -> Iterator[Tableau]:
         yield from enumerate_syt(shape)
 
 
-def syt_descent_set(tableau: Tableau) -> Descents:
-    """Entries i whose successor i+1 sits in a strictly lower row, ascending."""
-    row_of = [0] * (sum(map(len, tableau)) + 1)  # row_of[e]: the row holding e
+def syt_descent_set(tableau: Tableau) -> SignedDescents:
+    """(positions, signs): the entries i whose successor i+1 sits in a
+    strictly lower row, ascending, and n signs +1."""
+    n = sum(map(len, tableau))
+    row_of = [0] * (n + 1)  # row_of[e]: the row holding e
     for r, row in enumerate(tableau[1:], 1):  # the first row keeps row 0
         for entry in row:
             row_of[entry] = r
-    return tuple(compress(range(1, len(row_of)), map(lt, row_of[1:], row_of[2:])))
+    return tuple(compress(range(1, n + 1), map(lt, row_of[1:], row_of[2:]))), (1,) * n
 
 
 def syt_transpose(tableau: Tableau) -> Tableau:

@@ -123,7 +123,7 @@ def test_criterion_07_descent_multiset_bijection():
         tab = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
         assert perm == tab, n
     for n in range(8):
-        perm = Counter(signed_descent_set(w)[0] for w in enumerate_involutions(n))
+        perm = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
         tab = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
         assert perm == tab, n
     passed(7, "descent multisets agree with (bi)tableaux (B: n<=6, A: n<=7)")
@@ -135,7 +135,8 @@ def test_criterion_08_transpose_complementation():
             assert syb_des_b(syb_transpose(q)) == n - syb_des_b(q)
     for n in range(1, 8):
         for q in enumerate_all_syt(n):
-            assert len(syt_descent_set(syt_transpose(q))) == n - 1 - len(syt_descent_set(q))
+            des = len(syt_descent_set(q)[0])
+            assert len(syt_descent_set(syt_transpose(q))[0]) == n - 1 - des
     passed(8, "transpose complements descent numbers on all (bi)tableaux")
 
 

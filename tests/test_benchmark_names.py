@@ -1,0 +1,44 @@
+"""The names the benchmark tracer times must exist in the library.
+
+perfbench/tracer.py names the functions it groups, counts and wraps as
+"<module>.<attribute>" strings.  A rename or deletion in eulerinv leaves such
+a name dead without any error, so this test resolves every one of them and
+pins the set that does not resolve.  The benchmark's next revision empties it.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+#: Traced names whose functions the library has since renamed or deleted.
+DEAD_NAMES = {
+    "permutations.descent_set",
+    "permutations.SignedDescentSet.type_b_descents",
+    "polynomials.TruncatedSeries.coefficient",
+    "tableaux.syt_row_of_entry",
+    "distributions.GammaVector.reconstruct",
+    "qsym.signed_fundamental_spec",
+}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _resolves(name: str) -> bool:
+    module, *attributes = name.split(".")
+    value = importlib.import_module(f"eulerinv.{module}")
+    for attribute in attributes:
+        value = getattr(value, attribute, None)
+    return callable(value)
+
+
+def test_traced_names_resolve_except_the_known_dead_ones():
+    tracer = _load_tracer()
+    names = {name for group in tracer.GROUPS.values() for name in group}
+    names |= tracer.OBJECT_ENUMERATORS | {tracer.RECURRENCE} | set(tracer.EXTRA)
+    assert {name for name in names if not _resolves(name)} == DEAD_NAMES

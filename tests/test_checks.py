@@ -148,7 +148,7 @@ def test_record_formats():
     report = Report([record])
     assert report.ok and not report.failures
     bad = CheckRecord("demo", (), "fail", "1", "2")
-    report.add(bad)
+    report.records.append(bad)
     assert not report.ok and report.failures == [bad]
     compared = Report()
     compared.compare("demo", [("n", 3)], 4, 4)
@@ -220,6 +220,15 @@ def test_descent_multiset_failure_reports_the_smallest_set_in_sorted_order(monke
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.lhs == "6 involutions, 1 with Des={} signs=-+"
     assert failure.rhs == "4 bitableaux, 0 with Des={} signs=-+"
+
+
+def test_signed_descent_multiset_failure_names_an_all_plus_set_without_signs(monkeypatch):
+    # the fifth bitableau of size 2 is (((1, 2),), ()): no descent, both signs plus
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {4})
+    failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
+    assert failure.params == (("n", 2),)
+    assert failure.lhs == "6 involutions, 1 with Des={}"
+    assert failure.rhs == "5 bitableaux, 0 with Des={}"
 
 
 def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch):

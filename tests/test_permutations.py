@@ -69,11 +69,13 @@ def test_descent_set_producers_build_well_formed_sets():
             _assert_well_formed(signed_descent_set(w), n, w)
         for q in enumerate_all_syb(n):
             _assert_well_formed(syb_signed_descent_set(q), n, q)
-        # an unsigned set meets the same conditions with every sign plus
+        # permutations and standard tableaux give the same pairs, every sign plus
         for w in enumerate_involutions(n):
-            _assert_well_formed((signed_descent_set(w)[0], (1,) * n), n, w)
+            _assert_well_formed(signed_descent_set(w), n, w)
+            assert signed_descent_set(w)[1] == (1,) * n, w
         for q in enumerate_all_syt(n):
-            _assert_well_formed((syt_descent_set(q), (1,) * n), n, q)
+            _assert_well_formed(syt_descent_set(q), n, q)
+            assert syt_descent_set(q)[1] == (1,) * n, q
     for n in range(0, 5):
         for w in enumerate_group(n, signed=True):
             _assert_well_formed(signed_descent_set(w), n, w)

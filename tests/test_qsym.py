@@ -143,8 +143,7 @@ def test_schur_spec_matches_the_per_tableau_sum():
         for shape in partitions(n):
             for m in range(0, 6):
                 per_tableau = sum(
-                    fundamental_spec((syt_descent_set(q), (1,) * n), m)
-                    for q in enumerate_syt(shape)
+                    fundamental_spec(syt_descent_set(q), m) for q in enumerate_syt(shape)
                 )
                 assert schur_spec(shape, m) == per_tableau, (shape, m)
 

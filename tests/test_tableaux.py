@@ -90,17 +90,24 @@ def test_syt_transpose_matches_the_column_reading():
 
 
 def test_syt_descent_set():
-    assert syt_descent_set(((1, 2, 3),)) == ()
-    assert syt_descent_set(((1,), (2,), (3,), (4,))) == (1, 2, 3)
-    assert syt_descent_set(((1, 2), (3,))) == (2,)
+    assert syt_descent_set(((1, 2, 3),)) == ((), (1, 1, 1))
+    assert syt_descent_set(((1,), (2,), (3,), (4,))) == ((1, 2, 3), (1, 1, 1, 1))
+    assert syt_descent_set(((1, 2), (3,))) == ((2,), (1, 1, 1))
+    assert syt_descent_set(()) == ((), ())
+
+
+def test_syt_descent_set_is_the_all_plus_bitableau_reading():
+    for n in range(0, 9):
+        for q in enumerate_all_syt(n):
+            assert syt_descent_set(q) == syb_signed_descent_set((q, ())), q
 
 
 def test_syt_transpose():
     assert syt_transpose(((1, 2, 3),)) == ((1,), (2,), (3,))
     square = ((1, 2), (3, 4))
     assert syt_transpose(square) == ((1, 3), (2, 4))
-    assert len(syt_descent_set(square)) == 1
-    assert len(syt_descent_set(syt_transpose(square))) == 2
+    assert syt_descent_set(square) == ((2,), (1, 1, 1, 1))
+    assert syt_descent_set(syt_transpose(square)) == ((1, 3), (1, 1, 1, 1))
     assert syt_transpose(syt_transpose(square)) == square
     assert syt_transpose(()) == ()
 
@@ -110,7 +117,7 @@ def test_syt_transpose_complements_descents():
         for q in enumerate_all_syt(n):
             t = syt_transpose(q)
             assert is_standard_tableau(t)
-            assert len(syt_descent_set(t)) == n - 1 - len(syt_descent_set(q))
+            assert len(syt_descent_set(t)[0]) == n - 1 - len(syt_descent_set(q)[0])
             assert syt_transpose(t) == q
 
 
@@ -233,6 +240,6 @@ def test_descent_multisets_match_involutions():
         bitableau_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
         assert signed_perm_side == bitableau_side, n
     for n in range(0, 8):
-        perm_side = Counter(signed_descent_set(w)[0] for w in enumerate_involutions(n))
+        perm_side = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
         tableau_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
         assert perm_side == tableau_side, n
