@@ -2,7 +2,6 @@
 hyperoctahedral groups, with mechanical verification of their identities,
 recurrences, generating functions and counterexamples."""
 
-from .checks import verify_cauchy_spec, verify_signed_schur_spec
 from .distributions import (
     DES_B,
     DES_COXETER,

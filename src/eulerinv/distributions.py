@@ -13,11 +13,11 @@ Every polynomial is a plain tuple of integer coefficients, lowest degree
 first, with no trailing zeros: entry k of a distribution counts the
 elements with k descents.
 
-The recurrence divides by n at every step; the division is exact when the
-coefficients are right, so a nonzero remainder aborts loudly instead of
-being rounded away.  One run of it yields every row up to n_max
-(signed_involution_recurrence_rows), so a sweep over n computes each row
-once; a caller that wants row n alone keeps no earlier row.
+The recurrence has one base row, row 0, and divides by n at each step from
+n = 1 on; the division is exact when the coefficients are right, so a
+nonzero remainder aborts loudly instead of being rounded away.  One run
+yields every row up to n_max (signed_involution_recurrence_rows), so a sweep
+over n computes each row once; a caller of row n alone keeps no earlier row.
 
 A gamma vector is a plain tuple too: gamma_vector(coeffs, n) extracts it and
 gamma_reconstruct(gammas, n) rebuilds the coefficients from it, n being twice
@@ -82,13 +82,14 @@ def _recurrence_rows(n_max: int):
     """Yield type-B involution rows 0..n_max (none when n_max < 0) from the
     three-term linear recurrence, holding only the last two.
 
-    Row n is assembled from rows n-1 and n-2 and divided by n; the division
-    must leave no remainder.
+    Row 0 = (1,) is the only base row and row -1 is empty; each row n >= 1 is
+    built from rows n-1 and n-2 and divided by n, which must be exact.
     """
-    seeds = ((1,), (1, 1), (1, 4, 1))
-    yield from seeds[: max(n_max + 1, 0)]
-    prev2, prev = seeds[1:]
-    for size in range(3, n_max + 1):
+    if n_max < 0:
+        return
+    prev2, prev = (), (1,)
+    yield prev
+    for size in range(1, n_max + 1):
         # rows n-1 and n-2 read at k, k-1 and k-2 for k = 0..n, zero outside
         shifted = zip(
             prev + (0,), (0,) + prev, prev2 + (0, 0), (0,) + prev2 + (0,), (0, 0) + prev2

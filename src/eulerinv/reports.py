@@ -9,12 +9,16 @@ else with str(), so a sweep passes its values as they are.
 
 Statuses: "pass" and "fail" are hard outcomes; "note" marks informational
 findings (open questions, known discrepancies) that never fail a run.
-Sweeps add records only through ``Report.check``, ``Report.compare`` and
-``Report.note``, so this module is the only place a status is set.
+
+A Report is the list of its records, in the order they were added.  Sweeps
+add them only through ``Report.check``, ``Report.compare`` and
+``Report.note``, so this module is the only place a status is set;
+tests/test_reports.py::test_only_reports_sets_a_status fails if another
+module builds a CheckRecord or spells a status.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Params = tuple[tuple[str, object], ...]
@@ -57,14 +61,11 @@ class CheckRecord:
         return f"{head}: {self.status} ({body})"
 
 
-@dataclass
-class Report:
-    records: list[CheckRecord] = field(default_factory=list)
-
+class Report(list[CheckRecord]):
     def check(self, check: str, params: Params, ok: bool, lhs, rhs) -> None:
         """Add a pass record when ok holds, a fail record otherwise."""
         status = PASS if ok else FAIL
-        self.records.append(CheckRecord(check, tuple(params), status, _render(lhs), _render(rhs)))
+        self.append(CheckRecord(check, tuple(params), status, _render(lhs), _render(rhs)))
 
     def compare(self, check: str, params: Params, lhs, rhs) -> None:
         """Add a pass record when the two values are equal, a fail record otherwise."""
@@ -72,25 +73,19 @@ class Report:
 
     def note(self, check: str, params: Params, lhs, rhs) -> None:
         """Add an informational record that never fails the report."""
-        self.records.append(CheckRecord(check, tuple(params), NOTE, _render(lhs), _render(rhs)))
+        self.append(CheckRecord(check, tuple(params), NOTE, _render(lhs), _render(rhs)))
 
     @property
     def ok(self) -> bool:
-        return all(r.status != FAIL for r in self.records)
+        return all(r.status != FAIL for r in self)
 
     @property
     def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if r.status == FAIL]
+        return [r for r in self if r.status == FAIL]
 
     def lines(self, structured: bool = True) -> Iterator[str]:
-        for r in self.records:
+        for r in self:
             yield r.structured() if structured else r.plain()
-
-    def __iter__(self) -> Iterator[CheckRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def int_list(values: Iterable[int]) -> str:

@@ -7,6 +7,7 @@ pins the set that does not resolve.  The benchmark's next revision empties it.
 """
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -29,16 +30,27 @@ def _load_tracer():
     return tracer
 
 
-def _resolves(name: str) -> bool:
+def _resolve(name: str):
     module, *attributes = name.split(".")
     value = importlib.import_module(f"eulerinv.{module}")
     for attribute in attributes:
         value = getattr(value, attribute, None)
-    return callable(value)
+    return value
 
 
 def test_traced_names_resolve_except_the_known_dead_ones():
     tracer = _load_tracer()
     names = {name for group in tracer.GROUPS.values() for name in group}
     names |= tracer.OBJECT_ENUMERATORS | {tracer.RECURRENCE} | set(tracer.EXTRA)
-    assert {name for name in names if not _resolves(name)} == DEAD_NAMES
+    assert {name for name in names if not callable(_resolve(name))} == DEAD_NAMES
+
+
+def test_tracer_counts_what_the_library_yields():
+    # the tracer counts yielded objects only for generator functions, and
+    # times the recurrence as one call, so each must keep its kind
+    tracer = _load_tracer()
+    live = sorted(tracer.OBJECT_ENUMERATORS - DEAD_NAMES)
+    assert live
+    assert [name for name in live if not inspect.isgeneratorfunction(_resolve(name))] == []
+    recurrence = _resolve(tracer.RECURRENCE)
+    assert inspect.isfunction(recurrence) and not inspect.isgeneratorfunction(recurrence)

@@ -145,33 +145,35 @@ def test_record_formats():
     record = CheckRecord("demo", (("n", 3),), "pass", "1,2,1", "1,2,1")
     assert record.structured() == "check=demo\tparams=n=3\tstatus=pass\tlhs=1,2,1\trhs=1,2,1"
     assert record.plain() == "demo n=3: pass (1,2,1 == 1,2,1)"
+    with pytest.raises(ValueError, match="unknown status 'skip'"):
+        CheckRecord("demo", (), "skip", "1", "2")
     report = Report([record])
     assert report.ok and not report.failures
     bad = CheckRecord("demo", (), "fail", "1", "2")
-    report.records.append(bad)
+    report.append(bad)
     assert not report.ok and report.failures == [bad]
     compared = Report()
     compared.compare("demo", [("n", 3)], 4, 4)
     compared.compare("demo", (("n", 3),), 4, 5)
-    assert compared.records == [
+    assert compared == [
         CheckRecord("demo", (("n", 3),), "pass", "4", "4"),
         CheckRecord("demo", (("n", 3),), "fail", "4", "5"),
     ]
     checked = Report()
     checked.check("demo", [("n", 3)], True, "symmetric", "1,2,1")
     checked.check("demo", (), False, 10**20, -7)
-    assert checked.records == [
+    assert checked == [
         CheckRecord("demo", (("n", 3),), "pass", "symmetric", "1,2,1"),
         CheckRecord("demo", (), "fail", "100000000000000000000", "-7"),
     ]
-    assert not checked.ok and checked.failures == checked.records[1:]
+    assert not checked.ok and checked.failures == checked[1:]
     noted = Report()
     noted.note("demo", [("n", 6), ("equal", False)], 632, "NEGATIVE ENTRY")
-    assert noted.records == [
+    assert noted == [
         CheckRecord("demo", (("n", 6), ("equal", False)), "note", "632", "NEGATIVE ENTRY")
     ]
     assert noted.ok and not noted.failures
-    assert noted.records[0].plain() == "demo n=6 equal=False: note: 632 | NEGATIVE ENTRY"
+    assert noted[0].plain() == "demo n=6 equal=False: note: 632 | NEGATIVE ENTRY"
 
 
 def _drop_from_walk(monkeypatch, walk, n, positions):

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -96,6 +97,8 @@ def test_unknown_statistic_rejected():
 def test_recurrence_small_rows():
     assert signed_involution_eulerian_recurrence(3) == (1, 9, 9, 1)
     assert signed_involution_eulerian_recurrence(0) == (1,)
+    with pytest.raises(ValueError, match="nonnegative"):
+        signed_involution_eulerian_recurrence(-1)
 
 
 def test_recurrence_decomposition_by_hand():
@@ -123,6 +126,9 @@ def test_r_closed_values():
         assert r_closed(0, m) == 1
         assert r_closed(1, m) == 2 * m + 1
     assert r_closed(2, 1) == 7
+    for n, m in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            r_closed(n, m)
 
 
 def test_r_recurrence_values():
@@ -209,6 +215,15 @@ def test_gamma_vector_rejects_asymmetric():
         gamma_vector((1, 2), 1)
 
 
+def test_gamma_vector_rejects_a_nonzero_residual(monkeypatch):
+    import eulerinv.distributions as distributions
+
+    # C(2, 2) off by one leaves -1 at x^2, which no later gamma_i reaches
+    monkeypatch.setattr(distributions, "comb", lambda a, b: comb(a, b) + ((a, b) == (2, 2)))
+    with pytest.raises(ValueError, match="nonzero residual"):
+        gamma_vector((1, 4, 1), 2)
+
+
 def test_gamma_vector_allows_negative_entries():
     # symmetric but not gamma-positive
     gv = gamma_vector((1, 0, 1), 2)
@@ -248,9 +263,9 @@ def test_recurrence_rows_match_enumeration():
 def test_recurrence_rows_abort_on_inexact_division(monkeypatch):
     import eulerinv.distributions as distributions
 
-    # every quotient now comes with a remainder; the first step is n=3, k=0
+    # every quotient now comes with a remainder; the first step is n=1, k=0
     monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
-    message = r"^recurrence row n=3, k=0: 3 is not divisible by 3$"
+    message = r"^recurrence row n=1, k=0: 1 is not divisible by 1$"
     with pytest.raises(distributions.InexactDivisionError, match=message):
         signed_involution_recurrence_rows(3)
 

@@ -245,6 +245,13 @@ def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
             next(walk)
 
 
+def test_enumerate_group_raises_on_negative_n_at_the_first_next():
+    for signed in (False, True):
+        walk = enumerate_group(-1, signed)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(walk)
+
+
 def test_involution_counts_reject_negative_n_and_match_the_oracles():
     for signed in (False, True):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -66,6 +66,10 @@ def test_expand_examples():
     assert negative_binomial_coefficient(3, 1, 2) == 7
     with pytest.raises(ValueError, match="nonnegative"):
         negative_binomial_coefficient(-1, 0, 2)
+    # the exponents are checked even when order < 0 asks for no coefficient
+    for a, b, order in ((-1, 0, 2), (0, -1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            expand_negative_binomial_product(a, b, order)
 
 
 def test_expand_against_naive_product_oracle():

@@ -209,5 +209,5 @@ def test_signed_spec_closed_form_failure_names_the_first_element(monkeypatch):
         ("signed-spec-closed-form", (("n", 2), ("m", 3), ("w", "1 -2")), "3", "4"),
         ("signed-spec-closed-form", (("n", 2), ("m", 4), ("w", "-2 -1")), "3", "4"),
     ]
-    passing = report.records[0]
+    passing = report[0]
     assert (passing.params, passing.lhs, passing.rhs) == ((("n", 0), ("m", 1)), "chain-count", "binomial")
