@@ -1,8 +1,9 @@
 """Command-line frontend: compute distributions, run verification sweeps.
 
-Each subcommand's parser names its runner with set_defaults(run=...), and
-main calls args.run(args, structured, out) inside the budget block, so the
-parser alone picks the runner.  Each verify target runs one sweep of SWEEPS,
+Each subcommand's parser names its runner with set_defaults(run=...), table
+and counterexample the same one with the report it emits, and main calls
+args.run(args, structured, out) inside the budget block, so the parser alone
+picks the runner.  Each verify target runs one sweep of SWEEPS,
 every one of them from checks, at the defaults of its signature; a verify
 flag overrides the parameters _FLAG_PARAMS names for it, and a flag the
 sweep has no parameter for is a usage error.
@@ -13,8 +14,9 @@ tab-separated record format and is byte-identical across runs for fixed
 arguments and seed.
 
 Exit status: 0 when every hard assertion passed, 1 on any failure (including
-an exceeded enumeration budget), 2 on usage errors, among them an unused
-verify flag and a verify run that makes no pass or fail check.
+an exceeded enumeration budget and a stdout closed early), 2 on usage
+errors, among them an unused verify flag and a verify run that makes no
+pass or fail check.
 
 The enumeration budget comes from --budget, else from the EULERINV_BUDGET
 environment variable, else DEFAULT_BUDGET.  main resolves it once and runs
@@ -36,7 +38,6 @@ from .distributions import (
     full_eulerian,
     gamma_vector,
     involution_eulerian,
-    r_closed,
     signed_involution_eulerian_recurrence,
 )
 from .permutations import DEFAULT_BUDGET, BudgetExceededError, enumeration_budget
@@ -116,11 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     counter = sub.add_parser("counterexample", help="reproduce a counterexample")
     counter.add_argument("target", choices=("r89",))
     add_common(counter)
-    counter.set_defaults(run=_run_counterexample)
+    counter.set_defaults(run=_run_report, report=checks.verify_counterexample_89)
 
     table = sub.add_parser("table", help="recompute and compare all reference rows")
     add_common(table)
-    table.set_defaults(run=_run_table)
+    table.set_defaults(run=_run_report, report=checks.reference_table_report)
 
     return parser
 
@@ -148,12 +149,10 @@ def _emit(report: Report, structured: bool, out) -> int:
     for line in report.lines(structured=structured):
         print(line, file=out)
     if not structured:
-        failures = report.failures
-        print(
-            f"{len(report)} checks: "
-            + ("all hard assertions pass" if not failures else f"{len(failures)} FAILED"),
-            file=out,
-        )
+        notes = sum(record.status == NOTE for record in report)
+        counts = f"{len(report) - notes} checks" + (f", {notes} notes" if notes else "")
+        verdict = "all hard assertions pass" if report.ok else f"{len(report.failures)} FAILED"
+        print(f"{counts}: {verdict}", file=out)
     return 0 if report.ok else 1
 
 
@@ -211,25 +210,8 @@ def _run_verify(args, structured, out) -> int:
     return _emit(report, structured, out)
 
 
-def _run_counterexample(args, structured, out) -> int:
-    report = checks.verify_counterexample_89()
-    if structured:
-        return _emit(report, structured=True, out=out)
-    r1, r2, r3 = r_closed(89, 1), r_closed(89, 2), r_closed(89, 3)
-    print(f"r(89,1) = {r1}", file=out)
-    print(f"r(89,2) = {r2}", file=out)
-    print(f"r(89,3) = {r3}", file=out)
-    print(f"r(89,2)^2   = {r2 * r2}", file=out)
-    print(f"r(89,1)*r(89,3) = {r1 * r3}", file=out)
-    verdict = "NOT log-concave" if r2 * r2 < r1 * r3 else "log-concave at index 2"
-    print(f"r(89,2)^2 < r(89,1)*r(89,3): {verdict}", file=out)
-    for line in report.lines(structured=False):
-        print(line, file=out)
-    return 0 if report.ok else 1
-
-
-def _run_table(args, structured, out) -> int:
-    return _emit(checks.reference_table_report(), structured, out)
+def _run_report(args, structured, out) -> int:
+    return _emit(args.report(), structured, out)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -249,7 +231,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: exit 1 with no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -142,35 +142,47 @@ def test_report_serialization_is_stable():
 
 
 def test_record_formats():
-    record = CheckRecord("demo", (("n", 3),), "pass", "1,2,1", "1,2,1")
+    record = CheckRecord("demo", (("n", 3),), "pass", "1,2,1", "1,2,1", "==")
     assert record.structured() == "check=demo\tparams=n=3\tstatus=pass\tlhs=1,2,1\trhs=1,2,1"
     assert record.plain() == "demo n=3: pass (1,2,1 == 1,2,1)"
     with pytest.raises(ValueError, match="unknown status 'skip'"):
         CheckRecord("demo", (), "skip", "1", "2")
     report = Report([record])
     assert report.ok and not report.failures
-    bad = CheckRecord("demo", (), "fail", "1", "2")
+    bad = CheckRecord("demo", (), "fail", "1", "2", "!=")
     report.append(bad)
     assert not report.ok and report.failures == [bad]
     compared = Report()
     compared.compare("demo", [("n", 3)], 4, 4)
     compared.compare("demo", (("n", 3),), 4, 5)
     assert compared == [
-        CheckRecord("demo", (("n", 3),), "pass", "4", "4"),
-        CheckRecord("demo", (("n", 3),), "fail", "4", "5"),
+        CheckRecord("demo", (("n", 3),), "pass", "4", "4", "=="),
+        CheckRecord("demo", (("n", 3),), "fail", "4", "5", "!="),
+    ]
+    assert [r.plain() for r in compared] == ["demo n=3: pass (4 == 4)", "demo n=3: fail (4 != 5)"]
+    ordered = Report()
+    ordered.less("demo", (), 4, 5)
+    ordered.less("demo", (), 5, 5)
+    ordered.less("demo", (), 10**20, 5)
+    assert [r.status for r in ordered] == ["pass", "fail", "fail"]
+    assert [r.plain() for r in ordered] == [
+        "demo: pass (4 < 5)",
+        "demo: fail (5 >= 5)",
+        "demo: fail (100000000000000000000 >= 5)",
     ]
     checked = Report()
     checked.check("demo", [("n", 3)], True, "symmetric", "1,2,1")
     checked.check("demo", (), False, 10**20, -7)
     assert checked == [
-        CheckRecord("demo", (("n", 3),), "pass", "symmetric", "1,2,1"),
-        CheckRecord("demo", (), "fail", "100000000000000000000", "-7"),
+        CheckRecord("demo", (("n", 3),), "pass", "symmetric", "1,2,1", "|"),
+        CheckRecord("demo", (), "fail", "100000000000000000000", "-7", "|"),
     ]
+    assert checked[1].plain() == "demo: fail (100000000000000000000 | -7)"
     assert not checked.ok and checked.failures == checked[1:]
     noted = Report()
     noted.note("demo", [("n", 6), ("equal", False)], 632, "NEGATIVE ENTRY")
     assert noted == [
-        CheckRecord("demo", (("n", 6), ("equal", False)), "note", "632", "NEGATIVE ENTRY")
+        CheckRecord("demo", (("n", 6), ("equal", False)), "note", "632", "NEGATIVE ENTRY", "|")
     ]
     assert noted.ok and not noted.failures
     assert noted[0].plain() == "demo n=6 equal=False: note: 632 | NEGATIVE ENTRY"
@@ -294,6 +306,9 @@ def test_proof_identity_fails_at_each_k_a_bumped_row_reaches(monkeypatch):
         "check=proof-identity\tparams=k=0\tstatus=note\tlhs=D0+D1 = 2-2n at k=0"
         "\trhs=averaging lemma unused there; single-term positivity suffices",
     ]
+    plain = list(checks.verify_proof_identity(8).lines(structured=False))
+    assert plain[2] == "proof-identity n=5 k=1: fail (140 != 135)"
+    assert plain[4] == "proof-identity n=5: fail (identity and sign facts | k=0..8)"
 
 
 def test_proof_identity_facts_record_fails_when_a_zero_sum_breaks(monkeypatch):
@@ -347,6 +362,7 @@ def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
     strict, scan = records["r89-strict-inequality"], records["r89-not-log-concave"]
     assert (strict.params, strict.status) == ((), "fail")
     assert (strict.lhs, strict.rhs) == ("15335056", "10107196")
+    assert strict.plain() == "r89-strict-inequality: fail (15335056 >= 10107196)"
     assert (scan.params, scan.status, scan.lhs, scan.rhs) == (
         (("first_failing_k", None),),
         "fail",

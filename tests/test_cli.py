@@ -1,41 +1,50 @@
 import hashlib
 import inspect
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eulerinv
 from eulerinv import checks
 from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, main
 from eulerinv.reports import Report
 
 # SHA-256 of stdout at default arguments, taken before the verify registry
 # replaced a per-target table of defaults; a changed byte in any record shows here.
+# The plain digests of lemma31, transpose, proof-identity, guo-zeng-lemma,
+# sdes-bijection, conjecture-des, table and counterexample r89 were retaken when
+# plain records began to state the relation they decided and the summary line
+# stopped counting notes as checks.
 DEFAULT_OUTPUT_SHA256 = {
     "verify cauchy plain": "b8bcaf5e25cd5ec5148a1c4939fdfff73935f54627b4050d6faeca329abeaebe",
     "verify cauchy structured": "c2525039bac7a26d8bfb958c609b0a46e9fdc4b83d15a7b178e4768a968f7105",
-    "verify conjecture-des plain": "fdb672339e06c710452caee584c49f4c7f6d2d7e7c4e614510e1481dc1f2a031",
+    "verify conjecture-des plain": "f48402b899fa16e4b202d5d1eae7e02262621a7e062322195f445a0252a4706f",
     "verify conjecture-des structured": "ebfdb6b63ccfa702d2e3318ad96160771f965b997f925effcebcd2815c3c9c4e",
     "verify genfun-a plain": "6ad170c27d90e07e909e54caf3adac2047f9afe7288635282ed19845737ab1a1",
     "verify genfun-a structured": "52c5f436fce471a208c09078685f3b050a0fd3edb163f89db97fbdefe93cd916",
     "verify genfun-b plain": "9c08474e6e956a525dd1f99068e104609b7cf9cf3df432fb0760e3081a2612eb",
     "verify genfun-b structured": "0317409a2283611c967d4c02d108aed9bdbca73e85c124633f69b008c7ef4219",
-    "verify guo-zeng-lemma plain": "1d4d7b50959628bf2e9f6e96a9e9b1954b9f57880536660fdd6b6e687fc43d8d",
+    "verify guo-zeng-lemma plain": "bda1e991367e018e96cfbcaadf88494aa426a983a44636f6359fa51f3f98ae73",
     "verify guo-zeng-lemma structured": "d4879af89586980a56bea61677a54c986cc95fc30c11c8c874112616657a663e",
-    "verify lemma31 plain": "2ba87a791e12624320b4465ea8b90bce93f64c2962eadf6a160eef146e9650ca",
+    "verify lemma31 plain": "1b46ea2a5dcfcf57bc887e1b1b356ad77f16a7652b24f191e871d4500be8d929",
     "verify lemma31 structured": "d7f9ef9c94a0c17698d8f804445bd695a8313298cc98cd6219c66ede68e40bdd",
-    "verify proof-identity plain": "3ffb34c9f67317bea37cf47b4503e27513b0c54fda0d4e7811d5f5d2eba4619d",
+    "verify proof-identity plain": "6d7fd3ba7a5ebda9353bf62e18c39dddbc716ec8801fd78cf9ede6cdc02b05e2",
     "verify proof-identity structured": "7246ae16286aaa63e48268f6a396da685034e7b2c2e0fdc4f3b4e3279f345cd6",
     "verify recurrence plain": "0cb614508fc86cb814e926d5222789302caaaed602e9060431581c1782938bd4",
     "verify recurrence structured": "d122484b9f93e410d1f62d0b054350f3565d11285649f6bf45ff30b0db93351f",
-    "verify sdes-bijection plain": "e2dd73d16d2d331d7d02649975f861a8a0d4946451f6e2f963a30a9d50220ff6",
+    "verify sdes-bijection plain": "690045b26f5df3d1194643d782dff86012a50510cb4f30ddd6bfd68e3e3e6ec1",
     "verify sdes-bijection structured": "8fe07e92b6fd92a13d1b9bdc33f07698a3149e1faf9a2450f0c82a2c382eab38",
     "verify signed-schur plain": "3024f903e1696e8707fc10f42ba375ff898e62d561de9f0391f7f1b0cfae1d08",
     "verify signed-schur structured": "48124b893789a149cb3ebaae0b5f5d4e5e658eca87e37805743699759b225902",
-    "verify transpose plain": "77a0ed551e8602487caa24ec81a2ac4a72351c35b31dcc26bda47a4dd57258c4",
+    "verify transpose plain": "a95e23f7bb95dfd61fb47838697082a3472b61db3a6f626ca6bc7c08e6b76247",
     "verify transpose structured": "16ca35f298070c26600c5bd07d58899760137fb2d8866505dd50d34a018daa3e",
-    "table plain": "17a853ff31a38052f7c907c5931bcee9ea63b73b896a601603fd74fbddac91ca",
+    "table plain": "3cef9b6e4e92222d993b070aeacf013fbb471639af87dd7994ee06773d2d478e",
     "table structured": "e232d40be0b1a46cdea23d862de61d21ad04e31083ff9fa578138c920eb7caf1",
-    "counterexample r89 plain": "f2f68bb416a34d3362733e8280583f7e71b5a8aa2b752c1bc970dbc24c18b018",
+    "counterexample r89 plain": "eed473442c9a1c28f1641daf10bcd5510b4562a2b9e89aea2360083204afdffb",
     "counterexample r89 structured": "73b81f4f02f97834f3097232963147e6b3c0f89b52c8b2ffaa6c3bd2c47a5400",
 }
 
@@ -126,10 +135,16 @@ def test_verify_recurrence_exits_zero():
     assert "all hard assertions pass" in output
 
 
+DEFAULT_COMMANDS = [
+    *(["verify", target] for target in sorted(SWEEPS)),
+    ["table"],
+    ["counterexample", "r89"],
+]
+
+
 def test_every_verify_target_passes_at_defaults():
-    commands = [["verify", target] for target in sorted(SWEEPS)]
     digests = {}
-    for argv in [*commands, ["table"], ["counterexample", "r89"]]:
+    for argv in DEFAULT_COMMANDS:
         for fmt in ("plain", "structured"):
             code, output = run_cli([*argv, "--format", fmt])
             assert code == 0, argv
@@ -214,18 +229,97 @@ def test_verify_help_says_what_each_flag_sets(capsys):
     assert "binds every enumeration" in text
 
 
+def _plain_relation(line: str, fields: dict[str, str]) -> str:
+    """The relation a plain line states between the lhs and rhs of its structured twin."""
+    status, lhs, rhs = fields["status"], fields["lhs"], fields["rhs"]
+    body = line.split(": note: " if status == "note" else f": {status} (", 1)[1]
+    body = body if status == "note" else body.removesuffix(")")
+    assert body.startswith(lhs + " ") and body.endswith(" " + rhs), (line, fields)
+    return body[len(lhs) + 1 : len(body) - len(rhs) - 1]
+
+
+def test_plain_records_state_the_relation_they_decided():
+    wrong = []
+    for argv in DEFAULT_COMMANDS:
+        # the plain output ends with its summary line, which has no structured twin
+        plain = run_cli(argv)[1].splitlines()[:-1]
+        structured = run_cli([*argv, "--format", "structured"])[1].splitlines()
+        assert len(plain) == len(structured), argv
+        for line, record in zip(plain, structured):
+            fields = dict(field.split("=", 1) for field in record.split("\t"))
+            relation = _plain_relation(line, fields)
+            if fields["status"] != "note" and fields["lhs"] == fields["rhs"]:
+                expected = "=="
+            elif fields["check"] == "r89-strict-inequality":
+                expected = "<"
+            else:
+                # a note, or a check whose two texts describe rather than quantify
+                expected = "|"
+            if relation != expected:
+                wrong.append(line)
+    assert wrong == []
+
+
 def test_counterexample_r89():
     code, output = run_cli(["counterexample", "r89"])
     assert code == 0
-    assert "113789153706560010000" in output
-    assert "114890217312335629500" in output
-    assert "NOT log-concave" in output
+    lines = output.splitlines()
+    assert "r89-strict-inequality: pass (113789153706560010000 < 114890217312335629500)" in lines
+    assert lines[-1] == "13 checks: all hard assertions pass"
 
 
 def test_table_flags_print_discrepancy():
     code, output = run_cli(["table"])
     assert code == 0
     assert "632" in output and "634" in output
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["table"], "31 checks, 1 notes: all hard assertions pass"),
+        (["verify", "conjecture-des"], "6 checks, 2 notes: all hard assertions pass"),
+        (["verify", "guo-zeng-lemma"], "1 checks: all hard assertions pass"),
+    ],
+)
+def test_plain_summary_counts_checks_and_notes_apart(argv, summary):
+    code, output = run_cli(argv)
+    assert code == 0 and output.splitlines()[-1] == summary
+
+
+def test_plain_summary_counts_failures(monkeypatch):
+    failing = Report()
+    failing.compare("demo", (), 1, 2)
+    failing.less("demo", (), 2, 1)
+    failing.note("demo", (), "a", "b")
+    monkeypatch.setitem(SWEEPS, "recurrence", lambda: failing)
+    code, output = run_cli(["verify", "recurrence"])
+    assert code == 1
+    assert output.splitlines() == [
+        "demo: fail (1 != 2)",
+        "demo: fail (2 >= 1)",
+        "demo: note: a | b",
+        "2 checks, 1 notes: 2 FAILED",
+    ]
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    # 721,532 bytes of records: far more than a pipe holds, so the writer
+    # is still writing when the reader closes after the first line
+    argv = ["verify", "genfun-b", "--n-max", "6", "--k-max", "2000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(eulerinv.__file__).parent.parent)}
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulerinv.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"genfun-b n=0 k=0: pass (1 == 1)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        stderr.seek(0)
+        assert stderr.read() == b""
 
 
 def test_structured_output_is_byte_identical():

@@ -211,3 +211,6 @@ def test_signed_spec_closed_form_failure_names_the_first_element(monkeypatch):
     ]
     passing = report[0]
     assert (passing.params, passing.lhs, passing.rhs) == ((("n", 0), ("m", 1)), "chain-count", "binomial")
+    # a failure is an unequal pair of numbers; a pass names the two routes it agreed on
+    assert report.failures[0].plain() == "signed-spec-closed-form n=2 m=2 w=1 2: fail (3 != 4)"
+    assert passing.plain() == "signed-spec-closed-form n=0 m=1: pass (chain-count | binomial)"
