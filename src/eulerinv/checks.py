@@ -9,7 +9,7 @@ checked case, in deterministic (n, k) order, handing the report its values
 records; open questions and known print discrepancies get note records that
 never fail a run.  The transpose sweep counts a (bi)tableau whose transpose
 repeats an earlier one as a violation, since transposition must be a
-bijection.
+bijection, and its failure names the first violating object.
 """
 from __future__ import annotations
 
@@ -153,87 +153,72 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     return report
 
 
-def _compare_multisets(
-    report: Report, check: str, n: int, perm_side: Counter, tab_side: Counter, noun: str
-) -> None:
-    """Pass when the two descent-set multisets agree; otherwise fail, naming
-    the first descent set (positions, signs), in natural tuple order, whose
-    multiplicities differ.  Its signs are printed only when one is -1."""
-    lhs = f"{sum(perm_side.values())} involutions"
-    rhs = f"{sum(tab_side.values())} {noun}"
-    ok = perm_side == tab_side
-    if not ok:
-        first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
-        positions, signs = first
-        witness = "Des={" + int_list(positions) + "}"
-        if -1 in signs:
-            witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
-        lhs += f", {perm_side[first]} with {witness}"
-        rhs += f", {tab_side[first]} with {witness}"
-    report.check(check, (("n", n),), ok, lhs, rhs)
-
-
 def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Descent-preserving bijection consequences, checked as multiset
     equalities: signed descent sets over B-involutions against bitableaux,
-    and descent sets over involutions against standard tableaux.  A failure
-    names the first descent set, in sorted order, whose counts differ."""
+    and descent sets over involutions against standard tableaux.
+
+    A record passes when the two multisets agree.  A failure names the first
+    descent set (positions, signs), in natural tuple order, whose
+    multiplicities differ, with its count on each side; its signs are
+    printed only when one is -1."""
     report = Report()
-    for n in range(signed_n_max + 1):
-        perm_side = Counter(map(signed_descent_set, enumerate_signed_involutions(n)))
-        tab_side = Counter(map(syb_signed_descent_set, enumerate_all_syb(n)))
-        _compare_multisets(report, "sdes-multiset-signed", n, perm_side, tab_side, "bitableaux")
-    for n in range(unsigned_n_max + 1):
-        perm_side = Counter(map(signed_descent_set, enumerate_involutions(n)))
-        tab_side = Counter(map(syt_descent_set, enumerate_all_syt(n)))
-        _compare_multisets(report, "des-multiset-unsigned", n, perm_side, tab_side, "tableaux")
+    families = (
+        ("sdes-multiset-signed", signed_n_max, enumerate_signed_involutions,
+         enumerate_all_syb, syb_signed_descent_set, "bitableaux"),
+        ("des-multiset-unsigned", unsigned_n_max, enumerate_involutions,
+         enumerate_all_syt, syt_descent_set, "tableaux"),
+    )
+    for check, n_max, involutions, tableaux, tableau_des, noun in families:
+        for n in range(n_max + 1):
+            perm_side = Counter(map(signed_descent_set, involutions(n)))
+            tab_side = Counter(map(tableau_des, tableaux(n)))
+            lhs = f"{sum(perm_side.values())} involutions"
+            rhs = f"{sum(tab_side.values())} {noun}"
+            ok = perm_side == tab_side
+            if not ok:
+                keys = perm_side.keys() | tab_side.keys()
+                first = min(d for d in keys if perm_side[d] != tab_side[d])
+                positions, signs = first
+                witness = "Des={" + int_list(positions) + "}"
+                if -1 in signs:
+                    witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
+                lhs += f", {perm_side[first]} with {witness}"
+                rhs += f", {tab_side[first]} with {witness}"
+            report.check(check, (("n", n),), ok, lhs, rhs)
     return report
-
-
-def _check_transposes(
-    report: Report, check: str, n: int, walk, transpose, des, target: int, noun: str
-) -> None:
-    """One record for the size-n walk: an object violates the rule when its
-    transpose's descent number is not target minus its own, when transposing
-    twice does not give it back, or when its transpose repeats an earlier one."""
-    seen = set()
-    total = bad = 0
-    for q in walk:
-        total += 1
-        t = transpose(q)
-        if des(t) != target - des(q) or transpose(t) != q or t in seen:
-            bad += 1
-        seen.add(t)
-    report.check(check, (("n", n),), bad == 0, f"{total} {noun}", f"{bad} violations")
 
 
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
-    A transpose that repeats an earlier one counts as a violation."""
+
+    One record per n.  An object violates the rule when its transpose's
+    descent number is not the complement of its own, when transposing twice
+    does not give it back, or when its transpose repeats an earlier one.  A
+    failure names the first violating object in walk order."""
     report = Report()
-    for n in range(signed_n_max + 1):
-        _check_transposes(
-            report,
-            "transpose-signed",
-            n,
-            enumerate_all_syb(n),
-            syb_transpose,
-            syb_des_b,
-            n,
-            "bitableaux",
-        )
-    for n in range(unsigned_n_max + 1):
-        _check_transposes(
-            report,
-            "transpose-unsigned",
-            n,
-            enumerate_all_syt(n),
-            syt_transpose,
-            lambda q: len(syt_descent_set(q)[0]),
-            max(n - 1, 0),
-            "tableaux",
-        )
+    families = (
+        ("transpose-signed", signed_n_max, enumerate_all_syb, syb_transpose, syb_des_b,
+         0, "bitableaux"),
+        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, syt_transpose,
+         lambda q: len(syt_descent_set(q)[0]), 1, "tableaux"),
+    )
+    for check, n_max, walk, transpose, des, shift, noun in families:
+        for n in range(n_max + 1):
+            target = max(n - shift, 0)
+            seen = set()
+            total = bad = 0
+            for q in walk(n):
+                total += 1
+                t = transpose(q)
+                if des(t) != target - des(q) or transpose(t) != q or t in seen:
+                    bad += 1
+                    if bad == 1:
+                        first = q
+                seen.add(t)
+            rhs = f"{bad} violations" + (f", first {first}" if bad else "")
+            report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
     return report
 
 

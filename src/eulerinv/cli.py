@@ -150,7 +150,10 @@ def _emit(report: Report, structured: bool, out) -> int:
         print(line, file=out)
     if not structured:
         notes = sum(record.status == NOTE for record in report)
-        counts = f"{len(report) - notes} checks" + (f", {notes} notes" if notes else "")
+        hard = len(report) - notes
+        counts = f"{hard} check{'s' * (hard != 1)}"
+        if notes:
+            counts += f", {notes} note{'s' * (notes != 1)}"
         verdict = "all hard assertions pass" if report.ok else f"{len(report.failures)} FAILED"
         print(f"{counts}: {verdict}", file=out)
     return 0 if report.ok else 1

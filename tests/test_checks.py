@@ -259,16 +259,28 @@ def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "walk, check",
-    [("enumerate_all_syb", "transpose-signed"), ("enumerate_all_syt", "transpose-unsigned")],
+    "walk, check, first",
+    [
+        ("enumerate_all_syb", "transpose-signed", "((), ((1, 2, 3),))"),
+        ("enumerate_all_syt", "transpose-unsigned", "((1, 2, 3),)"),
+    ],
 )
-def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, check):
-    # the repeat passes both per-object tests; its repeated transpose is the one violation
+def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, check, first):
+    # the repeat passes both per-object tests; its repeated transpose is the one
+    # violation, and the record names the repeated object
     _repeat_first(monkeypatch, walk, 3)
     report = checks.verify_transpose_complement(4, 4)
     failures = [(r.check, r.params) for r in report.failures]
     assert failures == [(check, (("n", 3),))]
-    assert report.failures[0].rhs == "1 violations"
+    assert report.failures[0].rhs == f"1 violations, first {first}"
+
+
+def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
+    # with transposition the identity, both tableaux of size 2 miss the complement
+    monkeypatch.setattr(checks, "syt_transpose", lambda q: q)
+    failure = checks.verify_transpose_complement(0, 2).failures[0]
+    assert failure.params == (("n", 2),)
+    assert failure.rhs == "2 violations, first ((1, 2),)"
 
 
 def _structured(report):

@@ -18,7 +18,8 @@ from eulerinv.reports import Report
 # The plain digests of lemma31, transpose, proof-identity, guo-zeng-lemma,
 # sdes-bijection, conjecture-des, table and counterexample r89 were retaken when
 # plain records began to state the relation they decided and the summary line
-# stopped counting notes as checks.
+# stopped counting notes as checks.  Those of proof-identity, guo-zeng-lemma and
+# table were retaken again when a summary count of 1 took the singular noun.
 DEFAULT_OUTPUT_SHA256 = {
     "verify cauchy plain": "b8bcaf5e25cd5ec5148a1c4939fdfff73935f54627b4050d6faeca329abeaebe",
     "verify cauchy structured": "c2525039bac7a26d8bfb958c609b0a46e9fdc4b83d15a7b178e4768a968f7105",
@@ -28,11 +29,11 @@ DEFAULT_OUTPUT_SHA256 = {
     "verify genfun-a structured": "52c5f436fce471a208c09078685f3b050a0fd3edb163f89db97fbdefe93cd916",
     "verify genfun-b plain": "9c08474e6e956a525dd1f99068e104609b7cf9cf3df432fb0760e3081a2612eb",
     "verify genfun-b structured": "0317409a2283611c967d4c02d108aed9bdbca73e85c124633f69b008c7ef4219",
-    "verify guo-zeng-lemma plain": "bda1e991367e018e96cfbcaadf88494aa426a983a44636f6359fa51f3f98ae73",
+    "verify guo-zeng-lemma plain": "f511699e8e80d8ce517af70e1c17229d177435675e348561fc0b144684bc28c6",
     "verify guo-zeng-lemma structured": "d4879af89586980a56bea61677a54c986cc95fc30c11c8c874112616657a663e",
     "verify lemma31 plain": "1b46ea2a5dcfcf57bc887e1b1b356ad77f16a7652b24f191e871d4500be8d929",
     "verify lemma31 structured": "d7f9ef9c94a0c17698d8f804445bd695a8313298cc98cd6219c66ede68e40bdd",
-    "verify proof-identity plain": "6d7fd3ba7a5ebda9353bf62e18c39dddbc716ec8801fd78cf9ede6cdc02b05e2",
+    "verify proof-identity plain": "464e07b65c685a6e3940c9757da7ddfe85836ed28de8ce4d70d4bc8d9d59d54c",
     "verify proof-identity structured": "7246ae16286aaa63e48268f6a396da685034e7b2c2e0fdc4f3b4e3279f345cd6",
     "verify recurrence plain": "0cb614508fc86cb814e926d5222789302caaaed602e9060431581c1782938bd4",
     "verify recurrence structured": "d122484b9f93e410d1f62d0b054350f3565d11285649f6bf45ff30b0db93351f",
@@ -42,7 +43,7 @@ DEFAULT_OUTPUT_SHA256 = {
     "verify signed-schur structured": "48124b893789a149cb3ebaae0b5f5d4e5e658eca87e37805743699759b225902",
     "verify transpose plain": "a95e23f7bb95dfd61fb47838697082a3472b61db3a6f626ca6bc7c08e6b76247",
     "verify transpose structured": "16ca35f298070c26600c5bd07d58899760137fb2d8866505dd50d34a018daa3e",
-    "table plain": "3cef9b6e4e92222d993b070aeacf013fbb471639af87dd7994ee06773d2d478e",
+    "table plain": "c0e0cb3e3b8cd5e2d8b6864380511e7a6d604b7c749623d3afa04a72067a8192",
     "table structured": "e232d40be0b1a46cdea23d862de61d21ad04e31083ff9fa578138c920eb7caf1",
     "counterexample r89 plain": "eed473442c9a1c28f1641daf10bcd5510b4562a2b9e89aea2360083204afdffb",
     "counterexample r89 structured": "73b81f4f02f97834f3097232963147e6b3c0f89b52c8b2ffaa6c3bd2c47a5400",
@@ -277,9 +278,9 @@ def test_table_flags_print_discrepancy():
 @pytest.mark.parametrize(
     "argv, summary",
     [
-        (["table"], "31 checks, 1 notes: all hard assertions pass"),
+        (["table"], "31 checks, 1 note: all hard assertions pass"),
         (["verify", "conjecture-des"], "6 checks, 2 notes: all hard assertions pass"),
-        (["verify", "guo-zeng-lemma"], "1 checks: all hard assertions pass"),
+        (["verify", "guo-zeng-lemma"], "1 check: all hard assertions pass"),
     ],
 )
 def test_plain_summary_counts_checks_and_notes_apart(argv, summary):
@@ -299,7 +300,7 @@ def test_plain_summary_counts_failures(monkeypatch):
         "demo: fail (1 != 2)",
         "demo: fail (2 >= 1)",
         "demo: note: a | b",
-        "2 checks, 1 notes: 2 FAILED",
+        "2 checks, 1 note: 2 FAILED",
     ]
 
 
