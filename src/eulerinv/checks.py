@@ -13,7 +13,6 @@ bijection, and its failure names the first violating object.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from itertools import islice, repeat
 from operator import mul, sub
@@ -341,6 +340,7 @@ def _lemma_instances(trials: int, length_max: int, seed: int):
     are taken one at a time in stream order, and the instances equal those
     of ``randint(1, length_max)`` and ``randint(0, LEMMA_VALUE_BOUND - 1)``.
     """
+    import random  # here, so that importing the CLI does not load it
     getrandbits = random.Random(seed).getrandbits
     length_bits = length_max.bit_length()
     value_bits = LEMMA_VALUE_BOUND.bit_length()

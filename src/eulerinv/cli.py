@@ -3,10 +3,12 @@
 Each subcommand's parser names its runner with set_defaults(run=...), table
 and counterexample the same one with the report it emits, and main calls
 args.run(args, structured, out) inside the budget block, so the parser alone
-picks the runner.  Each verify target runs one sweep of SWEEPS,
-every one of them from checks, at the defaults of its signature; a verify
-flag overrides the parameters _FLAG_PARAMS names for it, and a flag the
-sweep has no parameter for is a usage error.
+picks the runner.  Each verify target runs one sweep of SWEEPS, every one of
+them from checks, at the defaults of its signature; a verify flag overrides
+the parameters _FLAG_PARAMS names for it, and a flag the sweep has no
+parameter for is a usage error.  The names are read from the code of
+``getattr(sweep, "__wrapped__", sweep)``, so a functools.wraps wrapper, such
+as the benchmark tracer's, hides none.
 
 Plain output prints coefficient lists space-separated, lowest degree first,
 so rows diff cleanly against published tables.  Structured output prints the
@@ -26,10 +28,9 @@ makes is held to that one cap and no command function passes it on.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import checks
 from .distributions import (
@@ -192,9 +193,13 @@ def _run_gamma(args, structured, out) -> int:
     return _print_row("gamma", (("kind", args.kind), ("n", args.n)), gammas, structured, out)
 
 
+def _sweep_parameters(sweep) -> tuple[str, ...]:
+    code = getattr(sweep, "__wrapped__", sweep).__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 def _run_verify(args, structured, out) -> int:
-    sweep = SWEEPS[args.target]
-    params = inspect.signature(sweep).parameters
+    params = _sweep_parameters(SWEEPS[args.target])
     kwargs = {}
     for flag, names in _FLAG_PARAMS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -204,7 +209,7 @@ def _run_verify(args, structured, out) -> int:
         if not taken:
             raise ValueError(f"verify {args.target} takes no {flag}")
         kwargs.update(dict.fromkeys(taken, value))
-    report = sweep(**kwargs)
+    report = SWEEPS[args.target](**kwargs)
     if all(record.status == NOTE for record in report):
         raise ValueError(
             f"verify {args.target} made no pass or fail check at these arguments, "

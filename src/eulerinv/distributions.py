@@ -73,9 +73,9 @@ def involution_eulerian(n: int, signed: bool = False, statistic: str = DES_B) ->
 
 
 def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:
-    """Distribution over the whole group S_n or B_n."""
+    """Distribution over the whole group S_n or B_n; S_n rows use des_coxeter."""
     stat = _statistic(statistic)
-    return _histogram_poly(map(stat, enumerate_group(n, signed)))
+    return _histogram_poly(map(stat if signed else des_coxeter, enumerate_group(n, signed)))
 
 
 def _recurrence_rows(n_max: int):

@@ -32,12 +32,12 @@ has set it, so a caller sets it once and every walk below sees the same value.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
 from math import factorial
-from typing import Iterator
 
 Window = tuple[int, ...]
 #: (positions, signs): descent positions ascending, and one +1/-1 sign for

@@ -1,12 +1,12 @@
 """Line-oriented records for verification sweeps.
 
-Every sweep produces one record per checked identity: a check name, the
-parameters, a status, the two compared values and the relation it states
-between them.  Integers are printed in plain decimal with no grouping so
-records are diffable and byte-stable across runs.  A record renders the
-values it is given: a tuple or list (a coefficient row, a gamma vector) as
-comma-separated decimals, anything else with str(), so a sweep passes its
-values as they are.
+Every sweep produces one CheckRecord per checked identity: an immutable
+named tuple of a check name, the parameters, a status (an unknown one raises
+ValueError), the two compared values and the relation stated between them,
+"|" unless given.  Integers print in plain decimal with no grouping, so
+records diff and are byte-stable across runs.  A record renders the values
+it is given: a tuple or list (a coefficient row, a gamma vector) as
+comma-separated decimals, anything else with str().
 
 Statuses: "pass" and "fail" are hard outcomes; "note" marks informational
 findings (open questions, known discrepancies) that never fail a run.  A
@@ -22,8 +22,8 @@ fails if another module builds a CheckRecord or spells a status.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 Params = tuple[tuple[str, object], ...]
 
@@ -33,18 +33,13 @@ NOTE = "note"
 NEUTRAL = "|"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check: str
-    params: Params
-    status: str
-    lhs: str
-    rhs: str
-    relation: str = NEUTRAL
+class CheckRecord(namedtuple("CheckRecord", "check params status lhs rhs relation")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, NOTE):
-            raise ValueError(f"unknown status {self.status!r}")
+    def __new__(cls, check: str, params: Params, status: str, lhs: str, rhs: str, relation=NEUTRAL):
+        if status not in (PASS, FAIL, NOTE):
+            raise ValueError(f"unknown status {status!r}")
+        return super().__new__(cls, check, params, status, lhs, rhs, relation)
 
     def structured(self) -> str:
         params = ",".join(f"{k}={v}" for k, v in self.params) or "-"

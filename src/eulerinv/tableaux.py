@@ -24,10 +24,10 @@ share only the type alias.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations, compress, zip_longest
 from math import comb, factorial
 from operator import lt
-from typing import Iterator
 
 from .permutations import SignedDescents, _check_budget, involution_count
 

@@ -186,6 +186,10 @@ def test_record_formats():
     ]
     assert noted.ok and not noted.failures
     assert noted[0].plain() == "demo n=6 equal=False: note: 632 | NEGATIVE ENTRY"
+    with pytest.raises(AttributeError):
+        noted[0].status = "fail"
+    keyworded = CheckRecord(check="demo", params=(), status="pass", lhs="a", rhs="b")
+    assert keyworded.relation == "|" and keyworded.plain() == "demo: pass (a | b)"
 
 
 def _drop_from_walk(monkeypatch, walk, n, positions):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import io
@@ -10,7 +11,7 @@ import pytest
 
 import eulerinv
 from eulerinv import checks
-from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, main
+from eulerinv.cli import _FLAG_PARAMS, BUDGET_ENV_VAR, SWEEPS, _sweep_parameters, main
 from eulerinv.reports import Report
 
 # SHA-256 of stdout at default arguments, taken before the verify registry
@@ -177,6 +178,38 @@ def test_verify_flag_the_sweep_does_not_take_is_usage_error(capsys, argv, flag):
     code, output = run_cli(argv)
     assert code == 2 and output == ""
     assert f"verify {argv[1]} takes no {flag}" in capsys.readouterr().err
+
+
+def _forwarding(sweep):
+    @functools.wraps(sweep)
+    def forward(*args, **kwargs):
+        return sweep(*args, **kwargs)
+
+    return forward
+
+
+def test_verify_flags_reach_a_wrapped_sweep(monkeypatch, capsys):
+    # the benchmark tracer replaces every sweep with a functools.wraps wrapper
+    for target, sweep in SWEEPS.items():
+        names = tuple(inspect.signature(sweep).parameters)
+        assert _sweep_parameters(sweep) == _sweep_parameters(_forwarding(sweep)) == names, target
+    argv = ["verify", "recurrence", "--n-max", "3", "--format", "structured"]
+    unwrapped = run_cli(argv)
+    monkeypatch.setitem(SWEEPS, "recurrence", _forwarding(SWEEPS["recurrence"]))
+    assert run_cli(argv) == unwrapped and unwrapped[0] == 0
+    assert run_cli(["verify", "recurrence", "--m-max", "3"]) == (2, "")
+    assert "verify recurrence takes no --m-max" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # -S skips the site module, whose .pth files may import typing themselves
+    heavy = ("dataclasses", "inspect", "typing", "random")
+    src = str(Path(eulerinv.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import eulerinv.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    modules = loaded.stdout.split()
+    assert "eulerinv.cli" in modules
+    assert [name for name in heavy if name in modules] == []
 
 
 @pytest.mark.parametrize(

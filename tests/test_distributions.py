@@ -76,6 +76,13 @@ def test_full_eulerian_examples():
     assert full_eulerian(2, signed=True) == (1, 6, 1)
     assert full_eulerian(1, signed=True) == (1, 1)
     assert full_eulerian(3, signed=True, statistic="desCoxeter") == (1, 23, 23, 1)
+    for n in range(1, 7):
+        # the Eulerian numbers A(n, k), from their alternating-sum closed form
+        eulerian = tuple(
+            sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)) for k in range(n)
+        )
+        for statistic in (DES_B, DES_COXETER):
+            assert full_eulerian(n, signed=False, statistic=statistic) == eulerian, (n, statistic)
 
 
 def test_involution_rows_match_the_oracle_under_both_statistics():
