@@ -295,14 +295,18 @@ def r_log_concavity_failure(n: int) -> int | None:
     return None
 
 
-def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
+#: The convolution route of verify_counterexample_89 runs to this n.
+_CONVOLUTION_N_MAX = 8
+
+
+def verify_counterexample_89() -> Report:
     """The degree-89 non-log-concavity witness, plus the convolution identity
     that backs it at desk scale.
 
     r(89, .) is computed from the closed form; the two exact products are
     pinned to their published values.  The convolution route multiplies the
     enumerated involution row by the binomial polynomial q and truncates,
-    re-deriving r(n, k) for every k <= n <= convolution_n_max.
+    re-deriving r(n, k) for every k <= n <= _CONVOLUTION_N_MAX.
     """
     report = Report()
     r1, r2, r3 = r_closed(89, 1), r_closed(89, 2), r_closed(89, 3)
@@ -317,7 +321,7 @@ def verify_counterexample_89(convolution_n_max: int = 8) -> Report:
         "log-concavity violated",
         "no k >= 1 violated" if k is None else f"r(89,{k})^2 < r(89,{k - 1})*r(89,{k + 1})",
     )
-    for n in range(convolution_n_max + 1):
+    for n in range(_CONVOLUTION_N_MAX + 1):
         row = involution_eulerian(n, signed=True)
         q = tuple(binomial(n + k, k) for k in range(n + 1))
         product = poly_multiply(row, q)[: n + 1]

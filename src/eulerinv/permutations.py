@@ -62,8 +62,11 @@ def enumeration_budget(cap: int) -> Iterator[None]:
     restoring the cap in force before on exit, as decimal.localcontext does.
 
     The cap belongs to the current thread or context: a new thread starts
-    at DEFAULT_BUDGET.
+    at DEFAULT_BUDGET.  A cap that is not an int of at least 1, a bool
+    among them, raises ValueError on entry, before any cap is set.
     """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"enumeration budget must be an integer of at least 1, got {cap!r}")
     token = _BUDGET.set(cap)
     try:
         yield

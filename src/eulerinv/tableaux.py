@@ -4,14 +4,17 @@ Rows are numbered from the top (row 1 first), so "lower" always means a
 larger row index.  A tableau is a tuple of row tuples; a bitableau is a
 (plus, minus) pair of tableaux whose entries partition 1..n.
 
-Standard tableaux are enumerated by growing the shape one entry at a time,
-which enforces standardness by construction: one iterative walk in a single
-generator frame keeps the row chosen for each entry on a stack and yields
-when entry n is placed.  Bitableaux are enumerated by choosing the entry set
-of the plus part and relabelling standard fillings of each part through the
-unique order isomorphism; each minus filling is relabelled once per entry
-set, not once per plus filling.  Every walk yields each object once, in the
-order of the plain recursive walks that tests/oracles.py keeps as references.
+A standard bitableau of shape (plus, minus) is a standard filling of plus
+and minus side by side: the rows of plus, then the rows of minus, where the
+first row of minus starts a second part and so lies under no other row.
+One iterative walk in a single generator frame serves both enumerators.  It
+grows the shape one entry at a time, which enforces standardness by
+construction: entries 1..n are placed in turn, each in the top-most row
+that can take it next and then in each lower one, and the walk keeps the
+row chosen for each entry on a stack and yields when entry n is placed.  A
+tableau is the walk over one part, a bitableau the walk over two, cut back
+into its parts.  Every walk yields each object once, in the order of the
+plain recursive walks that tests/oracles.py keeps as references.
 
 Descent sets are read off a list holding the row of each entry, in the one
 format of permutations.py: the pair (positions, signs), the entries i
@@ -25,7 +28,7 @@ share only the type alias.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, compress, zip_longest
+from itertools import compress, zip_longest
 from math import comb, factorial
 from operator import lt
 
@@ -76,17 +79,12 @@ def _syt_count(shape: Shape) -> int:
     return factorial(sum(shape)) // hooks
 
 
-def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
-    """Yield every standard Young tableau of the given shape; their count
-    f^shape is held to the budget.
-
+def _fillings(shape: Shape, second: int) -> Iterator[Tableau]:
+    """Every standard filling of the rows of shape, where row `second` starts
+    a second part: it is exempt from the column rule against the row above.
     Entries 1..n are placed in turn, each in the top-most row that can take
-    it next, then in each lower one; the walk keeps the row chosen for each
-    entry on an explicit stack and yields when entry n is placed.
-    """
-    validate_shape(shape)
+    it next, then in each lower one."""
     n = sum(shape)
-    _check_budget(n, _syt_count(shape), f"standard Young tableaux of shape {shape}")
     if n == 0:
         yield ()
         return
@@ -98,7 +96,7 @@ def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
         while r < height:
             col = len(rows[r])
             # cells fill left to right, so only the column constraint remains
-            if col < shape[r] and (r == 0 or len(rows[r - 1]) > col):
+            if col < shape[r] and (r == 0 or r == second or len(rows[r - 1]) > col):
                 break
             r += 1
         if r < height:
@@ -116,6 +114,14 @@ def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
             r = chosen[entry]
         rows[r].pop()
         r += 1
+
+
+def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
+    """Yield every standard Young tableau of the given shape, in the order
+    of the walk; their count f^shape is held to the budget."""
+    validate_shape(shape)
+    _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
+    yield from _fillings(shape, 0)
 
 
 def enumerate_all_syt(n: int) -> Iterator[Tableau]:
@@ -144,20 +150,15 @@ def syt_transpose(tableau: Tableau) -> Tableau:
     return tuple([tuple(filter(None, column)) for column in zip_longest(*tableau)])
 
 
-def _relabel(tableau: Tableau, entries: tuple[int, ...]) -> Tableau:
-    # entries sorted ascending; tableau entries are 1..k, and the 0 in front
-    # puts entry v at index v
-    lookup = (0, *entries).__getitem__
-    return tuple([tuple(map(lookup, row)) for row in tableau])
-
-
 def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
     """Yield every standard Young bitableau of shape (plus, minus).
 
-    Entries 1..n are split between the parts in all C(n, |plus|) ways; each
-    part is then a standard filling of its shape, transported through the
-    order isomorphism from 1..k to its entry set.  Their count
-    C(n, |plus|) f^plus f^minus is held to the budget.
+    A bitableau is a standard filling of plus and minus side by side, so
+    the walk of enumerate_syt serves here too: it fills the rows plus +
+    minus, the first row of minus under no other, and each filling is cut
+    after the rows of plus.  Each entry is tried in the rows of plus before
+    those of minus, top-most first.  Their count C(n, |plus|) f^plus f^minus
+    is held to the budget.
     """
     plus_shape, minus_shape = shape
     validate_shape(plus_shape)
@@ -166,19 +167,9 @@ def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
     n = k + sum(minus_shape)
     count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
-    plus_fillings = list(enumerate_syt(plus_shape))
-    minus_fillings = list(enumerate_syt(minus_shape))
-    universe = range(1, n + 1)
-    for plus_entries in combinations(universe, k):
-        taken = set(plus_entries)
-        minus_entries = tuple(v for v in universe if v not in taken)
-        # each minus filling is relabelled once per split, then paired with
-        # every plus filling
-        minus_parts = [_relabel(m, minus_entries) for m in minus_fillings]
-        for p in plus_fillings:
-            plus_part = _relabel(p, plus_entries)
-            for minus_part in minus_parts:
-                yield plus_part, minus_part
+    split = len(plus_shape)
+    for rows in _fillings(plus_shape + minus_shape, split):
+        yield rows[:split], rows[split:]
 
 
 def enumerate_all_syb(n: int) -> Iterator[Bitableau]:

@@ -211,10 +211,37 @@ def standard_fillings_by_placing(shape):
     return list(place(1))
 
 
+def bitableaux_by_placing(plus_shape, minus_shape):
+    """Standard bitableaux of shape (plus, minus) in the order of the
+    recursive walk: entries 1..n placed in turn, each tried in every row of
+    plus from the top, then in every row of minus from the top, that has
+    room and lies under a longer row of its own part."""
+    n = sum(plus_shape) + sum(minus_shape)
+    parts = [(shape, [[] for _ in shape]) for shape in (plus_shape, minus_shape)]
+
+    def place(entry):
+        if entry > n:
+            yield tuple(tuple(tuple(row) for row in rows) for _, rows in parts)
+            return
+        for shape, rows in parts:
+            for r, row in enumerate(rows):
+                col = len(row)
+                if col >= shape[r]:
+                    continue
+                if r > 0 and len(rows[r - 1]) <= col:
+                    continue
+                row.append(entry)
+                yield from place(entry + 1)
+                row.pop()
+
+    return list(place(1))
+
+
 def bitableaux_by_pairing(plus_shape, minus_shape):
-    """Standard bitableaux of shape (plus, minus) in the order of the pairing
-    walk: each entry set of the plus part ascending, then each plus filling,
-    then each minus filling, both relabelled afresh for every pair."""
+    """Standard bitableaux of shape (plus, minus), as a set oracle built
+    apart from any walk over both parts: each entry set of the plus part,
+    then each plus filling, then each minus filling, both relabelled through
+    the order isomorphism from 1..k to their entry set."""
     k = sum(plus_shape)
     n = k + sum(minus_shape)
     plus_fillings = standard_fillings_by_placing(plus_shape)

@@ -154,7 +154,7 @@ def test_criterion_10_counterexample_89():
     assert r2 * r2 == 113789153706560010000
     assert r1 * r3 == 114890217312335629500
     assert r2 * r2 < r1 * r3
-    assert checks.verify_counterexample_89(convolution_n_max=8).ok
+    assert checks.verify_counterexample_89().ok
     passed(10, "degree-89 witness exact, convolution identity to n=8")
 
 

@@ -73,7 +73,7 @@ def test_proof_identity_k0_reduces_to_leading_coefficients():
 
 
 def test_counterexample_report():
-    report = checks.verify_counterexample_89(convolution_n_max=5)
+    report = checks.verify_counterexample_89()
     assert report.ok
     records = {record.check: record for record in report}
     assert records["r89-square"].lhs == "113789153706560010000"
@@ -92,7 +92,7 @@ def test_r_log_concavity_scan_skips_k0():
 
 def test_convolution_identity_hand_check():
     # n = 1: (1+x)(1+2x) truncated to degree 1 is 1 + 3x = r(1,0), r(1,1)
-    report = checks.verify_counterexample_89(convolution_n_max=1)
+    report = checks.verify_counterexample_89()
     records = {record.params: record for record in report if record.check == "r-convolution"}
     assert records[(("n", 1),)].lhs == "1,3"
 
@@ -373,7 +373,7 @@ def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
     r_closed = checks.r_closed
     # binomial coefficients are log-concave, so neither witness survives at n = 89
     monkeypatch.setattr(checks, "r_closed", lambda n, k: comb(n, k) if n == 89 else r_closed(n, k))
-    report = checks.verify_counterexample_89(convolution_n_max=1)
+    report = checks.verify_counterexample_89()
     records = {record.check: record for record in report}
     strict, scan = records["r89-strict-inequality"], records["r89-not-log-concave"]
     assert (strict.params, strict.status) == ((), "fail")
@@ -385,7 +385,8 @@ def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
         "log-concavity violated",
         "no k >= 1 violated",
     )
-    assert [r.status for r in report] == ["fail"] * 4 + ["pass"] * 2
+    # the convolution route still passes, at every n = 0..8
+    assert [r.status for r in report] == ["fail"] * 4 + ["pass"] * 9
 
 
 @pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])

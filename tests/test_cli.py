@@ -398,9 +398,10 @@ def test_budget_env_override(monkeypatch, capsys):
     assert code == 0 and output == "1 17 40 17 1\n"
 
 
-def test_invalid_budget_is_usage_error():
+def test_invalid_budget_is_usage_error(capsys):
     code, _ = run_cli(["poly", "--kind", "invB", "--n", "4", "--budget", "0"])
     assert code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc"])

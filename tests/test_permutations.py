@@ -318,6 +318,14 @@ def test_nested_enumeration_budget_restores_the_outer_cap():
     assert _cap_in_force() == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("cap", ["5", 0, -5, 2.5, True, False, None])
+def test_enumeration_budget_rejects_a_cap_that_is_no_positive_int(cap):
+    with pytest.raises(ValueError, match="enumeration budget must be an integer of at least 1"):
+        with enumeration_budget(cap):
+            pytest.fail("the block ran under a bad cap")
+    assert _cap_in_force() == DEFAULT_BUDGET
+
+
 def test_a_new_thread_starts_at_the_default_cap():
     seen = []
     with enumeration_budget(10):

@@ -27,6 +27,7 @@ from eulerinv.tableaux import (
 )
 from oracles import (
     bitableaux_by_pairing,
+    bitableaux_by_placing,
     is_standard_tableau,
     signed_telephone_number,
     standard_fillings_by_filtering,
@@ -77,10 +78,24 @@ def test_enumerate_syt_keeps_the_recursive_order():
             assert list(enumerate_syt(shape)) == standard_fillings_by_placing(shape), shape
 
 
-def test_enumerate_syb_keeps_the_pairing_order():
+def test_enumerate_syb_keeps_the_recursive_order():
     for n in range(0, 7):
         for plus, minus in bipartitions(n):
-            assert list(enumerate_syb((plus, minus))) == bitableaux_by_pairing(plus, minus)
+            got = list(enumerate_syb((plus, minus)))
+            assert got == bitableaux_by_placing(plus, minus), (plus, minus)
+
+
+def test_enumerate_syb_against_pairing_oracle():
+    for n in range(0, 7):
+        for plus, minus in bipartitions(n):
+            got = sorted(enumerate_syb((plus, minus)))
+            assert got == sorted(bitableaux_by_pairing(plus, minus)), (plus, minus)
+
+
+@pytest.mark.parametrize("shape", [((1,), (1, 2)), ((0,), ()), ((2, 3), ()), ((), (1, 0))])
+def test_enumerate_syb_rejects_a_part_that_is_no_partition(shape):
+    with pytest.raises(ValueError, match="partition parts must be"):
+        next(enumerate_syb(shape))
 
 
 def test_syt_transpose_matches_the_column_reading():
@@ -148,11 +163,14 @@ def test_tableau_enumerators_hold_the_exact_count_to_the_budget():
 
 
 def test_per_shape_walks_hold_the_exact_count_to_the_budget():
+    # every cap is at least 1, so only a walk of two or more objects can be refused
     for n in range(9):
         for shape in partitions(n):
             f = sum(1 for _ in enumerate_syt(shape))
             with enumeration_budget(f):
                 assert sum(1 for _ in enumerate_syt(shape)) == f
+            if f == 1:
+                continue
             with enumeration_budget(f - 1):
                 with pytest.raises(BudgetExceededError, match=f"n={n} needs {f} objects"):
                     next(enumerate_syt(shape))
@@ -161,6 +179,8 @@ def test_per_shape_walks_hold_the_exact_count_to_the_budget():
             count = sum(1 for _ in enumerate_syb(shape))
             with enumeration_budget(count):
                 assert sum(1 for _ in enumerate_syb(shape)) == count
+            if count == 1:
+                continue
             with enumeration_budget(count - 1):
                 with pytest.raises(BudgetExceededError, match=f"n={n} needs {count} objects"):
                     next(enumerate_syb(shape))
