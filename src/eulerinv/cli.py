@@ -127,23 +127,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checked_budget(value: int, source: str) -> int:
-    if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
-    return value
-
-
 def _resolve_budget(args) -> int:
     if args.budget is not None:
-        return _checked_budget(args.budget, "--budget")
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
+        value, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return DEFAULT_BUDGET
         try:
             value = int(env)
         except ValueError:
             raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-        return _checked_budget(value, BUDGET_ENV_VAR)
-    return DEFAULT_BUDGET
+        source = BUDGET_ENV_VAR
+    try:  # enumeration_budget alone says which caps are valid; name where this one came from
+        with enumeration_budget(value):
+            pass
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return value
 
 
 def _emit(report: Report, structured: bool, out) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -277,6 +278,82 @@ def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, chec
     failures = [(r.check, r.params) for r in report.failures]
     assert failures == [(check, (("n", 3),))]
     assert report.failures[0].rhs == f"1 violations, first {first}"
+
+
+class _Colliding(tuple):
+    """A tuple whose hash is the same whatever it holds."""
+
+    def __hash__(self):
+        return 0
+
+
+def _collide_transposes(monkeypatch):
+    """Make every image of the transpose sweep hash alike, so that each image
+    after the first of its size is checked against the earlier ones again."""
+    for name in ("syb_transpose", "syt_transpose"):
+        original = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda q, original=original: _Colliding(original(q)))
+
+
+def _record_walks(monkeypatch):
+    """Record the size of every call of the two tableau walks of checks."""
+    calls = {}
+    for name in ("enumerate_all_syb", "enumerate_all_syt"):
+        original = getattr(checks, name)
+        sizes = calls[name] = []
+
+        def recording(n, original=original, sizes=sizes):
+            sizes.append(n)
+            return original(n)
+
+        monkeypatch.setattr(checks, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "walk, check, first",
+    [
+        ("enumerate_all_syb", "transpose-signed", "((), ((1, 2, 3),))"),
+        ("enumerate_all_syt", "transpose-unsigned", "((1, 2, 3),)"),
+    ],
+)
+def test_transpose_confirms_a_hash_collision_by_walking_again(monkeypatch, walk, check, first):
+    # with every hash alike, each later object takes one walk over those before it,
+    # and only a true repeat counts as a violation
+    objects = [sum(1 for _ in getattr(checks, walk)(n)) for n in range(5)]
+    _collide_transposes(monkeypatch)
+    calls = _record_walks(monkeypatch)
+    report = checks.verify_transpose_complement(4, 4)
+    assert len(report) == 10 and all(r.status == "pass" for r in report)
+    assert [calls[walk].count(n) for n in range(5)] == objects
+    _repeat_first(monkeypatch, walk, 3)
+    report = checks.verify_transpose_complement(4, 4)
+    assert [(r.check, r.params) for r in report.failures] == [(check, (("n", 3),))]
+    assert report.failures[0].rhs == f"1 violations, first {first}"
+
+
+def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
+    # no two images share a hash here, so no walk is repeated and the traced
+    # object counts are those of one walk per size
+    calls = _record_walks(monkeypatch)
+    assert checks.verify_transpose_complement().ok
+    signed_n_max, unsigned_n_max = checks.verify_transpose_complement.__defaults__
+    assert calls == {
+        "enumerate_all_syb": list(range(signed_n_max + 1)),
+        "enumerate_all_syt": list(range(unsigned_n_max + 1)),
+    }
+
+
+def test_transpose_sweep_keeps_a_hash_not_an_image():
+    # kept as tuples, the 6,512 images of size 7 alone take over 2 MB (3.3 MB at
+    # the peak); their hashes and the walk take 1 to 1.5 MB
+    tracemalloc.start()
+    try:
+        assert checks.verify_transpose_complement(7, 7).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
