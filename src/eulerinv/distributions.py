@@ -30,7 +30,9 @@ from collections import Counter, deque
 from math import comb
 
 from .permutations import (
-    des_b,
+    DES_B,
+    DES_COXETER,
+    _statistic,
     des_coxeter,
     enumerate_group,
     enumerate_involutions,
@@ -38,20 +40,9 @@ from .permutations import (
 )
 from .polynomials import negative_binomial_coefficient
 
-DES_B = "desB"
-DES_COXETER = "desCoxeter"
-_STATISTICS = {DES_B: des_b, DES_COXETER: des_coxeter}
-
 
 class InexactDivisionError(ArithmeticError):
     """A recurrence step did not divide evenly: the coefficients are wrong."""
-
-
-def _statistic(name: str):
-    try:
-        return _STATISTICS[name]
-    except KeyError:
-        raise ValueError(f"unknown statistic {name!r}; expected desB or desCoxeter") from None
 
 
 def _histogram_poly(values) -> tuple[int, ...]:
@@ -63,13 +54,11 @@ def _histogram_poly(values) -> tuple[int, ...]:
 
 def involution_eulerian(n: int, signed: bool = False, statistic: str = DES_B) -> tuple[int, ...]:
     """Distribution of a descent statistic over the involutions of S_n or
-    B_n.  On S_n, the positive windows, both statistics count ordinary
-    descents, so an S_n row counts them with des_coxeter, which makes no
-    sign test."""
-    stat = _statistic(statistic)
-    if not signed:
-        return _histogram_poly(map(des_coxeter, enumerate_involutions(n)))
-    return _histogram_poly(map(stat, enumerate_signed_involutions(n)))
+    B_n, counted by the walk as it sets each involution's entries.  On S_n,
+    the positive windows, both statistics count ordinary descents."""
+    _statistic(statistic)  # the enumerators would take None for windows
+    enumerate_ = enumerate_signed_involutions if signed else enumerate_involutions
+    return _histogram_poly(enumerate_(n, statistic))
 
 
 def full_eulerian(n: int, signed: bool, statistic: str = DES_B) -> tuple[int, ...]:

@@ -9,12 +9,17 @@ One walk serves both groups: the involutions of S_n are the involutions of
 B_n with no negative entry, and the S_n walk is that all-positive slice.
 The walk is iterative and runs in a single generator frame, with an explicit
 stack of the choices still open on its path, so a window reaches the caller
-through no chain of nested generators.
+through no chain of nested generators.  Given DES_B or DES_COXETER, the
+walk yields each involution's descent number in place of its window: every
+step compares the neighbours it completes, so a row of involutions is
+counted with no tuple built and no second pass over any window.
 
-Descent numbers are counted in one pass over the window, with no descent
-set built: the type-B number compares neighbours of (0, w(1), ..., w(n))
+The type-B descent number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
-the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0.  The
+the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0; the
+Coxeter number compares them as integers.  For a window on its own, as the
+group walk yields them, des_b and des_coxeter count in one pass over it,
+with no descent set built; they are also the reference for the walk.  The
 signed descent set stays for the checks that need the sets themselves, as
 plain tuples: the pair (positions, signs), with the positions ascending and
 one +1/-1 sign per entry of the window.  A -,+ sign step is never a
@@ -137,6 +142,19 @@ def des_coxeter(window: Window) -> int:
     return count
 
 
+DES_B = "desB"
+DES_COXETER = "desCoxeter"
+_STATISTICS = {DES_B: des_b, DES_COXETER: des_coxeter}
+
+
+def _statistic(name: str):
+    """The per-window function of a statistic named DES_B or DES_COXETER."""
+    try:
+        return _STATISTICS[name]
+    except KeyError:
+        raise ValueError(f"unknown statistic {name!r}; expected desB or desCoxeter") from None
+
+
 def involution_count(n: int, signed: bool = False) -> int:
     """Number of involutions in B_n (signed) or S_n:
     c(n) = f (c(n-1) + (n-1) c(n-2)), with f = 2 for B_n and 1 for S_n."""
@@ -149,79 +167,109 @@ def involution_count(n: int, signed: bool = False) -> int:
     return b
 
 
-#: One choice of the involution walk, (i, w(i), j, w(j), rest): set the
-#: entries at positions i and j, counted from 0, and leave the positions in
-#: rest open.
-_Step = tuple[int, int, int, int, tuple[int, ...]]
+#: One choice of the involution walk, (i, w(i), j, w(j), rest, pairs): set
+#: slots i and j, counted from 0, leave the slots in rest open, and compare
+#: each slot s in pairs with slot s + 1.
+_Step = tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _involution_walk(n: int, signed: bool) -> Iterator[Window]:
+def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Window | int]:
     """Each involution of B_n (signed) or S_n once, in lexicographic window
     order: the S_n walk is the B_n walk without its negative candidates.
+    Given a statistic, each involution's descent number takes its place.
 
     Fixed points take either sign; the two positions of a 2-cycle must agree
-    in sign for the square to be the identity.  The smallest open position
-    takes each candidate in turn, one _Step each; a fixed point is the step
-    with i = j, which writes its slot twice.  The walk keeps an explicit
-    stack of step iterators, one for each tuple of open positions on the
-    current path, and yields from this one frame.  The steps of each open
-    tuple are built once per call, and the last open position is set in
-    place rather than pushed.
+    in sign for the square to be the identity.  The smallest open slot takes
+    each candidate in turn, one _Step each; a fixed point is the step with
+    i = j, which writes its slot twice.  The walk keeps an explicit stack of
+    step iterators, one for each tuple of open slots on the current path,
+    and yields from this one frame.  The steps of each open tuple are built
+    once per call, and the last open slot is set in place rather than pushed.
+
+    To count, the slots hold ranks in the order counted, followed by a
+    sentinel above every rank and the leading 0, which is slot -1.  A step
+    lists the neighbouring pairs it completes, and the stack carries the
+    count so far with each step iterator; the last slot completes its own
+    two pairs.  A walk of windows lists no pairs.
     """
-    if n == 0:
-        yield ()
-        return
-    window = [0] * n  # 0-based: window[i] is w(i + 1)
-    memo: dict[tuple[int, ...], list[_Step]] = {}
+    counting = statistic is not None
+    if counting:
+        _statistic(statistic)
+    shift = -n - 1 if statistic == DES_B else 0
+
+    def entry(slot: int, sign: int) -> int:
+        # sign * w, w = slot + 1, with -w ranked -(n+1) + w when counting des_b
+        return shift + slot + 1 if shift and sign < 0 else sign * (slot + 1)
+
+    def step(i: int, j: int, sign: int, rest: tuple[int, ...]) -> _Step:
+        # a 2-cycle (i j), or the fixed point i = j, with the given sign
+        ends = sorted({i - 1, i, j - 1, j}) if counting else ()
+        pairs = tuple(s for s in ends if s < n - 1 and s not in rest and s + 1 not in rest)
+        return (i, entry(j, sign), j, entry(i, sign), rest, pairs)
 
     def steps(open_: tuple[int, ...]) -> list[_Step]:
         # Candidates for the entry at p ascending in the natural integer
-        # order, positions counted from 1 here: -q for q descending and -p
-        # (B_n only), then +p, then +q ascending.
+        # order: -q for q descending and -p (B_n only), then +p, then +q
+        # ascending.
         p, rest = open_[0], open_[1:]
+        cycles = [(q, rest[:idx] + rest[idx + 1 :]) for idx, q in enumerate(rest)]
         out = []
         if signed:
-            for idx in range(len(rest) - 1, -1, -1):
-                q = rest[idx]
-                out.append((p, -q - 1, q, -p - 1, rest[:idx] + rest[idx + 1 :]))
-            out.append((p, -p - 1, p, -p - 1, rest))
-        out.append((p, p + 1, p, p + 1, rest))
-        for idx, q in enumerate(rest):
-            out.append((p, q + 1, q, p + 1, rest[:idx] + rest[idx + 1 :]))
+            out += [step(p, q, -1, left) for q, left in reversed(cycles)]
+            out.append(step(p, p, -1, rest))
+        out.append(step(p, p, 1, rest))
+        out += [step(p, q, 1, left) for q, left in cycles]
         return out
 
-    stack = [iter(steps(tuple(range(n))))]
+    if n == 0:
+        yield 0 if counting else ()
+        return
+    window = [0] * n + ([n + 1, 0] if counting else [])
+    negative = [entry(k, -1) for k in range(n)]  # the fixed point w(k) < 0
+    memo: dict[tuple[int, ...], list[_Step]] = {}
+    stack = [(iter(steps(tuple(range(n)))), 0)]
     while stack:
-        for i, a, j, b, rest in stack[-1]:
+        choices, below = stack[-1]
+        for i, a, j, b, rest, pairs in choices:
             window[i] = a
             window[j] = b
+            count = below
+            if pairs:  # none in a walk of windows, which skips the loop
+                for s in pairs:
+                    if window[s] > window[s + 1]:
+                        count += 1
             if len(rest) > 1:
                 todo = memo.get(rest)
                 if todo is None:
                     todo = memo[rest] = steps(rest)
-                stack.append(iter(todo))
+                stack.append((iter(todo), count))
                 break
-            if rest:  # one open position left: a fixed point
+            if rest:  # one open slot left: a fixed point
                 k = rest[0]
                 if signed:
-                    window[k] = -k - 1
-                    yield tuple(window)
-                window[k] = k + 1
-            yield tuple(window)
+                    v = window[k] = negative[k]
+                    yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
+                v = window[k] = k + 1
+                yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
+            else:
+                yield count if counting else tuple(window)
         else:
             stack.pop()
 
 
-def enumerate_involutions(n: int) -> Iterator[Window]:
-    """Yield each involution of S_n once, in lexicographic window order."""
+def enumerate_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:
+    """Yield each involution of S_n once, in lexicographic window order; given
+    DES_B or DES_COXETER, yield its descent number instead.  On S_n both
+    count ordinary descents."""
     _check_budget(n, involution_count(n), "involutions of the symmetric group")
-    yield from _involution_walk(n, signed=False)
+    yield from _involution_walk(n, False, statistic)
 
 
-def enumerate_signed_involutions(n: int) -> Iterator[Window]:
-    """Yield each involution of B_n once, in lexicographic window order."""
+def enumerate_signed_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:
+    """Yield each involution of B_n once, in lexicographic window order; given
+    DES_B or DES_COXETER, yield des_b or des_coxeter of it instead."""
     _check_budget(n, involution_count(n, signed=True), "involutions of the hyperoctahedral group")
-    yield from _involution_walk(n, signed=True)
+    yield from _involution_walk(n, True, statistic)
 
 
 def enumerate_group(n: int, signed: bool) -> Iterator[Window]:

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from eulerinv import checks, distributions
 from eulerinv.distributions import (
     DES_B,
     DES_COXETER,
@@ -94,11 +95,52 @@ def test_involution_rows_match_the_oracle_under_both_statistics():
 
 def test_unknown_statistic_rejected():
     for signed in (False, True):
-        with pytest.raises(ValueError, match="unknown statistic"):
-            involution_eulerian(3, signed, statistic="major")
+        # None, which the enumerators take for windows, is no statistic here
+        for statistic in ("major", None):
+            with pytest.raises(ValueError, match="unknown statistic"):
+                involution_eulerian(3, signed, statistic=statistic)
     for signed in (False, True):
         with pytest.raises(ValueError, match="unknown statistic"):
             full_eulerian(3, signed, "bogus")
+
+
+def _record_involution_walks(monkeypatch) -> list[list]:
+    """Wrap both involution enumerators where distributions calls them; each
+    call appends [signed, n, statistic, objects yielded]."""
+    walks = []
+    for signed, name in ((False, "enumerate_involutions"), (True, "enumerate_signed_involutions")):
+
+        def recorded(n, statistic=None, signed=signed, original=getattr(distributions, name)):
+            record = [signed, n, statistic, 0]
+            walks.append(record)
+            for item in original(n, statistic):
+                record[3] += 1
+                yield item
+
+        monkeypatch.setattr(distributions, name, recorded)
+    return walks
+
+
+@pytest.mark.parametrize("statistic", [DES_B, DES_COXETER])
+@pytest.mark.parametrize("signed", [False, True])
+def test_an_involution_row_is_one_walk_yielding_each_involution_once(monkeypatch, signed, statistic):
+    # the benchmark counts objects at the public enumerators, so a row must
+    # take its counts from them, one yield per involution
+    walks = _record_involution_walks(monkeypatch)
+    row = involution_eulerian(7, signed, statistic)
+    count = signed_telephone_number(7) if signed else telephone_number(7)
+    assert walks == [[signed, 7, statistic, count]]
+    assert sum(row) == count
+
+
+def test_the_statistic_conjecture_walks_each_signed_n_once_per_statistic(monkeypatch):
+    walks = _record_involution_walks(monkeypatch)
+    assert checks.check_des_statistic_conjecture(5).ok
+    assert walks == [
+        [True, n, statistic, signed_telephone_number(n)]
+        for n in range(6)
+        for statistic in (DES_B, DES_COXETER)
+    ]
 
 
 def test_recurrence_small_rows():

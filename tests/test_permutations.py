@@ -1,11 +1,14 @@
 import threading
 from collections import Counter
+from functools import partial
 from itertools import islice
 
 import pytest
 
 from eulerinv.permutations import (
     DEFAULT_BUDGET,
+    DES_B,
+    DES_COXETER,
     BudgetExceededError,
     des_b,
     des_coxeter,
@@ -129,12 +132,27 @@ def test_involution_enumerators_match_the_recursive_walk(n):
     assert list(enumerate_signed_involutions(n)) == involutions_by_recursive_walk(n, signed=True)
 
 
+@pytest.mark.parametrize(("signed", "n_max"), [(True, 9), (False, 10)])
+def test_walk_counts_match_the_per_window_statistics_in_walk_order(signed, n_max):
+    # desB and desCoxeter give equal rows for every n <= 9, so only a check
+    # window by window tells a count in the wrong order from a right one
+    enumerate_ = enumerate_signed_involutions if signed else enumerate_involutions
+    for n in range(n_max + 1):
+        walks = zip(enumerate_(n), enumerate_(n, DES_B), enumerate_(n, DES_COXETER), strict=True)
+        for w, colored, coxeter in walks:
+            assert colored == (des_b(w) if signed else des_coxeter(w)) == colored_descent_count(w), w
+            assert coxeter == des_coxeter(w), w
+
+
 def test_interleaved_involution_walks_do_not_share_state():
     starts = [
         lambda: enumerate_signed_involutions(5),
         lambda: enumerate_involutions(6),
         lambda: enumerate_signed_involutions(4),
         lambda: enumerate_signed_involutions(4),
+        lambda: enumerate_signed_involutions(5, DES_B),
+        lambda: enumerate_involutions(6, DES_COXETER),
+        lambda: enumerate_signed_involutions(4, DES_COXETER),
     ]
     walks = [start() for start in starts]
     seen: list[list] = [[] for _ in walks]
@@ -152,6 +170,9 @@ def test_interleaved_involution_walks_do_not_share_state():
         involution_count(5, signed=True),
         involution_count(6),
         involution_count(4, signed=True),
+        involution_count(4, signed=True),
+        involution_count(5, signed=True),
+        involution_count(6),
         involution_count(4, signed=True),
     ]
     assert seen == [list(start()) for start in starts]
@@ -233,7 +254,20 @@ def test_involutions_are_the_all_positive_signed_involutions_in_order():
 
 @pytest.mark.parametrize(
     "enumerate_",
-    [enumerate_involutions, enumerate_signed_involutions, enumerate_all_syt, enumerate_all_syb],
+    [
+        enumerate_involutions,
+        enumerate_signed_involutions,
+        enumerate_all_syt,
+        enumerate_all_syb,
+        pytest.param(partial(enumerate_involutions, statistic=DES_B), id="enumerate_involutions-desB"),
+        pytest.param(
+            partial(enumerate_signed_involutions, statistic=DES_B), id="enumerate_signed_involutions-desB"
+        ),
+        pytest.param(
+            partial(enumerate_signed_involutions, statistic=DES_COXETER),
+            id="enumerate_signed_involutions-desCoxeter",
+        ),
+    ],
 )
 def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
     walk = enumerate_(-1)
@@ -243,6 +277,13 @@ def test_involution_enumerators_raise_at_the_first_next_only(enumerate_):
         walk = enumerate_(4)
         with pytest.raises(BudgetExceededError, match="n=4"):
             next(walk)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_involutions, enumerate_signed_involutions])
+def test_an_unknown_statistic_raises_at_the_first_next_only(enumerate_):
+    walk = enumerate_(3, "major")
+    with pytest.raises(ValueError, match="unknown statistic 'major'"):
+        next(walk)
 
 
 def test_enumerate_group_raises_on_negative_n_at_the_first_next():
