@@ -47,7 +47,6 @@ from .tableaux import (
     enumerate_syb,
     partitions,
     syb_des_b,
-    syb_signed_descent_set,
     syb_transpose,
     syt_descent_set,
     syt_transpose,
@@ -138,7 +137,7 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
-            sdes_list = [syb_signed_descent_set(q) for q in enumerate_syb((plus, minus))]
+            sdes_list = list(enumerate_syb((plus, minus), True))
             for m in range(1, m_max + 1):
                 lhs = sum(fundamental_spec(s, m) for s in sdes_list)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
@@ -164,14 +163,15 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     report = Report()
     families = (
         ("sdes-multiset-signed", signed_n_max, enumerate_signed_involutions,
-         enumerate_all_syb, syb_signed_descent_set, "bitableaux"),
+         enumerate_all_syb, "bitableaux"),
         ("des-multiset-unsigned", unsigned_n_max, enumerate_involutions,
-         enumerate_all_syt, syt_descent_set, "tableaux"),
+         enumerate_all_syt, "tableaux"),
     )
-    for check, n_max, involutions, tableaux, tableau_des, noun in families:
+    for check, n_max, involutions, tableaux, noun in families:
         for n in range(n_max + 1):
             perm_side = Counter(map(signed_descent_set, involutions(n)))
-            tab_side = Counter(map(tableau_des, tableaux(n)))
+            # the tableau walk yields each object's descent set, read off its rows
+            tab_side = Counter(tableaux(n, True))
             lhs = f"{sum(perm_side.values())} involutions"
             rhs = f"{sum(tab_side.values())} {noun}"
             ok = perm_side == tab_side

@@ -14,9 +14,11 @@ as the independent second route in the verification sweeps of checks and
 in the test suite.  This module holds the counts only; the sweeps that
 compare them with those closed forms live in checks.
 
-A Schur specialization walks the standard tableaux of its shape once,
-counts how many have each descent set, and runs the dynamic program once
-per distinct set, weighted by that count.
+A Schur specialization walks the standard tableaux of its shape once, in
+the walk's descents mode: the walk yields each tableau's descent set, read
+off the rows it chose, and builds no tableau.  It counts how many times
+each descent set is yielded and runs the dynamic program once per distinct
+set, weighted by that count.
 
 The dynamic program is memoized for the life of the process.  Its key is
 (n, strict positions as an ascending tuple, minimums, m): fundamental_spec
@@ -32,7 +34,7 @@ from functools import cache
 from itertools import accumulate
 
 from .permutations import SignedDescents
-from .tableaux import Shape, enumerate_syt, syt_descent_set, validate_shape
+from .tableaux import Shape, enumerate_syt, validate_shape
 
 #: The least index a chain entry may take under each sign.
 _MINIMUM_OF_SIGN = {1: 1, -1: 2}
@@ -90,6 +92,6 @@ def schur_spec(shape: Shape, m: int) -> int:
     validate_shape(shape)
     if m == 0:
         return 1 if sum(shape) == 0 else 0
-    walk = Counter(map(syt_descent_set, enumerate_syt(shape)))
+    walk = Counter(enumerate_syt(shape, True))
     return sum(count * fundamental_spec(des, m) for des, count in walk.items())
 

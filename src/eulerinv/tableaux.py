@@ -21,9 +21,13 @@ format of permutations.py: the pair (positions, signs), the entries i
 ascending and the sign of the part holding each entry.  Every sign of a
 standard tableau is +1.  On a bitableau the rows of the minus part are
 numbered after all of the plus part's, so a single comparison of neighbours
-tests each i and des_B is counted without building the set.  Nothing here
-calls the window-side descent functions, so the two sides of the bijection
-share only the type alias.
+tests each i and des_B is counted without building the set.  The walk's
+stack of chosen rows is such a list, so with `descents` set each enumerator
+yields the descent set of each object in its place, read off that stack
+when entry n is placed, and builds no tableau; syt_descent_set and
+syb_signed_descent_set read the same sets off a finished object.  Nothing
+here calls the window-side descent functions, so the two sides of the
+bijection share only the type alias.
 """
 from __future__ import annotations
 
@@ -40,9 +44,11 @@ Bitableau = tuple[Tableau, Tableau]
 
 
 def validate_shape(shape: Shape) -> None:
+    """Raise ValueError unless shape is a partition: weakly decreasing
+    parts, each a positive int and not a bool."""
     for part in shape:
-        if part <= 0:
-            raise ValueError(f"partition parts must be positive, got {shape}")
+        if isinstance(part, bool) or not isinstance(part, int) or part <= 0:
+            raise ValueError(f"partition parts must be positive integers, got {shape}")
     for a, b in zip(shape, shape[1:]):
         if a < b:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
@@ -79,18 +85,28 @@ def _syt_count(shape: Shape) -> int:
     return factorial(sum(shape)) // hooks
 
 
-def _fillings(shape: Shape, second: int) -> Iterator[Tableau]:
-    """Every standard filling of the rows of shape, where row `second` starts
-    a second part: it is exempt from the column rule against the row above.
-    Entries 1..n are placed in turn, each in the top-most row that can take
-    it next, then in each lower one."""
+def _fillings(
+    shape: Shape, second: int, descents: bool = False
+) -> Iterator[Tableau | SignedDescents]:
+    """Every standard filling of the rows of shape, where the rows from
+    index `second` on form a second part, empty when `second` is the number
+    of rows: its first row is exempt from the column rule against the row
+    above.  Entries 1..n are placed in turn, each in the top-most row that
+    can take it next, then in each lower one.
+
+    With descents set, each filling's signed descent set takes its place,
+    read off the row chosen for each entry: i is a descent when
+    chosen[i] < chosen[i+1], and the sign of i is -1 when its row lies in
+    the second part."""
     n = sum(shape)
     if n == 0:
-        yield ()
+        yield ((), ()) if descents else ()
         return
     height = len(shape)
     rows: list[list[int]] = [[] for _ in shape]
     chosen = [0] * (n + 1)  # chosen[e]: the row entry e went into
+    sign_of_row = [1] * second + [-1] * (height - second)
+    before = range(1, n)
     entry, r = 1, 0  # place entry in row r or a lower one
     while True:
         while r < height:
@@ -101,11 +117,17 @@ def _fillings(shape: Shape, second: int) -> Iterator[Tableau]:
             r += 1
         if r < height:
             rows[r].append(entry)
+            chosen[entry] = r
             if entry < n:
-                chosen[entry] = r
                 entry, r = entry + 1, 0
                 continue
-            yield tuple(map(tuple, rows))
+            if descents:
+                yield (
+                    tuple(compress(before, map(lt, chosen[1:n], chosen[2:]))),
+                    tuple(map(sign_of_row.__getitem__, chosen[1:])),
+                )
+            else:
+                yield tuple(map(tuple, rows))
         else:
             # no row takes this entry: move the previous one a row lower
             entry -= 1
@@ -116,20 +138,23 @@ def _fillings(shape: Shape, second: int) -> Iterator[Tableau]:
         r += 1
 
 
-def enumerate_syt(shape: Shape) -> Iterator[Tableau]:
+def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | SignedDescents]:
     """Yield every standard Young tableau of the given shape, in the order
-    of the walk; their count f^shape is held to the budget."""
+    of the walk, or with descents set the descent set of each, as
+    syt_descent_set reads it; their count f^shape is held to the budget."""
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
-    yield from _fillings(shape, 0)
+    # every row belongs to the first part, so every sign is +1
+    yield from _fillings(shape, len(shape), descents)
 
 
-def enumerate_all_syt(n: int) -> Iterator[Tableau]:
-    """All standard Young tableaux with n entries, over every shape; there
-    are as many as involutions of S_n, and that count is held to the budget."""
+def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | SignedDescents]:
+    """All standard Young tableaux with n entries, over every shape, or
+    their descent sets; there are as many as involutions of S_n, and that
+    count is held to the budget."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
     for shape in partitions(n):
-        yield from enumerate_syt(shape)
+        yield from enumerate_syt(shape, descents)
 
 
 def syt_descent_set(tableau: Tableau) -> SignedDescents:
@@ -150,8 +175,12 @@ def syt_transpose(tableau: Tableau) -> Tableau:
     return tuple([tuple(filter(None, column)) for column in zip_longest(*tableau)])
 
 
-def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
-    """Yield every standard Young bitableau of shape (plus, minus).
+def enumerate_syb(
+    shape: tuple[Shape, Shape], descents: bool = False
+) -> Iterator[Bitableau | SignedDescents]:
+    """Yield every standard Young bitableau of shape (plus, minus), or with
+    descents set the signed descent set of each, as syb_signed_descent_set
+    reads it.
 
     A bitableau is a standard filling of plus and minus side by side, so
     the walk of enumerate_syt serves here too: it fills the rows plus +
@@ -168,16 +197,20 @@ def enumerate_syb(shape: tuple[Shape, Shape]) -> Iterator[Bitableau]:
     count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
     split = len(plus_shape)
+    if descents:
+        yield from _fillings(plus_shape + minus_shape, split, True)
+        return
     for rows in _fillings(plus_shape + minus_shape, split):
         yield rows[:split], rows[split:]
 
 
-def enumerate_all_syb(n: int) -> Iterator[Bitableau]:
-    """All standard Young bitableaux with n entries, over every bipartition;
-    there are as many as involutions of B_n, and that count is held to the budget."""
+def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | SignedDescents]:
+    """All standard Young bitableaux with n entries, over every bipartition,
+    or their signed descent sets; there are as many as involutions of B_n,
+    and that count is held to the budget."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
     for shape in bipartitions(n):
-        yield from enumerate_syb(shape)
+        yield from enumerate_syb(shape, descents)
 
 
 def _levels(bitableau: Bitableau) -> list[int]:

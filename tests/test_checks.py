@@ -3,10 +3,18 @@ from math import comb
 
 import pytest
 
-from eulerinv import checks
+from eulerinv import checks, qsym
 from eulerinv.permutations import BudgetExceededError, enumeration_budget
 from eulerinv.reports import CheckRecord, Report
-from oracles import guo_zeng_counterexample_search, guo_zeng_instances_by_randint
+from eulerinv.tableaux import bipartitions, partitions
+from oracles import (
+    bitableaux_by_pairing,
+    guo_zeng_counterexample_search,
+    guo_zeng_instances_by_randint,
+    signed_telephone_number,
+    standard_fillings_by_filtering,
+    telephone_number,
+)
 
 
 def test_recurrence_route():
@@ -194,11 +202,12 @@ def test_record_formats():
 
 
 def _drop_from_walk(monkeypatch, walk, n, positions):
-    """Make the named walk of checks skip the given positions of its size-n walk."""
+    """Make the named walk of checks skip the given positions of its size-n
+    walk, passing any further arguments, such as descents, through."""
     original = getattr(checks, walk)
 
-    def dropping(size):
-        for i, q in enumerate(original(size)):
+    def dropping(size, *args):
+        for i, q in enumerate(original(size, *args)):
             if size != n or i not in positions:
                 yield q
 
@@ -206,11 +215,12 @@ def _drop_from_walk(monkeypatch, walk, n, positions):
 
 
 def _repeat_first(monkeypatch, walk, n):
-    """Make the named walk of checks yield the first object of its size-n walk twice."""
+    """Make the named walk of checks yield the first object of its size-n walk
+    twice, passing any further arguments through."""
     original = getattr(checks, walk)
 
-    def repeating(size):
-        objects = list(original(size))
+    def repeating(size, *args):
+        objects = list(original(size, *args))
         if size == n:
             objects.insert(1, objects[0])
         yield from objects
@@ -278,6 +288,62 @@ def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, chec
     failures = [(r.check, r.params) for r in report.failures]
     assert failures == [(check, (("n", 3),))]
     assert report.failures[0].rhs == f"1 violations, first {first}"
+
+
+def _count_yields(monkeypatch, module, names):
+    """Wrap the named walks where module calls them.  Each call appends
+    [name, its first argument, the objects it has yielded] to the list
+    returned, when it is made."""
+    calls = []
+
+    def counted(walk, record):
+        for item in walk:
+            record[2] += 1
+            yield item
+
+    for name in names:
+
+        def counting(first, *args, name=name, original=getattr(module, name)):
+            record = [name, first, 0]
+            calls.append(record)
+            return counted(original(first, *args), record)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_schur_specialization_is_one_walk_of_its_shape(monkeypatch):
+    # the benchmark counts tableaux where the walk yields, so a Schur
+    # specialization takes its descent sets from one walk of f^shape yields
+    calls = _count_yields(monkeypatch, qsym, ["enumerate_syt"])
+    for n in range(7):
+        for shape in partitions(n):
+            f = len(standard_fillings_by_filtering(shape))
+            for m in (1, 2, 4):
+                calls.clear()
+                qsym.schur_spec(shape, m)
+                assert calls == [["enumerate_syt", shape, f]], (shape, m)
+            calls.clear()
+            qsym.schur_spec(shape, 0)
+            assert calls == []
+
+
+def test_the_descent_multiset_sweep_walks_each_size_once_on_the_tableau_side(monkeypatch):
+    calls = _count_yields(monkeypatch, checks, ["enumerate_all_syb", "enumerate_all_syt"])
+    assert checks.verify_descent_multiset_bijection(6, 6).ok
+    assert calls == [["enumerate_all_syb", n, signed_telephone_number(n)] for n in range(7)] + [
+        ["enumerate_all_syt", n, telephone_number(n)] for n in range(7)
+    ]
+
+
+def test_the_signed_schur_sweep_walks_each_bipartition_once(monkeypatch):
+    calls = _count_yields(monkeypatch, checks, ["enumerate_syb"])
+    assert checks.verify_signed_schur_spec(5, 3).ok
+    assert calls == [
+        ["enumerate_syb", shape, len(bitableaux_by_pairing(*shape))]
+        for n in range(6)
+        for shape in bipartitions(n)
+    ]
 
 
 class _Colliding(tuple):

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from eulerinv.permutations import (
     enumeration_budget,
     signed_descent_set,
 )
+from eulerinv.qsym import schur_spec
 from eulerinv.tableaux import (
     bipartitions,
     enumerate_all_syb,
@@ -56,6 +58,15 @@ def test_validate_shape():
         validate_shape((1, 3))
     with pytest.raises(ValueError):
         validate_shape((2, 0))
+    # a float once died in range(), a str in <=, and True was walked as 1
+    for shape in [(2.0,), (True,), ("2",), (2, 1.0)]:
+        with pytest.raises(ValueError, match="partition parts must be positive integers"):
+            validate_shape(shape)
+        for descents in (False, True):
+            with pytest.raises(ValueError, match="partition parts must be positive integers"):
+                next(enumerate_syt(shape, descents))
+        with pytest.raises(ValueError, match="partition parts must be positive integers"):
+            schur_spec(shape, 3)
 
 
 def test_enumerate_syt_counts():
@@ -92,10 +103,75 @@ def test_enumerate_syb_against_pairing_oracle():
             assert got == sorted(bitableaux_by_pairing(plus, minus)), (plus, minus)
 
 
-@pytest.mark.parametrize("shape", [((1,), (1, 2)), ((0,), ()), ((2, 3), ()), ((), (1, 0))])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ((1,), (1, 2)),
+        ((0,), ()),
+        ((2, 3), ()),
+        ((), (1, 0)),
+        ((2.0,), ()),
+        ((), (True,)),
+        (("2",), (1,)),
+    ],
+)
 def test_enumerate_syb_rejects_a_part_that_is_no_partition(shape):
     with pytest.raises(ValueError, match="partition parts must be"):
         next(enumerate_syb(shape))
+
+
+def test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order():
+    for n in range(10):
+        for shape in partitions(n):
+            got = list(enumerate_syt(shape, True))
+            assert got == list(map(syt_descent_set, enumerate_syt(shape))), shape
+    assert list(enumerate_syt((), True)) == [((), ())]
+
+
+def test_the_descents_walk_of_a_bipartition_yields_syb_signed_descent_set_in_walk_order():
+    shapes = [shape for n in range(8) for shape in bipartitions(n)]
+    # n = 0, an empty plus part and an empty minus part are all among them
+    assert ((), ()) in shapes and ((), (2, 1)) in shapes and ((2, 1), ()) in shapes
+    for shape in shapes:
+        got = list(enumerate_syb(shape, True))
+        assert got == list(map(syb_signed_descent_set, enumerate_syb(shape))), shape
+    assert list(enumerate_syb(((), ()), True)) == [((), ())]
+    # with no plus part every sign is -1, with no minus part every sign is +1
+    assert list(enumerate_syb(((), (1, 1)), True)) == [((1,), (-1, -1))]
+    assert list(enumerate_syb(((1, 1), ()), True)) == [((1,), (1, 1))]
+
+
+def test_the_descents_walks_over_all_shapes_keep_the_walk_order():
+    for n in range(9):
+        assert list(enumerate_all_syt(n, True)) == list(map(syt_descent_set, enumerate_all_syt(n)))
+    for n in range(7):
+        got = list(enumerate_all_syb(n, True))
+        assert got == list(map(syb_signed_descent_set, enumerate_all_syb(n)))
+
+
+def test_descents_walks_are_held_to_the_budget_at_the_first_next_only():
+    # every cap is at least 1, so only a walk of two or more objects can be refused
+    starts = [
+        (n, partial(enumerate_syt, shape, True), len(standard_fillings_by_filtering(shape)))
+        for n in range(7)
+        for shape in partitions(n)
+    ]
+    starts += [
+        (n, partial(enumerate_syb, shape, True), len(bitableaux_by_pairing(*shape)))
+        for n in range(6)
+        for shape in bipartitions(n)
+    ]
+    starts += [(n, partial(enumerate_all_syt, n, True), telephone_number(n)) for n in range(7)]
+    starts += [(n, partial(enumerate_all_syb, n, True), signed_telephone_number(n)) for n in range(6)]
+    for n, start, count in starts:
+        with enumeration_budget(count):
+            assert sum(1 for _ in start()) == count
+        if count == 1:
+            continue
+        with enumeration_budget(count - 1):
+            walk = start()
+            with pytest.raises(BudgetExceededError, match=f"n={n} needs {count} objects"):
+                next(walk)
 
 
 def test_syt_transpose_matches_the_column_reading():
