@@ -48,7 +48,6 @@ from .tableaux import (
     partitions,
     syb_des_b,
     syb_transpose,
-    syt_descent_set,
     syt_transpose,
 )
 
@@ -206,7 +205,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
         ("transpose-signed", signed_n_max, enumerate_all_syb, syb_transpose, syb_des_b,
          0, "bitableaux"),
         ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, syt_transpose,
-         lambda q: len(syt_descent_set(q)[0]), 1, "tableaux"),
+         lambda q: syb_des_b((q, ())), 1, "tableaux"),
     )
     for check, n_max, walk, transpose, des, shift, noun in families:
         for n in range(n_max + 1):

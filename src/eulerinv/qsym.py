@@ -65,14 +65,20 @@ def _count_chains(n: int, strict_after: tuple[int, ...], minimums: tuple[int, ..
     return sum(ways)
 
 
+def _check_m(m: int) -> None:
+    """Raise ValueError unless m is a nonnegative int and not a bool."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+
+
 def fundamental_spec(sdes: SignedDescents, m: int) -> int:
     """Specialize the fundamental quasisymmetric function of a signed descent
     set (positions, signs) at (1^m, 01^(m-1)): the count of weakly increasing
     chains into 1..m, strict after each position, in which negatively signed
     entries avoid index 1.  With every sign +1 this is the one-alphabet
-    specialization of the descent set at 1^m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    specialization of the descent set at 1^m.  An m that is not a
+    nonnegative int, a bool among them, raises ValueError."""
+    _check_m(m)
     positions, signs = sdes
     try:
         minimums = tuple(map(_MINIMUM_OF_SIGN.__getitem__, signs))
@@ -88,8 +94,10 @@ def fundamental_spec(sdes: SignedDescents, m: int) -> int:
 def schur_spec(shape: Shape, m: int) -> int:
     """Principal specialization of a Schur function: the sum of fundamental
     specializations over the standard tableaux of the shape.  Counts the
-    semistandard fillings with entries at most m."""
+    semistandard fillings with entries at most m.  A bad m raises
+    ValueError, as in fundamental_spec, before any tableau is walked."""
     validate_shape(shape)
+    _check_m(m)
     if m == 0:
         return 1 if sum(shape) == 0 else 0
     walk = Counter(enumerate_syt(shape, True))

@@ -1,8 +1,8 @@
 """Partitions, standard Young tableaux and bitableaux, and their descent sets.
 
-Rows are numbered from the top (row 1 first), so "lower" always means a
-larger row index.  A tableau is a tuple of row tuples; a bitableau is a
-(plus, minus) pair of tableaux whose entries partition 1..n.
+Rows are numbered from the top, so "lower" always means a larger row index.
+A tableau is a tuple of row tuples; a bitableau is a (plus, minus) pair of
+tableaux whose entries partition 1..n.
 
 A standard bitableau of shape (plus, minus) is a standard filling of plus
 and minus side by side: the rows of plus, then the rows of minus, where the
@@ -16,18 +16,19 @@ tableau is the walk over one part, a bitableau the walk over two, cut back
 into its parts.  Every walk yields each object once, in the order of the
 plain recursive walks that tests/oracles.py keeps as references.
 
-Descent sets are read off a list holding the row of each entry, in the one
-format of permutations.py: the pair (positions, signs), the entries i
-ascending and the sign of the part holding each entry.  Every sign of a
-standard tableau is +1.  On a bitableau the rows of the minus part are
-numbered after all of the plus part's, so a single comparison of neighbours
-tests each i and des_B is counted without building the set.  The walk's
-stack of chosen rows is such a list, so with `descents` set each enumerator
-yields the descent set of each object in its place, read off that stack
-when entry n is placed, and builds no tableau; syt_descent_set and
-syb_signed_descent_set read the same sets off a finished object.  Nothing
-here calls the window-side descent functions, so the two sides of the
-bijection share only the type alias.
+Descent sets come in the one format of permutations.py: the pair
+(positions, signs), the entries i ascending and the sign of the part holding
+each entry.  They are read off a list of the row of each entry, and the walk
+and the readers number rows alike: the rows of plus from 0, then those of
+minus from len(plus).  So an entry is negative when its row is at least
+len(plus), a tableau is the bitableau with no minus part, all signs +1, and
+as a +,- step always climbs and a -,+ step never does, one comparison of
+neighbours tests each i and des_B is counted without building the set.  With
+`descents` set each enumerator yields each object's descent set in its
+place, read off the walk's stack of chosen rows when entry n is placed, and
+builds no tableau; the readers of a finished object build the list with
+_row_of.  Nothing here calls the window-side descent functions, so the two
+sides of the bijection share only the type alias.
 """
 from __future__ import annotations
 
@@ -159,13 +160,9 @@ def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | Sign
 
 def syt_descent_set(tableau: Tableau) -> SignedDescents:
     """(positions, signs): the entries i whose successor i+1 sits in a
-    strictly lower row, ascending, and n signs +1."""
-    n = sum(map(len, tableau))
-    row_of = [0] * (n + 1)  # row_of[e]: the row holding e
-    for r, row in enumerate(tableau[1:], 1):  # the first row keeps row 0
-        for entry in row:
-            row_of[entry] = r
-    return tuple(compress(range(1, n + 1), map(lt, row_of[1:], row_of[2:]))), (1,) * n
+    strictly lower row, ascending, and n signs +1; the reading of the
+    bitableau (tableau, ()) with no minus part."""
+    return syb_signed_descent_set((tableau, ()))
 
 
 def syt_transpose(tableau: Tableau) -> Tableau:
@@ -183,11 +180,11 @@ def enumerate_syb(
     reads it.
 
     A bitableau is a standard filling of plus and minus side by side, so
-    the walk of enumerate_syt serves here too: it fills the rows plus +
-    minus, the first row of minus under no other, and each filling is cut
-    after the rows of plus.  Each entry is tried in the rows of plus before
-    those of minus, top-most first.  Their count C(n, |plus|) f^plus f^minus
-    is held to the budget.
+    the walk of enumerate_syt serves here too: it fills the rows of plus
+    and then of minus, the first row of minus under no other, and each
+    filling is cut after the rows of plus.  Each entry is tried in the rows
+    of plus before those of minus, top-most first.  Their count
+    C(n, |plus|) f^plus f^minus is held to the budget.
     """
     plus_shape, minus_shape = shape
     validate_shape(plus_shape)
@@ -198,9 +195,9 @@ def enumerate_syb(
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
     split = len(plus_shape)
     if descents:
-        yield from _fillings(plus_shape + minus_shape, split, True)
+        yield from _fillings((*plus_shape, *minus_shape), split, True)
         return
-    for rows in _fillings(plus_shape + minus_shape, split):
+    for rows in _fillings((*plus_shape, *minus_shape), split):
         yield rows[:split], rows[split:]
 
 
@@ -213,20 +210,16 @@ def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | Si
         yield from enumerate_syb(shape, descents)
 
 
-def _levels(bitableau: Bitableau) -> list[int]:
-    """levels[e] for each entry e of a bitableau with n entries: its row in
-    the plus part, or n plus its row in the minus part.  Every minus level
-    lies above every plus level; levels[0] is 0."""
-    plus, minus = bitableau
-    n = sum(map(len, plus)) + sum(map(len, minus))
-    levels = [0] * (n + 1)
-    for r, row in enumerate(plus[1:], 1):  # the first row keeps level 0
+def _row_of(bitableau: Bitableau) -> list[int]:
+    """row_of[e] for each entry e of a bitableau: the index of its row
+    among the rows of plus and then those of minus, counted from 0, as the
+    walk numbers them.  row_of[0] is 0."""
+    rows = (*bitableau[0], *bitableau[1])
+    row_of = [0] * (sum(map(len, rows)) + 1)
+    for r, row in enumerate(rows[1:], 1):  # the first row keeps row 0
         for entry in row:
-            levels[entry] = r
-    for r, row in enumerate(minus, n):
-        for entry in row:
-            levels[entry] = r
-    return levels
+            row_of[entry] = r
+    return row_of
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
@@ -234,26 +227,29 @@ def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
 
     The sign of i is the sign of the part containing it; i is a descent when
     the signs step +,- , or when they agree and i+1 sits in a strictly lower
-    row of that shared part.  On levels that is one test, levels[i+1] >
-    levels[i]: a +,- step always climbs to the minus levels, and a -,+ step
-    never does.
+    row of that shared part.  With the minus rows numbered from len(plus)
+    that is one test, row_of[i] < row_of[i+1].
     """
-    levels = _levels(bitableau)
-    n = len(levels) - 1
-    signs = tuple([1 if level < n else -1 for level in levels[1:]])
-    return tuple(compress(range(1, n), map(lt, levels[1:], levels[2:]))), signs
+    row_of = _row_of(bitableau)
+    split = len(bitableau[0])
+    n = len(row_of) - 1
+    signs = tuple([1 if r < split else -1 for r in row_of[1:]])
+    return tuple(compress(range(1, n), map(lt, row_of[1:], row_of[2:]))), signs
 
 
 def syb_des_b(bitableau: Bitableau) -> int:
     """Type-B descent number of a bitableau: |Des| plus one when the first
-    sign is negative, counted in one pass over the levels.
+    sign is negative, counted in one pass over the rows, with no descent
+    set built.
 
-    levels[0] = 0 plays the leading 0 of a window.  Entry 1 is the corner of
-    its part, at level 0 when positive and at level n when negative, so the
-    step from levels[0] climbs exactly when the first sign is negative.
+    row_of[0] = len(plus) - 1 plays the leading 0 of a window.  Entry 1 is
+    the corner of its part, in row 0 when positive and in row len(plus)
+    when negative, so the step from row_of[0] climbs exactly when the first
+    sign is negative.
     """
-    levels = _levels(bitableau)
-    return sum(map(lt, levels, levels[1:]))
+    row_of = _row_of(bitableau)
+    row_of[0] = len(bitableau[0]) - 1
+    return sum(map(lt, row_of, row_of[1:]))
 
 
 def syb_transpose(bitableau: Bitableau) -> Bitableau:

@@ -281,6 +281,31 @@ def signed_descent_set_by_definition(window):
     return positions, signs
 
 
+def bitableau_descent_set_by_definition(bitableau):
+    """(Des, signs) of a bitableau (plus, minus), from where each entry sits:
+    the sign of i is +1 in plus and -1 in minus, and i is a descent when i
+    is in plus and i+1 in minus, or when both are in one part and i+1 sits
+    in a strictly lower row of it.  Each entry's part and row are found by
+    scanning both parts."""
+
+    def place(entry):
+        for sign, part in zip((1, -1), bitableau):
+            for r, row in enumerate(part):
+                if entry in row:
+                    return sign, r
+        raise ValueError(f"{entry} is in neither part of {bitableau}")
+
+    n = sum(len(row) for part in bitableau for row in part)
+    places = [place(entry) for entry in range(1, n + 1)]
+    positions = tuple(
+        i
+        for i in range(1, n)
+        if (places[i - 1][0], places[i][0]) == (1, -1)
+        or (places[i - 1][0] == places[i][0] and places[i - 1][1] < places[i][1])
+    )
+    return positions, tuple(sign for sign, _ in places)
+
+
 def tableau_shape(tableau):
     return tuple(len(row) for row in tableau)
 

@@ -328,6 +328,18 @@ def test_a_schur_specialization_is_one_walk_of_its_shape(monkeypatch):
             assert calls == []
 
 
+@pytest.mark.parametrize("m", [-1, 2.0, "2", True, False, None])
+def test_a_schur_specialization_checks_m_before_it_walks(monkeypatch, m):
+    # the ValueError of fundamental_spec, raised before any walk starts, so
+    # no budget is asked for
+    calls = _count_yields(monkeypatch, qsym, ["enumerate_syt"])
+    with enumeration_budget(1):
+        for shape in ((), (1,), (2, 1), (3, 2, 1)):
+            with pytest.raises(ValueError, match=f"m must be a nonnegative integer, got {m!r}"):
+                qsym.schur_spec(shape, m)
+    assert calls == []
+
+
 def test_the_descent_multiset_sweep_walks_each_size_once_on_the_tableau_side(monkeypatch):
     calls = _count_yields(monkeypatch, checks, ["enumerate_all_syb", "enumerate_all_syt"])
     assert checks.verify_descent_multiset_bijection(6, 6).ok

@@ -30,10 +30,22 @@ def test_fundamental_spec_examples():
 
 
 @pytest.mark.parametrize(
-    "n, strict, m", [(2, (), -1), (2, {5}, 3), (2, {0}, 3), (2, {2}, 3), (0, {1}, 2)]
+    "n, strict, m",
+    [
+        (2, (), -1),
+        (2, {5}, 3),
+        (2, {0}, 3),
+        (2, {2}, 3),
+        (0, {1}, 2),
+        (2, (), 2.0),
+        (2, (), "2"),
+        (2, (), True),
+        (0, (), False),
+    ],
 )
 def test_fundamental_spec_rejects_bad_input(n, strict, m):
-    # m < 0, or a position outside 1..n-1 of an all-plus descent set
+    # m not a nonnegative int (a bool is none), or a position outside
+    # 1..n-1 of an all-plus descent set
     with pytest.raises(ValueError):
         fundamental_spec((strict, (1,) * n), m)
 

@@ -28,6 +28,7 @@ from eulerinv.tableaux import (
     validate_shape,
 )
 from oracles import (
+    bitableau_descent_set_by_definition,
     bitableaux_by_pairing,
     bitableaux_by_placing,
     is_standard_tableau,
@@ -118,6 +119,20 @@ def test_enumerate_syb_against_pairing_oracle():
 def test_enumerate_syb_rejects_a_part_that_is_no_partition(shape):
     with pytest.raises(ValueError, match="partition parts must be"):
         next(enumerate_syb(shape))
+
+
+def test_enumerate_syb_takes_list_parts():
+    # as validate_shape and enumerate_syt do; each part may be a list
+    assert list(enumerate_syb(([1], ()))) == [(((1,),), ())]
+    assert list(enumerate_syb(([1], ()), True)) == [((), (1,))]
+    assert list(enumerate_syb(((), [1]))) == [((), ((1,),))]
+    assert list(enumerate_syb(((), [1]), True)) == [((), (-1,))]
+    for plus, minus in (([1], [1]), ([2, 1], [1]), ((1, 1), [2])):
+        shape = (tuple(plus), tuple(minus))
+        assert list(enumerate_syb((plus, minus))) == list(enumerate_syb(shape))
+        assert list(enumerate_syb((plus, minus), True)) == list(enumerate_syb(shape, True))
+    assert list(enumerate_syt([2, 1])) == list(enumerate_syt((2, 1)))
+    assert list(enumerate_syt([2, 1], True)) == list(enumerate_syt((2, 1), True))
 
 
 def test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order():
@@ -293,11 +308,16 @@ def test_syb_signed_descent_set_examples():
     assert syb_signed_descent_set((((1, 2),), ())) == ((), (1, 1))
     assert syb_signed_descent_set(((), ((1,), (2,)))) == ((1,), (-1, -1))
     assert syb_signed_descent_set(((((1,)),), ((2,),))) == ((1,), (1, -1))
+    # the parts may be lists of rows, or tuples, or one of each
+    assert syb_signed_descent_set(([(1,)], ())) == ((), (1,))
+    assert syb_signed_descent_set(([(1,)], [(2,)])) == ((1,), (1, -1))
+    assert syt_descent_set([(1, 2), (3,)]) == ((2,), (1, 1, 1))
 
 
 def test_syb_des_b_examples():
     assert syb_des_b((((1, 2, 3),), ())) == 0
     assert syb_des_b((((1,),), ((2,),))) == 1
+    assert syb_des_b(([(1,)], [(2,)])) == 1
     for n in range(1, 6):
         column = tuple((i,) for i in range(1, n + 1))
         assert syb_des_b(((), column)) == n
@@ -308,6 +328,33 @@ def test_syb_des_b_counts_the_signed_descent_set():
         for q in enumerate_all_syb(n):
             positions, signs = syb_signed_descent_set(q)
             assert syb_des_b(q) == len(positions) + (signs[:1] == (-1,)), q
+
+
+def test_the_readers_match_the_descent_set_by_definition():
+    # the walk and the readers number rows alike, so the oracle, which only
+    # scans for the part and row of each entry, is the independent reference
+    for n in range(0, 8):
+        for q in enumerate_all_syb(n):
+            positions, signs = bitableau_descent_set_by_definition(q)
+            assert syb_signed_descent_set(q) == (positions, signs), q
+            assert syb_des_b(q) == len(positions) + (signs[:1] == (-1,)), q
+    for n in range(0, 10):
+        for q in enumerate_all_syt(n):
+            positions, signs = bitableau_descent_set_by_definition((q, ()))
+            assert signs == (1,) * n
+            assert syt_descent_set(q) == (positions, signs), q
+            assert syb_des_b((q, ())) == len(positions), q
+
+
+def test_the_transpose_sweep_builds_no_descent_set(monkeypatch):
+    # des of a tableau and des_B of a bitableau are counted, not read off a set
+    def refuse(*args):
+        raise AssertionError("a descent set was built")
+
+    for module in (tableaux, checks):
+        for name in ("syt_descent_set", "syb_signed_descent_set"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert checks.verify_transpose_complement(6, 7).ok
 
 
 def test_syb_transpose_examples():
