@@ -136,9 +136,10 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
-            sdes_list = list(enumerate_syb((plus, minus), True))
+            # each distinct descent set once, weighted by how often it is yielded
+            sdes_counts = Counter(enumerate_syb((plus, minus), True)).items()
             for m in range(1, m_max + 1):
-                lhs = sum(fundamental_spec(s, m) for s in sdes_list)
+                lhs = sum(count * fundamental_spec(s, m) for s, count in sdes_counts)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
                 params = (
                     ("n", n),

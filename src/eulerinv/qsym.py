@@ -20,10 +20,11 @@ off the rows it chose, and builds no tableau.  It counts how many times
 each descent set is yielded and runs the dynamic program once per distinct
 set, weighted by that count.
 
-The dynamic program is memoized for the life of the process.  Its key is
-(n, strict positions as an ascending tuple, minimums, m): fundamental_spec
-checks its input and then passes the positions in that one form, so {1},
-(1,) and [1] share an entry.  The memo stays small because a key is a
+The dynamic program is memoized for the life of the process, keyed by the
+descent set itself, (strict positions ascending, signs), both tuples, and
+m.  fundamental_spec checks its input and passes it in that one form, so
+{1}, (1,) and [1] share an entry; schur_spec passes the walk's sets, which
+come in that form, as they are.  The memo stays small because a key is a
 descent set, not an object: at most 2^(n-1) strict sets per (n, m) when
 every sign is +1, and 2^(n-1) * 2^n with mixed signs.
 """
@@ -36,32 +37,28 @@ from itertools import accumulate
 from .permutations import SignedDescents
 from .tableaux import Shape, enumerate_syt, validate_shape
 
-#: The least index a chain entry may take under each sign.
-_MINIMUM_OF_SIGN = {1: 1, -1: 2}
-
 
 @cache
-def _count_chains(n: int, strict_after: tuple[int, ...], minimums: tuple[int, ...], m: int) -> int:
-    """Chains 1 <= i_1 <= ... <= i_n <= m with i_j < i_{j+1} for j in
-    strict_after and i_j >= minimums[j-1] throughout."""
-    if n == 0:
+def _count_chains(strict_after: tuple[int, ...], signs: tuple[int, ...], m: int) -> int:
+    """Chains 1 <= i_1 <= ... <= i_n <= m, n = len(signs), with
+    i_j < i_{j+1} for j in strict_after and i_j >= 2 where signs[j-1] is -1."""
+    if not signs:
         return 1
     if m <= 0:
         return 0
     # ways[v - 1] = chains so far ending at value v, for v in 1..m; the next
     # entry may repeat v or exceed it, or must exceed it after a strict step,
-    # so its ways are prefix sums of these, shifted one value up when strict
-    lo = minimums[0]
-    ways = [0] * (lo - 1) + [1] * (m + 1 - lo)
-    for j in range(1, n):
+    # so its ways are prefix sums of these, shifted one value up when strict.
+    # Chains climb, so a negative entry's floor of 2 only bars value 1
+    ways = [1] * m
+    for j, sign in enumerate(signs):
         if j in strict_after:
             ways = [0, *accumulate(ways)]
             ways.pop()
-        else:
+        elif j:  # the first entry may take any value
             ways = list(accumulate(ways))
-        lo = minimums[j]
-        if lo > 1:
-            ways[: lo - 1] = [0] * (lo - 1)
+        if sign < 0:
+            ways[0] = 0
     return sum(ways)
 
 
@@ -80,15 +77,14 @@ def fundamental_spec(sdes: SignedDescents, m: int) -> int:
     nonnegative int, a bool among them, raises ValueError."""
     _check_m(m)
     positions, signs = sdes
-    try:
-        minimums = tuple(map(_MINIMUM_OF_SIGN.__getitem__, signs))
-    except KeyError:
-        raise ValueError(f"signs must be +1 or -1, got {list(signs)}") from None
+    signs = tuple(signs)
     n = len(signs)
+    if signs.count(1) + signs.count(-1) != n:
+        raise ValueError(f"signs must be +1 or -1, got {list(signs)}")
     strict = tuple(sorted(set(positions)))
     if strict and (strict[0] < 1 or strict[-1] >= n):
         raise ValueError(f"strict positions must lie in 1..{n - 1}, got {list(strict)}")
-    return _count_chains(n, strict, minimums, m)
+    return _count_chains(strict, signs, m)
 
 
 def schur_spec(shape: Shape, m: int) -> int:
@@ -100,6 +96,7 @@ def schur_spec(shape: Shape, m: int) -> int:
     _check_m(m)
     if m == 0:
         return 1 if sum(shape) == 0 else 0
+    # the walk yields well-formed descent sets in the memo's own form
     walk = Counter(enumerate_syt(shape, True))
-    return sum(count * fundamental_spec(des, m) for des, count in walk.items())
+    return sum(count * _count_chains(*des, m) for des, count in walk.items())
 

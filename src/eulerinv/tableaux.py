@@ -27,13 +27,15 @@ neighbours tests each i and des_B is counted without building the set.  With
 `descents` set each enumerator yields each object's descent set in its
 place, read off the walk's stack of chosen rows when entry n is placed, and
 builds no tableau; the readers of a finished object build the list with
-_row_of.  Nothing here calls the window-side descent functions, so the two
-sides of the bijection share only the type alias.
+_row_of, which rejects entries other than 1..n each once; the two set
+readers also reject rows, columns and shapes that are not standard.
+Nothing here calls the window-side descent functions, so the two sides of
+the bijection share only the type alias.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress, zip_longest
+from itertools import chain, compress, zip_longest
 from math import comb, factorial
 from operator import lt
 
@@ -161,7 +163,8 @@ def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | Sign
 def syt_descent_set(tableau: Tableau) -> SignedDescents:
     """(positions, signs): the entries i whose successor i+1 sits in a
     strictly lower row, ascending, and n signs +1; the reading of the
-    bitableau (tableau, ()) with no minus part."""
+    bitableau (tableau, ()) with no minus part.  A filling that is not a
+    standard tableau raises ValueError."""
     return syb_signed_descent_set((tableau, ()))
 
 
@@ -213,13 +216,27 @@ def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | Si
 def _row_of(bitableau: Bitableau) -> list[int]:
     """row_of[e] for each entry e of a bitableau: the index of its row
     among the rows of plus and then those of minus, counted from 0, as the
-    walk numbers them.  row_of[0] is 0."""
+    walk numbers them.  row_of[0] is 0.  Raises ValueError unless the
+    entries are 1..n, each once; the order of the rows is not checked."""
     rows = (*bitableau[0], *bitableau[1])
-    row_of = [0] * (sum(map(len, rows)) + 1)
+    entries = sorted(chain(*rows))
+    if entries != list(range(1, len(entries) + 1)):
+        raise ValueError(f"a standard filling holds 1..n, each once, got {bitableau}")
+    row_of = [0] * (len(entries) + 1)
     for r, row in enumerate(rows[1:], 1):  # the first row keeps row 0
         for entry in row:
             row_of[entry] = r
     return row_of
+
+
+def _check_standard(bitableau: Bitableau) -> None:
+    """Raise ValueError unless each part has a partition for its shape and
+    rows and columns that increase; _row_of checks the entries."""
+    for part in bitableau:
+        validate_shape(tuple(map(len, part)))
+        rows_ok = all(all(map(lt, row, row[1:])) for row in part)
+        if not (rows_ok and all(all(map(lt, a, b)) for a, b in zip(part, part[1:]))):
+            raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
@@ -228,8 +245,10 @@ def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
     The sign of i is the sign of the part containing it; i is a descent when
     the signs step +,- , or when they agree and i+1 sits in a strictly lower
     row of that shared part.  With the minus rows numbered from len(plus)
-    that is one test, row_of[i] < row_of[i+1].
+    that is one test, row_of[i] < row_of[i+1].  A filling that is not a
+    standard bitableau raises ValueError.
     """
+    _check_standard(bitableau)
     row_of = _row_of(bitableau)
     split = len(bitableau[0])
     n = len(row_of) - 1

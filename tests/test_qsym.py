@@ -58,6 +58,20 @@ def test_strict_positions_of_any_collection_share_one_memo_entry():
     assert fundamental_spec(((1,), (1, 1)), 2) == 1
     assert fundamental_spec(({1}, [1, 1]), 3) == fundamental_spec(((1,), (1, 1)), 3)
     assert _count_chains.cache_info().currsize == 3
+    # mixed signs: a list of signs keys the same entry as their tuple
+    assert fundamental_spec(([2, 2], [1, -1, 1]), 3) == 2
+    assert fundamental_spec(({2}, (1, -1, 1)), 3) == 2
+    assert _count_chains.cache_info().currsize == 4
+
+
+def test_a_schur_specialization_fills_the_memo_that_fundamental_spec_reads():
+    assert schur_spec((2, 1), 3) == 8
+    walk = set(enumerate_syt((2, 1), True))
+    assert walk == {((1,), (1, 1, 1)), ((2,), (1, 1, 1))}
+    assert _count_chains.cache_info()[:2] == (0, 2)  # hits, misses
+    # the same sets in other collections, each one memo hit
+    assert fundamental_spec(([1], [1, 1, 1]), 3) + fundamental_spec(({2}, (1, 1, 1)), 3) == 8
+    assert _count_chains.cache_info()[:2] == (2, 2)
 
 
 def test_fundamental_spec_closed_form():
@@ -86,17 +100,20 @@ def test_signed_fundamental_spec_examples():
 
 
 def test_count_chains_against_chain_enumeration():
-    # every strict set with the minimums the specializations use (1, and 2
-    # for a negative sign), and for small n every minimum up to m + 1
+    # every strict set and every +-1 sign vector; the chain enumeration
+    # takes a floor per entry, 2 where the sign is -1 and 1 elsewhere
     cases = [
-        (n, strict, minimums, m)
+        (strict, signs, m)
         for n in range(0, 7)
         for m in range(0, 6)
-        for size in range(n)
+        for size in range(max(n, 1))
         for strict in combinations(range(1, n), size)
-        for minimums in product(range(1, m + 2) if n <= 3 else (1, 2), repeat=n)
+        for signs in product((1, -1), repeat=n)
     ]
-    expected = [count_chains(*case) for case in cases]
+    expected = [
+        count_chains(len(signs), strict, [1 if s > 0 else 2 for s in signs], m)
+        for strict, signs, m in cases
+    ]
     # once cold and once from the memo: both must match the enumeration
     for _ in ("cold", "warm"):
         for case, count in zip(cases, expected):

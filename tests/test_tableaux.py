@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import partial
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -312,6 +313,54 @@ def test_syb_signed_descent_set_examples():
     assert syb_signed_descent_set(([(1,)], ())) == ((), (1,))
     assert syb_signed_descent_set(([(1,)], [(2,)])) == ((1,), (1, -1))
     assert syt_descent_set([(1, 2), (3,)]) == ((2,), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "read, filling",
+    [
+        (syt_descent_set, ((2, 1),)),  # a row that falls
+        (syt_descent_set, ((1, 2), (3, 4, 5))),  # rows that are no partition
+        (syb_signed_descent_set, (((1,),), ((1,),))),  # 1 twice and no 2
+        (syt_descent_set, ((1,), (3,))),  # no 2, and 3 past n
+        (syt_descent_set, ((2, 3), (1, 4))),  # a column that falls
+        (syb_signed_descent_set, (((1,), ()), ((2,),))),  # an empty row
+        (syb_des_b, (((1,),), ((1,),))),  # des_B reads the entries too
+    ],
+)
+def test_a_reader_rejects_a_filling_that_is_not_standard(read, filling):
+    with pytest.raises(ValueError):
+        read(filling)
+
+
+def test_the_set_readers_accept_exactly_the_standard_fillings():
+    # 1..n in every order, cut into rows of every composition of n and
+    # the rows split between the parts at every point
+    def compositions(n):
+        if n == 0:
+            yield ()
+        for first in range(1, n + 1):
+            for rest in compositions(n - first):
+                yield (first, *rest)
+
+    def reading(read, filling):
+        try:
+            return read(filling)
+        except ValueError:
+            return None
+
+    for n in range(0, 6):
+        for order in permutations(range(1, n + 1)):
+            for lengths in compositions(n):
+                ends = list(accumulate(lengths))
+                rows = tuple(order[end - length : end] for end, length in zip(ends, lengths))
+                for split in range(len(rows) + 1):
+                    q = (rows[:split], rows[split:])
+                    expected = None
+                    if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
+                        expected = bitableau_descent_set_by_definition(q)
+                    assert reading(syb_signed_descent_set, q) == expected, q
+                    if not q[1]:
+                        assert reading(syt_descent_set, rows) == expected, rows
 
 
 def test_syb_des_b_examples():
