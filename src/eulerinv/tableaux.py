@@ -11,10 +11,15 @@ One iterative walk in a single generator frame serves both enumerators.  It
 grows the shape one entry at a time, which enforces standardness by
 construction: entries 1..n are placed in turn, each in the top-most row
 that can take it next and then in each lower one, and the walk keeps the
-row chosen for each entry on a stack and yields when entry n is placed.  A
-tableau is the walk over one part, a bitableau the walk over two, cut back
-into its parts.  Every walk yields each object once, in the order of the
-plain recursive walks that tests/oracles.py keeps as references.
+row chosen for each entry and yields when entry n is placed.  Which rows
+can take the next entry depends only on the cells filled so far, a
+sub-diagram of the shape, so each walk first builds a table of the shape:
+for each sub-diagram, the rows that can take an entry and the sub-diagram
+each move leads to.  The walk keeps no table after it ends; building one
+is a small share of a sweep's time.  A tableau is the walk over one part, a
+bitableau the walk over two, cut back into its parts.  Every walk yields
+each object once, in the order of the plain recursive walks that
+tests/oracles.py keeps as references.
 
 Descent sets come in the one format of permutations.py: the pair
 (positions, signs), the entries i ascending and the sign of the part holding
@@ -25,7 +30,7 @@ len(plus), a tableau is the bitableau with no minus part, all signs +1, and
 as a +,- step always climbs and a -,+ step never does, one comparison of
 neighbours tests each i and des_B is counted without building the set.  With
 `descents` set each enumerator yields each object's descent set in its
-place, read off the walk's stack of chosen rows when entry n is placed, and
+place, read off the walk's list of chosen rows when entry n is placed, and
 builds no tableau; the readers of a finished object build the list with
 _row_of, which rejects entries other than 1..n each once; the two set
 readers also reject rows, columns and shapes that are not standard.
@@ -57,23 +62,37 @@ def validate_shape(shape: Shape) -> None:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
 
 
+def _check_n(n: int) -> None:
+    """Raise ValueError unless n is a nonnegative int and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+
+
 def partitions(n: int, max_part: int | None = None) -> Iterator[Shape]:
-    """Yield the partitions of n with parts bounded by max_part, largest part first."""
+    """Yield the partitions of n with parts bounded by max_part, largest
+    part first.  An n that is not a nonnegative int, a bool among them,
+    raises ValueError."""
+    _check_n(n)
+    yield from _partitions(n, n if max_part is None else max_part)
+
+
+def _partitions(n: int, max_part: int) -> Iterator[Shape]:
+    """partitions, with n taken as checked."""
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
 def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
-    """Yield all ordered pairs of partitions with total weight n."""
+    """Yield all ordered pairs of partitions with total weight n; a bad n
+    raises ValueError, as in partitions."""
+    _check_n(n)
     for plus_weight in range(n + 1):
-        for plus in partitions(plus_weight):
-            for minus in partitions(n - plus_weight):
+        for plus in _partitions(plus_weight, plus_weight):
+            for minus in _partitions(n - plus_weight, n - plus_weight):
                 yield plus, minus
 
 
@@ -88,6 +107,35 @@ def _syt_count(shape: Shape) -> int:
     return factorial(sum(shape)) // hooks
 
 
+#: The walk's table for one shape: moves[s] holds (r, t) for each row r
+#: that can take the next entry when the cells filled so far form
+#: sub-diagram s, top-most first, where t is s with that cell added.
+_Moves = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _moves(shape: Shape, second: int) -> _Moves:
+    """The table of the walk over the rows of shape, where the rows from
+    index `second` on form a second part: its first row is exempt from the
+    column rule against the row above.  The states are the sub-diagrams,
+    each a tuple of row lengths, numbered in the order a breadth-first
+    search from the empty one finds them, so state 0 is the empty filling."""
+    order = [(0,) * len(shape)]
+    index = {order[0]: 0}
+    moves = []
+    for lengths in order:  # the search appends to order as it goes
+        row_moves = []
+        for r, col in enumerate(lengths):
+            # cells fill left to right, so only the column rule remains
+            if col < shape[r] and (r == 0 or r == second or lengths[r - 1] > col):
+                grown = (*lengths[:r], col + 1, *lengths[r + 1 :])
+                if grown not in index:
+                    index[grown] = len(order)
+                    order.append(grown)
+                row_moves.append((r, index[grown]))
+        moves.append(tuple(row_moves))
+    return tuple(moves)
+
+
 def _fillings(
     shape: Shape, second: int, descents: bool = False
 ) -> Iterator[Tableau | SignedDescents]:
@@ -97,48 +145,56 @@ def _fillings(
     above.  Entries 1..n are placed in turn, each in the top-most row that
     can take it next, then in each lower one.
 
+    The walk steps through the shape's table of sub-diagrams, _moves, with
+    a stack of iterators over the moves still open to each entry placed,
+    and keeps the row it chose for each entry; it neither counts the cells
+    of a row nor scans the rows.
+
     With descents set, each filling's signed descent set takes its place,
-    read off the row chosen for each entry: i is a descent when
-    chosen[i] < chosen[i+1], and the sign of i is -1 when its row lies in
-    the second part."""
+    read off the chosen rows: i is a descent when chosen[i] < chosen[i+1],
+    and the sign of i is -1 when its row lies in the second part.  Only
+    without it are the rows kept, as lists of their entries."""
     n = sum(shape)
     if n == 0:
         yield ((), ()) if descents else ()
         return
     height = len(shape)
-    rows: list[list[int]] = [[] for _ in shape]
     chosen = [0] * (n + 1)  # chosen[e]: the row entry e went into
-    sign_of_row = [1] * second + [-1] * (height - second)
+    moves = _moves(shape, second)
+    if second == 0 or second == height:
+        signs = (1 if second else -1,) * n  # one part: every sign alike
+    else:
+        signs = None
+        sign_of_row = [1] * second + [-1] * (height - second)
+    rows = None if descents else [[] for _ in shape]
     before = range(1, n)
-    entry, r = 1, 0  # place entry in row r or a lower one
+    stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
+    entry = 1
     while True:
-        while r < height:
-            col = len(rows[r])
-            # cells fill left to right, so only the column constraint remains
-            if col < shape[r] and (r == 0 or r == second or len(rows[r - 1]) > col):
-                break
-            r += 1
-        if r < height:
-            rows[r].append(entry)
+        for r, s in stack[-1]:
             chosen[entry] = r
+            if rows is not None:
+                rows[r].append(entry)
             if entry < n:
-                entry, r = entry + 1, 0
-                continue
-            if descents:
+                stack.append(iter(moves[s]))
+                entry += 1
+                break
+            if rows is None:
                 yield (
                     tuple(compress(before, map(lt, chosen[1:n], chosen[2:]))),
-                    tuple(map(sign_of_row.__getitem__, chosen[1:])),
+                    signs or tuple(map(sign_of_row.__getitem__, chosen[1:])),
                 )
             else:
                 yield tuple(map(tuple, rows))
+                rows[r].pop()
         else:
-            # no row takes this entry: move the previous one a row lower
+            # no move left for this entry: move the previous one a row lower
+            stack.pop()
             entry -= 1
             if entry == 0:
                 return
-            r = chosen[entry]
-        rows[r].pop()
-        r += 1
+            if rows is not None:
+                rows[chosen[entry]].pop()
 
 
 def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | SignedDescents]:

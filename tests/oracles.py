@@ -211,6 +211,15 @@ def standard_fillings_by_placing(shape):
     return list(place(1))
 
 
+def sub_diagram_count(shape):
+    """The partitions mu inside a shape, the empty one among them: every
+    tuple of row lengths 0 <= mu_r <= shape_r, kept when weakly decreasing."""
+    return sum(
+        all(a >= b for a, b in zip(mu, mu[1:]))
+        for mu in product(*(range(part + 1) for part in shape))
+    )
+
+
 def bitableaux_by_placing(plus_shape, minus_shape):
     """Standard bitableaux of shape (plus, minus) in the order of the
     recursive walk: entries 1..n placed in turn, each tried in every row of

@@ -36,6 +36,7 @@ from oracles import (
     signed_telephone_number,
     standard_fillings_by_filtering,
     standard_fillings_by_placing,
+    sub_diagram_count,
     tableau_shape,
     telephone_number,
     transpose_by_columns,
@@ -52,6 +53,14 @@ def test_bipartitions():
     pairs = list(bipartitions(2))
     assert ((), (2,)) in pairs and ((1,), (1,)) in pairs
     assert len(pairs) == 1 * 2 + 1 * 1 + 2 * 1  # p(0)p(2) + p(1)p(1) + p(2)p(0)
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.5])
+def test_partitions_reject_an_n_that_is_no_nonnegative_int(n):
+    # -1 once yielded nothing and True the partitions of 1
+    for walk in (partitions, bipartitions):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            next(walk(n))
 
 
 def test_validate_shape():
@@ -92,10 +101,31 @@ def test_enumerate_syt_keeps_the_recursive_order():
 
 
 def test_enumerate_syb_keeps_the_recursive_order():
-    for n in range(0, 7):
+    for n in range(0, 8):
         for plus, minus in bipartitions(n):
             got = list(enumerate_syb((plus, minus)))
             assert got == bitableaux_by_placing(plus, minus), (plus, minus)
+
+
+def test_each_table_has_one_state_per_sub_diagram():
+    for n in range(9):
+        for shape in partitions(n):
+            assert len(tableaux._moves(shape, len(shape))) == sub_diagram_count(shape), shape
+    for n in range(7):
+        for plus, minus in bipartitions(n):
+            table = tableaux._moves((*plus, *minus), len(plus))
+            assert len(table) == sub_diagram_count(plus) * sub_diagram_count(minus), (plus, minus)
+
+
+def test_interleaved_walks_of_one_shape_yield_what_walks_in_turn_yield():
+    # walks of one shape run side by side must keep no state but their own
+    for n in range(8):
+        for shape in partitions(n):
+            walks = (shape, False), (shape, False), (shape, True)
+            interleaved = list(zip(*(enumerate_syt(*walk) for walk in walks)))
+            in_turn = [list(enumerate_syt(*walk)) for walk in walks]
+            assert interleaved == list(zip(*in_turn)), shape
+            assert len(interleaved) == len(in_turn[0]) == len(in_turn[2])
 
 
 def test_enumerate_syb_against_pairing_oracle():
