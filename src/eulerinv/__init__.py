@@ -27,6 +27,7 @@ from .permutations import (
     enumeration_budget,
     involution_count,
     signed_descent_set,
+    unpack_descents,
 )
 from .polynomials import (
     binomial,

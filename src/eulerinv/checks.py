@@ -36,6 +36,7 @@ from .permutations import (
     enumerate_signed_involutions,
     involution_count,
     signed_descent_set,
+    unpack_descents,
 )
 from .polynomials import binomial, expand_negative_binomial_product, poly_multiply
 from .qsym import fundamental_spec, schur_spec
@@ -136,8 +137,10 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
-            # each distinct descent set once, weighted by how often it is yielded
-            sdes_counts = Counter(enumerate_syb((plus, minus), True)).items()
+            # each distinct descent set once, weighted by how often it is
+            # yielded, and unpacked once for every m
+            walk = Counter(enumerate_syb((plus, minus), True))
+            sdes_counts = [(unpack_descents(mask, n), count) for mask, count in walk.items()]
             for m in range(1, m_max + 1):
                 lhs = sum(count * fundamental_spec(s, m) for s, count in sdes_counts)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
@@ -170,8 +173,10 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     for check, n_max, involutions, tableaux, noun in families:
         for n in range(n_max + 1):
             perm_side = Counter(map(signed_descent_set, involutions(n)))
-            # the tableau walk yields each object's descent set, read off its rows
-            tab_side = Counter(tableaux(n, True))
+            # the tableau walk yields each object's descent set packed; only
+            # the distinct ones are unpacked
+            walk = Counter(tableaux(n, True))
+            tab_side = Counter({unpack_descents(mask, n): count for mask, count in walk.items()})
             lhs = f"{sum(perm_side.values())} involutions"
             rhs = f"{sum(tab_side.values())} {noun}"
             ok = perm_side == tab_side

@@ -27,6 +27,13 @@ descent.  S_n is the all-positive slice of B_n, so the descent set of a
 permutation is its signed descent set, every sign +1.  The tableau side of
 the bijection builds the same format by its own code.
 
+A descent set of n entries also has a packed form, one int, which the
+tableau walk yields in its descents mode and the chain-count DP is keyed
+by: bit i, for 1 <= i < n, is set when i is a descent, and bit n + e - 1
+when entry e has sign -1.  Bit 0 is always clear, so the int alone does
+not give n; whoever reads one knows its n.  unpack_descents turns it back
+into the pair; it is plumbing only, and reads no descent rule.
+
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
 starts, at its first next().  The count is also where a negative n is
@@ -109,6 +116,15 @@ def signed_descent_set(window: Window) -> SignedDescents:
                 positions.append(i)
         prev = v
     return tuple(positions), tuple(signs)
+
+
+def unpack_descents(mask: int, n: int) -> SignedDescents:
+    """The pair (positions, signs) of the packed descent set of n entries,
+    in the layout of the module docstring."""
+    return (
+        tuple([i for i in range(1, n) if mask >> i & 1]),
+        tuple([-1 if mask >> i & 1 else 1 for i in range(n, 2 * n)]),
+    )
 
 
 def des_b(window: Window) -> int:

@@ -15,18 +15,19 @@ in the test suite.  This module holds the counts only; the sweeps that
 compare them with those closed forms live in checks.
 
 A Schur specialization walks the standard tableaux of its shape once, in
-the walk's descents mode: the walk yields each tableau's descent set, read
-off the rows it chose, and builds no tableau.  It counts how many times
-each descent set is yielded and runs the dynamic program once per distinct
-set, weighted by that count.
+the walk's descents mode: the walk yields each tableau's descent set,
+packed into one int as it places the entries, and builds no tableau.  It
+counts how many times each descent set is yielded and runs the dynamic
+program once per distinct set, weighted by that count.
 
 The dynamic program is memoized for the life of the process, keyed by the
-descent set itself, (strict positions ascending, signs), both tuples, and
-m.  fundamental_spec checks its input and passes it in that one form, so
-{1}, (1,) and [1] share an entry; schur_spec passes the walk's sets, which
-come in that form, as they are.  The memo stays small because a key is a
-descent set, not an object: at most 2^(n-1) strict sets per (n, m) when
-every sign is +1, and 2^(n-1) * 2^n with mixed signs.
+packed descent set, n and m, three ints; it reads the strict steps and the
+signs straight off the bits, in the layout of permutations.py.
+fundamental_spec checks its input and packs it, so {1}, (1,) and [1] share
+an entry; schur_spec passes the walk's ints as they are, with nothing to
+decode.  The memo stays small because a key is a descent set, not an
+object: at most 2^(n-1) strict sets per (n, m) when every sign is +1, and
+2^(n-1) * 2^n with mixed signs.
 """
 from __future__ import annotations
 
@@ -39,10 +40,11 @@ from .tableaux import Shape, enumerate_syt, validate_shape
 
 
 @cache
-def _count_chains(strict_after: tuple[int, ...], signs: tuple[int, ...], m: int) -> int:
-    """Chains 1 <= i_1 <= ... <= i_n <= m, n = len(signs), with
-    i_j < i_{j+1} for j in strict_after and i_j >= 2 where signs[j-1] is -1."""
-    if not signs:
+def _count_chains(mask: int, n: int, m: int) -> int:
+    """Chains 1 <= i_1 <= ... <= i_n <= m with i_j < i_{j+1} where bit j of
+    mask is set and i_j >= 2 where bit n + j - 1 is set: the strict
+    positions and the minus signs of a packed descent set of n entries."""
+    if not n:
         return 1
     if m <= 0:
         return 0
@@ -51,13 +53,13 @@ def _count_chains(strict_after: tuple[int, ...], signs: tuple[int, ...], m: int)
     # so its ways are prefix sums of these, shifted one value up when strict.
     # Chains climb, so a negative entry's floor of 2 only bars value 1
     ways = [1] * m
-    for j, sign in enumerate(signs):
-        if j in strict_after:
+    for j in range(n):
+        if mask >> j & 1:
             ways = [0, *accumulate(ways)]
             ways.pop()
         elif j:  # the first entry may take any value
             ways = list(accumulate(ways))
-        if sign < 0:
+        if mask >> (n + j) & 1:
             ways[0] = 0
     return sum(ways)
 
@@ -79,12 +81,22 @@ def fundamental_spec(sdes: SignedDescents, m: int) -> int:
     positions, signs = sdes
     signs = tuple(signs)
     n = len(signs)
-    if signs.count(1) + signs.count(-1) != n:
-        raise ValueError(f"signs must be +1 or -1, got {list(signs)}")
-    strict = tuple(sorted(set(positions)))
-    if strict and (strict[0] < 1 or strict[-1] >= n):
-        raise ValueError(f"strict positions must lie in 1..{n - 1}, got {list(strict)}")
-    return _count_chains(strict, signs, m)
+    # packed as the walk packs a descent set: bit n + j for a minus sign on
+    # entry j + 1, bit i for position i; a repeated position sets one bit
+    mask = 0
+    bit = 1 << n
+    for sign in signs:
+        if sign == -1:
+            mask |= bit
+        elif sign != 1:
+            raise ValueError(f"signs must be +1 or -1, got {list(signs)}")
+        bit <<= 1
+    for i in positions:
+        if not 0 < i < n:
+            strict = sorted(set(positions))
+            raise ValueError(f"strict positions must lie in 1..{n - 1}, got {strict}")
+        mask |= 1 << i
+    return _count_chains(mask, n, m)
 
 
 def schur_spec(shape: Shape, m: int) -> int:
@@ -96,7 +108,8 @@ def schur_spec(shape: Shape, m: int) -> int:
     _check_m(m)
     if m == 0:
         return 1 if sum(shape) == 0 else 0
-    # the walk yields well-formed descent sets in the memo's own form
+    # the walk yields well-formed descent sets, packed as the memo keys them
+    n = sum(shape)
     walk = Counter(enumerate_syt(shape, True))
-    return sum(count * _count_chains(*des, m) for des, count in walk.items())
+    return sum(count * _count_chains(mask, n, m) for mask, count in walk.items())
 

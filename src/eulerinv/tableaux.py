@@ -21,21 +21,22 @@ bitableau the walk over two, cut back into its parts.  Every walk yields
 each object once, in the order of the plain recursive walks that
 tests/oracles.py keeps as references.
 
-Descent sets come in the one format of permutations.py: the pair
-(positions, signs), the entries i ascending and the sign of the part holding
-each entry.  They are read off a list of the row of each entry, and the walk
-and the readers number rows alike: the rows of plus from 0, then those of
-minus from len(plus).  So an entry is negative when its row is at least
-len(plus), a tableau is the bitableau with no minus part, all signs +1, and
-as a +,- step always climbs and a -,+ step never does, one comparison of
-neighbours tests each i and des_B is counted without building the set.  With
-`descents` set each enumerator yields each object's descent set in its
-place, read off the walk's list of chosen rows when entry n is placed, and
-builds no tableau; the readers of a finished object build the list with
-_row_of, which rejects entries other than 1..n each once; the two set
-readers also reject rows, columns and shapes that are not standard.
-Nothing here calls the window-side descent functions, so the two sides of
-the bijection share only the type alias.
+Descent sets come in the formats of permutations.py: the pair (positions,
+signs), the entries i ascending and the sign of the part holding each
+entry, and its packed form, one int.  They are read off the row of each
+entry, and the walk and the readers number rows alike: the rows of plus
+from 0, then those of minus from len(plus).  So an entry is negative when
+its row is at least len(plus), a tableau is the bitableau with no minus
+part, all signs +1, and as a +,- step always climbs and a -,+ step never
+does, one comparison of neighbours tests each i and des_B is counted
+without building the set.  With `descents` set each enumerator yields each
+object's descent set in its place, packed: the walk sets an entry's bits
+as it places the entry, so it builds no tableau and no tuple.  The readers
+of a finished object return the pair, read off a list of the row of each
+entry that _row_of builds, which rejects entries other than 1..n each
+once; the two set readers also reject rows, columns and shapes that are
+not standard.  Nothing here calls the window-side descent functions, so
+the two sides of the bijection share only the formats.
 """
 from __future__ import annotations
 
@@ -136,9 +137,7 @@ def _moves(shape: Shape, second: int) -> _Moves:
     return tuple(moves)
 
 
-def _fillings(
-    shape: Shape, second: int, descents: bool = False
-) -> Iterator[Tableau | SignedDescents]:
+def _fillings(shape: Shape, second: int, descents: bool = False) -> Iterator[Tableau | int]:
     """Every standard filling of the rows of shape, where the rows from
     index `second` on form a second part, empty when `second` is the number
     of rows: its first row is exempt from the column rule against the row
@@ -150,40 +149,43 @@ def _fillings(
     and keeps the row it chose for each entry; it neither counts the cells
     of a row nor scans the rows.
 
-    With descents set, each filling's signed descent set takes its place,
-    read off the chosen rows: i is a descent when chosen[i] < chosen[i+1],
-    and the sign of i is -1 when its row lies in the second part.  Only
-    without it are the rows kept, as lists of their entries."""
+    With descents set, each filling's packed signed descent set takes its
+    place, built as the entries are placed: entry e sets bit e - 1 when
+    e - 1 is a descent, chosen[e - 1] < chosen[e], and bit n + e - 1 when
+    its row lies in the second part.  masks[e] keeps the bits of entries
+    1..e beside chosen[e].  Only without it are the rows kept, as lists of
+    their entries."""
     n = sum(shape)
     if n == 0:
-        yield ((), ()) if descents else ()
+        yield 0 if descents else ()
         return
-    height = len(shape)
-    chosen = [0] * (n + 1)  # chosen[e]: the row entry e went into
+    # chosen[e]: the row entry e went into; chosen[0] lies under every row,
+    # so entry 1 never makes a descent and bit 0 stays clear
+    chosen = [len(shape)] + [0] * n
+    masks = [0] * (n + 1)
+    bit = [1 << i for i in range(2 * n)]
     moves = _moves(shape, second)
-    if second == 0 or second == height:
-        signs = (1 if second else -1,) * n  # one part: every sign alike
-    else:
-        signs = None
-        sign_of_row = [1] * second + [-1] * (height - second)
     rows = None if descents else [[] for _ in shape]
-    before = range(1, n)
     stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
     entry = 1
     while True:
         for r, s in stack[-1]:
-            chosen[entry] = r
-            if rows is not None:
+            if rows is None:
+                mask = masks[entry - 1]
+                if chosen[entry - 1] < r:
+                    mask += bit[entry - 1]
+                if r >= second:
+                    mask += bit[n + entry - 1]
+                masks[entry] = mask
+            else:
                 rows[r].append(entry)
+            chosen[entry] = r
             if entry < n:
                 stack.append(iter(moves[s]))
                 entry += 1
                 break
             if rows is None:
-                yield (
-                    tuple(compress(before, map(lt, chosen[1:n], chosen[2:]))),
-                    signs or tuple(map(sign_of_row.__getitem__, chosen[1:])),
-                )
+                yield mask
             else:
                 yield tuple(map(tuple, rows))
                 rows[r].pop()
@@ -197,20 +199,21 @@ def _fillings(
                 rows[chosen[entry]].pop()
 
 
-def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | SignedDescents]:
+def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | int]:
     """Yield every standard Young tableau of the given shape, in the order
-    of the walk, or with descents set the descent set of each, as
-    syt_descent_set reads it; their count f^shape is held to the budget."""
+    of the walk, or with descents set the descent set of each, packed into
+    one int: unpack_descents(mask, n) gives what syt_descent_set reads.
+    Their count f^shape is held to the budget."""
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
-    # every row belongs to the first part, so every sign is +1
+    # every row belongs to the first part, so every sign is +1: no sign bit is set
     yield from _fillings(shape, len(shape), descents)
 
 
-def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | SignedDescents]:
+def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | int]:
     """All standard Young tableaux with n entries, over every shape, or
-    their descent sets; there are as many as involutions of S_n, and that
-    count is held to the budget."""
+    their packed descent sets; there are as many as involutions of S_n, and
+    that count is held to the budget."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
     for shape in partitions(n):
         yield from enumerate_syt(shape, descents)
@@ -231,12 +234,10 @@ def syt_transpose(tableau: Tableau) -> Tableau:
     return tuple([tuple(filter(None, column)) for column in zip_longest(*tableau)])
 
 
-def enumerate_syb(
-    shape: tuple[Shape, Shape], descents: bool = False
-) -> Iterator[Bitableau | SignedDescents]:
+def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
     """Yield every standard Young bitableau of shape (plus, minus), or with
-    descents set the signed descent set of each, as syb_signed_descent_set
-    reads it.
+    descents set the signed descent set of each, packed into one int:
+    unpack_descents(mask, n) gives what syb_signed_descent_set reads.
 
     A bitableau is a standard filling of plus and minus side by side, so
     the walk of enumerate_syt serves here too: it fills the rows of plus
@@ -260,10 +261,10 @@ def enumerate_syb(
         yield rows[:split], rows[split:]
 
 
-def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | SignedDescents]:
+def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | int]:
     """All standard Young bitableaux with n entries, over every bipartition,
-    or their signed descent sets; there are as many as involutions of B_n,
-    and that count is held to the budget."""
+    or their packed signed descent sets; there are as many as involutions of
+    B_n, and that count is held to the budget."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
     for shape in bipartitions(n):
         yield from enumerate_syb(shape, descents)

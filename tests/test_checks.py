@@ -1,12 +1,25 @@
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
 
 from eulerinv import checks, qsym
-from eulerinv.permutations import BudgetExceededError, enumeration_budget
+from eulerinv.permutations import (
+    BudgetExceededError,
+    enumerate_involutions,
+    enumerate_signed_involutions,
+    enumeration_budget,
+    signed_descent_set,
+)
 from eulerinv.reports import CheckRecord, Report
-from eulerinv.tableaux import bipartitions, partitions
+from eulerinv.tableaux import (
+    bipartitions,
+    enumerate_all_syb,
+    enumerate_all_syt,
+    partitions,
+    syb_signed_descent_set,
+)
 from oracles import (
     bitableaux_by_pairing,
     guo_zeng_counterexample_search,
@@ -271,6 +284,40 @@ def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch
     assert failure.params == (("n", 3),)
     assert failure.lhs == "4 involutions, 1 with Des={2}"
     assert failure.rhs == "3 tableaux, 0 with Des={2}"
+
+
+def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpacking(monkeypatch):
+    # clear the highest descent bit of every packed set the tableau walks
+    # yield; the sweep unpacks the distinct sets before it compares, so its
+    # witness is still the first differing (positions, signs) in tuple order
+    for walk in ("enumerate_all_syb", "enumerate_all_syt"):
+
+        def dropping(n, descents, original=getattr(checks, walk)):
+            for mask in original(n, descents):
+                top = (mask & ((1 << n) - 1)).bit_length() - 1
+                yield mask - (1 << top) if top > 0 else mask
+
+        monkeypatch.setattr(checks, walk, dropping)
+    report = checks.verify_descent_multiset_bijection(4, 4)
+    # sizes 0 and 1 have no descent to drop
+    assert [r.status for r in report] == ["pass", "pass", "fail", "fail", "fail"] * 2
+    assert report.failures[0].plain() == (
+        "sdes-multiset-signed n=2: fail "
+        "(6 involutions, 1 with Des={} signs=-- | 6 bitableaux, 2 with Des={} signs=--)"
+    )
+    for failure in report.failures:
+        # the same drop, made on the sets the readers give for each object
+        n = failure.params[0][1]
+        signed = failure.check == "sdes-multiset-signed"
+        involutions = enumerate_signed_involutions(n) if signed else enumerate_involutions(n)
+        objects = enumerate_all_syb(n) if signed else ((q, ()) for q in enumerate_all_syt(n))
+        perm_side = Counter(map(signed_descent_set, involutions))
+        tab_side = Counter((p[:-1], s) for p, s in map(syb_signed_descent_set, objects))
+        first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
+        assert first == ((), ((-1,) if signed else (1,)) * n)
+        witness = "Des={}" + (" signs=" + "-" * n if signed else "")
+        assert failure.lhs.endswith(f" involutions, {perm_side[first]} with {witness}")
+        assert failure.rhs.endswith(f", {tab_side[first]} with {witness}")
 
 
 @pytest.mark.parametrize(

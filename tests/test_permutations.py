@@ -18,6 +18,7 @@ from eulerinv.permutations import (
     enumeration_budget,
     involution_count,
     signed_descent_set,
+    unpack_descents,
 )
 from eulerinv.tableaux import (
     enumerate_all_syb,
@@ -49,6 +50,16 @@ def test_signed_descent_set_examples():
     assert signed_descent_set((1, 2)) == ((), (1, 1))
     assert signed_descent_set((-1, 2)) == ((), (-1, 1))
     assert signed_descent_set((2, -1)) == ((1,), (1, -1))
+
+
+def test_unpack_descents_reads_the_documented_layout():
+    # bit i marks the descent at i, bit n + e - 1 the minus sign of entry e
+    assert unpack_descents(0, 0) == ((), ())
+    assert unpack_descents(0, 3) == ((), (1, 1, 1))
+    assert unpack_descents(0b000110, 3) == ((1, 2), (1, 1, 1))
+    assert unpack_descents(0b101010, 3) == ((1,), (-1, 1, -1))
+    assert unpack_descents(0b1010, 2) == signed_descent_set((2, -1))
+    assert unpack_descents(0b0100, 2) == signed_descent_set((-1, 2))
 
 
 def test_signed_descent_set_matches_the_definition():

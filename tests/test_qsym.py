@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from eulerinv.permutations import des_b, enumerate_group, signed_descent_set
+from eulerinv.permutations import des_b, enumerate_group, signed_descent_set, unpack_descents
 from eulerinv.polynomials import binomial
 from eulerinv.checks import (
     verify_cauchy_spec,
@@ -67,7 +67,8 @@ def test_strict_positions_of_any_collection_share_one_memo_entry():
 def test_a_schur_specialization_fills_the_memo_that_fundamental_spec_reads():
     assert schur_spec((2, 1), 3) == 8
     walk = set(enumerate_syt((2, 1), True))
-    assert walk == {((1,), (1, 1, 1)), ((2,), (1, 1, 1))}
+    assert walk == {1 << 1, 1 << 2}  # Des={1} and Des={2}, every sign +1
+    assert {unpack_descents(mask, 3) for mask in walk} == {((1,), (1, 1, 1)), ((2,), (1, 1, 1))}
     assert _count_chains.cache_info()[:2] == (0, 2)  # hits, misses
     # the same sets in other collections, each one memo hit
     assert fundamental_spec(([1], [1, 1, 1]), 3) + fundamental_spec(({2}, (1, 1, 1)), 3) == 8
@@ -99,10 +100,17 @@ def test_signed_fundamental_spec_examples():
     assert fundamental_spec(signed_descent_set((2, -1)), 2) == 1
 
 
+def _packed(strict, signs):
+    """A descent set packed by hand: bit i for each strict position i, bit
+    n + j where signs[j] is -1."""
+    n = len(signs)
+    return sum(1 << i for i in strict) + sum(1 << (n + j) for j, s in enumerate(signs) if s < 0)
+
+
 def test_count_chains_against_chain_enumeration():
     # every strict set and every +-1 sign vector; the chain enumeration
     # takes a floor per entry, 2 where the sign is -1 and 1 elsewhere
-    cases = [
+    sets = [
         (strict, signs, m)
         for n in range(0, 7)
         for m in range(0, 6)
@@ -110,15 +118,49 @@ def test_count_chains_against_chain_enumeration():
         for strict in combinations(range(1, n), size)
         for signs in product((1, -1), repeat=n)
     ]
+    cases = [(_packed(strict, signs), len(signs), m) for strict, signs, m in sets]
     expected = [
         count_chains(len(signs), strict, [1 if s > 0 else 2 for s in signs], m)
-        for strict, signs, m in cases
+        for strict, signs, m in sets
     ]
     # once cold and once from the memo: both must match the enumeration
     for _ in ("cold", "warm"):
         for case, count in zip(cases, expected):
             assert _count_chains(*case) == count, case
     assert _count_chains.cache_info()[:2] == (len(cases), len(cases))  # hits, misses
+
+
+def test_fundamental_spec_packs_as_unpack_descents_reads():
+    # every set fundamental_spec accepts reaches the memo under the key
+    # unpack_descents turns back into it
+    for n in range(0, 5):
+        for size in range(max(n, 1)):
+            for strict in combinations(range(1, n), size):
+                for signs in product((1, -1), repeat=n):
+                    _count_chains.cache_clear()
+                    fundamental_spec((strict, signs), 2)
+                    mask = _packed(strict, signs)
+                    assert _count_chains.cache_info().currsize == 1
+                    assert _count_chains(mask, n, 2) == fundamental_spec((strict, signs), 2)
+                    assert _count_chains.cache_info()[:2] == (2, 1), (strict, signs)
+                    assert unpack_descents(mask, n) == (strict, signs)
+
+
+@pytest.mark.parametrize(
+    "sdes, m, message",
+    [
+        (((), (1, 0)), 2, "signs must be +1 or -1, got [1, 0]"),
+        (((0,), (1, 1)), 2, "strict positions must lie in 1..1, got [0]"),
+        (((2, 1, 2), (1, -1)), 2, "strict positions must lie in 1..1, got [1, 2]"),
+        (((), (1, 1)), True, "m must be a nonnegative integer, got True"),
+    ],
+)
+def test_fundamental_spec_keeps_its_error_texts(sdes, m, message):
+    # a bad sign, position 0, position n and a bool m
+    with pytest.raises(ValueError) as raised:
+        fundamental_spec(sdes, m)
+    assert str(raised.value) == message
+    assert _count_chains.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

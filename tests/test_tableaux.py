@@ -12,6 +12,7 @@ from eulerinv.permutations import (
     enumerate_signed_involutions,
     enumeration_budget,
     signed_descent_set,
+    unpack_descents,
 )
 from eulerinv.qsym import schur_spec
 from eulerinv.tableaux import (
@@ -155,9 +156,9 @@ def test_enumerate_syb_rejects_a_part_that_is_no_partition(shape):
 def test_enumerate_syb_takes_list_parts():
     # as validate_shape and enumerate_syt do; each part may be a list
     assert list(enumerate_syb(([1], ()))) == [(((1,),), ())]
-    assert list(enumerate_syb(([1], ()), True)) == [((), (1,))]
+    assert list(enumerate_syb(([1], ()), True)) == [0]  # ((), (1,))
     assert list(enumerate_syb(((), [1]))) == [((), ((1,),))]
-    assert list(enumerate_syb(((), [1]), True)) == [((), (-1,))]
+    assert list(enumerate_syb(((), [1]), True)) == [1 << 1]  # ((), (-1,)): the sign bit of entry 1
     for plus, minus in (([1], [1]), ([2, 1], [1]), ((1, 1), [2])):
         shape = (tuple(plus), tuple(minus))
         assert list(enumerate_syb((plus, minus))) == list(enumerate_syb(shape))
@@ -166,32 +167,43 @@ def test_enumerate_syb_takes_list_parts():
     assert list(enumerate_syt([2, 1], True)) == list(enumerate_syt((2, 1), True))
 
 
+def _unpacked(walk, n):
+    return [unpack_descents(mask, n) for mask in walk]
+
+
 def test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order():
     for n in range(10):
         for shape in partitions(n):
-            got = list(enumerate_syt(shape, True))
-            assert got == list(map(syt_descent_set, enumerate_syt(shape))), shape
-    assert list(enumerate_syt((), True)) == [((), ())]
+            masks = list(enumerate_syt(shape, True))
+            assert all(type(mask) is int for mask in masks)
+            assert _unpacked(masks, n) == list(map(syt_descent_set, enumerate_syt(shape))), shape
+            # a tableau has every sign +1, so no bit from n up is set
+            assert all(mask >> n == 0 for mask in masks), shape
+    assert list(enumerate_syt((), True)) == [0]
+    assert unpack_descents(0, 0) == ((), ())
 
 
 def test_the_descents_walk_of_a_bipartition_yields_syb_signed_descent_set_in_walk_order():
-    shapes = [shape for n in range(8) for shape in bipartitions(n)]
+    shapes = [(n, shape) for n in range(9) for shape in bipartitions(n)]
     # n = 0, an empty plus part and an empty minus part are all among them
-    assert ((), ()) in shapes and ((), (2, 1)) in shapes and ((2, 1), ()) in shapes
-    for shape in shapes:
-        got = list(enumerate_syb(shape, True))
+    assert (0, ((), ())) in shapes and (3, ((), (2, 1))) in shapes and (3, ((2, 1), ())) in shapes
+    for n, shape in shapes:
+        got = _unpacked(enumerate_syb(shape, True), n)
         assert got == list(map(syb_signed_descent_set, enumerate_syb(shape))), shape
-    assert list(enumerate_syb(((), ()), True)) == [((), ())]
-    # with no plus part every sign is -1, with no minus part every sign is +1
-    assert list(enumerate_syb(((), (1, 1)), True)) == [((1,), (-1, -1))]
-    assert list(enumerate_syb(((1, 1), ()), True)) == [((1,), (1, 1))]
+    assert list(enumerate_syb(((), ()), True)) == [0]
+    # with no plus part every sign is -1, with no minus part every sign is +1;
+    # bit 0 is never set
+    assert list(enumerate_syb(((), (1, 1)), True)) == [0b1110]  # ((1,), (-1, -1))
+    assert list(enumerate_syb(((1, 1), ()), True)) == [0b0010]  # ((1,), (1, 1))
+    assert list(enumerate_syb(((1,), (1,)), True)) == [0b1010, 0b0100]
 
 
 def test_the_descents_walks_over_all_shapes_keep_the_walk_order():
     for n in range(9):
-        assert list(enumerate_all_syt(n, True)) == list(map(syt_descent_set, enumerate_all_syt(n)))
+        got = _unpacked(enumerate_all_syt(n, True), n)
+        assert got == list(map(syt_descent_set, enumerate_all_syt(n)))
     for n in range(7):
-        got = list(enumerate_all_syb(n, True))
+        got = _unpacked(enumerate_all_syb(n, True), n)
         assert got == list(map(syb_signed_descent_set, enumerate_all_syb(n)))
 
 
