@@ -10,6 +10,10 @@ records; open questions and known print discrepancies get note records that
 never fail a run.  The transpose sweep counts a (bi)tableau whose transpose
 repeats an earlier one as a violation, since transposition must be a
 bijection, and its failure names the first violating object.
+
+Descent sets from windows and tableau walks alike are the packed ints of
+permutations.py and reach fundamental_spec as they are; only a failing
+sdes-bijection record unpacks any, to name the first set that differs.
 """
 from __future__ import annotations
 
@@ -106,7 +110,7 @@ def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
             for w in enumerate_group(n, signed=True):
-                lhs = fundamental_spec(signed_descent_set(w), m)
+                lhs = fundamental_spec(signed_descent_set(w), n, m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
                     params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
@@ -138,11 +142,10 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
             # each distinct descent set once, weighted by how often it is
-            # yielded, and unpacked once for every m
-            walk = Counter(enumerate_syb((plus, minus), True))
-            sdes_counts = [(unpack_descents(mask, n), count) for mask, count in walk.items()]
+            # yielded, and its chains counted once for every m
+            walk = Counter(enumerate_syb((plus, minus), True)).items()
             for m in range(1, m_max + 1):
-                lhs = sum(count * fundamental_spec(s, m) for s, count in sdes_counts)
+                lhs = sum(count * fundamental_spec(mask, n, m) for mask, count in walk)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
                 params = (
                     ("n", n),
@@ -159,10 +162,11 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     equalities: signed descent sets over B-involutions against bitableaux,
     and descent sets over involutions against standard tableaux.
 
-    A record passes when the two multisets agree.  A failure names the first
-    descent set (positions, signs), in natural tuple order, whose
-    multiplicities differ, with its count on each side; its signs are
-    printed only when one is -1."""
+    Both sides count packed descent sets, so a record passes when the two
+    Counters of ints agree.  A failure unpacks only the sets whose
+    multiplicities differ and names the first as (positions, signs), in
+    natural tuple order, with its count on each side; its signs are printed
+    only when one is -1."""
     report = Report()
     families = (
         ("sdes-multiset-signed", signed_n_max, enumerate_signed_involutions,
@@ -173,22 +177,19 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     for check, n_max, involutions, tableaux, noun in families:
         for n in range(n_max + 1):
             perm_side = Counter(map(signed_descent_set, involutions(n)))
-            # the tableau walk yields each object's descent set packed; only
-            # the distinct ones are unpacked
-            walk = Counter(tableaux(n, True))
-            tab_side = Counter({unpack_descents(mask, n): count for mask, count in walk.items()})
+            tab_side = Counter(tableaux(n, True))
             lhs = f"{sum(perm_side.values())} involutions"
             rhs = f"{sum(tab_side.values())} {noun}"
             ok = perm_side == tab_side
             if not ok:
                 keys = perm_side.keys() | tab_side.keys()
-                first = min(d for d in keys if perm_side[d] != tab_side[d])
-                positions, signs = first
+                differ = {unpack_descents(d, n): d for d in keys if perm_side[d] != tab_side[d]}
+                (positions, signs), mask = min(differ.items())
                 witness = "Des={" + int_list(positions) + "}"
                 if -1 in signs:
                     witness += " signs=" + "".join("+" if s > 0 else "-" for s in signs)
-                lhs += f", {perm_side[first]} with {witness}"
-                rhs += f", {tab_side[first]} with {witness}"
+                lhs += f", {perm_side[mask]} with {witness}"
+                rhs += f", {tab_side[mask]} with {witness}"
             report.check(check, (("n", n),), ok, lhs, rhs)
     return report
 

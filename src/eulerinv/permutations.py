@@ -19,28 +19,29 @@ under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
 the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0; the
 Coxeter number compares them as integers.  For a window on its own, as the
 group walk yields them, des_b and des_coxeter count in one pass over it,
-with no descent set built; they are also the reference for the walk.  The
-signed descent set stays for the checks that need the sets themselves, as
-plain tuples: the pair (positions, signs), with the positions ascending and
-one +1/-1 sign per entry of the window.  A -,+ sign step is never a
-descent.  S_n is the all-positive slice of B_n, so the descent set of a
-permutation is its signed descent set, every sign +1.  The tableau side of
-the bijection builds the same format by its own code.
+with no descent set built; they are also the reference for the walk.
 
-A descent set of n entries also has a packed form, one int, which the
-tableau walk yields in its descents mode and the chain-count DP is keyed
-by: bit i, for 1 <= i < n, is set when i is a descent, and bit n + e - 1
-when entry e has sign -1.  Bit 0 is always clear, so the int alone does
-not give n; whoever reads one knows its n.  unpack_descents turns it back
-into the pair; it is plumbing only, and reads no descent rule.
+A signed descent set of n entries is one int, the one format of the
+package, for windows and (bi)tableaux alike: bit i, for 1 <= i < n, is set
+when i is a descent, and bit n + e - 1 when entry e has sign -1.  Bit 0 is
+always clear, and no bit at or past 2n is set; _check_descents holds a set
+to this layout.  The int alone does not give n, so whoever reads one knows
+its n.  signed_descent_set reads a window's in one pass; the tableau side
+builds the same int by its own code, and a -,+ sign step is never a
+descent on either side.  S_n is the all-positive slice of B_n, so the
+descent set of a permutation is its signed descent set with no sign bit
+set.  unpack_descents turns an int back into the pair (positions, signs),
+the positions ascending and one +1/-1 sign per entry, for printing; it is
+plumbing only, and reads no descent rule.
 
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
-starts, at its first next().  The count is also where a negative n is
-rejected, so a walk over involutions or tableaux raises ValueError at its
-first next() too.  The cap lives in a context variable: it is
-DEFAULT_BUDGET unless an enclosing ``with enumeration_budget(cap):`` block
-has set it, so a caller sets it once and every walk below sees the same value.
+starts, at its first next().  The count is also where an n that is not a
+nonnegative int, a bool among them, is rejected, by _check_nonnegative, so
+a walk over involutions or tableaux raises ValueError at its first next()
+too.  The cap lives in a context variable: it is DEFAULT_BUDGET unless an
+enclosing ``with enumeration_budget(cap):`` block has set it, so a caller
+sets it once and every walk below sees the same value.
 """
 from __future__ import annotations
 
@@ -52,10 +53,6 @@ from itertools import product as _itertools_product
 from math import factorial
 
 Window = tuple[int, ...]
-#: (positions, signs): descent positions ascending, and one +1/-1 sign for
-#: each of the n positions; the one descent-set format, for windows and
-#: (bi)tableaux alike.
-SignedDescents = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: Cap on objects a single enumeration call may generate.
 DEFAULT_BUDGET = 20_000_000
@@ -94,33 +91,56 @@ def _check_budget(n: int, count: int, what: str) -> None:
         )
 
 
-def signed_descent_set(window: Window) -> SignedDescents:
-    """Signed descent set (Des(w), epsilon) of a signed window.
+def _check_nonnegative(value: int, name: str) -> None:
+    """Raise ValueError unless value is a nonnegative int and not a bool;
+    name is the parameter the message names."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _check_descents(mask: int, n: int) -> None:
+    """Raise ValueError unless mask is a packed descent set of n entries, in
+    the layout of the module docstring: an int, not a bool, below 2^(2n)
+    with bit 0 clear.  A bad n raises as in _check_nonnegative."""
+    _check_nonnegative(n, "n")
+    if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0 or mask >> 2 * n or mask & 1:
+        raise ValueError(
+            f"a packed descent set of {n} entries is an int below 2**{2 * n} "
+            f"with bit 0 clear, got {mask!r}"
+        )
+
+
+def signed_descent_set(window: Window) -> int:
+    """Signed descent set (Des(w), epsilon) of a signed window, packed into
+    one int in the layout of the module docstring.
 
     i is a descent when the signs step +,- , or when they agree and the
     absolute values step down; a -,+ step is never a descent.  In one pass
-    over the window: before a positive entry that is w(i) > w(i+1), and
-    before a negative one it is w(i) > 0 or w(i) < w(i+1).
+    over the window: before a negative entry that is w(i) > 0 or
+    w(i) < w(i+1), and before a positive one it is w(i) > w(i+1).
     """
-    positions = []
-    signs = []
+    mask = 0
+    bit = 1  # the descent bit of the entry before v
+    sign = 1 << len(window)  # the sign bit of v
     prev = 0  # a leading 0 is never a descent under either test
-    for i, v in enumerate(window):
-        if v > 0:
-            signs.append(1)
-            if prev > v:
-                positions.append(i)
-        else:
-            signs.append(-1)
+    for v in window:
+        if v < 0:
+            mask |= sign
             if prev > 0 or prev < v:
-                positions.append(i)
+                mask |= bit
+        elif prev > v:
+            mask |= bit
         prev = v
-    return tuple(positions), tuple(signs)
+        bit <<= 1
+        sign <<= 1
+    return mask
 
 
-def unpack_descents(mask: int, n: int) -> SignedDescents:
+def unpack_descents(mask: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pair (positions, signs) of the packed descent set of n entries,
-    in the layout of the module docstring."""
+    in the layout of the module docstring.  A mask outside that layout
+    raises ValueError, as in _check_descents."""
+    _check_descents(mask, n)
     return (
         tuple([i for i in range(1, n) if mask >> i & 1]),
         tuple([-1 if mask >> i & 1 else 1 for i in range(n, 2 * n)]),
@@ -173,9 +193,9 @@ def _statistic(name: str):
 
 def involution_count(n: int, signed: bool = False) -> int:
     """Number of involutions in B_n (signed) or S_n:
-    c(n) = f (c(n-1) + (n-1) c(n-2)), with f = 2 for B_n and 1 for S_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    c(n) = f (c(n-1) + (n-1) c(n-2)), with f = 2 for B_n and 1 for S_n.
+    An n that is not a nonnegative int, a bool among them, raises ValueError."""
+    _check_nonnegative(n, "n")
     factor = 2 if signed else 1
     a, b = 0, 1  # c(-1) = 0 makes the step at k = 1 give c(1) = f
     for k in range(1, n + 1):
@@ -289,9 +309,9 @@ def enumerate_signed_involutions(n: int, statistic: str | None = None) -> Iterat
 
 
 def enumerate_group(n: int, signed: bool) -> Iterator[Window]:
-    """Yield all of S_n (n! windows) or B_n (2^n n! windows)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Yield all of S_n (n! windows) or B_n (2^n n! windows); a bad n
+    raises ValueError at the first next(), as in involution_count."""
+    _check_nonnegative(n, "n")
     order = factorial(n) * (2**n if signed else 1)
     name = "the hyperoctahedral group" if signed else "the symmetric group"
     _check_budget(n, order, name)

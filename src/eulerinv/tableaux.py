@@ -21,31 +21,30 @@ bitableau the walk over two, cut back into its parts.  Every walk yields
 each object once, in the order of the plain recursive walks that
 tests/oracles.py keeps as references.
 
-Descent sets come in the formats of permutations.py: the pair (positions,
-signs), the entries i ascending and the sign of the part holding each
-entry, and its packed form, one int.  They are read off the row of each
-entry, and the walk and the readers number rows alike: the rows of plus
-from 0, then those of minus from len(plus).  So an entry is negative when
-its row is at least len(plus), a tableau is the bitableau with no minus
-part, all signs +1, and as a +,- step always climbs and a -,+ step never
-does, one comparison of neighbours tests each i and des_B is counted
-without building the set.  With `descents` set each enumerator yields each
-object's descent set in its place, packed: the walk sets an entry's bits
-as it places the entry, so it builds no tableau and no tuple.  The readers
-of a finished object return the pair, read off a list of the row of each
-entry that _row_of builds, which rejects entries other than 1..n each
-once; the two set readers also reject rows, columns and shapes that are
-not standard.  Nothing here calls the window-side descent functions, so
-the two sides of the bijection share only the formats.
+Descent sets are ints, packed in the layout of permutations.py: bit i for
+a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
+read off the row of each entry, and the walk and the readers number rows
+alike: the rows of plus from 0, then those of minus from len(plus).  So an
+entry is negative when its row is at least len(plus), a tableau is the
+bitableau with no minus part, no sign bit set, and as a +,- step always
+climbs and a -,+ step never does, one comparison of neighbours tests each
+i and des_B is counted without building the set.  With `descents` set each
+enumerator yields each object's descent set in its place: the walk sets an
+entry's bits as it places the entry, so it builds no tableau and no tuple.
+The readers of a finished object set the same bits in one pass over a list
+of the row of each entry that _row_of builds, which rejects entries other
+than 1..n each once; the two set readers also reject rows, columns and
+shapes that are not standard.  Nothing here calls the window-side descent
+functions, so the two sides of the bijection share only the layout.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, compress, zip_longest
+from itertools import chain, zip_longest
 from math import comb, factorial
 from operator import lt
 
-from .permutations import SignedDescents, _check_budget, involution_count
+from .permutations import _check_budget, _check_nonnegative, involution_count
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -63,17 +62,11 @@ def validate_shape(shape: Shape) -> None:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
 
 
-def _check_n(n: int) -> None:
-    """Raise ValueError unless n is a nonnegative int and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-
-
 def partitions(n: int, max_part: int | None = None) -> Iterator[Shape]:
     """Yield the partitions of n with parts bounded by max_part, largest
     part first.  An n that is not a nonnegative int, a bool among them,
     raises ValueError."""
-    _check_n(n)
+    _check_nonnegative(n, "n")
     yield from _partitions(n, n if max_part is None else max_part)
 
 
@@ -90,7 +83,7 @@ def _partitions(n: int, max_part: int) -> Iterator[Shape]:
 def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
     """Yield all ordered pairs of partitions with total weight n; a bad n
     raises ValueError, as in partitions."""
-    _check_n(n)
+    _check_nonnegative(n, "n")
     for plus_weight in range(n + 1):
         for plus in _partitions(plus_weight, plus_weight):
             for minus in _partitions(n - plus_weight, n - plus_weight):
@@ -201,8 +194,8 @@ def _fillings(shape: Shape, second: int, descents: bool = False) -> Iterator[Tab
 
 def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | int]:
     """Yield every standard Young tableau of the given shape, in the order
-    of the walk, or with descents set the descent set of each, packed into
-    one int: unpack_descents(mask, n) gives what syt_descent_set reads.
+    of the walk, or with descents set the descent set of each, the int
+    syt_descent_set reads off the finished tableau.
     Their count f^shape is held to the budget."""
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
@@ -219,11 +212,11 @@ def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | int]
         yield from enumerate_syt(shape, descents)
 
 
-def syt_descent_set(tableau: Tableau) -> SignedDescents:
-    """(positions, signs): the entries i whose successor i+1 sits in a
-    strictly lower row, ascending, and n signs +1; the reading of the
-    bitableau (tableau, ()) with no minus part.  A filling that is not a
-    standard tableau raises ValueError."""
+def syt_descent_set(tableau: Tableau) -> int:
+    """The descent set of a tableau, packed: bit i for each entry i whose
+    successor i+1 sits in a strictly lower row, and no sign bit; the
+    reading of the bitableau (tableau, ()) with no minus part.  A filling
+    that is not a standard tableau raises ValueError."""
     return syb_signed_descent_set((tableau, ()))
 
 
@@ -236,8 +229,8 @@ def syt_transpose(tableau: Tableau) -> Tableau:
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
     """Yield every standard Young bitableau of shape (plus, minus), or with
-    descents set the signed descent set of each, packed into one int:
-    unpack_descents(mask, n) gives what syb_signed_descent_set reads.
+    descents set the signed descent set of each, the int
+    syb_signed_descent_set reads off the finished bitableau.
 
     A bitableau is a standard filling of plus and minus side by side, so
     the walk of enumerate_syt serves here too: it fills the rows of plus
@@ -296,21 +289,26 @@ def _check_standard(bitableau: Bitableau) -> None:
             raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
 
 
-def syb_signed_descent_set(bitableau: Bitableau) -> SignedDescents:
-    """Signed descent set of a bitableau.
+def syb_signed_descent_set(bitableau: Bitableau) -> int:
+    """Signed descent set of a bitableau, packed.
 
     The sign of i is the sign of the part containing it; i is a descent when
     the signs step +,- , or when they agree and i+1 sits in a strictly lower
     row of that shared part.  With the minus rows numbered from len(plus)
-    that is one test, row_of[i] < row_of[i+1].  A filling that is not a
+    that is one test, row_of[i] < row_of[i+1], and i is negative when
+    row_of[i] >= len(plus).  row_of[0] is set under every row, as the walk
+    sets chosen[0], so entry 1 is never a descent.  A filling that is not a
     standard bitableau raises ValueError.
     """
     _check_standard(bitableau)
     row_of = _row_of(bitableau)
     split = len(bitableau[0])
+    row_of[0] = split + len(bitableau[1])
     n = len(row_of) - 1
-    signs = tuple([1 if r < split else -1 for r in row_of[1:]])
-    return tuple(compress(range(1, n), map(lt, row_of[1:], row_of[2:]))), signs
+    mask = 0
+    for e, (above, row) in enumerate(zip(row_of, row_of[1:])):  # entry e + 1 is in row
+        mask |= (above < row) << e | (row >= split) << (n + e)
+    return mask
 
 
 def syb_des_b(bitableau: Bitableau) -> int:

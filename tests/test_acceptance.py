@@ -101,7 +101,7 @@ def test_criterion_05_signed_specialization_closed_form():
             sdes = signed_descent_set(w)
             expected_descents = des_b(w)
             for m in range(1, 7):
-                assert fundamental_spec(sdes, m) == binomial(
+                assert fundamental_spec(sdes, n, m) == binomial(
                     n + m - 1 - expected_descents, n
                 ), (w, m)
     passed(5, "signed specialization equals its closed form over B_n, n<=4, m<=6")
@@ -135,8 +135,8 @@ def test_criterion_08_transpose_complementation():
             assert syb_des_b(syb_transpose(q)) == n - syb_des_b(q)
     for n in range(1, 8):
         for q in enumerate_all_syt(n):
-            des = len(syt_descent_set(q)[0])
-            assert len(syt_descent_set(syt_transpose(q))[0]) == n - 1 - des
+            des = syt_descent_set(q).bit_count()  # a tableau sets no sign bit
+            assert syt_descent_set(syt_transpose(q)).bit_count() == n - 1 - des
     passed(8, "transpose complements descent numbers on all (bi)tableaux")
 
 

@@ -10,7 +10,6 @@ from eulerinv.permutations import (
     enumerate_involutions,
     enumerate_signed_involutions,
     enumeration_budget,
-    signed_descent_set,
 )
 from eulerinv.reports import CheckRecord, Report
 from eulerinv.tableaux import (
@@ -18,12 +17,13 @@ from eulerinv.tableaux import (
     enumerate_all_syb,
     enumerate_all_syt,
     partitions,
-    syb_signed_descent_set,
 )
 from oracles import (
+    bitableau_descent_set_by_definition,
     bitableaux_by_pairing,
     guo_zeng_counterexample_search,
     guo_zeng_instances_by_randint,
+    signed_descent_set_by_definition,
     signed_telephone_number,
     standard_fillings_by_filtering,
     telephone_number,
@@ -288,8 +288,9 @@ def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch
 
 def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpacking(monkeypatch):
     # clear the highest descent bit of every packed set the tableau walks
-    # yield; the sweep unpacks the distinct sets before it compares, so its
-    # witness is still the first differing (positions, signs) in tuple order
+    # yield; the sweep compares the ints and unpacks only those whose counts
+    # differ, so its witness is the first differing (positions, signs) in
+    # tuple order
     for walk in ("enumerate_all_syb", "enumerate_all_syt"):
 
         def dropping(n, descents, original=getattr(checks, walk)):
@@ -306,13 +307,13 @@ def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpac
         "(6 involutions, 1 with Des={} signs=-- | 6 bitableaux, 2 with Des={} signs=--)"
     )
     for failure in report.failures:
-        # the same drop, made on the sets the readers give for each object
+        # the same drop, made on the pairs the oracles give for each object
         n = failure.params[0][1]
         signed = failure.check == "sdes-multiset-signed"
         involutions = enumerate_signed_involutions(n) if signed else enumerate_involutions(n)
         objects = enumerate_all_syb(n) if signed else ((q, ()) for q in enumerate_all_syt(n))
-        perm_side = Counter(map(signed_descent_set, involutions))
-        tab_side = Counter((p[:-1], s) for p, s in map(syb_signed_descent_set, objects))
+        perm_side = Counter(map(signed_descent_set_by_definition, involutions))
+        tab_side = Counter((p[:-1], s) for p, s in map(bitableau_descent_set_by_definition, objects))
         first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
         assert first == ((), ((-1,) if signed else (1,)) * n)
         witness = "Des={}" + (" signs=" + "-" * n if signed else "")

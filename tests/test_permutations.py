@@ -1,3 +1,4 @@
+import re
 import threading
 from collections import Counter
 from functools import partial
@@ -39,17 +40,20 @@ from oracles import (
 
 
 def test_descent_set():
-    # a permutation is an all-positive signed window: its descent set is the positions
-    assert signed_descent_set((1, 2, 3, 4))[0] == ()
-    assert signed_descent_set((5, 4, 3, 2, 1))[0] == (1, 2, 3, 4)
-    assert signed_descent_set((2, 1, 3))[0] == (1,)
-    assert signed_descent_set(())[0] == ()
+    # a permutation is an all-positive signed window: its descent set is the
+    # positions, bit i for a descent at i, and no sign bit is set
+    assert signed_descent_set((1, 2, 3, 4)) == 0
+    assert signed_descent_set((5, 4, 3, 2, 1)) == 0b11110
+    assert signed_descent_set((2, 1, 3)) == 0b10
+    assert signed_descent_set(()) == 0
 
 
 def test_signed_descent_set_examples():
-    assert signed_descent_set((1, 2)) == ((), (1, 1))
-    assert signed_descent_set((-1, 2)) == ((), (-1, 1))
-    assert signed_descent_set((2, -1)) == ((1,), (1, -1))
+    # bit n + e - 1 marks the minus sign of entry e
+    assert signed_descent_set((1, 2)) == 0
+    assert signed_descent_set((-1, 2)) == 0b0100
+    assert signed_descent_set((2, -1)) == 0b1010
+    assert unpack_descents(signed_descent_set((2, -1)), 2) == ((1,), (1, -1))
 
 
 def test_unpack_descents_reads_the_documented_layout():
@@ -58,21 +62,41 @@ def test_unpack_descents_reads_the_documented_layout():
     assert unpack_descents(0, 3) == ((), (1, 1, 1))
     assert unpack_descents(0b000110, 3) == ((1, 2), (1, 1, 1))
     assert unpack_descents(0b101010, 3) == ((1,), (-1, 1, -1))
-    assert unpack_descents(0b1010, 2) == signed_descent_set((2, -1))
-    assert unpack_descents(0b0100, 2) == signed_descent_set((-1, 2))
+    assert unpack_descents(0b1010, 2) == signed_descent_set_by_definition((2, -1))
+    assert unpack_descents(0b0100, 2) == signed_descent_set_by_definition((-1, 2))
+
+
+@pytest.mark.parametrize(
+    "mask, n, message",
+    [
+        (0b1, 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got 1"),
+        (0b10000, 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got 16"),
+        (0b10, 0, "a packed descent set of 0 entries is an int below 2**0 with bit 0 clear, got 2"),
+        (-2, 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got -2"),
+        (True, 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got True"),
+        (0, -1, "n must be a nonnegative integer, got -1"),
+        (0, 2.0, "n must be a nonnegative integer, got 2.0"),
+        (0, True, "n must be a nonnegative integer, got True"),
+    ],
+)
+def test_unpack_descents_keeps_its_error_texts(mask, n, message):
+    # bit 0 set, a bit at or past 2n, a negative mask, a bool mask, and an n
+    # that is no count
+    with pytest.raises(ValueError) as raised:
+        unpack_descents(mask, n)
+    assert str(raised.value) == message
 
 
 def test_signed_descent_set_matches_the_definition():
     for n in range(0, 6):
         for w in enumerate_group(n, signed=True):
-            assert signed_descent_set(w) == signed_descent_set_by_definition(w), w
+            sdes = unpack_descents(signed_descent_set(w), n)
+            assert sdes == signed_descent_set_by_definition(w), w
 
 
-def _assert_well_formed(sdes, n, source):
-    positions, signs = sdes
-    assert list(positions) == sorted(set(positions)), source
-    assert all(1 <= i <= n - 1 for i in positions), source
-    assert len(signs) == n and all(s in (1, -1) for s in signs), source
+def _assert_well_formed(mask, n, source):
+    # unpack_descents raises on a set outside the layout of n entries
+    positions, signs = unpack_descents(mask, n)
     # a -,+ sign rise can never be a descent position
     assert not any(signs[i - 1] == -1 and signs[i] == 1 for i in positions), source
 
@@ -83,13 +107,13 @@ def test_descent_set_producers_build_well_formed_sets():
             _assert_well_formed(signed_descent_set(w), n, w)
         for q in enumerate_all_syb(n):
             _assert_well_formed(syb_signed_descent_set(q), n, q)
-        # permutations and standard tableaux give the same pairs, every sign plus
+        # permutations and standard tableaux give the same sets, no sign bit set
         for w in enumerate_involutions(n):
             _assert_well_formed(signed_descent_set(w), n, w)
-            assert signed_descent_set(w)[1] == (1,) * n, w
+            assert signed_descent_set(w) >> n == 0, w
         for q in enumerate_all_syt(n):
             _assert_well_formed(syt_descent_set(q), n, q)
-            assert syt_descent_set(q)[1] == (1,) * n, q
+            assert syt_descent_set(q) >> n == 0, q
     for n in range(0, 5):
         for w in enumerate_group(n, signed=True):
             _assert_well_formed(signed_descent_set(w), n, w)
@@ -118,8 +142,8 @@ def test_des_b_matches_colored_order_count():
 def test_des_coxeter_is_type_a_descent_number_on_unsigned_windows():
     for n in range(0, 8):
         for w in enumerate_group(n, signed=False):
-            positions, signs = signed_descent_set(w)
-            assert signs == (1,) * n and des_coxeter(w) == len(positions), w
+            mask = signed_descent_set(w)
+            assert mask >> n == 0 and des_coxeter(w) == mask.bit_count(), w
 
 
 def test_signed_group_matches_sign_vector_construction():
@@ -311,6 +335,20 @@ def test_involution_counts_reject_negative_n_and_match_the_oracles():
     for n in range(0, 31):
         assert involution_count(n) == telephone_number(n), n
         assert involution_count(n, signed=True) == signed_telephone_number(n), n
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_counts_and_walks_reject_an_n_that_is_no_int(n):
+    # a bool is no count, though True == 1: the walk of n = 1 must not run
+    message = re.escape(f"n must be a nonnegative integer, got {n!r}")
+    for signed in (False, True):
+        with pytest.raises(ValueError, match=message):
+            involution_count(n, signed=signed)
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_group(n, signed))
+    for walk in (enumerate_involutions, enumerate_signed_involutions):
+        with pytest.raises(ValueError, match=message):
+            list(walk(n))
 
 
 def test_involutions_equal_their_inverses():

@@ -10,8 +10,8 @@ from eulerinv.checks import (
     verify_signed_spec_closed_form,
 )
 from eulerinv.qsym import _count_chains, fundamental_spec, schur_spec
-from eulerinv.tableaux import enumerate_syt, partitions, syt_descent_set
-from oracles import count_chains, count_ssyt
+from eulerinv.tableaux import enumerate_syt, partitions, syb_signed_descent_set, syt_descent_set
+from oracles import count_chains, count_ssyt, signed_descent_set_by_definition
 
 
 @pytest.fixture(autouse=True)
@@ -21,12 +21,19 @@ def cold_memo():
     _count_chains.cache_clear()
 
 
+def _packed(strict, signs):
+    """A descent set packed by hand: bit i for each strict position i, bit
+    n + j where signs[j] is -1."""
+    n = len(signs)
+    return sum(1 << i for i in strict) + sum(1 << (n + j) for j, s in enumerate(signs) if s < 0)
+
+
 def test_fundamental_spec_examples():
-    assert fundamental_spec(((), (1, 1)), 2) == 3
-    assert fundamental_spec(({1}, (1, 1)), 2) == 1
-    assert fundamental_spec(((), (1, 1, 1)), 1) == 1
-    assert fundamental_spec(((), ()), 5) == 1
-    assert fundamental_spec(((), (1, 1)), 0) == 0
+    assert fundamental_spec(0, 2, 2) == 3
+    assert fundamental_spec(0b10, 2, 2) == 1  # Des = {1}
+    assert fundamental_spec(0, 3, 1) == 1
+    assert fundamental_spec(0, 0, 5) == 1
+    assert fundamental_spec(0, 2, 0) == 0
 
 
 @pytest.mark.parametrize(
@@ -35,7 +42,7 @@ def test_fundamental_spec_examples():
         (2, (), -1),
         (2, {5}, 3),
         (2, {0}, 3),
-        (2, {2}, 3),
+        (2, {4}, 3),
         (0, {1}, 2),
         (2, (), 2.0),
         (2, (), "2"),
@@ -44,24 +51,31 @@ def test_fundamental_spec_examples():
     ],
 )
 def test_fundamental_spec_rejects_bad_input(n, strict, m):
-    # m not a nonnegative int (a bool is none), or a position outside
-    # 1..n-1 of an all-plus descent set
+    # m not a nonnegative int (a bool is none), or a mask setting the bits
+    # in strict, one of them outside the layout of n entries: bit 0 or a
+    # bit at or past 2n
     with pytest.raises(ValueError):
-        fundamental_spec((strict, (1,) * n), m)
+        fundamental_spec(sum(1 << i for i in strict), n, m)
 
 
-def test_strict_positions_of_any_collection_share_one_memo_entry():
-    strict_sets = ({1}, (1,), [1], [1, 1])
-    assert {fundamental_spec((strict, (1, 1, 1)), 3) for strict in strict_sets} == {4}
+def test_every_route_to_a_set_reaches_one_memo_entry():
+    # Des = {1} with every sign +1: from a window, a tableau, the bitableau
+    # with no minus part and the walk of their shape
+    walk = enumerate_syt((2, 1), True)
+    routes = [
+        signed_descent_set((2, 1, 3)),
+        syt_descent_set(((1, 3), (2,))),
+        syb_signed_descent_set((((1, 3), (2,)), ())),
+        *(mask for mask in walk if mask == 0b10),
+    ]
+    assert len(routes) == 4
+    assert {fundamental_spec(mask, 3, 3) for mask in routes} == {4}
     assert _count_chains.cache_info().currsize == 1
-    assert fundamental_spec(([1], [1, 1]), 2) == 1
-    assert fundamental_spec(((1,), (1, 1)), 2) == 1
-    assert fundamental_spec(({1}, [1, 1]), 3) == fundamental_spec(((1,), (1, 1)), 3)
-    assert _count_chains.cache_info().currsize == 3
-    # mixed signs: a list of signs keys the same entry as their tuple
-    assert fundamental_spec(([2, 2], [1, -1, 1]), 3) == 2
-    assert fundamental_spec(({2}, (1, -1, 1)), 3) == 2
-    assert _count_chains.cache_info().currsize == 4
+    # mixed signs, a +,- step at 1: from a window and a bitableau
+    routes = [signed_descent_set((1, -2)), syb_signed_descent_set((((1,),), ((2,),)))]
+    assert routes == [0b1010, 0b1010]
+    assert {fundamental_spec(mask, 2, 3) for mask in routes} == {3}
+    assert _count_chains.cache_info().currsize == 2
 
 
 def test_a_schur_specialization_fills_the_memo_that_fundamental_spec_reads():
@@ -70,8 +84,8 @@ def test_a_schur_specialization_fills_the_memo_that_fundamental_spec_reads():
     assert walk == {1 << 1, 1 << 2}  # Des={1} and Des={2}, every sign +1
     assert {unpack_descents(mask, 3) for mask in walk} == {((1,), (1, 1, 1)), ((2,), (1, 1, 1))}
     assert _count_chains.cache_info()[:2] == (0, 2)  # hits, misses
-    # the same sets in other collections, each one memo hit
-    assert fundamental_spec(([1], [1, 1, 1]), 3) + fundamental_spec(({2}, (1, 1, 1)), 3) == 8
+    # the same sets through fundamental_spec, each one memo hit
+    assert fundamental_spec(0b10, 3, 3) + fundamental_spec(0b100, 3, 3) == 8
     assert _count_chains.cache_info()[:2] == (2, 2)
 
 
@@ -82,29 +96,22 @@ def test_fundamental_spec_closed_form():
         for size in range(max(n, 1)):
             for strict in combinations(range(1, n), size):
                 for m in range(1, 9):
-                    assert fundamental_spec((strict, plus), m) == binomial(
+                    assert fundamental_spec(_packed(strict, plus), n, m) == binomial(
                         n + m - 1 - len(strict), n
                     ), (n, strict, m)
 
 
 def test_signed_fundamental_spec_examples():
-    assert fundamental_spec(signed_descent_set((-1,)), 3) == 2
+    assert fundamental_spec(signed_descent_set((-1,)), 1, 3) == 2
     # identity: unconstrained multiset count
     for n in range(0, 5):
         identity = tuple(range(1, n + 1))
         for m in range(1, 5):
-            assert fundamental_spec(signed_descent_set(identity), m) == binomial(
+            assert fundamental_spec(signed_descent_set(identity), n, m) == binomial(
                 n + m - 1, n
             )
     # the one-descent, trailing-minus window: only the chain (1, 2) survives
-    assert fundamental_spec(signed_descent_set((2, -1)), 2) == 1
-
-
-def _packed(strict, signs):
-    """A descent set packed by hand: bit i for each strict position i, bit
-    n + j where signs[j] is -1."""
-    n = len(signs)
-    return sum(1 << i for i in strict) + sum(1 << (n + j) for j, s in enumerate(signs) if s < 0)
+    assert fundamental_spec(signed_descent_set((2, -1)), 2, 2) == 1
 
 
 def test_count_chains_against_chain_enumeration():
@@ -131,57 +138,65 @@ def test_count_chains_against_chain_enumeration():
 
 
 def test_fundamental_spec_packs_as_unpack_descents_reads():
-    # every set fundamental_spec accepts reaches the memo under the key
-    # unpack_descents turns back into it
+    # fundamental_spec accepts exactly the masks packed from a strict set
+    # and a sign vector, passes each to the memo as its key, and
+    # unpack_descents reads each back into its pair
     for n in range(0, 5):
-        for size in range(max(n, 1)):
-            for strict in combinations(range(1, n), size):
-                for signs in product((1, -1), repeat=n):
-                    _count_chains.cache_clear()
-                    fundamental_spec((strict, signs), 2)
-                    mask = _packed(strict, signs)
-                    assert _count_chains.cache_info().currsize == 1
-                    assert _count_chains(mask, n, 2) == fundamental_spec((strict, signs), 2)
-                    assert _count_chains.cache_info()[:2] == (2, 1), (strict, signs)
-                    assert unpack_descents(mask, n) == (strict, signs)
+        pairs = {
+            _packed(strict, signs): (strict, signs)
+            for size in range(max(n, 1))
+            for strict in combinations(range(1, n), size)
+            for signs in product((1, -1), repeat=n)
+        }
+        for mask in range(-1, 1 << (2 * n + 1)):
+            if mask not in pairs:
+                with pytest.raises(ValueError):
+                    fundamental_spec(mask, n, 2)
+                continue
+            _count_chains.cache_clear()
+            value = fundamental_spec(mask, n, 2)
+            assert _count_chains.cache_info().currsize == 1
+            assert _count_chains(mask, n, 2) == value
+            assert _count_chains.cache_info()[:2] == (1, 1), mask
+            assert unpack_descents(mask, n) == pairs[mask]
 
 
 @pytest.mark.parametrize(
     "sdes, m, message",
     [
-        (((), (1, 0)), 2, "signs must be +1 or -1, got [1, 0]"),
-        (((0,), (1, 1)), 2, "strict positions must lie in 1..1, got [0]"),
-        (((2, 1, 2), (1, -1)), 2, "strict positions must lie in 1..1, got [1, 2]"),
-        (((), (1, 1)), True, "m must be a nonnegative integer, got True"),
+        ((0b1, 2), 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got 1"),
+        ((0b10000, 2), 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got 16"),
+        ((-2, 2), 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got -2"),
+        ((0, 2), True, "m must be a nonnegative integer, got True"),
+        ((True, 2), 2, "a packed descent set of 2 entries is an int below 2**4 with bit 0 clear, got True"),
+        ((0, True), 2, "n must be a nonnegative integer, got True"),
     ],
 )
 def test_fundamental_spec_keeps_its_error_texts(sdes, m, message):
-    # a bad sign, position 0, position n and a bool m
+    # (mask, n): bit 0 set, a bit at 2n, a negative mask, a bool m, a bool
+    # mask and a bool n
     with pytest.raises(ValueError) as raised:
-        fundamental_spec(sdes, m)
+        fundamental_spec(*sdes, m)
     assert str(raised.value) == message
     assert _count_chains.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize(
-    "sdes", [((5,), (1, 1)), ((0,), (1, 1)), ((), (0, 7)), ((1,), (1, 2)), ((2,), (1, 1))]
-)
+@pytest.mark.parametrize("sdes", [(1 << 5, 2), (0b1, 2), (-1, 2), (2.0, 2), (0b10, 0)])
 def test_signed_fundamental_spec_rejects_bad_input(sdes):
-    # a position outside 1..n-1 or a sign other than +-1, each time it is asked
+    # (mask, n): a mask outside the layout of n entries, each time it is asked
     for _ in range(2):
         with pytest.raises(ValueError):
-            fundamental_spec(sdes, 2)
+            fundamental_spec(*sdes, 2)
     assert _count_chains.cache_info().currsize == 0
 
 
 def test_signed_fundamental_spec_against_chain_enumeration():
     for n in range(0, 4):
         for w in enumerate_group(n, signed=True):
-            sdes = signed_descent_set(w)
-            positions, signs = sdes
+            positions, signs = signed_descent_set_by_definition(w)
             minimums = tuple(2 if s == -1 else 1 for s in signs)
             for m in range(1, 5):
-                assert fundamental_spec(sdes, m) == count_chains(
+                assert fundamental_spec(signed_descent_set(w), n, m) == count_chains(
                     n, positions, minimums, m
                 ), (w, m)
 
@@ -189,9 +204,9 @@ def test_signed_fundamental_spec_against_chain_enumeration():
 def test_signed_fundamental_spec_closed_form_exhaustive():
     for n in range(0, 5):
         for w in enumerate_group(n, signed=True):
-            sdes = signed_descent_set(w)
+            mask = signed_descent_set(w)
             for m in range(1, 7):
-                assert fundamental_spec(sdes, m) == binomial(n + m - 1 - des_b(w), n)
+                assert fundamental_spec(mask, n, m) == binomial(n + m - 1 - des_b(w), n)
 
 
 def test_schur_spec_examples():
@@ -214,7 +229,7 @@ def test_schur_spec_matches_the_per_tableau_sum():
         for shape in partitions(n):
             for m in range(0, 6):
                 per_tableau = sum(
-                    fundamental_spec(syt_descent_set(q), m) for q in enumerate_syt(shape)
+                    fundamental_spec(syt_descent_set(q), n, m) for q in enumerate_syt(shape)
                 )
                 assert schur_spec(shape, m) == per_tableau, (shape, m)
 
@@ -225,8 +240,8 @@ def test_specializations_weakly_increase_in_m():
             values = [schur_spec(shape, m) for m in range(6)]
             assert all(a <= b for a, b in zip(values, values[1:]))
     for w in enumerate_group(3, signed=True):
-        sdes = signed_descent_set(w)
-        values = [fundamental_spec(sdes, m) for m in range(1, 7)]
+        mask = signed_descent_set(w)
+        values = [fundamental_spec(mask, 3, m) for m in range(1, 7)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
