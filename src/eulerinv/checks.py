@@ -9,7 +9,11 @@ checked case, in deterministic (n, k) order, handing the report its values
 records; open questions and known print discrepancies get note records that
 never fail a run.  The transpose sweep counts a (bi)tableau whose transpose
 repeats an earlier one as a violation, since transposition must be a
-bijection, and its failure names the first violating object.
+bijection, and its failure names the first violating object.  It builds no
+transpose: one pass over an object's rows fills its row word and its
+transpose's, the descent numbers are counted on the words, the image is
+keyed by its word with its split, and transposing twice is checked by
+reading the transpose back off the image word alone.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice, repeat
-from operator import mul, sub
+from operator import lt, mul, sub
 
 from . import reference
 from .distributions import (
@@ -46,14 +50,12 @@ from .polynomials import binomial, expand_negative_binomial_product, poly_multip
 from .qsym import fundamental_spec, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
+    Tableau,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
     enumerate_syb,
     partitions,
-    syb_des_b,
-    syb_transpose,
-    syt_transpose,
 )
 
 #: Seed for the randomized lemma check; fixed so runs are reproducible.
@@ -194,6 +196,54 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     return report
 
 
+def _transpose_words(plus: Tableau, minus: Tableau, n: int) -> tuple[list[int], list[int]]:
+    """The row words of the bitableau (plus, minus) and of its transpose,
+    filled in one pass over its rows.
+
+    word[e] is the row of entry e, the rows of plus numbered from 0 and
+    those of minus from len(plus), as the walk numbers them, and word[0] is
+    that split less one, as syb_des_b sets it: so a word fixes its
+    bitableau, and sum(map(lt, word, word[1:])) is its des_B.  The transpose
+    is (minus', plus'), whose rows are columns: an entry of minus goes to
+    the row of its column, an entry of plus to len(minus[0]) plus its
+    column, and len(minus[0]) is the transpose's split."""
+    split = len(minus[0]) if minus else 0
+    row = [len(plus) - 1] * (n + 1)
+    image = [split - 1] * (n + 1)
+    r = 0
+    for offset, part in ((split, plus), (0, minus)):
+        for entries in part:
+            for column, e in enumerate(entries, offset):
+                row[e] = r
+                image[e] = column
+            r += 1
+    return row, image
+
+
+def _back_transpose(image: list[int]) -> list[int]:
+    """The row word of the transpose of the bitableau whose row word is
+    image, read from that word alone.
+
+    A row takes its entries in increasing order, so the number of entries
+    a row has taken before e is the column of e.  The image's minus part
+    starts at row image[0] + 1; the length of its first row is the split of
+    the transpose and the offset of the entries of the image's plus part."""
+    split = image[0] + 1
+    columns = image.count(split)
+    taken = [columns] * split + [0] * (len(image) - split)
+    back = [columns - 1]
+    for r in islice(image, 1, None):
+        back.append(taken[r])
+        taken[r] += 1
+    return back
+
+
+def _image_key(image: list[int]) -> tuple[int, ...]:
+    """What the transpose sweep hashes and compares an image by: its row
+    word, whose entry 0 carries its split."""
+    return tuple(image)
+
+
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
@@ -203,28 +253,39 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     does not give it back, or when its transpose repeats an earlier one.  A
     failure names the first violating object in walk order.
 
-    Only the hash of each transpose is kept, not the transpose itself.  A hash
-    seen before is confirmed by walking the earlier objects again and comparing
-    their transposes with this one, so a collision costs time, never a false
-    violation, and a repeat is counted exactly when the transpose itself repeats."""
+    No transpose is built.  One pass over each object's rows fills its row
+    word and its transpose's (_transpose_words), and both descent numbers
+    are counted on the words.  A tableau q is read as the bitableau ((), q):
+    its des_B is des(q) + 1 from n = 1 on and its transpose is (q', ()), so
+    n - des_B is the rule for both walks.  Transposing twice is checked on
+    the image word alone: _back_transpose reads the transpose's transpose
+    from it, which must be the object's own word.
+
+    Only the hash of each image's key, its word with the split in entry 0,
+    is kept.  A hash seen before is confirmed by walking the earlier objects
+    again and comparing their keys with this one, so a collision costs
+    time, never a false violation, and a repeat is counted exactly when the
+    transpose itself repeats."""
     report = Report()
     families = (
-        ("transpose-signed", signed_n_max, enumerate_all_syb, syb_transpose, syb_des_b,
-         0, "bitableaux"),
-        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, syt_transpose,
-         lambda q: syb_des_b((q, ())), 1, "tableaux"),
+        ("transpose-signed", signed_n_max, enumerate_all_syb, lambda q: q, "bitableaux"),
+        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, lambda q: ((), q), "tableaux"),
     )
-    for check, n_max, walk, transpose, des, shift, noun in families:
+    for check, n_max, walk, as_bitableau, noun in families:
         for n in range(n_max + 1):
-            target = max(n - shift, 0)
             hashes = set()
             total = bad = 0
             for q in walk(n):
-                t = transpose(q)
-                h = hash(t)
-                repeat = h in hashes and any(transpose(p) == t for p in islice(walk(n), total))
+                row, image = _transpose_words(*as_bitableau(q), n)
+                key = _image_key(image)
+                h = hash(key)
+                repeat = h in hashes and any(
+                    _image_key(_transpose_words(*as_bitableau(p), n)[1]) == key
+                    for p in islice(walk(n), total)
+                )
                 total += 1
-                if des(t) != target - des(q) or transpose(t) != q or repeat:
+                complement = sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) == n
+                if not complement or _back_transpose(image) != row or repeat:
                     bad += 1
                     if bad == 1:
                         first = q

@@ -32,6 +32,7 @@ from math import comb
 from .permutations import (
     DES_B,
     DES_COXETER,
+    _check_nonnegative,
     _statistic,
     des_coxeter,
     enumerate_group,
@@ -104,15 +105,18 @@ def _recurrence_rows(n_max: int):
 
 def signed_involution_recurrence_rows(n_max: int) -> list[tuple[int, ...]]:
     """Type-B involution rows 0..n_max (none when n_max < 0), from one run of
-    the three-term linear recurrence, entirely without enumeration."""
+    the three-term linear recurrence, entirely without enumeration.  An
+    n_max that is not an int, a bool among them, raises ValueError."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     return list(_recurrence_rows(n_max))
 
 
 def signed_involution_eulerian_recurrence(n: int) -> tuple[int, ...]:
     """Type-B involution distribution: row n of the same single run, with
-    no earlier row kept."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    no earlier row kept.  An n that is not a nonnegative int, a bool among
+    them, raises ValueError."""
+    _check_nonnegative(n, "n")
     (row,) = deque(_recurrence_rows(n), maxlen=1)
     return row
 
@@ -120,9 +124,10 @@ def signed_involution_eulerian_recurrence(n: int) -> tuple[int, ...]:
 def r_closed(n: int, m: int) -> int:
     """The x^m coefficient of the B-involution polynomial divided by
     (1-x)^(n+1): the t^n coefficient of (1-t)^-(2m+1) (1-t^2)^-(m^2), since
-    sum_n r(n, m) t^n is that product."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    sum_n r(n, m) t^n is that product.  An n or m that is not a nonnegative
+    int, a bool among them, raises ValueError."""
+    _check_nonnegative(n, "n")
+    _check_nonnegative(m, "m")
     return negative_binomial_coefficient(2 * m + 1, m * m, n)
 
 

@@ -13,10 +13,13 @@ from eulerinv.permutations import (
 )
 from eulerinv.reports import CheckRecord, Report
 from eulerinv.tableaux import (
+    _row_of,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
     partitions,
+    syb_transpose,
+    syt_transpose,
 )
 from oracles import (
     bitableau_descent_set_by_definition,
@@ -416,9 +419,8 @@ class _Colliding(tuple):
 def _collide_transposes(monkeypatch):
     """Make every image of the transpose sweep hash alike, so that each image
     after the first of its size is checked against the earlier ones again."""
-    for name in ("syb_transpose", "syt_transpose"):
-        original = getattr(checks, name)
-        monkeypatch.setattr(checks, name, lambda q, original=original: _Colliding(original(q)))
+    original = checks._image_key
+    monkeypatch.setattr(checks, "_image_key", lambda image: _Colliding(original(image)))
 
 
 def _record_walks(monkeypatch):
@@ -483,11 +485,53 @@ def test_transpose_sweep_keeps_a_hash_not_an_image():
 
 
 def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
-    # with transposition the identity, both tableaux of size 2 miss the complement
-    monkeypatch.setattr(checks, "syt_transpose", lambda q: q)
+    # a map that swaps the parts but transposes neither sends a tableau q, read
+    # as ((), q), to (q, ()): transposition the identity on tableaux, so both
+    # tableaux of size 2 miss the complement, and the one of size 1 does not
+    words = checks._transpose_words
+    monkeypatch.setattr(
+        checks,
+        "_transpose_words",
+        lambda plus, minus, n: (words(plus, minus, n)[0], words(minus, plus, n)[0]),
+    )
     failure = checks.verify_transpose_complement(0, 2).failures[0]
     assert failure.params == (("n", 2),)
     assert failure.rhs == "2 violations, first ((1, 2),)"
+
+
+def test_the_transpose_words_are_those_of_the_built_transposes():
+    # a tableau q is read as ((), q), and its transpose is (q', ()); each
+    # word's entry 0 is its split less one
+    for n in range(8):
+        pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
+        pairs += [(((), q), (syt_transpose(q), ())) for q in enumerate_all_syt(n)]
+        for q, t in pairs:
+            row, image = checks._transpose_words(*q, n)
+            assert row == [len(q[0]) - 1, *_row_of(q)[1:]], q
+            assert image == [len(t[0]) - 1, *_row_of(t)[1:]], q
+            # the transpose of the transpose, read off the image word alone
+            assert checks._back_transpose(image) == row, q
+
+
+def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
+    # a back-transpose whose split is one off gives no object its own word
+    # back, while every image and descent number stays right
+    back = checks._back_transpose
+
+    def off_by_one(image):
+        word = back(image)
+        word[0] += 1
+        return word
+
+    monkeypatch.setattr(checks, "_back_transpose", off_by_one)
+    report = checks.verify_transpose_complement(3, 3)
+    expected = [
+        f"{len(objects)} violations, first {objects[0]}"
+        for walk in (enumerate_all_syb, enumerate_all_syt)
+        for objects in (list(walk(n)) for n in range(4))
+    ]
+    assert [r.rhs for r in report.failures] == expected
+    assert len(report) == 8
 
 
 def _structured(report):

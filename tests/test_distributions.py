@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import comb
 
@@ -178,6 +179,21 @@ def test_r_closed_values():
     for n, m in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="nonnegative"):
             r_closed(n, m)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+def test_recurrence_and_r_closed_reject_a_bool_or_non_int_n(bad):
+    # True once read as n = 1, and 2.0 raised TypeError from range
+    with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative integer, got {bad!r}")):
+        signed_involution_eulerian_recurrence(bad)
+    with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative integer, got {bad!r}")):
+        r_closed(bad, 1)
+    with pytest.raises(ValueError, match=re.escape(f"m must be a nonnegative integer, got {bad!r}")):
+        r_closed(1, bad)
+    with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer, got {bad!r}")):
+        signed_involution_recurrence_rows(bad)
+    # a negative int n_max still means no rows
+    assert signed_involution_recurrence_rows(-1) == []
 
 
 def test_r_recurrence_values():
