@@ -44,11 +44,8 @@ from .tableaux import (
     enumerate_syb,
     enumerate_syt,
     partitions,
-    syb_des_b,
     syb_signed_descent_set,
     syb_transpose,
-    syt_descent_set,
-    syt_transpose,
 )
 
 __version__ = "0.1.0"

@@ -202,8 +202,11 @@ def _transpose_words(plus: Tableau, minus: Tableau, n: int) -> tuple[list[int], 
 
     word[e] is the row of entry e, the rows of plus numbered from 0 and
     those of minus from len(plus), as the walk numbers them, and word[0] is
-    that split less one, as syb_des_b sets it: so a word fixes its
-    bitableau, and sum(map(lt, word, word[1:])) is its des_B.  The transpose
+    that split less one, so a word fixes its bitableau.  word[0] plays the
+    leading 0 of a window: entry 1 is the corner of its part, in row 0 when
+    positive and in row len(plus) when negative, so the step from word[0]
+    climbs exactly when the first sign is negative, and
+    sum(map(lt, word, word[1:])) is the des_B of the bitableau.  The transpose
     is (minus', plus'), whose rows are columns: an entry of minus goes to
     the row of its column, an entry of plus to len(minus[0]) plus its
     column, and len(minus[0]) is the transpose's split."""
@@ -255,9 +258,11 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
 
     No transpose is built.  One pass over each object's rows fills its row
     word and its transpose's (_transpose_words), and both descent numbers
-    are counted on the words.  A tableau q is read as the bitableau ((), q):
-    its des_B is des(q) + 1 from n = 1 on and its transpose is (q', ()), so
-    n - des_B is the rule for both walks.  Transposing twice is checked on
+    are counted on the words: des_B is the number of i with
+    word[i] < word[i + 1], where word[0], the split less one, is smaller
+    than word[1] exactly when entry 1 is negative.  A tableau q is read as
+    the bitableau ((), q): its des_B is des(q) + 1 from n = 1 on and its
+    transpose is (q', ()), so n - des_B is the rule for both walks.  Transposing twice is checked on
     the image word alone: _back_transpose reads the transpose's transpose
     from it, which must be the object's own word.
 

@@ -23,19 +23,22 @@ tests/oracles.py keeps as references.
 
 Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
-read off the row of each entry, and the walk and the readers number rows
+read off the row of each entry, and the walk and the reader number rows
 alike: the rows of plus from 0, then those of minus from len(plus).  So an
 entry is negative when its row is at least len(plus), a tableau is the
 bitableau with no minus part, no sign bit set, and as a +,- step always
 climbs and a -,+ step never does, one comparison of neighbours tests each
-i and des_B is counted without building the set.  With `descents` set each
-enumerator yields each object's descent set in its place: the walk sets an
-entry's bits as it places the entry, so it builds no tableau and no tuple.
-The readers of a finished object set the same bits in one pass over a list
-of the row of each entry that _row_of builds, which rejects entries other
-than 1..n each once; the two set readers also reject rows, columns and
-shapes that are not standard.  Nothing here calls the window-side descent
-functions, so the two sides of the bijection share only the layout.
+i.  With `descents` set each enumerator yields each object's descent set in
+its place: the walk sets an entry's bits as it places the entry, so it
+builds no tableau and no tuple.
+
+A finished object, as the enumerators yield it without `descents`, has
+one reader, syb_signed_descent_set, which sets the same bits in one pass
+over the list of each entry's row that _row_of builds, and one map,
+syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject
+entries other than 1..n each once, and rows, columns and shapes that are
+not standard.  Nothing here calls the window-side descent functions, so
+the two sides of the bijection share only the layout.
 """
 from __future__ import annotations
 
@@ -62,20 +65,19 @@ def validate_shape(shape: Shape) -> None:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Shape]:
-    """Yield the partitions of n with parts bounded by max_part, largest
-    part first.  An n that is not a nonnegative int, a bool among them,
-    raises ValueError."""
+def partitions(n: int) -> Iterator[Shape]:
+    """Yield the partitions of n, largest part first.  An n that is not a
+    nonnegative int, a bool among them, raises ValueError."""
     _check_nonnegative(n, "n")
-    yield from _partitions(n, n if max_part is None else max_part)
+    yield from _partitions(n, n)
 
 
-def _partitions(n: int, max_part: int) -> Iterator[Shape]:
-    """partitions, with n taken as checked."""
+def _partitions(n: int, largest: int) -> Iterator[Shape]:
+    """The partitions of n with no part above largest, n taken as checked."""
     if n == 0:
         yield ()
         return
-    for first in range(min(max_part, n), 0, -1):
+    for first in range(min(largest, n), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
 
@@ -195,7 +197,7 @@ def _fillings(shape: Shape, second: int, descents: bool = False) -> Iterator[Tab
 def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | int]:
     """Yield every standard Young tableau of the given shape, in the order
     of the walk, or with descents set the descent set of each, the int
-    syt_descent_set reads off the finished tableau.
+    syb_signed_descent_set reads off the bitableau (tableau, ()).
     Their count f^shape is held to the budget."""
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
@@ -210,21 +212,6 @@ def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | int]
     _check_budget(n, involution_count(n), "standard Young tableaux")
     for shape in partitions(n):
         yield from enumerate_syt(shape, descents)
-
-
-def syt_descent_set(tableau: Tableau) -> int:
-    """The descent set of a tableau, packed: bit i for each entry i whose
-    successor i+1 sits in a strictly lower row, and no sign bit; the
-    reading of the bitableau (tableau, ()) with no minus part.  A filling
-    that is not a standard tableau raises ValueError."""
-    return syb_signed_descent_set((tableau, ()))
-
-
-def syt_transpose(tableau: Tableau) -> Tableau:
-    """The tableau whose rows are the columns of the input."""
-    # zip_longest pads the short columns with None, which filter drops;
-    # entries are positive, so no entry is dropped with it
-    return tuple([tuple(filter(None, column)) for column in zip_longest(*tableau)])
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -298,7 +285,8 @@ def syb_signed_descent_set(bitableau: Bitableau) -> int:
     that is one test, row_of[i] < row_of[i+1], and i is negative when
     row_of[i] >= len(plus).  row_of[0] is set under every row, as the walk
     sets chosen[0], so entry 1 is never a descent.  A filling that is not a
-    standard bitableau raises ValueError.
+    standard bitableau raises ValueError.  This is also the live name of
+    the benchmark tracer's tableaux.stat group.
     """
     _check_standard(bitableau)
     row_of = _row_of(bitableau)
@@ -311,22 +299,19 @@ def syb_signed_descent_set(bitableau: Bitableau) -> int:
     return mask
 
 
-def syb_des_b(bitableau: Bitableau) -> int:
-    """Type-B descent number of a bitableau: |Des| plus one when the first
-    sign is negative, counted in one pass over the rows, with no descent
-    set built.
-
-    row_of[0] = len(plus) - 1 plays the leading 0 of a window.  Entry 1 is
-    the corner of its part, in row 0 when positive and in row len(plus)
-    when negative, so the step from row_of[0] climbs exactly when the first
-    sign is negative.
-    """
-    row_of = _row_of(bitableau)
-    row_of[0] = len(bitableau[0]) - 1
-    return sum(map(lt, row_of, row_of[1:]))
-
-
 def syb_transpose(bitableau: Bitableau) -> Bitableau:
-    """Swap the parts and transpose each; sends des_B to n - des_B."""
+    """The transpose of a bitableau (plus, minus): (minus', plus'), the
+    parts swapped and the rows of each its columns.  It sends des_B to
+    n - des_B; a tableau q, read as (q, ()), goes to ((), q').  A filling
+    that is not a standard bitableau raises ValueError, as in
+    syb_signed_descent_set.  This is also the live name of the benchmark
+    tracer's tableaux.transpose group."""
+    _check_standard(bitableau)
+    _row_of(bitableau)
     plus, minus = bitableau
-    return syt_transpose(minus), syt_transpose(plus)
+    # zip_longest pads the short columns with None, which filter drops;
+    # entries are positive, so no entry is dropped with it
+    return tuple(
+        tuple([tuple(filter(None, column)) for column in zip_longest(*part)])
+        for part in (minus, plus)
+    )

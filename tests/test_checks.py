@@ -19,7 +19,6 @@ from eulerinv.tableaux import (
     enumerate_all_syt,
     partitions,
     syb_transpose,
-    syt_transpose,
 )
 from oracles import (
     bitableau_descent_set_by_definition,
@@ -30,6 +29,7 @@ from oracles import (
     signed_telephone_number,
     standard_fillings_by_filtering,
     telephone_number,
+    transpose_by_columns,
 )
 
 
@@ -504,7 +504,7 @@ def test_the_transpose_words_are_those_of_the_built_transposes():
     # word's entry 0 is its split less one
     for n in range(8):
         pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
-        pairs += [(((), q), (syt_transpose(q), ())) for q in enumerate_all_syt(n)]
+        pairs += [(((), q), (transpose_by_columns(q), ())) for q in enumerate_all_syt(n)]
         for q, t in pairs:
             row, image = checks._transpose_words(*q, n)
             assert row == [len(q[0]) - 1, *_row_of(q)[1:]], q

@@ -19,7 +19,7 @@ from eulerinv.distributions import (
     signed_involution_recurrence_rows,
 )
 from eulerinv.polynomials import binomial, expand_negative_binomial_product
-from eulerinv.tableaux import enumerate_all_syb, syb_des_b
+from eulerinv.tableaux import enumerate_all_syb, syb_signed_descent_set
 from oracles import (
     gamma_by_convolution,
     geometric,
@@ -166,7 +166,9 @@ def test_recurrence_agrees_with_enumeration():
 
 def test_bitableau_route_gives_same_polynomial():
     for n in range(0, 7):
-        histogram = Counter(syb_des_b(q) for q in enumerate_all_syb(n))
+        # des_B: the descents, and one more when entry 1 is negative
+        masks = map(syb_signed_descent_set, enumerate_all_syb(n))
+        histogram = Counter((m & ((1 << n) - 1)).bit_count() + (m >> n & 1) for m in masks)
         row = tuple(histogram.get(k, 0) for k in range(n + 1))
         assert row == involution_eulerian(n, signed=True), n
 

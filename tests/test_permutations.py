@@ -25,7 +25,6 @@ from eulerinv.tableaux import (
     enumerate_all_syb,
     enumerate_all_syt,
     syb_signed_descent_set,
-    syt_descent_set,
 )
 from oracles import (
     colored_descent_count,
@@ -112,8 +111,8 @@ def test_descent_set_producers_build_well_formed_sets():
             _assert_well_formed(signed_descent_set(w), n, w)
             assert signed_descent_set(w) >> n == 0, w
         for q in enumerate_all_syt(n):
-            _assert_well_formed(syt_descent_set(q), n, q)
-            assert syt_descent_set(q) >> n == 0, q
+            _assert_well_formed(syb_signed_descent_set((q, ())), n, q)
+            assert syb_signed_descent_set((q, ())) >> n == 0, q
     for n in range(0, 5):
         for w in enumerate_group(n, signed=True):
             _assert_well_formed(signed_descent_set(w), n, w)

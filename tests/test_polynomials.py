@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -64,12 +65,26 @@ def test_expand_examples():
     assert expand_negative_binomial_product(1, 0, 3) == (1, 1, 1, 1)
     assert expand_negative_binomial_product(0, 0, 2) == (1, 0, 0)
     assert negative_binomial_coefficient(3, 1, 2) == 7
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
         negative_binomial_coefficient(-1, 0, 2)
     # the exponents are checked even when order < 0 asks for no coefficient
     for a, b, order in ((-1, 0, 2), (0, -1, -1)):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
             expand_negative_binomial_product(a, b, order)
+    assert expand_negative_binomial_product(1, 0, -1) == ()
+    assert negative_binomial_coefficient(1, 0, -1) == 0
+
+
+@pytest.mark.parametrize(
+    "a, b, order",
+    [(1, 0, True), (True, 0, 2), (1, False, 2), (1, 0, 2.0), (1.0, 0, 2), (1, 0, "2")],
+)
+def test_series_reject_an_argument_that_is_no_int(a, b, order):
+    series = ((negative_binomial_coefficient, "n"), (expand_negative_binomial_product, "order"))
+    for coefficients, name in series:
+        text = f"exponents and {name} must be integers, got a={a!r}, b={b!r}, {name}={order!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            coefficients(a, b, order)
 
 
 def test_expand_against_naive_product_oracle():

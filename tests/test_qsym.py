@@ -10,7 +10,7 @@ from eulerinv.checks import (
     verify_signed_spec_closed_form,
 )
 from eulerinv.qsym import _count_chains, fundamental_spec, schur_spec
-from eulerinv.tableaux import enumerate_syt, partitions, syb_signed_descent_set, syt_descent_set
+from eulerinv.tableaux import enumerate_syt, partitions, syb_signed_descent_set
 from oracles import count_chains, count_ssyt, signed_descent_set_by_definition
 
 
@@ -59,16 +59,15 @@ def test_fundamental_spec_rejects_bad_input(n, strict, m):
 
 
 def test_every_route_to_a_set_reaches_one_memo_entry():
-    # Des = {1} with every sign +1: from a window, a tableau, the bitableau
-    # with no minus part and the walk of their shape
+    # Des = {1} with every sign +1: from a window, a tableau read as the
+    # bitableau with no minus part and the walk of its shape
     walk = enumerate_syt((2, 1), True)
     routes = [
         signed_descent_set((2, 1, 3)),
-        syt_descent_set(((1, 3), (2,))),
         syb_signed_descent_set((((1, 3), (2,)), ())),
         *(mask for mask in walk if mask == 0b10),
     ]
-    assert len(routes) == 4
+    assert len(routes) == 3
     assert {fundamental_spec(mask, 3, 3) for mask in routes} == {4}
     assert _count_chains.cache_info().currsize == 1
     # mixed signs, a +,- step at 1: from a window and a bitableau
@@ -227,10 +226,9 @@ def test_schur_spec_matches_ssyt_oracle():
 def test_schur_spec_matches_the_per_tableau_sum():
     for n in range(0, 9):
         for shape in partitions(n):
+            masks = [syb_signed_descent_set((q, ())) for q in enumerate_syt(shape)]
             for m in range(0, 6):
-                per_tableau = sum(
-                    fundamental_spec(syt_descent_set(q), n, m) for q in enumerate_syt(shape)
-                )
+                per_tableau = sum(fundamental_spec(mask, n, m) for mask in masks)
                 assert schur_spec(shape, m) == per_tableau, (shape, m)
 
 

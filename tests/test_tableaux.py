@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import partial
 from itertools import accumulate, permutations
+from operator import lt
 
 import pytest
 
@@ -22,11 +23,8 @@ from eulerinv.tableaux import (
     enumerate_syb,
     enumerate_syt,
     partitions,
-    syb_des_b,
     syb_signed_descent_set,
     syb_transpose,
-    syt_descent_set,
-    syt_transpose,
     validate_shape,
 )
 from oracles import (
@@ -172,7 +170,7 @@ def test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order():
         for shape in partitions(n):
             masks = list(enumerate_syt(shape, True))
             assert all(type(mask) is int for mask in masks)
-            assert masks == list(map(syt_descent_set, enumerate_syt(shape))), shape
+            assert masks == [syb_signed_descent_set((q, ())) for q in enumerate_syt(shape)], shape
             # a tableau has every sign +1, so no bit from n up is set
             assert all(mask >> n == 0 for mask in masks), shape
     assert list(enumerate_syt((), True)) == [0]
@@ -196,7 +194,7 @@ def test_the_descents_walk_of_a_bipartition_yields_syb_signed_descent_set_in_wal
 def test_the_descents_walks_over_all_shapes_keep_the_walk_order():
     for n in range(9):
         got = list(enumerate_all_syt(n, True))
-        assert got == list(map(syt_descent_set, enumerate_all_syt(n)))
+        assert got == [syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n)]
     for n in range(7):
         got = list(enumerate_all_syb(n, True))
         assert got == list(map(syb_signed_descent_set, enumerate_all_syb(n)))
@@ -227,44 +225,60 @@ def test_descents_walks_are_held_to_the_budget_at_the_first_next_only():
                 next(walk)
 
 
+def _des_b(mask, n):
+    """des_B read off a packed signed descent set of n entries: its
+    descents, and one more when entry 1 is negative."""
+    return (mask & ((1 << n) - 1)).bit_count() + (mask >> n & 1)
+
+
 def test_syt_transpose_matches_the_column_reading():
+    # a tableau q is the bitableau (q, ()), whose transpose is ((), q')
     for n in range(0, 9):
         for q in enumerate_all_syt(n):
-            assert syt_transpose(q) == transpose_by_columns(q), q
+            assert syb_transpose((q, ())) == ((), transpose_by_columns(q)), q
 
 
 def test_syt_descent_set():
-    # bit i for a descent at i; a tableau sets no sign bit
-    assert syt_descent_set(((1, 2, 3),)) == 0
-    assert syt_descent_set(((1,), (2,), (3,), (4,))) == 0b1110
-    assert syt_descent_set(((1, 2), (3,))) == 0b100
-    assert syt_descent_set(()) == 0
-    assert unpack_descents(syt_descent_set(((1, 2), (3,))), 3) == ((2,), (1, 1, 1))
+    # bit i for a descent at i; a tableau, read as (q, ()), sets no sign bit
+    assert syb_signed_descent_set((((1, 2, 3),), ())) == 0
+    assert syb_signed_descent_set((((1,), (2,), (3,), (4,)), ())) == 0b1110
+    assert syb_signed_descent_set((((1, 2), (3,)), ())) == 0b100
+    assert syb_signed_descent_set(((), ())) == 0
+    assert unpack_descents(syb_signed_descent_set((((1, 2), (3,)), ())), 3) == ((2,), (1, 1, 1))
 
 
 def test_syt_descent_set_is_the_all_plus_bitableau_reading():
+    # the tableau walk is the bitableau walk with no minus part; a tableau
+    # read as the minus part keeps its descents and sets every sign bit
     for n in range(0, 9):
-        for q in enumerate_all_syt(n):
-            assert syt_descent_set(q) == syb_signed_descent_set((q, ())), q
+        for shape in partitions(n):
+            tableaux = list(enumerate_syt(shape))
+            assert list(enumerate_syb((shape, ()))) == [(q, ()) for q in tableaux], shape
+            masks = list(enumerate_syt(shape, True))
+            assert list(enumerate_syb((shape, ()), True)) == masks, shape
+            for q, mask in zip(tableaux, masks):
+                assert syb_signed_descent_set(((), q)) == mask | ((1 << n) - 1) << n, q
 
 
 def test_syt_transpose():
-    assert syt_transpose(((1, 2, 3),)) == ((1,), (2,), (3,))
+    assert syb_transpose((((1, 2, 3),), ())) == ((), ((1,), (2,), (3,)))
     square = ((1, 2), (3, 4))
-    assert syt_transpose(square) == ((1, 3), (2, 4))
-    assert syt_descent_set(square) == 0b100  # Des = {2}
-    assert syt_descent_set(syt_transpose(square)) == 0b1010  # Des = {1, 3}
-    assert syt_transpose(syt_transpose(square)) == square
-    assert syt_transpose(()) == ()
+    assert syb_transpose((square, ())) == ((), ((1, 3), (2, 4)))
+    assert syb_signed_descent_set((square, ())) == 0b100  # Des = {2}
+    assert syb_signed_descent_set((transpose_by_columns(square), ())) == 0b1010  # Des = {1, 3}
+    assert syb_transpose(syb_transpose((square, ()))) == (square, ())
+    assert syb_transpose(((), ())) == ((), ())
 
 
 def test_syt_transpose_complements_descents():
     for n in range(1, 8):
         for q in enumerate_all_syt(n):
-            t = syt_transpose(q)
+            t = transpose_by_columns(q)
             assert is_standard_tableau(t)
-            assert syt_descent_set(t).bit_count() == n - 1 - syt_descent_set(q).bit_count()
-            assert syt_transpose(t) == q
+            des = syb_signed_descent_set((q, ())).bit_count()
+            assert syb_signed_descent_set((t, ())).bit_count() == n - 1 - des
+            assert syb_transpose((q, ())) == ((), t)
+            assert syb_transpose(((), t)) == (q, ())
 
 
 def test_enumerate_syb_examples():
@@ -353,29 +367,32 @@ def test_syb_signed_descent_set_examples():
     # the parts may be lists of rows, or tuples, or one of each
     assert syb_signed_descent_set(([(1,)], ())) == 0
     assert syb_signed_descent_set(([(1,)], [(2,)])) == 0b1010
-    assert syt_descent_set([(1, 2), (3,)]) == 0b100
+    assert syb_signed_descent_set(([(1, 2), (3,)], ())) == 0b100
+    assert syb_transpose(([(1, 2), (3,)], [])) == ((), ((1, 3), (2,)))
 
 
 @pytest.mark.parametrize(
-    "read, filling",
+    "filling",
     [
-        (syt_descent_set, ((2, 1),)),  # a row that falls
-        (syt_descent_set, ((1, 2), (3, 4, 5))),  # rows that are no partition
-        (syb_signed_descent_set, (((1,),), ((1,),))),  # 1 twice and no 2
-        (syt_descent_set, ((1,), (3,))),  # no 2, and 3 past n
-        (syt_descent_set, ((2, 3), (1, 4))),  # a column that falls
-        (syb_signed_descent_set, (((1,), ()), ((2,),))),  # an empty row
-        (syb_des_b, (((1,),), ((1,),))),  # des_B reads the entries too
+        (((2, 1),), ()),  # a row that falls
+        (((1, 2), (3, 4, 5)), ()),  # rows that are no partition
+        (((1,),), ((1,),)),  # 1 twice and no 2
+        (((1,), (3,)), ()),  # no 2, and 3 past n
+        (((2, 3), (1, 4)), ()),  # a column that falls
+        (((1,), ()), ((2,),)),  # an empty row
+        (((0, 1),), ()),  # a 0, which the transpose's padding would drop
     ],
 )
+@pytest.mark.parametrize("read", [syb_signed_descent_set, syb_transpose])
 def test_a_reader_rejects_a_filling_that_is_not_standard(read, filling):
     with pytest.raises(ValueError):
         read(filling)
 
 
-def test_the_set_readers_accept_exactly_the_standard_fillings():
-    # 1..n in every order, cut into rows of every composition of n and
-    # the rows split between the parts at every point
+def _fillings_cut_into_rows(n_max):
+    """(n, q) for 1..n in every order, n < n_max, cut into rows of every
+    composition of n and the rows split between the parts at every point."""
+
     def compositions(n):
         if n == 0:
             yield ()
@@ -383,41 +400,65 @@ def test_the_set_readers_accept_exactly_the_standard_fillings():
             for rest in compositions(n - first):
                 yield (first, *rest)
 
-    def reading(read, filling, n):
-        try:
-            return unpack_descents(read(filling), n)
-        except ValueError:
-            return None
-
-    for n in range(0, 6):
+    for n in range(n_max):
         for order in permutations(range(1, n + 1)):
             for lengths in compositions(n):
                 ends = list(accumulate(lengths))
                 rows = tuple(order[end - length : end] for end, length in zip(ends, lengths))
                 for split in range(len(rows) + 1):
-                    q = (rows[:split], rows[split:])
-                    expected = None
-                    if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
-                        expected = bitableau_descent_set_by_definition(q)
-                    assert reading(syb_signed_descent_set, q, n) == expected, q
-                    if not q[1]:
-                        assert reading(syt_descent_set, rows, n) == expected, rows
+                    yield n, (rows[:split], rows[split:])
+
+
+def test_the_set_readers_accept_exactly_the_standard_fillings():
+    def reading(filling, n):
+        try:
+            return unpack_descents(syb_signed_descent_set(filling), n)
+        except ValueError:
+            return None
+
+    for n, q in _fillings_cut_into_rows(6):
+        expected = None
+        if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
+            expected = bitableau_descent_set_by_definition(q)
+        assert reading(q, n) == expected, q
+
+
+def test_the_transpose_accepts_exactly_the_standard_fillings():
+    # the transpose refuses a filling as the reader does, with its text
+    def assert_refused(q):
+        with pytest.raises(ValueError) as refused:
+            syb_transpose(q)
+        with pytest.raises(ValueError) as read:
+            syb_signed_descent_set(q)
+        assert str(refused.value) == str(read.value), q
+
+    for _, q in _fillings_cut_into_rows(6):
+        if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
+            assert syb_transpose(q) == (transpose_by_columns(q[1]), transpose_by_columns(q[0])), q
+        else:
+            assert_refused(q)
+    # rows that increase, but entries that are not 1..n
+    assert_refused((((0, 1),), ()))
+    assert_refused(((), ((1, 3),)))
 
 
 def test_syb_des_b_examples():
-    assert syb_des_b((((1, 2, 3),), ())) == 0
-    assert syb_des_b((((1,),), ((2,),))) == 1
-    assert syb_des_b(([(1,)], [(2,)])) == 1
+    assert _des_b(syb_signed_descent_set((((1, 2, 3),), ())), 3) == 0
+    assert _des_b(syb_signed_descent_set((((1,),), ((2,),))), 2) == 1
+    assert _des_b(syb_signed_descent_set(([(1,)], [(2,)])), 2) == 1
     for n in range(1, 6):
         column = tuple((i,) for i in range(1, n + 1))
-        assert syb_des_b(((), column)) == n
+        assert _des_b(syb_signed_descent_set(((), column)), n) == n
 
 
 def test_syb_des_b_counts_the_signed_descent_set():
+    # the transpose sweep counts des_B as the steps up a row word, whose
+    # entry 0 is the split less one
     for n in range(0, 8):
         for q in enumerate_all_syb(n):
+            row, _ = checks._transpose_words(*q, n)
             positions, signs = unpack_descents(syb_signed_descent_set(q), n)
-            assert syb_des_b(q) == len(positions) + (signs[:1] == (-1,)), q
+            assert sum(map(lt, row, row[1:])) == len(positions) + (signs[:1] == (-1,)), q
 
 
 def test_the_readers_match_the_descent_set_by_definition():
@@ -427,13 +468,11 @@ def test_the_readers_match_the_descent_set_by_definition():
         for q in enumerate_all_syb(n):
             positions, signs = bitableau_descent_set_by_definition(q)
             assert unpack_descents(syb_signed_descent_set(q), n) == (positions, signs), q
-            assert syb_des_b(q) == len(positions) + (signs[:1] == (-1,)), q
     for n in range(0, 10):
         for q in enumerate_all_syt(n):
             positions, signs = bitableau_descent_set_by_definition((q, ()))
             assert signs == (1,) * n
-            assert unpack_descents(syt_descent_set(q), n) == (positions, signs), q
-            assert syb_des_b((q, ())) == len(positions), q
+            assert unpack_descents(syb_signed_descent_set((q, ())), n) == (positions, signs), q
 
 
 def test_the_transpose_sweep_builds_no_descent_set(monkeypatch):
@@ -442,8 +481,7 @@ def test_the_transpose_sweep_builds_no_descent_set(monkeypatch):
         raise AssertionError("a descent set was built")
 
     for module in (tableaux, checks):
-        for name in ("syt_descent_set", "syb_signed_descent_set"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(module, "syb_signed_descent_set", refuse, raising=False)
     assert checks.verify_transpose_complement(6, 7).ok
 
 
@@ -451,7 +489,7 @@ def test_syb_transpose_examples():
     q = (((1, 2),), ())
     t = syb_transpose(q)
     assert t == ((), ((1,), (2,)))
-    assert syb_des_b(q) == 0 and syb_des_b(t) == 2
+    assert _des_b(syb_signed_descent_set(q), 2) == 0 and _des_b(syb_signed_descent_set(t), 2) == 2
     assert syb_transpose(t) == q
     # n=1: the two bitableaux swap, matching the 1+x distribution
     assert syb_transpose((((1,),), ())) == ((), ((1,),))
@@ -463,7 +501,7 @@ def test_syb_transpose_complements_des_b():
         for q in enumerate_all_syb(n):
             t = syb_transpose(q)
             images.add(t)
-            assert syb_des_b(t) == n - syb_des_b(q)
+            assert _des_b(syb_signed_descent_set(t), n) == n - _des_b(syb_signed_descent_set(q), n)
         assert len(images) == signed_telephone_number(n)
 
 
@@ -474,5 +512,5 @@ def test_descent_multisets_match_involutions():
         assert signed_perm_side == bitableau_side, n
     for n in range(0, 8):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
-        tableau_side = Counter(syt_descent_set(q) for q in enumerate_all_syt(n))
+        tableau_side = Counter(syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n))
         assert perm_side == tableau_side, n
