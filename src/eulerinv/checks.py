@@ -12,8 +12,8 @@ repeats an earlier one as a violation, since transposition must be a
 bijection, and its failure names the first violating object.  It builds no
 transpose: one pass over an object's rows fills its row word and its
 transpose's, the descent numbers are counted on the words, the image is
-keyed by its word with its split, and transposing twice is checked by
-reading the transpose back off the image word alone.
+kept as the bytes of its word, an exact key, and transposing twice is
+checked by reading the transpose back off the image word alone.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -200,21 +200,21 @@ def _transpose_words(plus: Tableau, minus: Tableau, n: int) -> tuple[list[int], 
     """The row words of the bitableau (plus, minus) and of its transpose,
     filled in one pass over its rows.
 
-    word[e] is the row of entry e, the rows of plus numbered from 0 and
-    those of minus from len(plus), as the walk numbers them, and word[0] is
-    that split less one, so a word fixes its bitableau.  word[0] plays the
-    leading 0 of a window: entry 1 is the corner of its part, in row 0 when
-    positive and in row len(plus) when negative, so the step from word[0]
-    climbs exactly when the first sign is negative, and
-    sum(map(lt, word, word[1:])) is the des_B of the bitableau.  The transpose
-    is (minus', plus'), whose rows are columns: an entry of minus goes to
-    the row of its column, an entry of plus to len(minus[0]) plus its
-    column, and len(minus[0]) is the transpose's split."""
+    word[e] is the row of entry e, the rows of plus numbered from 1 and
+    those of minus from len(plus) + 1, and word[0] is the split len(plus),
+    so a word fixes its bitableau and each entry lies in 0..n.  word[0]
+    plays the leading 0 of a window: entry 1 is the corner of its part, in
+    row 1 when positive and in row len(plus) + 1 when negative, so the step
+    from word[0] climbs exactly when the first sign is negative, and
+    sum(map(lt, word, word[1:])) is the des_B of the bitableau.  The
+    transpose is (minus', plus'), whose rows are columns: an entry of minus
+    goes to the row of its column, counted from 1, an entry of plus to
+    len(minus[0]) plus that, and len(minus[0]) is the transpose's split."""
     split = len(minus[0]) if minus else 0
-    row = [len(plus) - 1] * (n + 1)
-    image = [split - 1] * (n + 1)
-    r = 0
-    for offset, part in ((split, plus), (0, minus)):
+    row = [len(plus)] * (n + 1)
+    image = [split] * (n + 1)
+    r = 1
+    for offset, part in ((split + 1, plus), (1, minus)):
         for entries in part:
             for column, e in enumerate(entries, offset):
                 row[e] = r
@@ -227,24 +227,19 @@ def _back_transpose(image: list[int]) -> list[int]:
     """The row word of the transpose of the bitableau whose row word is
     image, read from that word alone.
 
-    A row takes its entries in increasing order, so the number of entries
-    a row has taken before e is the column of e.  The image's minus part
-    starts at row image[0] + 1; the length of its first row is the split of
-    the transpose and the offset of the entries of the image's plus part."""
-    split = image[0] + 1
-    columns = image.count(split)
-    taken = [columns] * split + [0] * (len(image) - split)
-    back = [columns - 1]
+    A row takes its entries in increasing order, so one plus the number of
+    entries a row has taken before e is the column of e.  The image's minus
+    part starts at row image[0] + 1; the length of its first row is the
+    split of the transpose and the offset of the entries of the image's
+    plus part."""
+    split = image[0]
+    columns = image.count(split + 1)
+    taken = [columns + 1] * (split + 1) + [1] * (len(image) - split - 1)
+    back = [columns]
     for r in islice(image, 1, None):
         back.append(taken[r])
         taken[r] += 1
     return back
-
-
-def _image_key(image: list[int]) -> tuple[int, ...]:
-    """What the transpose sweep hashes and compares an image by: its row
-    word, whose entry 0 carries its split."""
-    return tuple(image)
 
 
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
@@ -259,18 +254,15 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     No transpose is built.  One pass over each object's rows fills its row
     word and its transpose's (_transpose_words), and both descent numbers
     are counted on the words: des_B is the number of i with
-    word[i] < word[i + 1], where word[0], the split less one, is smaller
-    than word[1] exactly when entry 1 is negative.  A tableau q is read as
-    the bitableau ((), q): its des_B is des(q) + 1 from n = 1 on and its
-    transpose is (q', ()), so n - des_B is the rule for both walks.  Transposing twice is checked on
-    the image word alone: _back_transpose reads the transpose's transpose
-    from it, which must be the object's own word.
-
-    Only the hash of each image's key, its word with the split in entry 0,
-    is kept.  A hash seen before is confirmed by walking the earlier objects
-    again and comparing their keys with this one, so a collision costs
-    time, never a false violation, and a repeat is counted exactly when the
-    transpose itself repeats."""
+    word[i] < word[i + 1], where word[0], the split, is smaller than
+    word[1] exactly when entry 1 is negative.  A tableau q is read as the
+    bitableau ((), q): its des_B is des(q) + 1 from n = 1 on and its
+    transpose is (q', ()), so n - des_B is the rule for both walks.
+    Transposing twice is checked on the image word alone: _back_transpose
+    reads the transpose's transpose from it, which must be the object's
+    own word.  Each image is kept as bytes(image), which the word, its
+    entries all in 0..n, fixes exactly, so a repeat is counted exactly when
+    the transpose repeats, and each size is walked once."""
     report = Report()
     families = (
         ("transpose-signed", signed_n_max, enumerate_all_syb, lambda q: q, "bitableaux"),
@@ -278,23 +270,18 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     )
     for check, n_max, walk, as_bitableau, noun in families:
         for n in range(n_max + 1):
-            hashes = set()
+            seen = set()
             total = bad = 0
             for q in walk(n):
                 row, image = _transpose_words(*as_bitableau(q), n)
-                key = _image_key(image)
-                h = hash(key)
-                repeat = h in hashes and any(
-                    _image_key(_transpose_words(*as_bitableau(p), n)[1]) == key
-                    for p in islice(walk(n), total)
-                )
+                key = bytes(image)
                 total += 1
                 complement = sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) == n
-                if not complement or _back_transpose(image) != row or repeat:
+                if not complement or _back_transpose(image) != row or key in seen:
                     bad += 1
                     if bad == 1:
                         first = q
-                hashes.add(h)
+                seen.add(key)
             rhs = f"{bad} violations" + (f", first {first}" if bad else "")
             report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
     return report
@@ -447,8 +434,12 @@ def check_guo_zeng_lemma(
     nonnegative weighted sum.
 
     Instances are built so the hypothesis holds by construction, which keeps
-    every trial productive.
+    every trial productive.  Each of trials, length_max and seed must be an
+    int, not a bool, or ValueError is raised.
     """
+    for name, value in (("trials", trials), ("length_max", length_max), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"guo-zeng-lemma needs an int {name}, got {value!r}")
     if trials < 1 or length_max < 1:
         raise ValueError(
             "guo-zeng-lemma needs trials and length_max of at least 1, "

@@ -35,10 +35,11 @@ builds no tableau and no tuple.
 A finished object, as the enumerators yield it without `descents`, has
 one reader, syb_signed_descent_set, which sets the same bits in one pass
 over the list of each entry's row that _row_of builds, and one map,
-syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject
-entries other than 1..n each once, and rows, columns and shapes that are
-not standard.  Nothing here calls the window-side descent functions, so
-the two sides of the bijection share only the layout.
+syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject,
+through _check_standard, anything but a (plus, minus) pair, rows, columns
+and shapes that are not standard, and entries other than 1..n each once.
+Nothing here calls the window-side descent functions, so the two sides of
+the bijection share only the layout.
 """
 from __future__ import annotations
 
@@ -251,15 +252,11 @@ def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | in
 
 
 def _row_of(bitableau: Bitableau) -> list[int]:
-    """row_of[e] for each entry e of a bitableau: the index of its row
-    among the rows of plus and then those of minus, counted from 0, as the
-    walk numbers them.  row_of[0] is 0.  Raises ValueError unless the
-    entries are 1..n, each once; the order of the rows is not checked."""
+    """row_of[e] for each entry e of a bitableau that _check_standard has
+    passed: the index of its row among the rows of plus and then those of
+    minus, counted from 0, as the walk numbers them.  row_of[0] is 0."""
     rows = (*bitableau[0], *bitableau[1])
-    entries = sorted(chain(*rows))
-    if entries != list(range(1, len(entries) + 1)):
-        raise ValueError(f"a standard filling holds 1..n, each once, got {bitableau}")
-    row_of = [0] * (len(entries) + 1)
+    row_of = [0] * (sum(map(len, rows)) + 1)
     for r, row in enumerate(rows[1:], 1):  # the first row keeps row 0
         for entry in row:
             row_of[entry] = r
@@ -267,13 +264,19 @@ def _row_of(bitableau: Bitableau) -> list[int]:
 
 
 def _check_standard(bitableau: Bitableau) -> None:
-    """Raise ValueError unless each part has a partition for its shape and
-    rows and columns that increase; _row_of checks the entries."""
+    """Raise ValueError unless bitableau is a (plus, minus) pair, each part
+    has a partition for its shape and rows and columns that increase, and
+    the entries are 1..n, each once, checked in that order."""
+    if len(bitableau) != 2:
+        raise ValueError(f"a bitableau is a (plus, minus) pair of tableaux, got {bitableau}")
     for part in bitableau:
         validate_shape(tuple(map(len, part)))
         rows_ok = all(all(map(lt, row, row[1:])) for row in part)
         if not (rows_ok and all(all(map(lt, a, b)) for a, b in zip(part, part[1:]))):
             raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
+    entries = sorted(chain(*bitableau[0], *bitableau[1]))
+    if entries != list(range(1, len(entries) + 1)):
+        raise ValueError(f"a standard filling holds 1..n, each once, got {bitableau}")
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> int:
@@ -307,7 +310,6 @@ def syb_transpose(bitableau: Bitableau) -> Bitableau:
     syb_signed_descent_set.  This is also the live name of the benchmark
     tracer's tableaux.transpose group."""
     _check_standard(bitableau)
-    _row_of(bitableau)
     plus, minus = bitableau
     # zip_longest pads the short columns with None, which filter drops;
     # entries are positive, so no entry is dropped with it

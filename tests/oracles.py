@@ -335,6 +335,15 @@ def is_standard_tableau(tableau):
     return True
 
 
+def is_standard_bitableau(bitableau):
+    """Two parts, each a standard tableau, whose entries together are
+    1..n, each once."""
+    if len(bitableau) != 2 or not all(map(is_standard_tableau, bitableau)):
+        return False
+    entries = sorted(e for part in bitableau for row in part for e in row)
+    return entries == list(range(1, len(entries) + 1))
+
+
 def telephone_number(n):
     """Involutions of the symmetric group, by the classic recurrence."""
     a, b = 1, 1

@@ -409,20 +409,6 @@ def test_the_signed_schur_sweep_walks_each_bipartition_once(monkeypatch):
     ]
 
 
-class _Colliding(tuple):
-    """A tuple whose hash is the same whatever it holds."""
-
-    def __hash__(self):
-        return 0
-
-
-def _collide_transposes(monkeypatch):
-    """Make every image of the transpose sweep hash alike, so that each image
-    after the first of its size is checked against the earlier ones again."""
-    original = checks._image_key
-    monkeypatch.setattr(checks, "_image_key", lambda image: _Colliding(original(image)))
-
-
 def _record_walks(monkeypatch):
     """Record the size of every call of the two tableau walks of checks."""
     calls = {}
@@ -438,31 +424,32 @@ def _record_walks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "walk, check, first",
-    [
-        ("enumerate_all_syb", "transpose-signed", "((), ((1, 2, 3),))"),
-        ("enumerate_all_syt", "transpose-unsigned", "((1, 2, 3),)"),
-    ],
-)
-def test_transpose_confirms_a_hash_collision_by_walking_again(monkeypatch, walk, check, first):
-    # with every hash alike, each later object takes one walk over those before it,
-    # and only a true repeat counts as a violation
-    objects = [sum(1 for _ in getattr(checks, walk)(n)) for n in range(5)]
-    _collide_transposes(monkeypatch)
+def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
+    # every object of size n gets the words of the first object of that size
+    # the sweep reads: each passes both per-object tests, every one after the
+    # first repeats its image, and still no size is walked twice
+    words = checks._transpose_words
+    first_words = {}
+    monkeypatch.setattr(
+        checks,
+        "_transpose_words",
+        lambda plus, minus, n: first_words.setdefault(n, words(plus, minus, n)),
+    )
     calls = _record_walks(monkeypatch)
-    report = checks.verify_transpose_complement(4, 4)
-    assert len(report) == 10 and all(r.status == "pass" for r in report)
-    assert [calls[walk].count(n) for n in range(5)] == objects
-    _repeat_first(monkeypatch, walk, 3)
-    report = checks.verify_transpose_complement(4, 4)
-    assert [(r.check, r.params) for r in report.failures] == [(check, (("n", 3),))]
-    assert report.failures[0].rhs == f"1 violations, first {first}"
+    report = checks.verify_transpose_complement(5, 5)
+    assert calls == {"enumerate_all_syb": list(range(6)), "enumerate_all_syt": list(range(6))}
+    expected = []
+    for walk in (enumerate_all_syb, enumerate_all_syt):
+        for n in range(6):
+            objects = list(walk(n))
+            repeats = len(objects) - 1
+            expected.append(f"{repeats} violations" + (f", first {objects[1]}" if repeats else ""))
+    assert [r.rhs for r in report] == expected
 
 
 def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
-    # no two images share a hash here, so no walk is repeated and the traced
-    # object counts are those of one walk per size
+    # each size is walked once, so the traced object counts are those of one
+    # walk per size
     calls = _record_walks(monkeypatch)
     assert checks.verify_transpose_complement().ok
     signed_n_max, unsigned_n_max = checks.verify_transpose_complement.__defaults__
@@ -474,7 +461,8 @@ def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
 
 def test_transpose_sweep_keeps_a_hash_not_an_image():
     # kept as tuples, the 6,512 images of size 7 alone take over 2 MB (3.3 MB at
-    # the peak); their hashes and the walk take 1 to 1.5 MB
+    # the peak); their keys, the bytes of their words, and the walk take 1 to
+    # 1.5 MB
     tracemalloc.start()
     try:
         assert checks.verify_transpose_complement(7, 7).ok
@@ -501,14 +489,14 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
 
 def test_the_transpose_words_are_those_of_the_built_transposes():
     # a tableau q is read as ((), q), and its transpose is (q', ()); each
-    # word's entry 0 is its split less one
+    # word numbers rows from 1, and its entry 0 is its split
     for n in range(8):
         pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
         pairs += [(((), q), (transpose_by_columns(q), ())) for q in enumerate_all_syt(n)]
         for q, t in pairs:
             row, image = checks._transpose_words(*q, n)
-            assert row == [len(q[0]) - 1, *_row_of(q)[1:]], q
-            assert image == [len(t[0]) - 1, *_row_of(t)[1:]], q
+            assert row == [len(q[0]), *(r + 1 for r in _row_of(q)[1:])], q
+            assert image == [len(t[0]), *(r + 1 for r in _row_of(t)[1:])], q
             # the transpose of the transpose, read off the image word alone
             assert checks._back_transpose(image) == row, q
 
@@ -653,3 +641,22 @@ def test_lemma_instances_of_the_default_run_match_randint_oracle():
 def test_guo_zeng_lemma_rejects_empty_sweeps(trials, length_max):
     with pytest.raises(ValueError, match="at least 1"):
         checks.check_guo_zeng_lemma(trials, length_max)
+
+
+@pytest.mark.parametrize(
+    "arguments, text",
+    [
+        ({"trials": True}, "guo-zeng-lemma needs an int trials, got True"),
+        ({"trials": 10.0}, "guo-zeng-lemma needs an int trials, got 10.0"),
+        ({"length_max": 2.0}, "guo-zeng-lemma needs an int length_max, got 2.0"),
+        ({"length_max": False}, "guo-zeng-lemma needs an int length_max, got False"),
+        ({"seed": 1.5}, "guo-zeng-lemma needs an int seed, got 1.5"),
+        ({"seed": "5"}, "guo-zeng-lemma needs an int seed, got '5'"),
+        ({"trials": 0}, "guo-zeng-lemma needs trials and length_max of at least 1, got 0 and 8"),
+        ({"seed": -1}, "guo-zeng-lemma needs a nonnegative seed, got -1"),
+    ],
+)
+def test_guo_zeng_lemma_rejects_arguments_that_are_not_ints(arguments, text):
+    with pytest.raises(ValueError) as refused:
+        checks.check_guo_zeng_lemma(**arguments)
+    assert str(refused.value) == text

@@ -31,6 +31,7 @@ from oracles import (
     bitableau_descent_set_by_definition,
     bitableaux_by_pairing,
     bitableaux_by_placing,
+    is_standard_bitableau,
     is_standard_tableau,
     signed_telephone_number,
     standard_fillings_by_filtering,
@@ -418,7 +419,7 @@ def test_the_set_readers_accept_exactly_the_standard_fillings():
 
     for n, q in _fillings_cut_into_rows(6):
         expected = None
-        if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
+        if is_standard_bitableau(q):
             expected = bitableau_descent_set_by_definition(q)
         assert reading(q, n) == expected, q
 
@@ -433,13 +434,30 @@ def test_the_transpose_accepts_exactly_the_standard_fillings():
         assert str(refused.value) == str(read.value), q
 
     for _, q in _fillings_cut_into_rows(6):
-        if is_standard_tableau(q[0]) and is_standard_tableau(q[1]):
+        if is_standard_bitableau(q):
             assert syb_transpose(q) == (transpose_by_columns(q[1]), transpose_by_columns(q[0])), q
         else:
             assert_refused(q)
     # rows that increase, but entries that are not 1..n
     assert_refused((((0, 1),), ()))
     assert_refused(((), ((1, 3),)))
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [
+        ((((0, 1),), ()), "a standard filling holds 1..n"),  # a 0
+        ((((1,), (2,)), ((2,),)), "a standard filling holds 1..n"),  # a repeated entry
+        ((((1, 2),), ((4,),)), "a standard filling holds 1..n"),  # a gap
+        ((((1,),), (), ((2,),)), "a bitableau is a \\(plus, minus\\) pair"),  # three parts
+        ((((1,),),), "a bitableau is a \\(plus, minus\\) pair"),  # one part
+    ],
+)
+def test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau(q, text):
+    assert not is_standard_bitableau(q)
+    for function in (syb_signed_descent_set, syb_transpose):
+        with pytest.raises(ValueError, match=text):
+            function(q)
 
 
 def test_syb_des_b_examples():
@@ -453,7 +471,7 @@ def test_syb_des_b_examples():
 
 def test_syb_des_b_counts_the_signed_descent_set():
     # the transpose sweep counts des_B as the steps up a row word, whose
-    # entry 0 is the split less one
+    # rows are numbered from 1 and whose entry 0 is the split
     for n in range(0, 8):
         for q in enumerate_all_syb(n):
             row, _ = checks._transpose_words(*q, n)
