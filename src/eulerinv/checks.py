@@ -7,13 +7,14 @@ independently computed sides of an identity and emits one record per
 checked case, in deterministic (n, k) order, handing the report its values
 (integers, rows, gamma vectors) as they are.  Hard identities get pass/fail
 records; open questions and known print discrepancies get note records that
-never fail a run.  The transpose sweep counts a (bi)tableau whose transpose
-repeats an earlier one as a violation, since transposition must be a
+never fail a run.  The transpose sweep checks that transposition is a
 bijection, and its failure names the first violating object.  It builds no
-transpose: one pass over an object's rows fills its row word and its
-transpose's, the descent numbers are counted on the words, the image is
-kept as the bytes of its word, an exact key, and transposing twice is
-checked by reading the transpose back off the image word alone.
+transpose and keeps no set: one pass over an object's rows fills its row
+word and its transpose's, plus rows numbered from 1 and minus rows from
+n + 1 in both, the descent numbers are counted on the words, and
+transposing twice is checked by reading the transpose back off the image
+word alone.  Each all-shapes walk yields its objects in strictly rising
+order of their row words, so a repeat is a word not above the one before.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -201,25 +202,22 @@ def _transpose_words(plus: Tableau, minus: Tableau, n: int) -> tuple[list[int], 
     filled in one pass over its rows.
 
     word[e] is the row of entry e, the rows of plus numbered from 1 and
-    those of minus from len(plus) + 1, and word[0] is the split len(plus),
-    so a word fixes its bitableau and each entry lies in 0..n.  word[0]
-    plays the leading 0 of a window: entry 1 is the corner of its part, in
-    row 1 when positive and in row len(plus) + 1 when negative, so the step
-    from word[0] climbs exactly when the first sign is negative, and
-    sum(map(lt, word, word[1:])) is the des_B of the bitableau.  The
-    transpose is (minus', plus'), whose rows are columns: an entry of minus
-    goes to the row of its column, counted from 1, an entry of plus to
-    len(minus[0]) plus that, and len(minus[0]) is the transpose's split."""
-    split = len(minus[0]) if minus else 0
-    row = [len(plus)] * (n + 1)
-    image = [split] * (n + 1)
-    r = 1
-    for offset, part in ((split + 1, plus), (1, minus)):
-        for entries in part:
+    those of minus from n + 1, and word[0] is n, so a word fixes its
+    bitableau and word[1:] is one more than the rows the lattice walk of
+    enumerate_all_syb chooses.  word[0] plays the leading 0 of a window:
+    entry 1 is the corner of its part, in row 1 when positive and in row
+    n + 1 when negative, so the step from word[0] climbs exactly when the
+    first sign is negative, and sum(map(lt, word, word[1:])) is the des_B of
+    the bitableau.  The transpose is (minus', plus'), whose rows are
+    columns: an entry of minus goes to the row of its column, counted from
+    1, an entry of plus to n plus that."""
+    row = [n] * (n + 1)
+    image = [n] * (n + 1)
+    for first, offset, part in ((1, n + 1, plus), (n + 1, 1, minus)):
+        for r, entries in enumerate(part, first):
             for column, e in enumerate(entries, offset):
                 row[e] = r
                 image[e] = column
-            r += 1
     return row, image
 
 
@@ -228,14 +226,11 @@ def _back_transpose(image: list[int]) -> list[int]:
     image, read from that word alone.
 
     A row takes its entries in increasing order, so one plus the number of
-    entries a row has taken before e is the column of e.  The image's minus
-    part starts at row image[0] + 1; the length of its first row is the
-    split of the transpose and the offset of the entries of the image's
-    plus part."""
-    split = image[0]
-    columns = image.count(split + 1)
-    taken = [columns + 1] * (split + 1) + [1] * (len(image) - split - 1)
-    back = [columns]
+    entries a row has taken before e is the column of e; an entry in a row
+    of plus, 1..n, lands n rows further down."""
+    n = image[0]
+    taken = [n + 1] * (n + 1) + [1] * n
+    back = [n]
     for r in islice(image, 1, None):
         back.append(taken[r])
         taken[r] += 1
@@ -248,21 +243,26 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
 
     One record per n.  An object violates the rule when its transpose's
     descent number is not the complement of its own, when transposing twice
-    does not give it back, or when its transpose repeats an earlier one.  A
-    failure names the first violating object in walk order.
+    does not give it back, or when its row word does not exceed the
+    previous object's.  A failure names the first violating object in walk
+    order.
 
     No transpose is built.  One pass over each object's rows fills its row
     word and its transpose's (_transpose_words), and both descent numbers
     are counted on the words: des_B is the number of i with
-    word[i] < word[i + 1], where word[0], the split, is smaller than
-    word[1] exactly when entry 1 is negative.  A tableau q is read as the
-    bitableau ((), q): its des_B is des(q) + 1 from n = 1 on and its
-    transpose is (q', ()), so n - des_B is the rule for both walks.
-    Transposing twice is checked on the image word alone: _back_transpose
-    reads the transpose's transpose from it, which must be the object's
-    own word.  Each image is kept as bytes(image), which the word, its
-    entries all in 0..n, fixes exactly, so a repeat is counted exactly when
-    the transpose repeats, and each size is walked once."""
+    word[i] < word[i + 1], where word[0], n, is smaller than word[1]
+    exactly when entry 1 is negative.  A tableau q is read as the bitableau
+    ((), q): its des_B is des(q) + 1 from n = 1 on and its transpose is
+    (q', ()), so n - des_B is the rule for both walks.  Transposing twice is
+    checked on the image word alone: _back_transpose reads the transpose's
+    transpose from it, which must be the object's own word.
+
+    The walk of each size yields its objects in strictly increasing
+    lexicographic order of their row words, so a word that is not above
+    the one before, a repeated object or two objects with one word, is a
+    violation, and the sweep keeps only the previous word.  Distinct words
+    and a transpose that transposes back make the map injective: two
+    objects with one image would have one word.  Each size is walked once."""
     report = Report()
     families = (
         ("transpose-signed", signed_n_max, enumerate_all_syb, lambda q: q, "bitableaux"),
@@ -270,18 +270,17 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     )
     for check, n_max, walk, as_bitableau, noun in families:
         for n in range(n_max + 1):
-            seen = set()
+            previous = []
             total = bad = 0
             for q in walk(n):
                 row, image = _transpose_words(*as_bitableau(q), n)
-                key = bytes(image)
                 total += 1
                 complement = sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) == n
-                if not complement or _back_transpose(image) != row or key in seen:
+                if not complement or _back_transpose(image) != row or row <= previous:
                     bad += 1
                     if bad == 1:
                         first = q
-                seen.add(key)
+                previous = row
             rhs = f"{bad} violations" + (f", first {first}" if bad else "")
             report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
     return report

@@ -156,8 +156,10 @@ def gamma_vector(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
 
     Works from the bottom coefficient up: gamma_i is whatever coefficient of
     x^i the previous subtractions left behind.  Entries may be negative;
-    asymmetric input is rejected.
+    asymmetric input is rejected, and so is an n that is not a nonnegative
+    int, a bool among them.
     """
+    _check_nonnegative(n, "n")
     if not is_symmetric(coeffs, n):
         raise ValueError(f"polynomial {coeffs!r} is not symmetric with doubled center {n}")
     residual = list(coeffs) + [0] * (n + 1 - len(coeffs))
@@ -177,7 +179,9 @@ def gamma_vector(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def gamma_reconstruct(gammas: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Rebuild sum_i gammas[i] x^i (1+x)^(n-2i), where n is twice the center
-    of symmetry; the result has no trailing zero."""
+    of symmetry; the result has no trailing zero.  An n that is not a
+    nonnegative int, a bool among them, raises ValueError."""
+    _check_nonnegative(n, "n")
     if 2 * (len(gammas) - 1) > n:
         raise ValueError(
             f"{len(gammas)} gamma entries need a doubled center of at least "

@@ -7,25 +7,35 @@ tableaux whose entries partition 1..n.
 A standard bitableau of shape (plus, minus) is a standard filling of plus
 and minus side by side: the rows of plus, then the rows of minus, where the
 first row of minus starts a second part and so lies under no other row.
-One iterative walk in a single generator frame serves both enumerators.  It
-grows the shape one entry at a time, which enforces standardness by
+One iterative walk in a single generator frame serves every enumerator.
+It grows the shape one entry at a time, which enforces standardness by
 construction: entries 1..n are placed in turn, each in the top-most row
 that can take it next and then in each lower one, and the walk keeps the
 row chosen for each entry and yields when entry n is placed.  Which rows
 can take the next entry depends only on the cells filled so far, a
-sub-diagram of the shape, so each walk first builds a table of the shape:
-for each sub-diagram, the rows that can take an entry and the sub-diagram
-each move leads to.  The walk keeps no table after it ends; building one
-is a small share of a sweep's time.  A tableau is the walk over one part, a
-bitableau the walk over two, cut back into its parts.  Every walk yields
-each object once, in the order of the plain recursive walks that
-tests/oracles.py keeps as references.
+sub-diagram, so each walk first builds a table: for each sub-diagram of at
+most n cells, the rows that can take an entry and the sub-diagram each
+move leads to.  The walk keeps no table after it ends; building one is a
+small share of a sweep's time.  Without `descents` it yields each filling
+cut into its two parts, each part without its empty rows.
+
+A per-shape walk fills the rows of its shape: a tableau is the walk over
+one part, a bitableau the walk over two.  Each yields its objects once, in
+the order of the plain recursive walks that tests/oracles.py keeps as
+references.  An all-shapes walk is one walk over the lattice of every
+(bi)partition of n: n rows of up to n cells for tableaux, and for
+bitableaux n rows of plus and then n rows of minus, from row n on.  Its
+sub-diagrams of n cells are exactly the (bi)partitions of n, so it yields
+every object of size n once, with no loop over the shapes, in strictly
+increasing lexicographic order of the rows chosen for entries 1..n, shapes
+interleaved.  The transpose sweep of checks relies on that order.
 
 Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
-read off the row of each entry, and the walk and the reader number rows
-alike: the rows of plus from 0, then those of minus from len(plus).  So an
-entry is negative when its row is at least len(plus), a tableau is the
+read off the row of each entry.  Every walk numbers the rows of plus from
+0 and those of minus on from `second`, len(plus) in a per-shape walk and n
+in the lattice, and the reader numbers them as a per-shape walk does.  So
+an entry is negative when its row is at least `second`, a tableau is the
 bitableau with no minus part, no sign bit set, and as a +,- step always
 climbs and a -,+ step never does, one comparison of neighbours tests each
 i.  With `descents` set each enumerator yields each object's descent set in
@@ -36,8 +46,9 @@ A finished object, as the enumerators yield it without `descents`, has
 one reader, syb_signed_descent_set, which sets the same bits in one pass
 over the list of each entry's row that _row_of builds, and one map,
 syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject,
-through _check_standard, anything but a (plus, minus) pair, rows, columns
-and shapes that are not standard, and entries other than 1..n each once.
+through _check_standard, anything but a (plus, minus) pair of tuples or
+lists, entries that are not ints or are bools, rows, columns and shapes
+that are not standard, and entries other than 1..n each once.
 Nothing here calls the window-side descent functions, so the two sides of
 the bijection share only the layout.
 """
@@ -110,18 +121,19 @@ def _syt_count(shape: Shape) -> int:
 _Moves = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _moves(shape: Shape, second: int) -> _Moves:
-    """The table of the walk over the rows of shape, where the rows from
-    index `second` on form a second part: its first row is exempt from the
-    column rule against the row above.  The states are the sub-diagrams,
-    each a tuple of row lengths, numbered in the order a breadth-first
-    search from the empty one finds them, so state 0 is the empty filling."""
+def _moves(shape: Shape, second: int, size: int) -> _Moves:
+    """The table of the walk over the rows of shape up to `size` cells,
+    where the rows from index `second` on form a second part: its first row
+    is exempt from the column rule against the row above.  The states are
+    the sub-diagrams of at most `size` cells, each a tuple of row lengths,
+    numbered in the order a breadth-first search from the empty one finds
+    them, so state 0 is the empty filling; one of `size` cells has no move."""
     order = [(0,) * len(shape)]
     index = {order[0]: 0}
     moves = []
     for lengths in order:  # the search appends to order as it goes
         row_moves = []
-        for r, col in enumerate(lengths):
+        for r, col in enumerate(lengths if sum(lengths) < size else ()):
             # cells fill left to right, so only the column rule remains
             if col < shape[r] and (r == 0 or r == second or lengths[r - 1] > col):
                 grown = (*lengths[:r], col + 1, *lengths[r + 1 :])
@@ -133,35 +145,41 @@ def _moves(shape: Shape, second: int) -> _Moves:
     return tuple(moves)
 
 
-def _fillings(shape: Shape, second: int, descents: bool = False) -> Iterator[Tableau | int]:
-    """Every standard filling of the rows of shape, where the rows from
-    index `second` on form a second part, empty when `second` is the number
-    of rows: its first row is exempt from the column rule against the row
-    above.  Entries 1..n are placed in turn, each in the top-most row that
-    can take it next, then in each lower one.
+def _fillings(shape: Shape, second: int, n: int, descents: bool = False) -> Iterator[Bitableau | int]:
+    """Every standard filling of n entries of the rows of shape, where the
+    rows from index `second` on form a second part, empty when `second` is
+    the number of rows: its first row is exempt from the column rule
+    against the row above.  Entries 1..n are placed in turn, each in the
+    top-most row that can take it next, then in each lower one.
 
-    The walk steps through the shape's table of sub-diagrams, _moves, with
-    a stack of iterators over the moves still open to each entry placed,
-    and keeps the row it chose for each entry; it neither counts the cells
-    of a row nor scans the rows.
+    The walk steps through the table of sub-diagrams of at most n cells,
+    _moves, with a stack of iterators over the moves still open to each
+    entry placed, and keeps the row it chose for each entry; it neither
+    counts the cells of a row nor scans the rows.  So the fillings come in
+    strictly increasing lexicographic order of those rows.  Where shape
+    caps no row below n, as in the lattice of the all-shapes walks, the
+    sub-diagrams of n cells are every shape of n that the rows allow.
 
     With descents set, each filling's packed signed descent set takes its
     place, built as the entries are placed: entry e sets bit e - 1 when
     e - 1 is a descent, chosen[e - 1] < chosen[e], and bit n + e - 1 when
     its row lies in the second part.  masks[e] keeps the bits of entries
     1..e beside chosen[e].  Only without it are the rows kept, as lists of
-    their entries."""
-    n = sum(shape)
+    their entries, and each filling is yielded as the pair of its parts,
+    the rows before `second` and the rows from it, each without its empty
+    rows."""
     if n == 0:
-        yield 0 if descents else ()
+        yield 0 if descents else ((), ())
         return
     # chosen[e]: the row entry e went into; chosen[0] lies under every row,
     # so entry 1 never makes a descent and bit 0 stays clear
     chosen = [len(shape)] + [0] * n
     masks = [0] * (n + 1)
     bit = [1 << i for i in range(2 * n)]
-    moves = _moves(shape, second)
+    moves = _moves(shape, second, n)
     rows = None if descents else [[] for _ in shape]
+    # the rows of each part, sharing their lists with rows
+    plus, minus = (None, None) if descents else (rows[:second], rows[second:])
     stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
     entry = 1
     while True:
@@ -183,7 +201,7 @@ def _fillings(shape: Shape, second: int, descents: bool = False) -> Iterator[Tab
             if rows is None:
                 yield mask
             else:
-                yield tuple(map(tuple, rows))
+                yield tuple(map(tuple, filter(None, plus))), tuple(map(tuple, filter(None, minus)))
                 rows[r].pop()
         else:
             # no move left for this entry: move the previous one a row lower
@@ -203,16 +221,20 @@ def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | in
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
     # every row belongs to the first part, so every sign is +1: no sign bit is set
-    yield from _fillings(shape, len(shape), descents)
+    walk = _fillings(shape, len(shape), sum(shape), descents)
+    yield from walk if descents else (q for q, _ in walk)
 
 
 def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | int]:
-    """All standard Young tableaux with n entries, over every shape, or
-    their packed descent sets; there are as many as involutions of S_n, and
-    that count is held to the budget."""
+    """All standard Young tableaux with n entries, or their packed descent
+    sets, from one walk over the lattice of partitions of at most n: n rows
+    of up to n cells each.  Each comes once, in strictly increasing
+    lexicographic order of the rows chosen for entries 1..n, so shapes
+    interleave.  There are as many as involutions of S_n, and that count is
+    held to the budget."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
-    for shape in partitions(n):
-        yield from enumerate_syt(shape, descents)
+    walk = _fillings((n,) * n, n, n, descents)
+    yield from walk if descents else (q for q, _ in walk)
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -222,9 +244,9 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
 
     A bitableau is a standard filling of plus and minus side by side, so
     the walk of enumerate_syt serves here too: it fills the rows of plus
-    and then of minus, the first row of minus under no other, and each
-    filling is cut after the rows of plus.  Each entry is tried in the rows
-    of plus before those of minus, top-most first.  Their count
+    and then of minus, the first row of minus under no other, and yields
+    each filling cut after the rows of plus.  Each entry is tried in the
+    rows of plus before those of minus, top-most first.  Their count
     C(n, |plus|) f^plus f^minus is held to the budget.
     """
     plus_shape, minus_shape = shape
@@ -234,21 +256,19 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     n = k + sum(minus_shape)
     count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
-    split = len(plus_shape)
-    if descents:
-        yield from _fillings((*plus_shape, *minus_shape), split, True)
-        return
-    for rows in _fillings((*plus_shape, *minus_shape), split):
-        yield rows[:split], rows[split:]
+    yield from _fillings((*plus_shape, *minus_shape), len(plus_shape), n, descents)
 
 
 def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | int]:
-    """All standard Young bitableaux with n entries, over every bipartition,
-    or their packed signed descent sets; there are as many as involutions of
-    B_n, and that count is held to the budget."""
+    """All standard Young bitableaux with n entries, or their packed signed
+    descent sets, from one walk over the lattice of bipartitions of at most
+    n: n rows of plus, then n of minus, of up to n cells each.  Each comes
+    once, in strictly increasing lexicographic order of the rows chosen for
+    entries 1..n, rows of plus before rows of minus, so shapes interleave.
+    There are as many as involutions of B_n, and that count is held to the
+    budget."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
-    for shape in bipartitions(n):
-        yield from enumerate_syb(shape, descents)
+    yield from _fillings((n,) * (2 * n), n, n, descents)
 
 
 def _row_of(bitableau: Bitableau) -> list[int]:
@@ -264,18 +284,23 @@ def _row_of(bitableau: Bitableau) -> list[int]:
 
 
 def _check_standard(bitableau: Bitableau) -> None:
-    """Raise ValueError unless bitableau is a (plus, minus) pair, each part
-    has a partition for its shape and rows and columns that increase, and
-    the entries are 1..n, each once, checked in that order."""
-    if len(bitableau) != 2:
+    """Raise ValueError unless bitableau is a (plus, minus) pair, a tuple or
+    a list of two tuples or lists of rows, each row a tuple or a list; its
+    entries are ints, no bool among them; each part has a partition for its
+    shape and rows and columns that increase; and the entries are 1..n, each
+    once, checked in that order."""
+    pair = isinstance(bitableau, (tuple, list)) and len(bitableau) == 2
+    if not (pair and all(isinstance(x, (tuple, list)) for x in chain(bitableau, *bitableau))):
         raise ValueError(f"a bitableau is a (plus, minus) pair of tableaux, got {bitableau}")
+    entries = [*chain(*bitableau[0], *bitableau[1])]
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):
+        raise ValueError(f"a standard filling holds 1..n, each an int, got {bitableau}")
     for part in bitableau:
         validate_shape(tuple(map(len, part)))
         rows_ok = all(all(map(lt, row, row[1:])) for row in part)
         if not (rows_ok and all(all(map(lt, a, b)) for a, b in zip(part, part[1:]))):
             raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
-    entries = sorted(chain(*bitableau[0], *bitableau[1]))
-    if entries != list(range(1, len(entries) + 1)):
+    if sorted(entries) != list(range(1, len(entries) + 1)):
         raise ValueError(f"a standard filling holds 1..n, each once, got {bitableau}")
 
 

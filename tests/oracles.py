@@ -336,12 +336,19 @@ def is_standard_tableau(tableau):
 
 
 def is_standard_bitableau(bitableau):
-    """Two parts, each a standard tableau, whose entries together are
-    1..n, each once."""
-    if len(bitableau) != 2 or not all(map(is_standard_tableau, bitableau)):
+    """A tuple or list of two parts, each a tuple or list of rows that are
+    tuples or lists, and each a standard tableau, whose entries together
+    are 1..n, each once and each of type int."""
+    sequence = (tuple, list)
+    if not isinstance(bitableau, sequence) or len(bitableau) != 2:
+        return False
+    for part in bitableau:
+        if not isinstance(part, sequence) or not all(isinstance(row, sequence) for row in part):
+            return False
+    if not all(map(is_standard_tableau, bitableau)):
         return False
     entries = sorted(e for part in bitableau for row in part for e in row)
-    return entries == list(range(1, len(entries) + 1))
+    return all(type(e) is int for e in entries) and entries == list(range(1, len(entries) + 1))
 
 
 def telephone_number(n):

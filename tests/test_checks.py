@@ -1,17 +1,19 @@
 import tracemalloc
 from collections import Counter
 from math import comb
+from operator import lt
 
 import pytest
 
-from eulerinv import checks, qsym
+from eulerinv import checks, qsym, reference
+from eulerinv.distributions import DES_COXETER
 from eulerinv.permutations import (
     BudgetExceededError,
     enumerate_involutions,
     enumerate_signed_involutions,
     enumeration_budget,
 )
-from eulerinv.reports import CheckRecord, Report
+from eulerinv.reports import CheckRecord, Report, int_list
 from eulerinv.tableaux import (
     _row_of,
     bipartitions,
@@ -25,6 +27,7 @@ from oracles import (
     bitableaux_by_pairing,
     guo_zeng_counterexample_search,
     guo_zeng_instances_by_randint,
+    r_by_recurrence,
     signed_descent_set_by_definition,
     signed_telephone_number,
     standard_fillings_by_filtering,
@@ -246,8 +249,8 @@ def _repeat_first(monkeypatch, walk, n):
 
 def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
     passing = checks.verify_descent_multiset_bijection(3, 2)
-    # the first bitableau of size 2 is ((), ((1, 2),)): no descent, both signs negative
-    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {0})
+    # the fifth bitableau of size 2 is ((), ((1, 2),)): no descent, both signs negative
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {4})
     report = checks.verify_descent_multiset_bijection(3, 2)
     assert [r.status for r in report] == ["pass", "pass", "fail", "pass", "pass", "pass", "pass"]
     failure = report.failures[0]
@@ -261,15 +264,15 @@ def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
 
 def test_descent_multiset_failure_reports_the_smallest_set_in_sorted_order(monkeypatch):
     # drop ((), ((1,), (2,))) with Des={1} signs=-- and (((2,),), ((1,),)) with Des={} signs=-+
-    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {1, 3})
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {3, 5})
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.lhs == "6 involutions, 1 with Des={} signs=-+"
     assert failure.rhs == "4 bitableaux, 0 with Des={} signs=-+"
 
 
 def test_signed_descent_multiset_failure_names_an_all_plus_set_without_signs(monkeypatch):
-    # the fifth bitableau of size 2 is (((1, 2),), ()): no descent, both signs plus
-    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {4})
+    # the first bitableau of size 2 is (((1, 2),), ()): no descent, both signs plus
+    _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {0})
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.params == (("n", 2),)
     assert failure.lhs == "6 involutions, 1 with Des={}"
@@ -327,13 +330,13 @@ def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpac
 @pytest.mark.parametrize(
     "walk, check, first",
     [
-        ("enumerate_all_syb", "transpose-signed", "((), ((1, 2, 3),))"),
+        ("enumerate_all_syb", "transpose-signed", "(((1, 2, 3),), ())"),
         ("enumerate_all_syt", "transpose-unsigned", "((1, 2, 3),)"),
     ],
 )
 def test_transpose_fails_when_the_walk_repeats_a_tableau(monkeypatch, walk, check, first):
-    # the repeat passes both per-object tests; its repeated transpose is the one
-    # violation, and the record names the repeated object
+    # the repeat passes both per-object tests; its word, equal to the one before,
+    # is the one violation, and the record names the repeated object
     _repeat_first(monkeypatch, walk, 3)
     report = checks.verify_transpose_complement(4, 4)
     failures = [(r.check, r.params) for r in report.failures]
@@ -427,7 +430,7 @@ def _record_walks(monkeypatch):
 def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
     # every object of size n gets the words of the first object of that size
     # the sweep reads: each passes both per-object tests, every one after the
-    # first repeats its image, and still no size is walked twice
+    # first repeats its row word and its image, and still no size is walked twice
     words = checks._transpose_words
     first_words = {}
     monkeypatch.setattr(
@@ -459,17 +462,16 @@ def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
     }
 
 
-def test_transpose_sweep_keeps_a_hash_not_an_image():
-    # kept as tuples, the 6,512 images of size 7 alone take over 2 MB (3.3 MB at
-    # the peak); their keys, the bytes of their words, and the walk take 1 to
-    # 1.5 MB
+def test_transpose_sweep_keeps_only_the_previous_word():
+    # the sweep keeps only the previous row word, and peaks near 0.9 MB; a
+    # set of the bytes of the 32,400 image words of size 8 peaked at 4.3 MB
     tracemalloc.start()
     try:
-        assert checks.verify_transpose_complement(7, 7).ok
+        assert checks.verify_transpose_complement(8, 8).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < 3_000_000
 
 
 def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
@@ -487,18 +489,32 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
     assert failure.rhs == "2 violations, first ((1, 2),)"
 
 
+def _lattice_word(q, n):
+    """The row word of a bitableau q as _transpose_words numbers it: the rows
+    of plus from 1, those of minus from n + 1, and n in entry 0."""
+    split = len(q[0])
+    return [n, *(r + 1 if r < split else n + 1 + r - split for r in _row_of(q)[1:])]
+
+
 def test_the_transpose_words_are_those_of_the_built_transposes():
-    # a tableau q is read as ((), q), and its transpose is (q', ()); each
-    # word numbers rows from 1, and its entry 0 is its split
+    # a tableau q is read as ((), q), and its transpose is (q', ())
     for n in range(8):
         pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
         pairs += [(((), q), (transpose_by_columns(q), ())) for q in enumerate_all_syt(n)]
         for q, t in pairs:
             row, image = checks._transpose_words(*q, n)
-            assert row == [len(q[0]), *(r + 1 for r in _row_of(q)[1:])], q
-            assert image == [len(t[0]), *(r + 1 for r in _row_of(t)[1:])], q
+            assert row == _lattice_word(q, n), q
+            assert image == _lattice_word(t, n), q
             # the transpose of the transpose, read off the image word alone
             assert checks._back_transpose(image) == row, q
+
+
+def test_the_row_words_of_each_walk_rise_strictly():
+    # the order the transpose sweep's repeat test relies on
+    for n in range(8):
+        for objects in (list(enumerate_all_syb(n)), [((), q) for q in enumerate_all_syt(n)]):
+            words = [checks._transpose_words(*q, n)[0] for q in objects]
+            assert all(map(lt, words, words[1:])), n
 
 
 def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
@@ -622,6 +638,107 @@ def test_r89_records_fail_when_r_is_log_concave(monkeypatch):
     )
     # the convolution route still passes, at every n = 0..8
     assert [r.status for r in report] == ["fail"] * 4 + ["pass"] * 9
+
+
+def _off_by_one(monkeypatch, name, hit, coefficient=None):
+    """Make the named function, where checks calls it, return one more on
+    the calls whose arguments hit accepts, or one more in that coefficient
+    of the row it returns."""
+    original = getattr(checks, name)
+
+    def patched(*args, **kwargs):
+        value = original(*args, **kwargs)
+        if not hit(*args, **kwargs):
+            return value
+        if coefficient is None:
+            return value + 1
+        return (*value[:coefficient], value[coefficient] + 1, *value[coefficient + 1 :])
+
+    monkeypatch.setattr(checks, name, patched)
+
+
+def test_genfun_a_fails_where_a_bumped_row_reaches(monkeypatch):
+    # the x^1 coefficient of I_3 bumped from 2 to 3 adds C(3 + m - 1, 3) to the
+    # left side: nothing at m = 0, C(m + 2, 3) from m = 1 on
+    _off_by_one(monkeypatch, "involution_eulerian", lambda n, signed=False: n == 3, 1)
+    report = checks.verify_genfun_a(4, 3)
+    assert {r.check for r in report} == {"genfun-a"} and len(report) == 20
+    assert [(r.params, int(r.lhs) - int(r.rhs)) for r in report.failures] == [
+        ((("n", 3), ("m", m)), comb(m + 2, 3)) for m in (1, 2, 3)
+    ]
+
+
+def test_genfun_b_fails_where_r_is_off_by_one(monkeypatch):
+    _off_by_one(monkeypatch, "r_closed", lambda n, k: (n, k) == (2, 3))
+    report = checks.verify_genfun_b(3, 4)
+    assert {r.check for r in report} == {"genfun-b"} and len(report) == 20
+    assert [(r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ((("n", 2), ("k", 3)), str(r_by_recurrence(2, 3)), str(r_by_recurrence(2, 3) + 1))
+    ]
+
+
+def test_r_convolution_fails_where_r_is_off_by_one(monkeypatch):
+    # r(4, 2) one high: the r89 records read r(89, k) only, so they still pass
+    _off_by_one(monkeypatch, "r_closed", lambda n, k: (n, k) == (4, 2))
+    report = checks.verify_counterexample_89()
+    row = [r_by_recurrence(4, k) for k in range(5)]
+    bumped = [*row[:2], row[2] + 1, *row[3:]]
+    assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ("r-convolution", (("n", 4),), int_list(row), int_list(bumped))
+    ]
+
+
+def test_des_statistics_agree_fails_on_a_bumped_coxeter_row(monkeypatch):
+    # the notes past n = 5 never fail, whatever they carry
+    _off_by_one(
+        monkeypatch,
+        "involution_eulerian",
+        lambda n, signed=False, statistic=None: (n, statistic) == (4, DES_COXETER),
+        2,
+    )
+    report = checks.check_des_statistic_conjecture(7)
+    assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ("des-statistics-agree", (("n", 4),), "1,17,40,17,1", "1,17,41,17,1")
+    ]
+
+
+@pytest.mark.parametrize(
+    "patch, check, n, lhs, rhs",
+    [
+        (
+            lambda mp: mp.setitem(reference.INVOLUTION_ROWS_A, 4, (1, 4, 5, 1)),
+            "table-a", 4, "1,4,4,1", "1,4,5,1",
+        ),
+        (
+            lambda mp: mp.setitem(reference.INVOLUTION_ROWS_B_PRINTED, 3, (1, 9, 10, 1)),
+            "table-b", 3, "1,9,9,1", "1,9,10,1",
+        ),
+        (
+            lambda mp: _off_by_one(mp, "gamma_reconstruct", lambda gammas, n: True, 3),
+            "table-b-gamma-expansion", 6, "1,43,331,634,331,43,1", "1,43,331,635,331,43,1",
+        ),
+        (
+            lambda mp: _off_by_one(mp, "involution_count", lambda n, signed=False: signed),
+            "table-b-total", 6, "1384", "1385",
+        ),
+        (
+            lambda mp: mp.setitem(reference.GAMMA_ROWS_B, 4, (1, 13, 9)),
+            "table-gamma-b", 4, "1,13,8", "1,13,9",
+        ),
+    ],
+    ids=["table-a", "table-b", "table-b-gamma-expansion", "table-b-total", "table-gamma-b"],
+)
+def test_each_table_record_fails_alone_when_one_side_is_wrong(monkeypatch, patch, check, n, lhs, rhs):
+    # the reference rows are the right sides of table-a, table-b and
+    # table-gamma-b; the rebuilt gamma row and the count are those of the
+    # n = 6 records
+    checks_before = [(r.check, r.params) for r in checks.reference_table_report()]
+    patch(monkeypatch)
+    report = checks.reference_table_report()
+    assert [(r.check, r.params) for r in report] == checks_before
+    assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [
+        (check, (("n", n),), lhs, rhs)
+    ]
 
 
 @pytest.mark.parametrize("seed", [checks.DEFAULT_SEED, 1, 2])

@@ -349,6 +349,15 @@ def test_gamma_vector_matches_convolution_oracle():
         assert gamma_reconstruct(gv, n - 1) == poly, n
 
 
+@pytest.mark.parametrize("n", [True, 2.0, -1, "2"])
+def test_gamma_functions_reject_an_n_that_is_no_nonnegative_int(n):
+    # a bool is no int here: True would otherwise rebuild (1, 1), as n = 1 does
+    with pytest.raises(ValueError, match=f"n must be a nonnegative integer, got {n!r}"):
+        gamma_reconstruct((1,), n)
+    with pytest.raises(ValueError, match=f"n must be a nonnegative integer, got {n!r}"):
+        gamma_vector((1, 4, 1), n)
+
+
 def test_gamma_reconstruct_rejects_too_many_entries():
     with pytest.raises(ValueError, match="doubled center"):
         gamma_reconstruct((1, 2, 3), 3)

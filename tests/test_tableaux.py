@@ -110,11 +110,18 @@ def test_enumerate_syb_keeps_the_recursive_order():
 def test_each_table_has_one_state_per_sub_diagram():
     for n in range(9):
         for shape in partitions(n):
-            assert len(tableaux._moves(shape, len(shape))) == sub_diagram_count(shape), shape
+            assert len(tableaux._moves(shape, len(shape), n)) == sub_diagram_count(shape), shape
     for n in range(7):
         for plus, minus in bipartitions(n):
-            table = tableaux._moves((*plus, *minus), len(plus))
+            table = tableaux._moves((*plus, *minus), len(plus), n)
             assert len(table) == sub_diagram_count(plus) * sub_diagram_count(minus), (plus, minus)
+    # the lattice tables of the all-shapes walks: one state per partition, or
+    # per bipartition, of each size up to n, and no move from one of size n
+    for n in range(8):
+        for caps, shapes in (((n,) * n, partitions), ((n,) * (2 * n), bipartitions)):
+            table = tableaux._moves(caps, n, n)
+            assert len(table) == sum(1 for k in range(n + 1) for _ in shapes(k)), (n, shapes)
+            assert sum(not moves for moves in table) == sum(1 for _ in shapes(n)), (n, shapes)
 
 
 def test_interleaved_walks_of_one_shape_yield_what_walks_in_turn_yield():
@@ -332,31 +339,76 @@ def test_per_shape_walks_hold_the_exact_count_to_the_budget():
                     next(enumerate_syb(shape))
 
 
+def _claim_one_more_than_the_default(monkeypatch, count):
+    """Make the named count of tableaux claim DEFAULT_BUDGET + 1 objects for
+    shape (2, 1), or for the involutions of size 3, and return the text of
+    the BudgetExceededError that a walk held to the default raises."""
+    if count == "_syt_count":
+        real = tableaux._syt_count
+        monkeypatch.setattr(
+            tableaux, count, lambda shape: DEFAULT_BUDGET + 1 if shape == (2, 1) else real(shape)
+        )
+        return r"shape .*\(2, 1\)"
+    real = tableaux.involution_count
+    monkeypatch.setattr(
+        tableaux,
+        count,
+        lambda n, signed=False: DEFAULT_BUDGET + 1 if n == 3 else real(n, signed),
+    )
+    return f"n=3 needs {DEFAULT_BUDGET + 1} objects"
+
+
 @pytest.mark.parametrize(
-    "walk",
+    "walk, count",
     [
-        lambda: sum(1 for _ in enumerate_all_syt(3)) == 4,
-        lambda: sum(1 for _ in enumerate_all_syb(3)) == 20,
-        lambda: checks.verify_cauchy_spec(3, 2).ok,
-        lambda: checks.verify_signed_schur_spec(3, 2).ok,
-        lambda: checks.verify_descent_multiset_bijection(3, 3).ok,
-        lambda: checks.verify_transpose_complement(3, 3).ok,
+        (lambda: sum(1 for _ in enumerate_all_syt(3)) == 4, "involution_count"),
+        (lambda: sum(1 for _ in enumerate_all_syb(3)) == 20, "involution_count"),
+        (lambda: checks.verify_cauchy_spec(3, 2).ok, "_syt_count"),
+        (lambda: checks.verify_signed_schur_spec(3, 2).ok, "_syt_count"),
+        (lambda: checks.verify_descent_multiset_bijection(3, 3).ok, "involution_count"),
+        (lambda: checks.verify_transpose_complement(3, 3).ok, "involution_count"),
     ],
     ids=["all-syt", "all-syb", "cauchy", "signed-schur", "sdes-bijection", "transpose"],
 )
-def test_a_raised_cap_reaches_every_per_shape_walk(monkeypatch, walk):
-    # shape (2, 1) claims one object more than the default cap, so any walk
-    # that met the default instead of the cap in force would raise
-    real_count = tableaux._syt_count
-    monkeypatch.setattr(
-        tableaux,
-        "_syt_count",
-        lambda shape: DEFAULT_BUDGET + 1 if shape == (2, 1) else real_count(shape),
-    )
-    with pytest.raises(BudgetExceededError, match=r"shape .*\(2, 1\)"):
+def test_a_raised_cap_reaches_every_per_shape_walk(monkeypatch, walk, count):
+    # a per-shape walk holds f^shape to the cap, an all-shapes walk the count
+    # of involutions; one object more than the default cap, claimed for shape
+    # (2, 1) or for size 3, makes any walk that met the default instead of the
+    # cap in force raise
+    text = _claim_one_more_than_the_default(monkeypatch, count)
+    with pytest.raises(BudgetExceededError, match=text):
         walk()
     with enumeration_budget(DEFAULT_BUDGET + 1):
         assert walk()
+
+
+def test_each_all_shapes_walk_is_one_walk_of_the_lattice(monkeypatch):
+    # no shape loop and no per-shape walk: neither partitions, bipartitions nor
+    # a per-shape enumerator is called, for objects or for descent sets
+    calls = []
+    for name in ("partitions", "bipartitions", "enumerate_syt", "enumerate_syb"):
+
+        def recording(*args, name=name, original=getattr(tableaux, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(tableaux, name, recording)
+    for n in range(7):
+        for descents in (False, True):
+            assert sum(1 for _ in enumerate_all_syt(n, descents)) == telephone_number(n)
+            assert sum(1 for _ in enumerate_all_syb(n, descents)) == signed_telephone_number(n)
+    assert calls == []
+
+
+def test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once():
+    for n in range(8):
+        got = list(enumerate_all_syt(n))
+        assert sorted(got) == sorted(q for shape in partitions(n) for q in enumerate_syt(shape))
+        assert len(set(got)) == len(got), n
+    for n in range(7):
+        got = list(enumerate_all_syb(n))
+        assert sorted(got) == sorted(q for shape in bipartitions(n) for q in enumerate_syb(shape))
+        assert len(set(got)) == len(got), n
 
 
 def test_syb_signed_descent_set_examples():
@@ -451,6 +503,13 @@ def test_the_transpose_accepts_exactly_the_standard_fillings():
         ((((1, 2),), ((4,),)), "a standard filling holds 1..n"),  # a gap
         ((((1,),), (), ((2,),)), "a bitableau is a \\(plus, minus\\) pair"),  # three parts
         ((((1,),),), "a bitableau is a \\(plus, minus\\) pair"),  # one part
+        ((((1.0,),), ()), "a standard filling holds 1..n, each an int"),  # a float 1
+        ((((True, 2),), ()), "a standard filling holds 1..n, each an int"),  # a bool 1
+        (([(1, 2.0)], []), "a standard filling holds 1..n, each an int"),  # a float 2
+        (None, "a bitableau is a \\(plus, minus\\) pair"),  # no pair at all
+        ("ab", "a bitableau is a \\(plus, minus\\) pair"),  # a string of two
+        ((None, ()), "a bitableau is a \\(plus, minus\\) pair"),  # a part that is no tableau
+        ((((1,), None), ()), "a bitableau is a \\(plus, minus\\) pair"),  # a row that is no row
     ],
 )
 def test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau(q, text):

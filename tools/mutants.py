@@ -42,33 +42,43 @@ TEST_TABLEAUX = "tests/test_tableaux.py::"
 
 MUTANTS = (
     Mutant(
-        "the transpose sweep's plus offset dropped",
+        "the transpose sweep's minus rows numbered from n",
         CHECKS,
-        "((split + 1, plus), (1, minus))",
-        "((1, plus), (1, minus))",
+        "((1, n + 1, plus), (n + 1, 1, minus))",
+        "((1, n + 1, plus), (n, 1, minus))",
         (
             TEST_CHECKS + "test_transpose_complement",
             TEST_CHECKS + "test_the_transpose_words_are_those_of_the_built_transposes",
         ),
     ),
     Mutant(
-        "_back_transpose's split off by one",
+        "_back_transpose's plus offset off by one",
         CHECKS,
-        "    split = image[0]\n",
-        "    split = image[0] + 1\n",
+        "    taken = [n + 1] * (n + 1) + [1] * n\n",
+        "    taken = [n] * (n + 1) + [1] * n\n",
         (
             TEST_CHECKS + "test_transpose_complement",
             TEST_CHECKS + "test_the_transpose_words_are_those_of_the_built_transposes",
         ),
     ),
     Mutant(
-        "the transpose sweep's repeat test dropped",
+        "the transpose sweep's rise test weakened to <",
         CHECKS,
-        " or key in seen:",
-        ":",
+        " or row <= previous:",
+        " or row < previous:",
         (
             TEST_CHECKS + "test_transpose_fails_when_the_walk_repeats_a_tableau",
             TEST_CHECKS + "test_transpose_walks_each_size_once_when_every_image_repeats",
+        ),
+    ),
+    Mutant(
+        "the lattice walk keeps the empty rows",
+        TABLEAUX,
+        "yield tuple(map(tuple, filter(None, plus))), tuple(map(tuple, filter(None, minus)))",
+        "yield tuple(map(tuple, plus)), tuple(map(tuple, minus))",
+        (
+            TEST_TABLEAUX + "test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once",
+            TEST_TABLEAUX + "test_the_descents_walks_over_all_shapes_keep_the_walk_order",
         ),
     ),
     Mutant(
@@ -103,8 +113,15 @@ MUTANTS = (
     Mutant(
         "_check_standard takes any number of parts",
         TABLEAUX,
-        "if len(bitableau) != 2:",
-        "if len(bitableau) < 2:",
+        "isinstance(bitableau, (tuple, list)) and len(bitableau) == 2",
+        "isinstance(bitableau, (tuple, list)) and len(bitableau) >= 2",
+        (TEST_TABLEAUX + "test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau",),
+    ),
+    Mutant(
+        "_check_standard takes a float or a bool entry",
+        TABLEAUX,
+        "if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):",
+        "if any(isinstance(e, str) for e in entries):",
         (TEST_TABLEAUX + "test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau",),
     ),
     Mutant(
