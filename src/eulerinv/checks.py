@@ -9,12 +9,13 @@ checked case, in deterministic (n, k) order, handing the report its values
 records; open questions and known print discrepancies get note records that
 never fail a run.  The transpose sweep checks that transposition is a
 bijection, and its failure names the first violating object.  It builds no
-transpose and keeps no set: one pass over an object's rows fills its row
-word and its transpose's, plus rows numbered from 1 and minus rows from
-n + 1 in both, the descent numbers are counted on the words, and
-transposing twice is checked by reading the transpose back off the image
-word alone.  Each all-shapes walk yields its objects in strictly rising
-order of their row words, so a repeat is a word not above the one before.
+object, no transpose and no set: each all-shapes walk yields row words
+alone, one pass over a word gives its transpose's word and tests that it
+is standard, the descent numbers are counted on the words, and
+transposing twice is checked by mapping the image word back.  The words
+come in strictly rising order, so a repeat is a word not above the one
+before.  Only a failure rebuilds an object, the first violating one, from
+its word.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -197,65 +198,70 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     return report
 
 
-def _transpose_words(plus: Tableau, minus: Tableau, n: int) -> tuple[list[int], list[int]]:
-    """The row words of the bitableau (plus, minus) and of its transpose,
-    filled in one pass over its rows.
-
-    word[e] is the row of entry e, the rows of plus numbered from 1 and
-    those of minus from n + 1, and word[0] is n, so a word fixes its
-    bitableau and word[1:] is one more than the rows the lattice walk of
-    enumerate_all_syb chooses.  word[0] plays the leading 0 of a window:
-    entry 1 is the corner of its part, in row 1 when positive and in row
-    n + 1 when negative, so the step from word[0] climbs exactly when the
-    first sign is negative, and sum(map(lt, word, word[1:])) is the des_B of
-    the bitableau.  The transpose is (minus', plus'), whose rows are
-    columns: an entry of minus goes to the row of its column, counted from
-    1, an entry of plus to n plus that."""
-    row = [n] * (n + 1)
-    image = [n] * (n + 1)
-    for first, offset, part in ((1, n + 1, plus), (n + 1, 1, minus)):
-        for r, entries in enumerate(part, first):
-            for column, e in enumerate(entries, offset):
-                row[e] = r
-                image[e] = column
-    return row, image
-
-
-def _back_transpose(image: list[int]) -> list[int]:
+def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     """The row word of the transpose of the bitableau whose row word is
-    image, read from that word alone.
+    word, read from that word alone, or None when word is no row word of a
+    standard bitableau of size n.
 
-    A row takes its entries in increasing order, so one plus the number of
-    entries a row has taken before e is the column of e; an entry in a row
-    of plus, 1..n, lands n rows further down."""
-    n = image[0]
-    taken = [n + 1] * (n + 1) + [1] * n
-    back = [n]
-    for r in islice(image, 1, None):
-        back.append(taken[r])
-        taken[r] += 1
-    return back
+    word[e] is the row of entry e as the lattice walk of enumerate_all_syb
+    numbers them: the rows of plus 0..n-1, those of minus n..2n-1; word[0]
+    is copied.  The transpose is (minus', plus'), whose rows are columns.
+    A row takes its entries in increasing order, so the column of e,
+    counted from 0, is the number of entries its row took before e: an
+    entry of minus goes to the row of plus' of its column, an entry of
+    plus to n plus that.  taken[r] is where the next entry of row r goes.
+
+    The same pass tests that word is standard.  Every entry must be a row,
+    0..2n-1, and the word must be a lattice word within each part: no row
+    but the first of a part may take an entry when it holds as many as the
+    row above.  That is taken[r - 1] > taken[r], where the first row of
+    minus always passes, because the last row of plus stands n higher, and
+    the first row of plus compares with taken[-1], the last slot, which
+    holds 2n."""
+    rows = 2 * n
+    taken = [n] * n + [0] * n + [rows]
+    image = [word[0]]
+    for r in word[1:]:
+        if not 0 <= r < rows:
+            return None
+        column = taken[r]
+        if taken[r - 1] <= column:
+            return None
+        image.append(column)
+        taken[r] = column + 1
+    return tuple(image)
+
+
+def _bitableau_of_word(word: tuple[int, ...], n: int) -> tuple[Tableau, Tableau]:
+    """The bitableau (plus, minus) whose row word is word, in the numbering
+    of _transpose_word, each part without its empty rows."""
+    rows = [[] for _ in range(2 * n)]
+    for e, r in enumerate(word[1:], 1):
+        rows[r].append(e)
+    return tuple(tuple(map(tuple, filter(None, part))) for part in (rows[:n], rows[n:]))
 
 
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
 
-    One record per n.  An object violates the rule when its transpose's
-    descent number is not the complement of its own, when transposing twice
-    does not give it back, or when its row word does not exceed the
-    previous object's.  A failure names the first violating object in walk
-    order.
+    One record per n.  An object violates the rule when its row word or
+    its transpose's is not that of a standard bitableau, when its
+    transpose's descent number is not the complement of its own, when
+    transposing twice does not give it back, or when its row word does not
+    exceed the previous object's.  A failure names the first violating
+    object in walk order, rebuilt from its row word.
 
-    No transpose is built.  One pass over each object's rows fills its row
-    word and its transpose's (_transpose_words), and both descent numbers
-    are counted on the words: des_B is the number of i with
-    word[i] < word[i + 1], where word[0], n, is smaller than word[1]
-    exactly when entry 1 is negative.  A tableau q is read as the bitableau
-    ((), q): its des_B is des(q) + 1 from n = 1 on and its transpose is
-    (q', ()), so n - des_B is the rule for both walks.  Transposing twice is
-    checked on the image word alone: _back_transpose reads the transpose's
-    transpose from it, which must be the object's own word.
+    No object and no transpose is built.  Each walk yields row words alone
+    (words=True), and _transpose_word maps a word to its transpose's in one
+    pass, testing on the way that the word is standard.  Both descent
+    numbers are counted on the words: des_B is the number of rises,
+    word[i] < word[i + 1], where word[0], n - 1, is below word[1] exactly
+    when entry 1 is negative.  A tableau q is read as the bitableau (q, ()):
+    its des_B is des(q) and its transpose is ((), q'), whose des_B is
+    des(q') + 1 from n = 1 on, so n - des_B is the rule for both walks.
+    Transposing twice is checked on the image word alone, which must map
+    back to the object's own word.
 
     The walk of each size yields its objects in strictly increasing
     lexicographic order of their row words, so a word that is not above
@@ -266,22 +272,28 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     report = Report()
     families = (
         ("transpose-signed", signed_n_max, enumerate_all_syb, lambda q: q, "bitableaux"),
-        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, lambda q: ((), q), "tableaux"),
+        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, lambda q: q[0], "tableaux"),
     )
-    for check, n_max, walk, as_bitableau, noun in families:
+    for check, n_max, walk, shown, noun in families:
         for n in range(n_max + 1):
-            previous = []
+            previous = ()
             total = bad = 0
-            for q in walk(n):
-                row, image = _transpose_words(*as_bitableau(q), n)
+            for row in walk(n, words=True):
                 total += 1
-                complement = sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) == n
-                if not complement or _back_transpose(image) != row or row <= previous:
+                image = _transpose_word(row, n)
+                if (
+                    image is None
+                    or _transpose_word(image, n) != row
+                    or sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) != n
+                    or row <= previous
+                ):
                     bad += 1
                     if bad == 1:
-                        first = q
+                        first = row
                 previous = row
-            rhs = f"{bad} violations" + (f", first {first}" if bad else "")
+            rhs = f"{bad} violations"
+            if bad:
+                rhs += f", first {shown(_bitableau_of_word(first, n))}"
             report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
     return report
 

@@ -15,9 +15,12 @@ row chosen for each entry and yields when entry n is placed.  Which rows
 can take the next entry depends only on the cells filled so far, a
 sub-diagram, so each walk first builds a table: for each sub-diagram of at
 most n cells, the rows that can take an entry and the sub-diagram each
-move leads to.  The walk keeps no table after it ends; building one is a
-small share of a sweep's time.  Without `descents` it yields each filling
-cut into its two parts, each part without its empty rows.
+move leads to.  Tables are kept for the life of the process, one per
+shape, bound and split: a Schur sweep walks each shape once per m, and
+rebuilding the table each time was about an eighth of verify cauchy's time.
+In object mode the walk yields each filling cut into its two parts, each
+part without its empty rows; with `descents` or with `words` it yields an
+int or a tuple of ints and builds no tableau.
 
 A per-shape walk fills the rows of its shape: a tableau is the walk over
 one part, a bitableau the walk over two.  Each yields its objects once, in
@@ -28,7 +31,9 @@ bitableaux n rows of plus and then n rows of minus, from row n on.  Its
 sub-diagrams of n cells are exactly the (bi)partitions of n, so it yields
 every object of size n once, with no loop over the shapes, in strictly
 increasing lexicographic order of the rows chosen for entries 1..n, shapes
-interleaved.  The transpose sweep of checks relies on that order.
+interleaved.  With `words` set they yield each object's row word, the
+rows the walk chose, and the transpose sweep of checks, which relies on
+that order, reads only those.
 
 Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
@@ -55,6 +60,7 @@ the bijection share only the layout.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from itertools import chain, zip_longest
 from math import comb, factorial
 from operator import lt
@@ -121,13 +127,18 @@ def _syt_count(shape: Shape) -> int:
 _Moves = tuple[tuple[tuple[int, int], ...], ...]
 
 
+@cache
 def _moves(shape: Shape, second: int, size: int) -> _Moves:
     """The table of the walk over the rows of shape up to `size` cells,
     where the rows from index `second` on form a second part: its first row
     is exempt from the column rule against the row above.  The states are
     the sub-diagrams of at most `size` cells, each a tuple of row lengths,
     numbered in the order a breadth-first search from the empty one finds
-    them, so state 0 is the empty filling; one of `size` cells has no move."""
+    them, so state 0 is the empty filling; one of `size` cells has no move.
+
+    Each table is built once per process and kept, as qsym keeps its chain
+    counts, keyed by the three arguments; so shape must be a tuple, and
+    every walk passes one whatever sequence it was given."""
     order = [(0,) * len(shape)]
     index = {order[0]: 0}
     moves = []
@@ -145,7 +156,9 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
     return tuple(moves)
 
 
-def _fillings(shape: Shape, second: int, n: int, descents: bool = False) -> Iterator[Bitableau | int]:
+def _fillings(
+    shape: Shape, second: int, n: int, descents: bool = False, words: bool = False
+) -> Iterator[Bitableau | int | tuple[int, ...]]:
     """Every standard filling of n entries of the rows of shape, where the
     rows from index `second` on form a second part, empty when `second` is
     the number of rows: its first row is exempt from the column rule
@@ -164,42 +177,51 @@ def _fillings(shape: Shape, second: int, n: int, descents: bool = False) -> Iter
     place, built as the entries are placed: entry e sets bit e - 1 when
     e - 1 is a descent, chosen[e - 1] < chosen[e], and bit n + e - 1 when
     its row lies in the second part.  masks[e] keeps the bits of entries
-    1..e beside chosen[e].  Only without it are the rows kept, as lists of
-    their entries, and each filling is yielded as the pair of its parts,
-    the rows before `second` and the rows from it, each without its empty
-    rows."""
+    1..e beside chosen[e].  With words set, each filling's row word takes
+    its place: tuple(chosen), the row of entry e in the walk's numbering
+    at index e, and second - 1 at index 0, the last row of the first part,
+    so that the word steps up from index 0 exactly when entry 1 lies in the
+    second part.  Neither mode does any other work for a filling.  Only in
+    the third are the rows kept, as lists of their entries, and each
+    filling is yielded as the pair of its parts, the rows before `second`
+    and the rows from it, each without its empty rows.  Asking for both
+    modes raises ValueError."""
+    if descents and words:
+        raise ValueError("a walk yields descent sets or row words, not both")
     if n == 0:
-        yield 0 if descents else ((), ())
+        yield 0 if descents else (second - 1,) if words else ((), ())
         return
-    # chosen[e]: the row entry e went into; chosen[0] lies under every row,
-    # so entry 1 never makes a descent and bit 0 stays clear
-    chosen = [len(shape)] + [0] * n
+    # chosen[e]: the row entry e went into; chosen[0] lies under every row
+    # outside words mode, so entry 1 never makes a descent and bit 0 stays clear
+    chosen = [second - 1 if words else len(shape)] + [0] * n
     masks = [0] * (n + 1)
     bit = [1 << i for i in range(2 * n)]
     moves = _moves(shape, second, n)
-    rows = None if descents else [[] for _ in shape]
+    rows = None if descents or words else [[] for _ in shape]
     # the rows of each part, sharing their lists with rows
-    plus, minus = (None, None) if descents else (rows[:second], rows[second:])
+    plus, minus = (None, None) if rows is None else (rows[:second], rows[second:])
     stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
     entry = 1
     while True:
         for r, s in stack[-1]:
-            if rows is None:
+            if descents:
                 mask = masks[entry - 1]
                 if chosen[entry - 1] < r:
                     mask += bit[entry - 1]
                 if r >= second:
                     mask += bit[n + entry - 1]
                 masks[entry] = mask
-            else:
+            elif rows is not None:
                 rows[r].append(entry)
             chosen[entry] = r
             if entry < n:
                 stack.append(iter(moves[s]))
                 entry += 1
                 break
-            if rows is None:
+            if descents:
                 yield mask
+            elif rows is None:
+                yield tuple(chosen)
             else:
                 yield tuple(map(tuple, filter(None, plus))), tuple(map(tuple, filter(None, minus)))
                 rows[r].pop()
@@ -221,20 +243,28 @@ def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | in
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
     # every row belongs to the first part, so every sign is +1: no sign bit is set
-    walk = _fillings(shape, len(shape), sum(shape), descents)
+    walk = _fillings(tuple(shape), len(shape), sum(shape), descents)
     yield from walk if descents else (q for q, _ in walk)
 
 
-def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[Tableau | int]:
+def enumerate_all_syt(
+    n: int, descents: bool = False, *, words: bool = False
+) -> Iterator[Tableau | int | tuple[int, ...]]:
     """All standard Young tableaux with n entries, or their packed descent
-    sets, from one walk over the lattice of partitions of at most n: n rows
-    of up to n cells each.  Each comes once, in strictly increasing
-    lexicographic order of the rows chosen for entries 1..n, so shapes
-    interleave.  There are as many as involutions of S_n, and that count is
-    held to the budget."""
+    sets, or their row words, from one walk over the lattice of partitions
+    of at most n: n rows of up to n cells each.  Each comes once, in
+    strictly increasing lexicographic order of the rows chosen for entries
+    1..n, so shapes interleave.  There are as many as involutions of S_n,
+    and that count is held to the budget.
+
+    With words set, a tableau's row word is the tuple whose entry e is the
+    row of entry e, from 0 at the top, and whose entry 0 is n - 1: the word
+    of the bitableau (tableau, ()) in enumerate_all_syb's numbering.  No
+    tableau is built.  Asking for descents and words at once raises
+    ValueError."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
-    walk = _fillings((n,) * n, n, n, descents)
-    yield from walk if descents else (q for q, _ in walk)
+    walk = _fillings((n,) * n, n, n, descents, words)
+    yield from walk if descents or words else (q for q, _ in walk)
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -259,16 +289,26 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     yield from _fillings((*plus_shape, *minus_shape), len(plus_shape), n, descents)
 
 
-def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[Bitableau | int]:
+def enumerate_all_syb(
+    n: int, descents: bool = False, *, words: bool = False
+) -> Iterator[Bitableau | int | tuple[int, ...]]:
     """All standard Young bitableaux with n entries, or their packed signed
-    descent sets, from one walk over the lattice of bipartitions of at most
-    n: n rows of plus, then n of minus, of up to n cells each.  Each comes
-    once, in strictly increasing lexicographic order of the rows chosen for
-    entries 1..n, rows of plus before rows of minus, so shapes interleave.
-    There are as many as involutions of B_n, and that count is held to the
-    budget."""
+    descent sets, or their row words, from one walk over the lattice of
+    bipartitions of at most n: n rows of plus, then n of minus, of up to n
+    cells each.  Each comes once, in strictly increasing lexicographic
+    order of the rows chosen for entries 1..n, rows of plus before rows of
+    minus, so shapes interleave.  There are as many as involutions of B_n,
+    and that count is held to the budget.
+
+    With words set, a bitableau's row word is the tuple whose entry e is
+    the row of entry e: the rows of plus numbered 0..n-1 from the top and
+    those of minus n..2n-1, as the lattice numbers them.  Its entry 0 is
+    n - 1, so the word rises from entry 0 exactly when entry 1 is negative,
+    and its number of rises, sum(map(lt, word, word[1:])), is the des_B of
+    the bitableau.  The word fixes the bitableau, and no bitableau is
+    built.  Asking for descents and words at once raises ValueError."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
-    yield from _fillings((n,) * (2 * n), n, n, descents)
+    yield from _fillings((n,) * (2 * n), n, n, descents, words)
 
 
 def _row_of(bitableau: Bitableau) -> list[int]:

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from itertools import count, product
 from math import comb
 from operator import lt
 
@@ -235,11 +236,11 @@ def _drop_from_walk(monkeypatch, walk, n, positions):
 
 def _repeat_first(monkeypatch, walk, n):
     """Make the named walk of checks yield the first object of its size-n walk
-    twice, passing any further arguments through."""
+    twice, passing any further arguments, such as words, through."""
     original = getattr(checks, walk)
 
-    def repeating(size, *args):
-        objects = list(original(size, *args))
+    def repeating(size, *args, **kwargs):
+        objects = list(original(size, *args, **kwargs))
         if size == n:
             objects.insert(1, objects[0])
         yield from objects
@@ -413,32 +414,34 @@ def test_the_signed_schur_sweep_walks_each_bipartition_once(monkeypatch):
 
 
 def _record_walks(monkeypatch):
-    """Record the size of every call of the two tableau walks of checks."""
+    """Record the size of every call of the two tableau walks of checks, each
+    of which must ask for row words."""
     calls = {}
     for name in ("enumerate_all_syb", "enumerate_all_syt"):
         original = getattr(checks, name)
         sizes = calls[name] = []
 
-        def recording(n, original=original, sizes=sizes):
+        def recording(n, *, words, original=original, sizes=sizes):
+            assert words is True
             sizes.append(n)
-            return original(n)
+            return original(n, words=True)
 
         monkeypatch.setattr(checks, name, recording)
     return calls
 
 
 def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
-    # every object of size n gets the words of the first object of that size
-    # the sweep reads: each passes both per-object tests, every one after the
-    # first repeats its row word and its image, and still no size is walked twice
-    words = checks._transpose_words
-    first_words = {}
-    monkeypatch.setattr(
-        checks,
-        "_transpose_words",
-        lambda plus, minus, n: first_words.setdefault(n, words(plus, minus, n)),
-    )
+    # every word of size n is the first word of that size: each passes both
+    # per-object tests, every one after the first repeats its row word and
+    # its image, and still no size is walked twice
     calls = _record_walks(monkeypatch)
+    for name in ("enumerate_all_syb", "enumerate_all_syt"):
+
+        def first_word_only(n, *, words, original=getattr(checks, name)):
+            found = list(original(n, words=words))
+            return iter(found[:1] * len(found))
+
+        monkeypatch.setattr(checks, name, first_word_only)
     report = checks.verify_transpose_complement(5, 5)
     assert calls == {"enumerate_all_syb": list(range(6)), "enumerate_all_syt": list(range(6))}
     expected = []
@@ -446,7 +449,7 @@ def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
         for n in range(6):
             objects = list(walk(n))
             repeats = len(objects) - 1
-            expected.append(f"{repeats} violations" + (f", first {objects[1]}" if repeats else ""))
+            expected.append(f"{repeats} violations" + (f", first {objects[0]}" if repeats else ""))
     assert [r.rhs for r in report] == expected
 
 
@@ -476,13 +479,12 @@ def test_transpose_sweep_keeps_only_the_previous_word():
 
 def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
     # a map that swaps the parts but transposes neither sends a tableau q, read
-    # as ((), q), to (q, ()): transposition the identity on tableaux, so both
+    # as (q, ()), to ((), q): transposition the identity on tableaux, so both
     # tableaux of size 2 miss the complement, and the one of size 1 does not
-    words = checks._transpose_words
     monkeypatch.setattr(
         checks,
-        "_transpose_words",
-        lambda plus, minus, n: (words(plus, minus, n)[0], words(minus, plus, n)[0]),
+        "_transpose_word",
+        lambda word, n: (word[0], *(r + n if r < n else r - n for r in word[1:])),
     )
     failure = checks.verify_transpose_complement(0, 2).failures[0]
     assert failure.params == (("n", 2),)
@@ -490,44 +492,65 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
 
 
 def _lattice_word(q, n):
-    """The row word of a bitableau q as _transpose_words numbers it: the rows
-    of plus from 1, those of minus from n + 1, and n in entry 0."""
+    """The row word of a bitableau q as the words mode of the all-shapes
+    walks numbers it: the rows of plus from 0, those of minus from n, and
+    n - 1 in entry 0."""
     split = len(q[0])
-    return [n, *(r + 1 if r < split else n + 1 + r - split for r in _row_of(q)[1:])]
+    return (n - 1, *(r if r < split else n + r - split for r in _row_of(q)[1:]))
 
 
 def test_the_transpose_words_are_those_of_the_built_transposes():
-    # a tableau q is read as ((), q), and its transpose is (q', ())
+    # a tableau q is read as (q, ()), and its transpose is ((), q')
     for n in range(8):
         pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
-        pairs += [(((), q), (transpose_by_columns(q), ())) for q in enumerate_all_syt(n)]
+        pairs += [((q, ()), ((), transpose_by_columns(q))) for q in enumerate_all_syt(n)]
         for q, t in pairs:
-            row, image = checks._transpose_words(*q, n)
-            assert row == _lattice_word(q, n), q
+            row = _lattice_word(q, n)
+            image = checks._transpose_word(row, n)
             assert image == _lattice_word(t, n), q
             # the transpose of the transpose, read off the image word alone
-            assert checks._back_transpose(image) == row, q
+            assert checks._transpose_word(image, n) == row, q
+            assert checks._bitableau_of_word(row, n) == q
+
+
+def test_the_transpose_map_takes_exactly_the_standard_words():
+    # every word of n entries drawn from two rows around the lattice's rows:
+    # the map refuses it unless the walk yields it, for an entry out of range
+    # and for a word that is no lattice word within each part alike
+    for n in range(5):
+        standard = set(enumerate_all_syb(n, words=True))
+        for entries in product(range(-2, 2 * n + 2), repeat=n):
+            word = (n - 1, *entries)
+            assert (checks._transpose_word(word, n) is not None) == (word in standard), word
+    # a row of plus or of minus ahead of the row above it, and entries past
+    # either end of the rows, the last of which would index past the table
+    for word in ((1, 1, 0), (1, 3, 2), (1, 0, 3), (1, 0, -4), (1, 0, 4), (1, 0, 5)):
+        assert checks._transpose_word(word, 2) is None, word
+    assert checks._transpose_word((1, 0, 2), 2) == (1, 2, 0)
 
 
 def test_the_row_words_of_each_walk_rise_strictly():
     # the order the transpose sweep's repeat test relies on
     for n in range(8):
-        for objects in (list(enumerate_all_syb(n)), [((), q) for q in enumerate_all_syt(n)]):
-            words = [checks._transpose_words(*q, n)[0] for q in objects]
+        for walk in (enumerate_all_syb, enumerate_all_syt):
+            words = list(walk(n, words=True))
             assert all(map(lt, words, words[1:])), n
 
 
 def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
-    # a back-transpose whose split is one off gives no object its own word
-    # back, while every image and descent number stays right
-    back = checks._back_transpose
+    # a map that is one off in entry 0 on its way back, on every second call,
+    # gives no object its own word back, while every image and descent
+    # number stays right
+    transpose = checks._transpose_word
+    calls = count()
 
-    def off_by_one(image):
-        word = back(image)
-        word[0] += 1
-        return word
+    def off_on_the_way_back(word, n):
+        image = transpose(word, n)
+        if next(calls) % 2:  # the sweep maps each row word, then its image
+            image = (image[0] + 1, *image[1:])
+        return image
 
-    monkeypatch.setattr(checks, "_back_transpose", off_by_one)
+    monkeypatch.setattr(checks, "_transpose_word", off_on_the_way_back)
     report = checks.verify_transpose_complement(3, 3)
     expected = [
         f"{len(objects)} violations, first {objects[0]}"
@@ -536,6 +559,44 @@ def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
     ]
     assert [r.rhs for r in report.failures] == expected
     assert len(report) == 8
+
+
+def test_transpose_counts_an_image_entry_past_the_rows_as_a_violation(monkeypatch):
+    # images one row too low reach row 2n, past the lattice's rows: mapping
+    # one back is refused, not an IndexError, and every object from n = 1 on
+    # is a violation, the first named
+    transpose = checks._transpose_word
+
+    def one_too_high(word, n):
+        image = transpose(word, n)
+        return image and (image[0], *(r + 1 for r in image[1:]))
+
+    monkeypatch.setattr(checks, "_transpose_word", one_too_high)
+    report = checks.verify_transpose_complement(3, 0)
+    assert [r.status for r in report] == ["pass", "fail", "fail", "fail", "pass"]
+    assert [r.rhs for r in report.failures] == [
+        f"{len(objects)} violations, first {objects[0]}"
+        for objects in (list(enumerate_all_syb(n)) for n in (1, 2, 3))
+    ]
+
+
+def test_transpose_counts_a_word_that_is_not_standard_as_a_violation(monkeypatch):
+    # the walk yields, in place of the last bitableau of size 3, a word whose
+    # entries 2 and 3 enter the second row of plus before the first row holds
+    # two: above the word before it, but no lattice word
+    original = checks.enumerate_all_syb
+
+    def bent(n, *, words):
+        found = list(original(n, words=words))
+        if n == 3:
+            found[-1] = (2, 0, 1, 1)
+            found.sort()
+        return iter(found)
+
+    monkeypatch.setattr(checks, "enumerate_all_syb", bent)
+    report = checks.verify_transpose_complement(3, 0)
+    assert [r.status for r in report] == ["pass", "pass", "pass", "fail", "pass"]
+    assert report.failures[0].rhs == "1 violations, first (((1,), (2, 3)), ())"
 
 
 def _structured(report):

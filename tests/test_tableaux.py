@@ -124,6 +124,22 @@ def test_each_table_has_one_state_per_sub_diagram():
             assert sum(not moves for moves in table) == sum(1 for _ in shapes(n)), (n, shapes)
 
 
+def test_each_table_is_built_once_per_shape():
+    # a Schur sweep walks each shape once per m; the table of a shape is built
+    # at its first walk and kept, so verify cauchy builds one per partition of
+    # 1..10, and the shape of 0 needs none
+    tableaux._moves.cache_clear()
+    try:
+        assert checks.verify_cauchy_spec(10, 6).ok
+        info = tableaux._moves.cache_info()
+    finally:
+        tableaux._moves.cache_clear()
+    shapes = sum(1 for n in range(1, 11) for _ in partitions(n))
+    assert shapes == 138
+    assert info.misses == info.currsize == shapes
+    assert info.hits == 5 * shapes  # m = 2..6
+
+
 def test_interleaved_walks_of_one_shape_yield_what_walks_in_turn_yield():
     # walks of one shape run side by side must keep no state but their own
     for n in range(8):
@@ -169,6 +185,7 @@ def test_enumerate_syb_takes_list_parts():
         shape = (tuple(plus), tuple(minus))
         assert list(enumerate_syb((plus, minus))) == list(enumerate_syb(shape))
         assert list(enumerate_syb((plus, minus), True)) == list(enumerate_syb(shape, True))
+    # the walk keys its kept table by a tuple, whatever sequence it was given
     assert list(enumerate_syt([2, 1])) == list(enumerate_syt((2, 1)))
     assert list(enumerate_syt([2, 1], True)) == list(enumerate_syt((2, 1), True))
 
@@ -394,10 +411,38 @@ def test_each_all_shapes_walk_is_one_walk_of_the_lattice(monkeypatch):
 
         monkeypatch.setattr(tableaux, name, recording)
     for n in range(7):
-        for descents in (False, True):
-            assert sum(1 for _ in enumerate_all_syt(n, descents)) == telephone_number(n)
-            assert sum(1 for _ in enumerate_all_syb(n, descents)) == signed_telephone_number(n)
+        for mode in ({}, {"descents": True}, {"words": True}):
+            assert sum(1 for _ in enumerate_all_syt(n, **mode)) == telephone_number(n)
+            assert sum(1 for _ in enumerate_all_syb(n, **mode)) == signed_telephone_number(n)
     assert calls == []
+
+
+def test_the_words_walks_yield_the_row_word_of_each_object_in_walk_order():
+    # entry e of a word is the row of entry e, the rows of minus numbered from
+    # n as the lattice numbers them, and entry 0 is n - 1; a tableau q is the
+    # bitableau (q, ())
+    for n in range(8):
+        walks = (
+            (enumerate_all_syb, lambda q: q),
+            (enumerate_all_syt, lambda q: (q, ())),
+        )
+        for walk, as_bitableau in walks:
+            expected = []
+            for q in map(as_bitableau, walk(n)):
+                split = len(q[0])
+                rows = (r if r < split else n + r - split for r in tableaux._row_of(q)[1:])
+                expected.append((n - 1, *rows))
+            got = list(walk(n, words=True))
+            assert all(type(word) is tuple for word in got)
+            assert got == expected, (walk, n)
+
+
+@pytest.mark.parametrize("walk", [enumerate_all_syt, enumerate_all_syb])
+def test_an_all_shapes_walk_yields_descent_sets_or_words_not_both(walk):
+    with pytest.raises(ValueError, match="descent sets or row words, not both"):
+        next(walk(3, True, words=True))
+    with pytest.raises(ValueError, match="descent sets or row words, not both"):
+        next(walk(0, descents=True, words=True))
 
 
 def test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once():
@@ -530,10 +575,9 @@ def test_syb_des_b_examples():
 
 def test_syb_des_b_counts_the_signed_descent_set():
     # the transpose sweep counts des_B as the steps up a row word, whose
-    # rows are numbered from 1 and whose entry 0 is the split
+    # rows are numbered as the lattice numbers them and whose entry 0 is n - 1
     for n in range(0, 8):
-        for q in enumerate_all_syb(n):
-            row, _ = checks._transpose_words(*q, n)
+        for q, row in zip(enumerate_all_syb(n), enumerate_all_syb(n, words=True), strict=True):
             positions, signs = unpack_descents(syb_signed_descent_set(q), n)
             assert sum(map(lt, row, row[1:])) == len(positions) + (signs[:1] == (-1,)), q
 

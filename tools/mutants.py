@@ -42,30 +42,44 @@ TEST_TABLEAUX = "tests/test_tableaux.py::"
 
 MUTANTS = (
     Mutant(
-        "the transpose sweep's minus rows numbered from n",
+        "the transpose map counts the columns of minus from 1",
         CHECKS,
-        "((1, n + 1, plus), (n + 1, 1, minus))",
-        "((1, n + 1, plus), (n, 1, minus))",
+        "taken = [n] * n + [0] * n + [rows]",
+        "taken = [n] * n + [1] * n + [rows]",
         (
             TEST_CHECKS + "test_transpose_complement",
             TEST_CHECKS + "test_the_transpose_words_are_those_of_the_built_transposes",
         ),
     ),
     Mutant(
-        "_back_transpose's plus offset off by one",
+        "the transpose map sends the columns of plus from row n - 1",
         CHECKS,
-        "    taken = [n + 1] * (n + 1) + [1] * n\n",
-        "    taken = [n] * (n + 1) + [1] * n\n",
+        "taken = [n] * n + [0] * n + [rows]",
+        "taken = [n - 1] * n + [0] * n + [rows]",
         (
             TEST_CHECKS + "test_transpose_complement",
             TEST_CHECKS + "test_the_transpose_words_are_those_of_the_built_transposes",
         ),
+    ),
+    Mutant(
+        "the transpose map's lattice test dropped",
+        CHECKS,
+        "        if taken[r - 1] <= column:\n            return None\n",
+        "",
+        (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
+    ),
+    Mutant(
+        "the transpose map's range test dropped",
+        CHECKS,
+        "        if not 0 <= r < rows:\n            return None\n",
+        "",
+        (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
     ),
     Mutant(
         "the transpose sweep's rise test weakened to <",
         CHECKS,
-        " or row <= previous:",
-        " or row < previous:",
+        " or row <= previous\n",
+        " or row < previous\n",
         (
             TEST_CHECKS + "test_transpose_fails_when_the_walk_repeats_a_tableau",
             TEST_CHECKS + "test_transpose_walks_each_size_once_when_every_image_repeats",
