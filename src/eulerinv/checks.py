@@ -15,7 +15,7 @@ is standard, the descent numbers are counted on the words, and
 transposing twice is checked by mapping the image word back.  The words
 come in strictly rising order, so a repeat is a word not above the one
 before.  Only a failure rebuilds an object, the first violating one, from
-its word.
+its word, through the one builder of tableaux, _bitableau_of_word.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -52,7 +52,7 @@ from .polynomials import binomial, expand_negative_binomial_product, poly_multip
 from .qsym import fundamental_spec, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
-    Tableau,
+    _bitableau_of_word,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
@@ -232,15 +232,6 @@ def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     return tuple(image)
 
 
-def _bitableau_of_word(word: tuple[int, ...], n: int) -> tuple[Tableau, Tableau]:
-    """The bitableau (plus, minus) whose row word is word, in the numbering
-    of _transpose_word, each part without its empty rows."""
-    rows = [[] for _ in range(2 * n)]
-    for e, r in enumerate(word[1:], 1):
-        rows[r].append(e)
-    return tuple(tuple(map(tuple, filter(None, part))) for part in (rows[:n], rows[n:]))
-
-
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
@@ -250,7 +241,9 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     transpose's descent number is not the complement of its own, when
     transposing twice does not give it back, or when its row word does not
     exceed the previous object's.  A failure names the first violating
-    object in walk order, rebuilt from its row word.
+    object in walk order, rebuilt from its row word by
+    tableaux._bitableau_of_word, the builder every enumerator of objects
+    maps over its walk's words.
 
     No object and no transpose is built.  Each walk yields row words alone
     (words=True), and _transpose_word maps a word to its transpose's in one

@@ -133,7 +133,9 @@ def r_closed(n: int, m: int) -> int:
 
 def is_symmetric(coeffs: tuple[int, ...], n: int) -> bool:
     """Whether coefficients satisfy a_i = a_{n-i} for 0 <= i <= n, reading
-    absent coefficients as zero."""
+    absent coefficients as zero.  An n that is not a nonnegative int, a
+    bool among them, raises ValueError."""
+    _check_nonnegative(n, "n")
     if len(coeffs) > n + 1:
         return False
     padded = coeffs + (0,) * (n + 1 - len(coeffs))
@@ -156,10 +158,9 @@ def gamma_vector(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
 
     Works from the bottom coefficient up: gamma_i is whatever coefficient of
     x^i the previous subtractions left behind.  Entries may be negative;
-    asymmetric input is rejected, and so is an n that is not a nonnegative
-    int, a bool among them.
+    asymmetric input is rejected, and so, by is_symmetric, is an n that is
+    not a nonnegative int, a bool among them.
     """
-    _check_nonnegative(n, "n")
     if not is_symmetric(coeffs, n):
         raise ValueError(f"polynomial {coeffs!r} is not symmetric with doubled center {n}")
     residual = list(coeffs) + [0] * (n + 1 - len(coeffs))

@@ -16,7 +16,12 @@ from math import comb
 
 
 def binomial(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b) for a >= 0, with C(a, b) = 0 outside 0 <= b <= a."""
+    """Binomial coefficient C(a, b) for a >= 0, with C(a, b) = 0 outside 0 <= b <= a.
+
+    Only a negative a is refused.  The types go unchecked, so
+    binomial(True, 2) is 0 and binomial(4, True) is 4: one pass of
+    perfbench's bijection workload calls it 26,530 times, and a check
+    here would show in its time."""
     if a < 0:
         raise ValueError(f"binomial expects a nonnegative first argument, got {a}")
     if b < 0 or b > a:
@@ -36,7 +41,10 @@ def multiset_count(symbols: int, size: int) -> int:
 
 
 def poly_multiply(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact convolution product of two coefficient tuples, lowest degree first."""
+    """Exact convolution product of two coefficient tuples, lowest degree
+    first.  An operand that is not a tuple or a list raises ValueError."""
+    if not (isinstance(p, (tuple, list)) and isinstance(q, (tuple, list))):
+        raise ValueError(f"polynomials are tuples or lists of coefficients, got {p!r} and {q!r}")
     if not p or not q:
         return ()
     out = [0] * (len(p) + len(q) - 1)

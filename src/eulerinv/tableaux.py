@@ -18,9 +18,11 @@ most n cells, the rows that can take an entry and the sub-diagram each
 move leads to.  Tables are kept for the life of the process, one per
 shape, bound and split: a Schur sweep walks each shape once per m, and
 rebuilding the table each time was about an eighth of verify cauchy's time.
-In object mode the walk yields each filling cut into its two parts, each
-part without its empty rows; with `descents` or with `words` it yields an
-int or a tuple of ints and builds no tableau.
+The walk yields each filling's row word, the tuple of the rows it chose,
+or with `descents` its descent set, an int; it keeps no rows and builds no
+tableau.  One builder, _bitableau_of_word, turns a row word into its
+filling, cut into its two parts, each part without its empty rows, and
+each enumerator maps it over the words when asked for objects.
 
 A per-shape walk fills the rows of its shape: a tableau is the walk over
 one part, a bitableau the walk over two.  Each yields its objects once, in
@@ -47,7 +49,7 @@ i.  With `descents` set each enumerator yields each object's descent set in
 its place: the walk sets an entry's bits as it places the entry, so it
 builds no tableau and no tuple.
 
-A finished object, as the enumerators yield it without `descents`, has
+A finished object, as the enumerators yield it without a flag, has
 one reader, syb_signed_descent_set, which sets the same bits in one pass
 over the list of each entry's row that _row_of builds, and one map,
 syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject,
@@ -157,8 +159,8 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
 
 
 def _fillings(
-    shape: Shape, second: int, n: int, descents: bool = False, words: bool = False
-) -> Iterator[Bitableau | int | tuple[int, ...]]:
+    shape: Shape, second: int, n: int, descents: bool = False
+) -> Iterator[int | tuple[int, ...]]:
     """Every standard filling of n entries of the rows of shape, where the
     rows from index `second` on form a second part, empty when `second` is
     the number of rows: its first row is exempt from the column rule
@@ -173,33 +175,26 @@ def _fillings(
     caps no row below n, as in the lattice of the all-shapes walks, the
     sub-diagrams of n cells are every shape of n that the rows allow.
 
-    With descents set, each filling's packed signed descent set takes its
-    place, built as the entries are placed: entry e sets bit e - 1 when
-    e - 1 is a descent, chosen[e - 1] < chosen[e], and bit n + e - 1 when
-    its row lies in the second part.  masks[e] keeps the bits of entries
-    1..e beside chosen[e].  With words set, each filling's row word takes
-    its place: tuple(chosen), the row of entry e in the walk's numbering
-    at index e, and second - 1 at index 0, the last row of the first part,
-    so that the word steps up from index 0 exactly when entry 1 lies in the
-    second part.  Neither mode does any other work for a filling.  Only in
-    the third are the rows kept, as lists of their entries, and each
-    filling is yielded as the pair of its parts, the rows before `second`
-    and the rows from it, each without its empty rows.  Asking for both
-    modes raises ValueError."""
-    if descents and words:
-        raise ValueError("a walk yields descent sets or row words, not both")
+    Each filling is yielded as its row word, tuple(chosen): the row of
+    entry e in the walk's numbering at index e, and second - 1 at index 0,
+    the last row of the first part, so that the word steps up from index 0
+    exactly when entry 1 lies in the second part.  _bitableau_of_word
+    turns a word back into its filling.  With descents set, each filling's
+    packed signed descent set takes its place, built as the entries are
+    placed: entry e sets bit e - 1 when e - 1 is a descent,
+    chosen[e - 1] < chosen[e], and bit n + e - 1 when its row lies in the
+    second part.  bit[0] is 0, so a negative entry 1, which steps up from
+    chosen[0], sets no descent bit.  masks[e] keeps the bits of entries
+    1..e beside chosen[e].  Neither mode does any other work for a
+    filling."""
     if n == 0:
-        yield 0 if descents else (second - 1,) if words else ((), ())
+        yield 0 if descents else (second - 1,)
         return
-    # chosen[e]: the row entry e went into; chosen[0] lies under every row
-    # outside words mode, so entry 1 never makes a descent and bit 0 stays clear
-    chosen = [second - 1 if words else len(shape)] + [0] * n
+    chosen = [second - 1] + [0] * n  # chosen[e]: the row entry e went into
     masks = [0] * (n + 1)
     bit = [1 << i for i in range(2 * n)]
+    bit[0] = 0
     moves = _moves(shape, second, n)
-    rows = None if descents or words else [[] for _ in shape]
-    # the rows of each part, sharing their lists with rows
-    plus, minus = (None, None) if rows is None else (rows[:second], rows[second:])
     stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
     entry = 1
     while True:
@@ -211,40 +206,44 @@ def _fillings(
                 if r >= second:
                     mask += bit[n + entry - 1]
                 masks[entry] = mask
-            elif rows is not None:
-                rows[r].append(entry)
             chosen[entry] = r
             if entry < n:
                 stack.append(iter(moves[s]))
                 entry += 1
                 break
-            if descents:
-                yield mask
-            elif rows is None:
-                yield tuple(chosen)
-            else:
-                yield tuple(map(tuple, filter(None, plus))), tuple(map(tuple, filter(None, minus)))
-                rows[r].pop()
+            yield mask if descents else tuple(chosen)
         else:
             # no move left for this entry: move the previous one a row lower
             stack.pop()
             entry -= 1
             if entry == 0:
                 return
-            if rows is not None:
-                rows[chosen[entry]].pop()
+
+
+def _bitableau_of_word(word: tuple[int, ...], second: int) -> Bitableau:
+    """The filling whose row word is word, as a walk split at `second`
+    yields it: each entry e placed in row word[e], and the rows cut into
+    the pair of the rows before `second` and the rows from it, each part
+    without its empty rows.  A part of n entries has at most n rows, so no
+    walk numbers a row past second + n - 1."""
+    rows = [[] for _ in range(second + len(word) - 1)]
+    for e in range(1, len(word)):
+        rows[word[e]].append(e)
+    return tuple(tuple(map(tuple, filter(None, part))) for part in (rows[:second], rows[second:]))
 
 
 def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | int]:
     """Yield every standard Young tableau of the given shape, in the order
     of the walk, or with descents set the descent set of each, the int
     syb_signed_descent_set reads off the bitableau (tableau, ()).
-    Their count f^shape is held to the budget."""
+    Each tableau is built from the walk's row word, as the first part of
+    its filling.  Their count f^shape is held to the budget."""
     validate_shape(shape)
     _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
     # every row belongs to the first part, so every sign is +1: no sign bit is set
-    walk = _fillings(tuple(shape), len(shape), sum(shape), descents)
-    yield from walk if descents else (q for q, _ in walk)
+    second = len(shape)
+    walk = _fillings(tuple(shape), second, sum(shape), descents)
+    yield from walk if descents else (_bitableau_of_word(word, second)[0] for word in walk)
 
 
 def enumerate_all_syt(
@@ -260,11 +259,13 @@ def enumerate_all_syt(
     With words set, a tableau's row word is the tuple whose entry e is the
     row of entry e, from 0 at the top, and whose entry 0 is n - 1: the word
     of the bitableau (tableau, ()) in enumerate_all_syb's numbering.  No
-    tableau is built.  Asking for descents and words at once raises
-    ValueError."""
+    tableau is built; without either flag each is built from its word.
+    Asking for descents and words at once raises ValueError."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
-    walk = _fillings((n,) * n, n, n, descents, words)
-    yield from walk if descents or words else (q for q, _ in walk)
+    if descents and words:
+        raise ValueError("a walk yields descent sets or row words, not both")
+    walk = _fillings((n,) * n, n, n, descents)
+    yield from walk if descents or words else (_bitableau_of_word(word, n)[0] for word in walk)
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -274,10 +275,10 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
 
     A bitableau is a standard filling of plus and minus side by side, so
     the walk of enumerate_syt serves here too: it fills the rows of plus
-    and then of minus, the first row of minus under no other, and yields
-    each filling cut after the rows of plus.  Each entry is tried in the
-    rows of plus before those of minus, top-most first.  Their count
-    C(n, |plus|) f^plus f^minus is held to the budget.
+    and then of minus, the first row of minus under no other, and each
+    filling is built from its row word, cut after the rows of plus.  Each
+    entry is tried in the rows of plus before those of minus, top-most
+    first.  Their count C(n, |plus|) f^plus f^minus is held to the budget.
     """
     plus_shape, minus_shape = shape
     validate_shape(plus_shape)
@@ -286,7 +287,9 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     n = k + sum(minus_shape)
     count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
-    yield from _fillings((*plus_shape, *minus_shape), len(plus_shape), n, descents)
+    second = len(plus_shape)
+    walk = _fillings((*plus_shape, *minus_shape), second, n, descents)
+    yield from walk if descents else (_bitableau_of_word(word, second) for word in walk)
 
 
 def enumerate_all_syb(
@@ -306,9 +309,13 @@ def enumerate_all_syb(
     n - 1, so the word rises from entry 0 exactly when entry 1 is negative,
     and its number of rises, sum(map(lt, word, word[1:])), is the des_B of
     the bitableau.  The word fixes the bitableau, and no bitableau is
-    built.  Asking for descents and words at once raises ValueError."""
+    built; without either flag each is built from its word.  Asking for
+    descents and words at once raises ValueError."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
-    yield from _fillings((n,) * (2 * n), n, n, descents, words)
+    if descents and words:
+        raise ValueError("a walk yields descent sets or row words, not both")
+    walk = _fillings((n,) * (2 * n), n, n, descents)
+    yield from walk if descents or words else (_bitableau_of_word(word, n) for word in walk)
 
 
 def _row_of(bitableau: Bitableau) -> list[int]:

@@ -16,6 +16,7 @@ from eulerinv.permutations import (
 )
 from eulerinv.reports import CheckRecord, Report, int_list
 from eulerinv.tableaux import (
+    _bitableau_of_word,
     _row_of,
     bipartitions,
     enumerate_all_syb,
@@ -510,7 +511,7 @@ def test_the_transpose_words_are_those_of_the_built_transposes():
             assert image == _lattice_word(t, n), q
             # the transpose of the transpose, read off the image word alone
             assert checks._transpose_word(image, n) == row, q
-            assert checks._bitableau_of_word(row, n) == q
+            assert _bitableau_of_word(row, n) == q
 
 
 def test_the_transpose_map_takes_exactly_the_standard_words():

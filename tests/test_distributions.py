@@ -250,6 +250,13 @@ def test_is_symmetric():
     assert not is_symmetric((1, 2, 1), 0)
 
 
+@pytest.mark.parametrize("n", [True, -1, 2.0, None])
+def test_is_symmetric_rejects_an_n_that_is_no_nonnegative_int(n):
+    # True was once taken as 1, so (1, 2, 1) read as asymmetric
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        is_symmetric((1, 2, 1), n)
+
+
 def test_is_unimodal():
     assert is_unimodal((1, 17, 40, 17, 1))
     assert not is_unimodal((1, 0, 1))

@@ -45,6 +45,14 @@ def test_polynomial_products():
     assert poly_multiply(one_plus_x, ()) == ()
     assert poly_multiply(one_plus_x, one_plus_x) == (1, 2, 1)
     assert poly_multiply((3,), one_plus_x) == (3, 3)
+    assert poly_multiply([1, 1], [1, 2]) == (1, 3, 2)  # lists are taken too
+
+
+@pytest.mark.parametrize("p, q", [(None, (1, 1)), ((1, 1), None), ("ab", (1,)), ((1,), 3)])
+def test_poly_multiply_rejects_an_operand_that_is_no_tuple_or_list(p, q):
+    # None once gave (), as an empty product does
+    with pytest.raises(ValueError, match="polynomials are tuples or lists of coefficients"):
+        poly_multiply(p, q)
 
 
 def test_polynomial_multiplication_commutative_associative():

@@ -456,6 +456,17 @@ def test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once():
         assert len(set(got)) == len(got), n
 
 
+def test_the_all_shapes_walks_yield_the_objects_of_the_placing_oracles():
+    # the objects are built from row words cut at n, so the lattice's empty
+    # rows, and for tableaux its whole minus part, must be dropped; the
+    # oracles place entries in the rows of each shape with no word at all
+    for n in range(8):
+        expected = [q for shape in partitions(n) for q in standard_fillings_by_placing(shape)]
+        assert sorted(enumerate_all_syt(n)) == sorted(expected), n
+        expected = [q for shape in bipartitions(n) for q in bitableaux_by_placing(*shape)]
+        assert sorted(enumerate_all_syb(n)) == sorted(expected), n
+
+
 def test_syb_signed_descent_set_examples():
     # bit i for a descent at i, bit n + e - 1 for an entry e in the minus part
     assert syb_signed_descent_set((((1, 2),), ())) == 0

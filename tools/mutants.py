@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 CHECKS = "src/eulerinv/checks.py"
+PERMUTATIONS = "src/eulerinv/permutations.py"
 TABLEAUX = "src/eulerinv/tableaux.py"
 TEST_CHECKS = "tests/test_checks.py::"
 TEST_TABLEAUX = "tests/test_tableaux.py::"
@@ -86,13 +87,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the lattice walk keeps the empty rows",
+        "the row-word builder keeps the empty rows",
         TABLEAUX,
-        "yield tuple(map(tuple, filter(None, plus))), tuple(map(tuple, filter(None, minus)))",
-        "yield tuple(map(tuple, plus)), tuple(map(tuple, minus))",
+        "tuple(map(tuple, filter(None, part)))",
+        "tuple(map(tuple, part))",
         (
-            TEST_TABLEAUX + "test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once",
-            TEST_TABLEAUX + "test_the_descents_walks_over_all_shapes_keep_the_walk_order",
+            TEST_TABLEAUX + "test_enumerate_syb_keeps_the_recursive_order",
+            TEST_TABLEAUX + "test_enumerate_syb_against_pairing_oracle",
+            TEST_TABLEAUX + "test_the_all_shapes_walks_yield_the_objects_of_the_placing_oracles",
+        ),
+    ),
+    Mutant(
+        "the walk sets bit 0",
+        TABLEAUX,
+        "bit[0] = 0",
+        "bit[0] = 1",
+        (
+            TEST_CHECKS + "test_descent_multiset_bijection",
+            "tests/test_qsym.py::test_verify_signed_schur_spec",
         ),
     ),
     Mutant(
@@ -147,6 +159,30 @@ MUTANTS = (
             "tests/test_qsym.py::test_schur_spec_matches_ssyt_oracle",
             "tests/test_qsym.py::test_verify_cauchy_spec",
         ),
+    ),
+    Mutant(
+        "signed_descent_set makes a -,+ step a descent",
+        PERMUTATIONS,
+        "elif prev > v:",
+        "elif prev > v or prev < 0:",
+        (
+            "tests/test_permutations.py::test_signed_descent_set_examples",
+            TEST_CHECKS + "test_descent_multiset_bijection",
+        ),
+    ),
+    Mutant(
+        "the involution walk forgets a pair's end",
+        PERMUTATIONS,
+        "{i - 1, i, j - 1, j}",
+        "{i - 1, i, j}",
+        (TEST_CHECKS + "test_des_statistic_conjecture", TEST_CHECKS + "test_genfun_sweeps"),
+    ),
+    Mutant(
+        "a recurrence coefficient changed",
+        "src/eulerinv/distributions.py",
+        "(2 * k + 1) * prev_k",
+        "(2 * k + 2) * prev_k",
+        (TEST_CHECKS + "test_recurrence_route", TEST_CHECKS + "test_proof_identity"),
     ),
     Mutant(
         "the lemma check takes a bool or a float",
