@@ -7,15 +7,20 @@ independently computed sides of an identity and emits one record per
 checked case, in deterministic (n, k) order, handing the report its values
 (integers, rows, gamma vectors) as they are.  Hard identities get pass/fail
 records; open questions and known print discrepancies get note records that
-never fail a run.  The transpose sweep checks that transposition is a
-bijection, and its failure names the first violating object.  It builds no
-object, no transpose and no set: each all-shapes walk yields row words
-alone, one pass over a word gives its transpose's word and tests that it
-is standard, the descent numbers are counted on the words, and
-transposing twice is checked by mapping the image word back.  The words
-come in strictly rising order, so a repeat is a word not above the one
-before.  Only a failure rebuilds an object, the first violating one, from
-its word, through the one builder of tableaux, _bitableau_of_word.
+never fail a run.
+
+The transpose sweep checks that transposition is a bijection, and its
+failure names the first violating object.  It builds no object, no
+transpose and no set: each all-shapes walk yields row words alone, and
+_transpose_word, the one transpose map, which tableaux keeps with the
+word's layout and applies in syb_transpose, gives each word's transpose's
+word in one pass and tests that the word is standard.  The descent numbers
+are counted on the words, and transposing twice is checked by mapping the
+image word back.  The words come in strictly rising order, so a repeat is
+a word not above the one before.  Only a failure rebuilds an object, the
+first violating one, from its word, through the one builder of tableaux,
+_bitableau_of_word, and only when the map takes that word: a word it
+refuses is named as it is.
 
 Descent sets from windows and tableau walks alike are the packed ints of
 permutations.py and reach fundamental_spec as they are; only a failing
@@ -53,6 +58,7 @@ from .qsym import fundamental_spec, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
     _bitableau_of_word,
+    _transpose_word,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
@@ -198,40 +204,6 @@ def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int
     return report
 
 
-def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """The row word of the transpose of the bitableau whose row word is
-    word, read from that word alone, or None when word is no row word of a
-    standard bitableau of size n.
-
-    word[e] is the row of entry e as the lattice walk of enumerate_all_syb
-    numbers them: the rows of plus 0..n-1, those of minus n..2n-1; word[0]
-    is copied.  The transpose is (minus', plus'), whose rows are columns.
-    A row takes its entries in increasing order, so the column of e,
-    counted from 0, is the number of entries its row took before e: an
-    entry of minus goes to the row of plus' of its column, an entry of
-    plus to n plus that.  taken[r] is where the next entry of row r goes.
-
-    The same pass tests that word is standard.  Every entry must be a row,
-    0..2n-1, and the word must be a lattice word within each part: no row
-    but the first of a part may take an entry when it holds as many as the
-    row above.  That is taken[r - 1] > taken[r], where the first row of
-    minus always passes, because the last row of plus stands n higher, and
-    the first row of plus compares with taken[-1], the last slot, which
-    holds 2n."""
-    rows = 2 * n
-    taken = [n] * n + [0] * n + [rows]
-    image = [word[0]]
-    for r in word[1:]:
-        if not 0 <= r < rows:
-            return None
-        column = taken[r]
-        if taken[r - 1] <= column:
-            return None
-        image.append(column)
-        taken[r] = column + 1
-    return tuple(image)
-
-
 def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
@@ -243,7 +215,9 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     exceed the previous object's.  A failure names the first violating
     object in walk order, rebuilt from its row word by
     tableaux._bitableau_of_word, the builder every enumerator of objects
-    maps over its walk's words.
+    maps over its walk's words, when _transpose_word takes that word; a
+    word it refuses, with an entry outside the rows or no lattice word,
+    fixes no object, and the failure names the row word itself.
 
     No object and no transpose is built.  Each walk yields row words alone
     (words=True), and _transpose_word maps a word to its transpose's in one
@@ -281,12 +255,12 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
                     or row <= previous
                 ):
                     bad += 1
-                    if bad == 1:
-                        first = row
+                    if bad == 1:  # a word the map refuses fixes no object
+                        first = shown(_bitableau_of_word(row, n)) if image else f"row word {row}"
                 previous = row
             rhs = f"{bad} violations"
             if bad:
-                rhs += f", first {shown(_bitableau_of_word(first, n))}"
+                rhs += f", first {first}"
             report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
     return report
 

@@ -41,31 +41,36 @@ Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
 read off the row of each entry.  Every walk numbers the rows of plus from
 0 and those of minus on from `second`, len(plus) in a per-shape walk and n
-in the lattice, and the reader numbers them as a per-shape walk does.  So
-an entry is negative when its row is at least `second`, a tableau is the
+in the lattice, and the reader numbers them as the lattice does.  So an
+entry is negative when its row is at least `second`, a tableau is the
 bitableau with no minus part, no sign bit set, and as a +,- step always
 climbs and a -,+ step never does, one comparison of neighbours tests each
 i.  With `descents` set each enumerator yields each object's descent set in
 its place: the walk sets an entry's bits as it places the entry, so it
 builds no tableau and no tuple.
 
-A finished object, as the enumerators yield it without a flag, has
-one reader, syb_signed_descent_set, which sets the same bits in one pass
-over the list of each entry's row that _row_of builds, and one map,
-syb_transpose; a tableau q is read as the bitableau (q, ()).  Both reject,
-through _check_standard, anything but a (plus, minus) pair of tuples or
-lists, entries that are not ints or are bools, rows, columns and shapes
-that are not standard, and entries other than 1..n each once.
-Nothing here calls the window-side descent functions, so the two sides of
-the bijection share only the layout.
+A finished object, as the enumerators yield it without a flag, is read
+only through its row word in the lattice's numbering: rows of plus 0..n-1,
+rows of minus n..2n-1, and n - 1 in entry 0, the word the all-shapes walks
+yield with `words` set.  _word_of turns a bitableau into that word and is
+the one standardness test: the word must be a lattice word within each
+part, which _transpose_word tests, and _bitableau_of_word must build the
+filling back from it.  On the word, syb_signed_descent_set sets the bits
+of each entry, and syb_transpose is _transpose_word, the one transpose
+map, the map the transpose sweep of checks applies to every word it walks
+and certifies; a tableau q is read as the bitableau (q, ()).  Both reject
+anything but a (plus, minus) pair of tuples or lists, entries that are not
+ints or are bools, entries other than 1..n each once, and fillings that
+are not standard, in that order.  Nothing here calls the window-side
+descent functions, so the two sides of the bijection share only the
+layout.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain, zip_longest
+from itertools import chain
 from math import comb, factorial
-from operator import lt
 
 from .permutations import _check_budget, _check_nonnegative, involution_count
 
@@ -318,37 +323,76 @@ def enumerate_all_syb(
     yield from walk if descents or words else (_bitableau_of_word(word, n) for word in walk)
 
 
-def _row_of(bitableau: Bitableau) -> list[int]:
-    """row_of[e] for each entry e of a bitableau that _check_standard has
-    passed: the index of its row among the rows of plus and then those of
-    minus, counted from 0, as the walk numbers them.  row_of[0] is 0."""
-    rows = (*bitableau[0], *bitableau[1])
-    row_of = [0] * (sum(map(len, rows)) + 1)
-    for r, row in enumerate(rows[1:], 1):  # the first row keeps row 0
-        for entry in row:
-            row_of[entry] = r
-    return row_of
+def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """The row word of the transpose of the bitableau whose row word is
+    word, read from that word alone, or None when word is no row word of a
+    standard bitableau of size n.
+
+    word[e] is the row of entry e as the lattice walk of enumerate_all_syb
+    numbers them: the rows of plus 0..n-1, those of minus n..2n-1; word[0]
+    is copied.  The transpose is (minus', plus'), whose rows are columns.
+    A row takes its entries in increasing order, so the column of e,
+    counted from 0, is the number of entries its row took before e: an
+    entry of minus goes to the row of plus' of its column, an entry of
+    plus to n plus that.  taken[r] is where the next entry of row r goes.
+
+    The same pass tests that word is standard.  Every entry must be a row,
+    0..2n-1, and the word must be a lattice word within each part: no row
+    but the first of a part may take an entry when it holds as many as the
+    row above.  That is taken[r - 1] > taken[r], where the first row of
+    minus always passes, because the last row of plus stands n higher, and
+    the first row of plus compares with taken[-1], the last slot, which
+    holds 2n."""
+    rows = 2 * n
+    taken = [n] * n + [0] * n + [rows]
+    image = [word[0]]
+    for r in word[1:]:
+        if not 0 <= r < rows:
+            return None
+        column = taken[r]
+        if taken[r - 1] <= column:
+            return None
+        image.append(column)
+        taken[r] = column + 1
+    return tuple(image)
 
 
-def _check_standard(bitableau: Bitableau) -> None:
-    """Raise ValueError unless bitableau is a (plus, minus) pair, a tuple or
-    a list of two tuples or lists of rows, each row a tuple or a list; its
-    entries are ints, no bool among them; each part has a partition for its
-    shape and rows and columns that increase; and the entries are 1..n, each
-    once, checked in that order."""
+def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
+    """The row word of a standard bitableau, the inverse of
+    _bitableau_of_word: entry e is the row of entry e, the rows of plus
+    numbered 0..n-1 and those of minus n..2n-1 as the lattice numbers them,
+    and entry 0 is n - 1, so that enumerate_all_syb(n, words=True) yields
+    the word of each bitableau it walks.
+
+    Raise ValueError unless bitableau is a (plus, minus) pair, a tuple or a
+    list of two tuples or lists of rows, each row a tuple or a list; its
+    entries are ints, no bool among them, and they are 1..n, each once; and
+    the filling is standard, checked in that order.  Standard is two tests
+    of the word: _transpose_word takes it, so it is a lattice word within
+    each part, and the cells of entries 1..e are a pair of partitions for
+    every e; and _bitableau_of_word builds the filling back from it, so
+    each row increases, no row is empty and every entry sits in the row its
+    word names.  Together they are the definition of a standard bitableau.
+    """
     pair = isinstance(bitableau, (tuple, list)) and len(bitableau) == 2
     if not (pair and all(isinstance(x, (tuple, list)) for x in chain(bitableau, *bitableau))):
         raise ValueError(f"a bitableau is a (plus, minus) pair of tableaux, got {bitableau}")
     entries = [*chain(*bitableau[0], *bitableau[1])]
     if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):
         raise ValueError(f"a standard filling holds 1..n, each an int, got {bitableau}")
-    for part in bitableau:
-        validate_shape(tuple(map(len, part)))
-        rows_ok = all(all(map(lt, row, row[1:])) for row in part)
-        if not (rows_ok and all(all(map(lt, a, b)) for a, b in zip(part, part[1:]))):
-            raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
-    if sorted(entries) != list(range(1, len(entries) + 1)):
+    n = len(entries)
+    if sorted(entries) != list(range(1, n + 1)):
         raise ValueError(f"a standard filling holds 1..n, each once, got {bitableau}")
+    word = [n - 1] * (n + 1)
+    plus, minus = bitableau
+    for r, row in chain(enumerate(plus), enumerate(minus, n)):
+        for entry in row:
+            word[entry] = r
+    word = tuple(word)
+    filling = tuple(tuple(map(tuple, part)) for part in bitableau)
+    if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:
+        raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
+    return word
 
 
 def syb_signed_descent_set(bitableau: Bitableau) -> int:
@@ -356,22 +400,21 @@ def syb_signed_descent_set(bitableau: Bitableau) -> int:
 
     The sign of i is the sign of the part containing it; i is a descent when
     the signs step +,- , or when they agree and i+1 sits in a strictly lower
-    row of that shared part.  With the minus rows numbered from len(plus)
-    that is one test, row_of[i] < row_of[i+1], and i is negative when
-    row_of[i] >= len(plus).  row_of[0] is set under every row, as the walk
-    sets chosen[0], so entry 1 is never a descent.  A filling that is not a
-    standard bitableau raises ValueError.  This is also the live name of
-    the benchmark tracer's tableaux.stat group.
+    row of that shared part.  On the row word of _word_of, whose rows of
+    minus are numbered from n, under every row of plus, that is one test,
+    word[i] < word[i + 1], and entry e is negative when word[e] >= n.
+    Entry 1 is never a descent, so bit 0 is cleared.  A filling that is not a
+    standard bitableau raises ValueError.  It stays public as the reader of
+    a finished bitableau, the set the descents mode of every walk must
+    match, and as the live name of the benchmark tracer's tableaux.stat
+    group.
     """
-    _check_standard(bitableau)
-    row_of = _row_of(bitableau)
-    split = len(bitableau[0])
-    row_of[0] = split + len(bitableau[1])
-    n = len(row_of) - 1
+    word = _word_of(bitableau)
+    n = len(word) - 1
     mask = 0
-    for e, (above, row) in enumerate(zip(row_of, row_of[1:])):  # entry e + 1 is in row
-        mask |= (above < row) << e | (row >= split) << (n + e)
-    return mask
+    for e, (above, row) in enumerate(zip(word, word[1:])):  # entry e + 1 is in row
+        mask |= (above < row) << e | (row >= n) << (n + e)
+    return mask & ~1  # word[0] is n - 1, so a negative entry 1 rises from it
 
 
 def syb_transpose(bitableau: Bitableau) -> Bitableau:
@@ -379,13 +422,13 @@ def syb_transpose(bitableau: Bitableau) -> Bitableau:
     parts swapped and the rows of each its columns.  It sends des_B to
     n - des_B; a tableau q, read as (q, ()), goes to ((), q').  A filling
     that is not a standard bitableau raises ValueError, as in
-    syb_signed_descent_set.  This is also the live name of the benchmark
-    tracer's tableaux.transpose group."""
-    _check_standard(bitableau)
-    plus, minus = bitableau
-    # zip_longest pads the short columns with None, which filter drops;
-    # entries are positive, so no entry is dropped with it
-    return tuple(
-        tuple([tuple(filter(None, column)) for column in zip_longest(*part)])
-        for part in (minus, plus)
-    )
+    syb_signed_descent_set.
+
+    It maps the row word of _word_of by _transpose_word, the map that
+    verify transpose applies to every word of each size it walks and
+    certifies, and builds the image with _bitableau_of_word; that is why it
+    stays public, beside being the live name of the benchmark tracer's
+    tableaux.transpose group."""
+    word = _word_of(bitableau)
+    n = len(word) - 1
+    return _bitableau_of_word(_transpose_word(word, n), n)

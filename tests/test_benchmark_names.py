@@ -52,7 +52,9 @@ def test_every_traced_group_keeps_a_live_name():
     # Tracer.install raises MissedBinding for a group none of whose names
     # exists, so each group needs one live function until the benchmark
     # drops the group: syb_signed_descent_set keeps tableaux.stat and
-    # syb_transpose keeps tableaux.transpose, though no sweep calls them
+    # syb_transpose keeps tableaux.transpose.  No sweep calls either; the
+    # transpose sweep applies syb_transpose's word map, tableaux's private
+    # _transpose_word, which the tracer does not wrap
     tracer = _load_tracer()
     groups = tracer.GROUPS.items()
     assert [group for group, names in groups if not any(map(callable, map(_resolve, names)))] == []

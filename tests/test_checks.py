@@ -17,12 +17,11 @@ from eulerinv.permutations import (
 from eulerinv.reports import CheckRecord, Report, int_list
 from eulerinv.tableaux import (
     _bitableau_of_word,
-    _row_of,
+    _word_of,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
     partitions,
-    syb_transpose,
 )
 from oracles import (
     bitableau_descent_set_by_definition,
@@ -492,23 +491,21 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
     assert failure.rhs == "2 violations, first ((1, 2),)"
 
 
-def _lattice_word(q, n):
-    """The row word of a bitableau q as the words mode of the all-shapes
-    walks numbers it: the rows of plus from 0, those of minus from n, and
-    n - 1 in entry 0."""
-    split = len(q[0])
-    return (n - 1, *(r if r < split else n + r - split for r in _row_of(q)[1:]))
-
-
 def test_the_transpose_words_are_those_of_the_built_transposes():
-    # a tableau q is read as (q, ()), and its transpose is ((), q')
+    # a tableau q is read as (q, ()), and its transpose is ((), q'); the
+    # transposes are the oracle's, as syb_transpose applies the map itself.
+    # _word_of numbers the rows as the words mode of the all-shapes walks
+    # does: the rows of plus from 0, those of minus from n, n - 1 in entry 0
     for n in range(8):
-        pairs = [(q, syb_transpose(q)) for q in enumerate_all_syb(n)]
+        pairs = [
+            (q, (transpose_by_columns(q[1]), transpose_by_columns(q[0])))
+            for q in enumerate_all_syb(n)
+        ]
         pairs += [((q, ()), ((), transpose_by_columns(q))) for q in enumerate_all_syt(n)]
         for q, t in pairs:
-            row = _lattice_word(q, n)
+            row = _word_of(q)
             image = checks._transpose_word(row, n)
-            assert image == _lattice_word(t, n), q
+            assert image == _word_of(t), q
             # the transpose of the transpose, read off the image word alone
             assert checks._transpose_word(image, n) == row, q
             assert _bitableau_of_word(row, n) == q
@@ -581,23 +578,33 @@ def test_transpose_counts_an_image_entry_past_the_rows_as_a_violation(monkeypatc
     ]
 
 
-def test_transpose_counts_a_word_that_is_not_standard_as_a_violation(monkeypatch):
-    # the walk yields, in place of the last bitableau of size 3, a word whose
-    # entries 2 and 3 enter the second row of plus before the first row holds
-    # two: above the word before it, but no lattice word
+@pytest.mark.parametrize(
+    "word",
+    [(2, 0, 1, 1), (2, 3, 4, 6), (2, 3, 4, -1)],
+    ids=["no-lattice-word", "past-the-rows", "negative"],
+)
+def test_transpose_counts_a_word_that_is_not_standard_as_a_violation(monkeypatch, word):
+    # the walk yields the word in place of the last bitableau of size 3,
+    # (2, 3, 4, 5).  The first word's entries 2 and 3 enter the second row of
+    # plus before the first row holds two: no lattice word.  The others move
+    # entry 3 out of the rows 0..5, to 2n, where building a filling would
+    # index past the rows, or to -1, where it would put entry 3 in the last
+    # row of minus.  The map refuses each, so it fixes no bitableau, and the
+    # failure names the word, not a filling built from it
     original = checks.enumerate_all_syb
 
     def bent(n, *, words):
         found = list(original(n, words=words))
         if n == 3:
-            found[-1] = (2, 0, 1, 1)
+            assert found[-1] == (2, 3, 4, 5)
+            found[-1] = word
             found.sort()
         return iter(found)
 
     monkeypatch.setattr(checks, "enumerate_all_syb", bent)
     report = checks.verify_transpose_complement(3, 0)
     assert [r.status for r in report] == ["pass", "pass", "pass", "fail", "pass"]
-    assert report.failures[0].rhs == "1 violations, first (((1,), (2, 3)), ())"
+    assert report.failures[0].rhs == f"1 violations, first row word {word}"
 
 
 def _structured(report):

@@ -427,11 +427,7 @@ def test_the_words_walks_yield_the_row_word_of_each_object_in_walk_order():
             (enumerate_all_syt, lambda q: (q, ())),
         )
         for walk, as_bitableau in walks:
-            expected = []
-            for q in map(as_bitableau, walk(n)):
-                split = len(q[0])
-                rows = (r if r < split else n + r - split for r in tableaux._row_of(q)[1:])
-                expected.append((n - 1, *rows))
+            expected = [tableaux._word_of(q) for q in map(as_bitableau, walk(n))]
             got = list(walk(n, words=True))
             assert all(type(word) is tuple for word in got)
             assert got == expected, (walk, n)

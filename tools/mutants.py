@@ -44,7 +44,7 @@ TEST_TABLEAUX = "tests/test_tableaux.py::"
 MUTANTS = (
     Mutant(
         "the transpose map counts the columns of minus from 1",
-        CHECKS,
+        TABLEAUX,
         "taken = [n] * n + [0] * n + [rows]",
         "taken = [n] * n + [1] * n + [rows]",
         (
@@ -54,7 +54,7 @@ MUTANTS = (
     ),
     Mutant(
         "the transpose map sends the columns of plus from row n - 1",
-        CHECKS,
+        TABLEAUX,
         "taken = [n] * n + [0] * n + [rows]",
         "taken = [n - 1] * n + [0] * n + [rows]",
         (
@@ -64,14 +64,14 @@ MUTANTS = (
     ),
     Mutant(
         "the transpose map's lattice test dropped",
-        CHECKS,
+        TABLEAUX,
         "        if taken[r - 1] <= column:\n            return None\n",
         "",
         (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
     ),
     Mutant(
         "the transpose map's range test dropped",
-        CHECKS,
+        TABLEAUX,
         "        if not 0 <= r < rows:\n            return None\n",
         "",
         (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
@@ -137,18 +137,38 @@ MUTANTS = (
         (TEST_TABLEAUX + "test_partitions_reject_an_n_that_is_no_nonnegative_int",),
     ),
     Mutant(
-        "_check_standard takes any number of parts",
+        "_word_of takes any number of parts",
         TABLEAUX,
         "isinstance(bitableau, (tuple, list)) and len(bitableau) == 2",
         "isinstance(bitableau, (tuple, list)) and len(bitableau) >= 2",
         (TEST_TABLEAUX + "test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau",),
     ),
     Mutant(
-        "_check_standard takes a float or a bool entry",
+        "_word_of takes a float or a bool entry",
         TABLEAUX,
         "if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):",
         "if any(isinstance(e, str) for e in entries):",
         (TEST_TABLEAUX + "test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau",),
+    ),
+    Mutant(
+        "the standard check skips the rebuild",
+        TABLEAUX,
+        "if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:",
+        "if _transpose_word(word, n) is None:",
+        (
+            TEST_TABLEAUX + "test_the_set_readers_accept_exactly_the_standard_fillings",
+            TEST_TABLEAUX + "test_the_transpose_accepts_exactly_the_standard_fillings",
+        ),
+    ),
+    Mutant(
+        "the standard check skips the lattice test",
+        TABLEAUX,
+        "if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:",
+        "if _bitableau_of_word(word, n) != filling:",
+        (
+            TEST_TABLEAUX + "test_the_set_readers_accept_exactly_the_standard_fillings",
+            TEST_TABLEAUX + "test_the_transpose_accepts_exactly_the_standard_fillings",
+        ),
     ),
     Mutant(
         "schur_spec counts chains at m + 1",
