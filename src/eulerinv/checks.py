@@ -208,16 +208,21 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     """Transposition sends descent numbers to their complements: n - des_B on
     bitableaux, n - 1 - des on tableaux; both maps are involutive bijections.
 
-    One record per n.  An object violates the rule when its row word or
-    its transpose's is not that of a standard bitableau, when its
-    transpose's descent number is not the complement of its own, when
-    transposing twice does not give it back, or when its row word does not
-    exceed the previous object's.  A failure names the first violating
+    One record per n.  It fails when the walk yields other than
+    involution_count(n, signed=...) objects, the count it then names, or
+    when any object violates the rule.  An object violates the rule when
+    its row word or its transpose's is not that of a standard bitableau,
+    when a tableau's word has an entry past row n - 1, in the rows of
+    minus, when its transpose's descent number is not the complement of
+    its own, when transposing twice does not give it back, or when its row
+    word does not exceed the previous object's.  A failure names the first violating
     object in walk order, rebuilt from its row word by
     tableaux._bitableau_of_word, the builder every enumerator of objects
-    maps over its walk's words, when _transpose_word takes that word; a
-    word it refuses, with an entry outside the rows or no lattice word,
-    fixes no object, and the failure names the row word itself.
+    maps over its walk's words, when _transpose_word takes that word and
+    its entries lie in the walk's rows; a word it refuses, with an entry
+    outside the rows or no lattice word, or a tableau's word that reaches
+    the rows of minus, fixes no object of the walk, and the failure names
+    the row word itself.
 
     No object and no transpose is built.  Each walk yields row words alone
     (words=True), and _transpose_word maps a word to its transpose's in one
@@ -235,19 +240,23 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     the one before, a repeated object or two objects with one word, is a
     violation, and the sweep keeps only the previous word.  Distinct words
     and a transpose that transposes back make the map injective: two
-    objects with one image would have one word.  Each size is walked once."""
+    objects with one image would have one word, and the count makes it
+    onto: the walk yields every object of its size.  Each size is walked
+    once."""
     report = Report()
     families = (
-        ("transpose-signed", signed_n_max, enumerate_all_syb, lambda q: q, "bitableaux"),
-        ("transpose-unsigned", unsigned_n_max, enumerate_all_syt, lambda q: q[0], "tableaux"),
+        ("transpose-signed", signed_n_max, True, enumerate_all_syb, lambda q: q, "bitableaux"),
+        ("transpose-unsigned", unsigned_n_max, False, enumerate_all_syt, lambda q: q[0], "tableaux"),
     )
-    for check, n_max, walk, shown, noun in families:
+    for check, n_max, signed, walk, shown, noun in families:
         for n in range(n_max + 1):
             previous = ()
             total = bad = 0
             for row in walk(n, words=True):
                 total += 1
                 image = _transpose_word(row, n)
+                if not signed and image is not None and max(row) >= n:
+                    image = None  # a tableau's word in the rows of minus
                 if (
                     image is None
                     or _transpose_word(image, n) != row
@@ -258,10 +267,12 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
                     if bad == 1:  # a word the map refuses fixes no object
                         first = shown(_bitableau_of_word(row, n)) if image else f"row word {row}"
                 previous = row
+            expected = involution_count(n, signed=signed)
+            lhs = f"{total} {noun}" + (f", expected {expected}" if total != expected else "")
             rhs = f"{bad} violations"
             if bad:
                 rhs += f", first {first}"
-            report.check(check, (("n", n),), bad == 0, f"{total} {noun}", rhs)
+            report.check(check, (("n", n),), bad == 0 and total == expected, lhs, rhs)
     return report
 
 

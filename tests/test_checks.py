@@ -607,6 +607,44 @@ def test_transpose_counts_a_word_that_is_not_standard_as_a_violation(monkeypatch
     assert report.failures[0].rhs == f"1 violations, first row word {word}"
 
 
+def test_transpose_fails_when_the_walk_misses_an_object(monkeypatch):
+    # the walk of size 3 drops its last bitableau, (2, 3, 4, 5): every word
+    # left is standard, distinct and transposes back, but 19 of the 20
+    # bitableaux of size 3 make no bijection, and the record names the 20
+    original = checks.enumerate_all_syb
+
+    def short(n, *, words):
+        found = list(original(n, words=words))
+        return iter(found[:-1] if n == 3 else found)
+
+    monkeypatch.setattr(checks, "enumerate_all_syb", short)
+    report = checks.verify_transpose_complement(4, 0)
+    assert [r.status for r in report] == ["pass", "pass", "pass", "fail", "pass", "pass"]
+    failure = report.failures[0]
+    assert (failure.lhs, failure.rhs) == ("19 bitableaux, expected 20", "0 violations")
+
+
+def test_transpose_counts_a_tableau_word_in_the_rows_of_minus_as_a_violation(monkeypatch):
+    # the tableau walk of size 3 yields (2, 0, 1, 3) for its last tableau,
+    # (2, 0, 1, 2): entry 3 moves to row n = 3, the first row of minus.  The
+    # word is that of the standard bitableau (((1,), (2,)), ((3,),)), so the
+    # map takes it and the count stays 4, but it is no tableau's word
+    original = checks.enumerate_all_syt
+
+    def bent(n, *, words):
+        found = list(original(n, words=words))
+        if n == 3:
+            assert found[-1] == (2, 0, 1, 2)
+            found[-1] = (2, 0, 1, 3)
+        return iter(found)
+
+    monkeypatch.setattr(checks, "enumerate_all_syt", bent)
+    report = checks.verify_transpose_complement(0, 4)
+    assert [r.status for r in report] == ["pass"] + ["pass", "pass", "pass", "fail", "pass"]
+    failure = report.failures[0]
+    assert (failure.lhs, failure.rhs) == ("4 tableaux", "1 violations, first row word (2, 0, 1, 3)")
+
+
 def _structured(report):
     return [record.structured() for record in report]
 

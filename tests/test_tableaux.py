@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, zip_longest
 from operator import lt
 
 import pytest
@@ -107,6 +107,86 @@ def test_enumerate_syb_keeps_the_recursive_order():
             assert got == bitableaux_by_placing(plus, minus), (plus, minus)
 
 
+def _row_word(bitableau, second):
+    """The row word of a filling as a walk whose second part starts at row
+    `second` numbers the rows: the row of entry e at index e, the rows of
+    minus from `second` on, and second - 1 at index 0."""
+    plus, minus = bitableau
+    word = [second - 1] * (1 + sum(map(len, plus)) + sum(map(len, minus)))
+    for r, row in [*enumerate(plus), *enumerate(minus, second)]:
+        for entry in row:
+            word[entry] = r
+    return tuple(word)
+
+
+def _assert_the_walks_follow(expected, second, n, got_objects, got_words, got_masks):
+    # the three modes of one walk, each an iterator, against the pairs
+    # (object, its descent set by definition) in the reference walk's order
+    missing = None, None
+    for got, (q, _) in zip_longest(got_objects, expected, fillvalue=missing):
+        assert got == q
+    for got, (q, _) in zip_longest(got_words, expected, fillvalue=missing):
+        assert q is not None and got == _row_word(q, second)
+    for got, (_, des) in zip_longest(got_masks, expected, fillvalue=missing):
+        assert got is not None and unpack_descents(got, n) == des
+
+
+def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
+    # the walk places entries 1..2n // 3 and reads the rest of each filling
+    # from a table, yet every mode must yield the reference walks' sequence:
+    # every shape of n <= 8 and the lattices of n <= 9.  n = 0, 1 and 2
+    # place 0, 0 and 1 entries before the table.  A tableau q is read as
+    # (q, ()), and a per-shape walk's words come from _fillings
+    def with_descents(objects):
+        return [(q, bitableau_descent_set_by_definition(q)) for q in objects]
+
+    for n in range(10):
+        signed, unsigned = [], []
+        for plus, minus in bipartitions(n):
+            expected = with_descents(bitableaux_by_placing(plus, minus))
+            signed += expected
+            if n <= 8:
+                _assert_the_walks_follow(
+                    expected,
+                    len(plus),
+                    n,
+                    enumerate_syb((plus, minus)),
+                    tableaux._fillings((*plus, *minus), len(plus), n),
+                    enumerate_syb((plus, minus), True),
+                )
+        for shape in partitions(n):
+            expected = with_descents((q, ()) for q in standard_fillings_by_placing(shape))
+            unsigned += expected
+            if n <= 8:
+                _assert_the_walks_follow(
+                    expected,
+                    len(shape),
+                    n,
+                    ((q, ()) for q in enumerate_syt(shape)),
+                    tableaux._fillings(shape, len(shape), n),
+                    enumerate_syt(shape, True),
+                )
+        # a lattice walk yields the objects of every shape of size n in the
+        # order of their row words, the rows of minus numbered from n
+        in_word_order = partial(sorted, key=lambda pair: _row_word(pair[0], n))
+        _assert_the_walks_follow(
+            in_word_order(signed),
+            n,
+            n,
+            enumerate_all_syb(n),
+            enumerate_all_syb(n, words=True),
+            enumerate_all_syb(n, True),
+        )
+        _assert_the_walks_follow(
+            in_word_order(unsigned),
+            n,
+            n,
+            ((q, ()) for q in enumerate_all_syt(n)),
+            enumerate_all_syt(n, words=True),
+            enumerate_all_syt(n, True),
+        )
+
+
 def test_each_table_has_one_state_per_sub_diagram():
     for n in range(9):
         for shape in partitions(n):
@@ -125,19 +205,26 @@ def test_each_table_has_one_state_per_sub_diagram():
 
 
 def test_each_table_is_built_once_per_shape():
-    # a Schur sweep walks each shape once per m; the table of a shape is built
-    # at its first walk and kept, so verify cauchy builds one per partition of
-    # 1..10, and the shape of 0 needs none
-    tableaux._moves.cache_clear()
+    # a Schur sweep walks each shape once per m; the tables of a shape, its
+    # moves and its completions, are built at its first walk and kept, so
+    # verify cauchy builds one of each per partition of 1..10, and the shape
+    # of 0 needs none
+    tables = tableaux._moves, tableaux._completions
+    for table in tables:
+        table.cache_clear()
     try:
         assert checks.verify_cauchy_spec(10, 6).ok
-        info = tableaux._moves.cache_info()
+        moves, tails = (table.cache_info() for table in tables)
     finally:
-        tableaux._moves.cache_clear()
+        for table in tables:
+            table.cache_clear()
     shapes = sum(1 for n in range(1, 11) for _ in partitions(n))
     assert shapes == 138
-    assert info.misses == info.currsize == shapes
-    assert info.hits == 5 * shapes  # m = 2..6
+    assert tails.misses == tails.currsize == shapes
+    assert tails.hits == 5 * shapes  # m = 2..6
+    assert moves.misses == moves.currsize == shapes
+    # one more read of each shape's moves, as its completion table is built
+    assert moves.hits == 6 * shapes
 
 
 def test_interleaved_walks_of_one_shape_yield_what_walks_in_turn_yield():

@@ -120,6 +120,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the walk drops the descent between its stack and its table",
+        TABLEAUX,
+        "rise = mask + bit[h]",
+        "rise = mask",
+        (
+            TEST_CHECKS + "test_descent_multiset_bijection",
+            TEST_TABLEAUX + "test_the_split_walks_yield_the_sequences_of_the_reference_walks",
+            TEST_TABLEAUX + "test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order",
+        ),
+    ),
+    Mutant(
+        "the completion table leaves out each sub-diagram's last completion",
+        TABLEAUX,
+        "tails[s] = tuple(groups)",
+        "tails[s] = (*groups[:-1], (first, bits[:-1], rows[:-1]))",
+        (
+            TEST_CHECKS + "test_transpose_complement",
+            TEST_TABLEAUX + "test_the_split_walks_yield_the_sequences_of_the_reference_walks",
+            TEST_TABLEAUX + "test_syb_totals_match_involution_counts",
+        ),
+    ),
+    Mutant(
         "the walk's second part under the column rule",
         TABLEAUX,
         "(r == 0 or r == second or lengths[r - 1] > col)",
