@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice, repeat
+from math import comb, factorial
 from operator import lt, mul, sub
 
 from . import reference
@@ -58,6 +59,7 @@ from .qsym import fundamental_spec, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
     _bitableau_of_word,
+    _syt_count,
     _transpose_word,
     bipartitions,
     enumerate_all_syb,
@@ -115,11 +117,16 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
 
 def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
     """Exhaustively check, over every signed permutation of each B_n, that the
-    chain-count specialization equals C(n + m - 1 - des_B, n)."""
+    chain-count specialization equals C(n + m - 1 - des_B, n).  A record
+    whose walk saw other than the 2^n n! elements of B_n fails and names
+    how many it saw."""
     report = Report()
     for n in range(n_max + 1):
+        order = 2**n * factorial(n)
         for m in range(1, m_max + 1):
+            seen = 0
             for w in enumerate_group(n, signed=True):
+                seen += 1
                 lhs = fundamental_spec(signed_descent_set(w), n, m)
                 rhs = binomial(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
@@ -128,7 +135,9 @@ def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
                     break
             else:
                 params = (("n", n), ("m", m))
-                report.check("signed-spec-closed-form", params, True, "chain-count", "binomial")
+                ok = seen == order
+                lhs = "chain-count" + ("" if ok else f", {seen} elements, expected {order}")
+                report.check("signed-spec-closed-form", params, ok, lhs, "binomial")
     return report
 
 
@@ -147,13 +156,17 @@ def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
 def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     """Check, shape pair by shape pair, that summing signed specializations
     over the bitableaux of a bipartition factors as the product of the two
-    Schur specializations at m and m-1 variables."""
+    Schur specializations at m and m-1 variables.  A record whose walk
+    yielded other than C(n, |plus|) f^plus f^minus bitableaux fails and
+    names how many it yielded: a walk of none gives 0 == 0 * 0."""
     report = Report()
     for n in range(n_max + 1):
         for plus, minus in bipartitions(n):
             # each distinct descent set once, weighted by how often it is
             # yielded, and its chains counted once for every m
             walk = Counter(enumerate_syb((plus, minus), True)).items()
+            total = sum(count for _, count in walk)
+            expected = comb(n, sum(plus)) * _syt_count(plus) * _syt_count(minus)
             for m in range(1, m_max + 1):
                 lhs = sum(count * fundamental_spec(mask, n, m) for mask, count in walk)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
@@ -163,7 +176,11 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
                     ("minus", ".".join(map(str, minus)) or "0"),
                     ("m", m),
                 )
-                report.compare("signed-schur-factorization", params, lhs, rhs)
+                if total == expected:
+                    report.compare("signed-schur-factorization", params, lhs, rhs)
+                else:
+                    lhs = f"{lhs} from {total} bitableaux, expected {expected}"
+                    report.check("signed-schur-factorization", params, False, lhs, rhs)
     return report
 
 
@@ -453,14 +470,21 @@ def check_des_statistic_conjecture(n_max: int = 7) -> Report:
 
     Equality is a hard assertion for n <= 5 (the confirmed range) and an
     open question beyond, so larger n produce note records carrying both
-    polynomials whatever the outcome.
+    polynomials whatever the outcome.  A hard record whose rows do not sum
+    to the number of involutions of B_n fails and names their sum: two
+    empty rows, from a walk that yields nothing, agree.
     """
     report = Report()
     for n in range(n_max + 1):
         colored = involution_eulerian(n, signed=True, statistic=DES_B)
         coxeter = involution_eulerian(n, signed=True, statistic=DES_COXETER)
         if n <= 5:
-            report.compare("des-statistics-agree", (("n", n),), colored, coxeter)
+            total, expected = sum(colored), involution_count(n, signed=True)
+            if total == expected:
+                report.compare("des-statistics-agree", (("n", n),), colored, coxeter)
+            else:
+                lhs, rhs = f"rows summing to {total}", f"expected {expected}"
+                report.check("des-statistics-agree", (("n", n),), False, lhs, rhs)
         else:
             params = (("n", n), ("equal", colored == coxeter))
             report.note("des-statistics-agree", params, colored, coxeter)

@@ -7,31 +7,30 @@ tableaux whose entries partition 1..n.
 A standard bitableau of shape (plus, minus) is a standard filling of plus
 and minus side by side: the rows of plus, then the rows of minus, where the
 first row of minus starts a second part and so lies under no other row.
-One iterative walk in a single generator frame serves every enumerator.
-It grows the shape one entry at a time, which enforces standardness by
-construction: entries 1..n are placed in turn, each in the top-most row
-that can take it next and then in each lower one, and the walk keeps the
-row chosen for each entry and yields when entry n is placed.  Which rows
-can take the next entry depends only on the cells filled so far, a
-sub-diagram, so each walk first builds a table: for each sub-diagram of at
-most n cells, the rows that can take an entry and the sub-diagram each
-move leads to.  The walk places only entries 1..h, h = 2n // 3, itself.
-Every filling with entries 1..h in one sub-diagram ends in the same ways,
-so a second table holds, for each sub-diagram of h cells, every way to
-place entries h + 1..n from it, in the walk's order: the row of entry
-h + 1, the descent and sign bits of entries h + 1..n but for the descent
-at h, which depends on the prefix, and the rows the entries go into.  The
-walk reads the last third of every filling from it, so the prefixes that
-reach one sub-diagram share its completions rather than walking them
-again.  Both tables are kept for the life of the process, one per shape,
+One walk serves every enumerator.  It grows the shape one entry at a
+time, which enforces standardness by construction: entries 1..n are
+placed in turn, each in the top-most row that can take it next and then in
+each lower one.  Which rows can take the next entry depends only on the
+cells filled so far, a sub-diagram, so the walk first builds a table: for
+each sub-diagram of at most n cells, the rows that can take an entry and
+the sub-diagram each move leads to.  One path builder, _extend, reads that
+table to extend paths, each the bits and the rows of the entries placed
+and the sub-diagram they fill, one entry at a time in the walk's order.
+It builds the walk in two halves, split at h = 2n // 3: the heads, every
+way to place entries 1..h from the empty diagram, and the tails, for each
+sub-diagram of h cells, every way to place entries h + 1..n from it, but
+for the descent at h, which depends on the head.  A filling is a head
+followed by a tail of the sub-diagram the head fills, so the heads that
+reach one sub-diagram share its tails rather than walking them again.
+Both halves are kept for the life of the process, one pair per shape,
 size and first row of the second part: a Schur sweep walks each shape
 once per m, and rebuilding the table each time was about an eighth of
 verify cauchy's time.
 The walk yields each filling's row word, the tuple of the rows it chose,
-or with `descents` its descent set, an int; it keeps no rows and builds no
-tableau.  One builder, _bitableau_of_word, turns a row word into its
-filling, cut into its two parts, each part without its empty rows, and
-each enumerator maps it over the words when asked for objects.
+or with `descents` its descent set, an int, and builds no tableau.  One
+builder, _bitableau_of_word, turns a row word into its filling, cut into
+its two parts, each part without its empty rows, and each enumerator maps
+it over the words when asked for objects.
 
 A per-shape walk fills the rows of its shape: a tableau is the walk over
 one part, a bitableau the walk over two.  Each yields its objects once, in
@@ -55,8 +54,8 @@ entry is negative when its row is at least `second`, a tableau is the
 bitableau with no minus part, no sign bit set, and as a +,- step always
 climbs and a -,+ step never does, one comparison of neighbours tests each
 i.  With `descents` set each enumerator yields each object's descent set in
-its place: the walk sets an entry's bits as it places the entry, so it
-builds no tableau and no tuple.
+its place: the path builder sets an entry's bits as it places the entry,
+so the walk builds no tableau and no tuple for a filling.
 
 A finished object, as the enumerators yield it without a flag, is read
 only through its row word in the lattice's numbering: rows of plus 0..n-1,
@@ -126,9 +125,11 @@ def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
                 yield plus, minus
 
 
+@cache
 def _syt_count(shape: Shape) -> int:
     """f^shape, the number of standard Young tableaux of a shape, by the
-    hook-length formula."""
+    hook-length formula, kept for each shape, a tuple, once it is counted:
+    a Schur sweep holds each shape's walk to the budget once per m."""
     columns = [sum(1 for part in shape if part > c) for c in range(max(shape, default=0))]
     hooks = 1
     for r, part in enumerate(shape):
@@ -143,7 +144,6 @@ def _syt_count(shape: Shape) -> int:
 _Moves = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@cache
 def _moves(shape: Shape, second: int, size: int) -> _Moves:
     """The table of the walk over the rows of shape up to `size` cells,
     where the rows from index `second` on form a second part: its first row
@@ -151,10 +151,7 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
     the sub-diagrams of at most `size` cells, each a tuple of row lengths,
     numbered in the order a breadth-first search from the empty one finds
     them, so state 0 is the empty filling; one of `size` cells has no move.
-
-    Each table is built once per process and kept, as qsym keeps its chain
-    counts, keyed by the three arguments; so shape must be a tuple, and
-    every walk passes one whatever sequence it was given."""
+    _halves reads it once per shape and keeps what it builds from it."""
     order = [(0,) * len(shape)]
     index = {order[0]: 0}
     moves = []
@@ -172,58 +169,70 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
     return tuple(moves)
 
 
-#: The completion table for one shape: tails[s], for each sub-diagram s of
-#: h = 2 * size // 3 cells, holds (first, bits, rows) for each row
-#: `first` that entry h + 1 can take from s, top-most first, and () for
-#: every other sub-diagram.
+#: A path of the walk: the packed bits of the entries placed, their rows,
+#: and the sub-diagram they fill.
+_Path = tuple[int, tuple[int, ...], int]
+
+
+def _extend(
+    paths: list[_Path], moves: _Moves, second: int, size: int, entries: range
+) -> list[_Path]:
+    """Every way to place `entries` after each path, in the walk's order:
+    one entry at a time, each path in turn, each in the top-most row that
+    can take it, then in each lower one.  Entry e sets descent bit e - 1
+    when its row lies below the path's last row, but never bit 0, and sign
+    bit size + e - 1 when its row is at least `second`."""
+    for e in entries:
+        descent, sign = (1 << (e - 1)) & ~1, 1 << (size + e - 1)
+        paths = [
+            (bits + (rows[-1] < r) * descent + (r >= second) * sign, (*rows, r), v)
+            for bits, rows, u in paths
+            for r, v in moves[u]
+        ]
+    return paths
+
+
+#: The two halves of the walk over one shape, split at h = 2 * size // 3:
+#: heads holds every path of entries 1..h, and tails[s], for each
+#: sub-diagram s of h cells, holds (first, bits, rows) for each row `first`
+#: that entry h + 1 can take from s, top-most first, and () for every
+#: other sub-diagram.
 _Tails = tuple[tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...], ...]
 
 
 @cache
-def _completions(shape: Shape, second: int, size: int) -> _Tails:
-    """Every way to finish a filling from each sub-diagram of
-    h = 2 * size // 3 cells: the last size - h entries of the walk over the
-    rows of shape, which reads them here rather than walking them once for
-    each prefix that reaches the sub-diagram.  It is built from
-    _moves(shape, second, size) and kept beside it, keyed alike.
+def _halves(shape: Shape, second: int, size: int) -> tuple[tuple[_Path, ...], _Tails]:
+    """Every filling of the walk over the rows of shape up to `size` cells,
+    as two halves built by _extend over the table _moves(shape, second,
+    size).  The heads start from the empty diagram and the row word's
+    index 0, second - 1, and place entries 1..h, h = 2 * size // 3.  The
+    tails place entries h + 1..size from each sub-diagram the heads reach,
+    once for all the heads that reach it, grouped by the row `first` of
+    entry h + 1, each group with the bits and the rows of its tails as two
+    tuples.  A tail's bits leave out the descent at h, which depends on
+    the head's last row, and its rows leave out the head's.  Equal bits
+    and equal rows are kept as one object: the tails of the lattice of
+    size 11 hold 69,296 completions in 1.8 MB, against 8.0 MB with a copy
+    of each, beside its b(7) = 6,512 heads.
 
-    A completion of sub-diagram s places entries h + 1..size as the walk
-    does, each in the top-most row that can take it, then in each lower
-    one.  Its rows are the rows they go into, and its bits their packed
-    descent and sign bits, bit e - 1 when entry e goes below entry e - 1
-    and bit size + e - 1 when its row is at least `second`, but for the
-    descent at h, which the walk sets from the row of entry h.  The
-    completions come in the walk's order, grouped by the row `first` of
-    entry h + 1, each group with the bits and the rows of its completions
-    as two tuples.  Equal bits and equal rows are kept as one object: the
-    table of the lattice of size 11 holds 69,296 completions in 1.8 MB,
-    against 8.0 MB with a copy of each."""
+    Both halves are built once per process and kept, as qsym keeps its
+    chain counts, keyed by the three arguments; so shape must be a tuple,
+    and every walk passes one whatever sequence it was given."""
     moves = _moves(shape, second, size)
     h = 2 * size // 3
-    bit = [1 << i for i in range(2 * size)]
+    heads = _extend([(0, (second - 1,), 0)], moves, second, size, range(1, h + 1))
     shared = {}
-    level = {0}  # the sub-diagrams of h cells
-    for _ in range(h):
-        level = {t for s in level for _, t in moves[s]}
     tails = [()] * len(moves)
-    for s in level:
+    for s in {s for _, _, s in heads}:
         groups = []
         for first, t in moves[s]:
-            # (bits, rows, sub-diagram) of each way to place entries h + 1..e,
-            # extended by one entry at a time in the walk's order
-            found = [((first >= second) * bit[size + h], (first,), t)]
-            for e in range(h + 2, size + 1):
-                descent, sign = bit[e - 1], bit[size + e - 1]
-                found = [
-                    (bits + (rows[-1] < r) * descent + (r >= second) * sign, (*rows, r), v)
-                    for bits, rows, u in found
-                    for r, v in moves[u]
-                ]
+            start = [((first >= second) << (size + h), (first,), t)]
+            found = _extend(start, moves, second, size, range(h + 2, size + 1))
             bits = tuple(shared.setdefault(x, x) for x, _, _ in found)
             rows = tuple(shared.setdefault(x, x) for _, x, _ in found)
             groups.append((first, bits, rows))
         tails[s] = tuple(groups)
-    return tuple(tails)
+    return tuple(heads), tuple(tails)
 
 
 def _fillings(
@@ -235,76 +244,38 @@ def _fillings(
     against the row above.  Entries 1..n are placed in turn, each in the
     top-most row that can take it next, then in each lower one.
 
-    The walk steps through the table of sub-diagrams of at most n cells,
-    _moves, with a stack of iterators over the moves still open to each
-    entry placed, and keeps the row it chose for each entry; it neither
-    counts the cells of a row nor scans the rows.  The stack places
-    entries 1..h only, h = 2 * n // 3.  Once entry h is placed and its
-    cells form sub-diagram s, every completion of s comes from the table
-    _completions, in the walk's own order, so that all the prefixes that
-    reach s share one search of what follows.  So the fillings come in
-    strictly increasing lexicographic order of the rows chosen.  Where
-    shape caps no row below n, as in the lattice of the all-shapes walks,
-    the sub-diagrams of n cells are every shape of n that the rows allow.
+    The fillings are the heads of _halves(shape, second, n), each followed
+    by every tail of the sub-diagram it fills: heads in their order, and
+    for each the tails in theirs.  Both halves keep the walk's order, so
+    the fillings come in strictly increasing lexicographic order of the
+    rows chosen.  Where shape caps no row below n, as in the lattice of the
+    all-shapes walks, the sub-diagrams of n cells are every shape of n that
+    the rows allow.
 
-    Each filling is yielded as its row word, tuple(chosen) and then the
-    completion's rows: the row of entry e in the walk's numbering at index
-    e, and second - 1 at index 0, the last row of the first part, so that
-    the word steps up from index 0 exactly when entry 1 lies in the second
+    Each filling is yielded as its row word, the head's rows and then the
+    tail's: the row of entry e in the walk's numbering at index e, and
+    second - 1 at index 0, the last row of the first part, so that the
+    word steps up from index 0 exactly when entry 1 lies in the second
     part.  _bitableau_of_word turns a word back into its filling.  With
     descents set, each filling's packed signed descent set takes its
-    place, built as the entries are placed: entry e sets bit e - 1 when
-    e - 1 is a descent, chosen[e - 1] < chosen[e], and bit n + e - 1 when
-    its row lies in the second part.  bit[0] is 0, so a negative entry 1,
-    which steps up from chosen[0], sets no descent bit.  masks[e] keeps
-    the bits of entries 1..e beside chosen[e], and each completion adds
-    its own bits to masks[h], and bit[h] when its first row lies below
-    chosen[h].  Neither mode does any other work for a filling."""
+    place: the head's bits plus the tail's, and bit h, the descent between
+    the halves, when the tail's first row lies below the head's last.  A
+    negative entry 1 steps up from index 0 but sets no descent bit, so
+    bit h is 0 when h is 0.  Neither mode does any other work for a
+    filling."""
     if n == 0:
         yield 0 if descents else (second - 1,)
         return
-    h = 2 * n // 3
-    moves = _moves(shape, second, n)
-    tails = _completions(shape, second, n)
-    if h == 0:  # n = 1: the table of the empty sub-diagram is the walk
-        prefix = (second - 1,)
-        for _, bits, rows in tails[0]:
-            yield from bits if descents else map(prefix.__add__, rows)
-        return
-    chosen = [second - 1] + [0] * h  # chosen[e]: the row entry e went into
-    masks = [0] * (h + 1)
-    bit = [1 << i for i in range(2 * n)]
-    bit[0] = 0
-    stack = [iter(moves[0])]  # stack[e - 1]: the moves still open to entry e
-    entry = 1
-    while True:
-        for r, s in stack[-1]:
-            if descents:
-                mask = masks[entry - 1]
-                if chosen[entry - 1] < r:
-                    mask += bit[entry - 1]
-                if r >= second:
-                    mask += bit[n + entry - 1]
-                masks[entry] = mask
-            chosen[entry] = r
-            if entry < h:
-                stack.append(iter(moves[s]))
-                entry += 1
-                break
-            if descents:
-                rise = mask + bit[h]
-                for first, bits, _ in tails[s]:
-                    yield from map((rise if r < first else mask).__add__, bits)
-            else:
-                prefix = tuple(chosen)
-                for _, _, rows in tails[s]:
-                    yield from map(prefix.__add__, rows)
-        else:
-            # no move left for this entry: move the previous one a row lower
-            stack.pop()
-            entry -= 1
-            if entry == 0:
-                return
+    heads, tails = _halves(shape, second, n)
+    if descents:
+        rise = (1 << 2 * n // 3) & ~1
+        for bits, rows, s in heads:
+            for first, tbits, _ in tails[s]:
+                yield from map((bits + rise if rows[-1] < first else bits).__add__, tbits)
+    else:
+        for _, rows, s in heads:
+            for _, _, trows in tails[s]:
+                yield from map(rows.__add__, trows)
 
 
 def _bitableau_of_word(word: tuple[int, ...], second: int) -> Bitableau:
@@ -326,10 +297,11 @@ def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | in
     Each tableau is built from the walk's row word, as the first part of
     its filling.  Their count f^shape is held to the budget."""
     validate_shape(shape)
-    _check_budget(sum(shape), _syt_count(shape), f"standard Young tableaux of shape {shape}")
+    rows = tuple(shape)
+    _check_budget(sum(rows), _syt_count(rows), f"standard Young tableaux of shape {shape}")
     # every row belongs to the first part, so every sign is +1: no sign bit is set
-    second = len(shape)
-    walk = _fillings(tuple(shape), second, sum(shape), descents)
+    second = len(rows)
+    walk = _fillings(rows, second, sum(rows), descents)
     yield from walk if descents else (_bitableau_of_word(word, second)[0] for word in walk)
 
 
@@ -372,7 +344,7 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     validate_shape(minus_shape)
     k = sum(plus_shape)
     n = k + sum(minus_shape)
-    count = comb(n, k) * _syt_count(plus_shape) * _syt_count(minus_shape)
+    count = comb(n, k) * _syt_count(tuple(plus_shape)) * _syt_count(tuple(minus_shape))
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
     second = len(plus_shape)
     walk = _fillings((*plus_shape, *minus_shape), second, n, descents)

@@ -1,12 +1,12 @@
 import tracemalloc
 from collections import Counter
-from itertools import count, product
-from math import comb
+from itertools import count, islice, product
+from math import comb, factorial
 from operator import lt
 
 import pytest
 
-from eulerinv import checks, qsym, reference
+from eulerinv import checks, permutations, qsym, reference, tableaux
 from eulerinv.distributions import DES_COXETER
 from eulerinv.permutations import (
     BudgetExceededError,
@@ -806,6 +806,49 @@ def test_des_statistics_agree_fails_on_a_bumped_coxeter_row(monkeypatch):
     report = checks.check_des_statistic_conjecture(7)
     assert [(r.check, r.params, r.lhs, r.rhs) for r in report.failures] == [
         ("des-statistics-agree", (("n", 4),), "1,17,40,17,1", "1,17,41,17,1")
+    ]
+
+
+def test_signed_schur_fails_when_the_tableau_walk_yields_nothing(monkeypatch):
+    # both sides walk tableaux, so with no filling they read 0 == 0 * 0; each
+    # record names the count its own walk missed
+    monkeypatch.setattr(tableaux, "_fillings", lambda *args: iter(()))
+    report = checks.verify_signed_schur_spec(4, 3)
+    assert len(report) == len(report.failures) == 114
+    first = report[0]
+    assert (first.params, first.lhs, first.rhs) == (
+        (("n", 0), ("plus", "0"), ("minus", "0"), ("m", 1)),
+        "0 from 0 bitableaux, expected 1",
+        "0",
+    )
+    record = next(r for r in report if r.params[:3] == (("n", 4), ("plus", "2.1"), ("minus", "1")))
+    assert record.lhs == "0 from 0 bitableaux, expected 8"  # C(4, 3) f^(2,1) f^(1)
+
+
+@pytest.mark.parametrize("kept", [0, 1], ids=["nothing", "first-only"])
+def test_signed_spec_closed_form_fails_when_the_group_walk_misses_elements(monkeypatch, kept):
+    # every element a walk yields agrees with the closed form, so only the
+    # count of 2^n n! elements catches those it does not yield
+    original = checks.enumerate_group
+    monkeypatch.setattr(checks, "enumerate_group", lambda n, signed: islice(original(n, signed), kept))
+    report = checks.verify_signed_spec_closed_form(4, 3)
+    assert len(report) == 15
+    failures = [(r.params, r.lhs, r.rhs) for r in report.failures]
+    assert failures == [
+        ((("n", n), ("m", m)), f"chain-count, {kept} elements, expected {2**n * factorial(n)}", "binomial")
+        for n in range(kept, 5)
+        for m in range(1, 4)
+    ]
+
+
+def test_des_statistics_agree_fails_when_the_involution_walk_yields_nothing(monkeypatch):
+    # two empty rows agree; the notes past n = 5 never fail
+    monkeypatch.setattr(permutations, "_involution_walk", lambda *args: iter(()))
+    report = checks.check_des_statistic_conjecture(7)
+    assert [r.status for r in report] == ["fail"] * 6 + ["note"] * 2
+    assert [(r.params, r.lhs, r.rhs) for r in report.failures] == [
+        ((("n", n),), "rows summing to 0", f"expected {count}")
+        for n, count in enumerate((1, 2, 6, 20, 76, 312))
     ]
 
 

@@ -94,19 +94,6 @@ def test_enumerate_syt_against_filtering_oracle():
             assert all(is_standard_tableau(q) and tableau_shape(q) == shape for q in got)
 
 
-def test_enumerate_syt_keeps_the_recursive_order():
-    for n in range(0, 9):
-        for shape in partitions(n):
-            assert list(enumerate_syt(shape)) == standard_fillings_by_placing(shape), shape
-
-
-def test_enumerate_syb_keeps_the_recursive_order():
-    for n in range(0, 8):
-        for plus, minus in bipartitions(n):
-            got = list(enumerate_syb((plus, minus)))
-            assert got == bitableaux_by_placing(plus, minus), (plus, minus)
-
-
 def _row_word(bitableau, second):
     """The row word of a filling as a walk whose second part starts at row
     `second` numbers the rows: the row of entry e at index e, the rows of
@@ -205,26 +192,25 @@ def test_each_table_has_one_state_per_sub_diagram():
 
 
 def test_each_table_is_built_once_per_shape():
-    # a Schur sweep walks each shape once per m; the tables of a shape, its
-    # moves and its completions, are built at its first walk and kept, so
-    # verify cauchy builds one of each per partition of 1..10, and the shape
-    # of 0 needs none
-    tables = tableaux._moves, tableaux._completions
+    # a Schur sweep walks each shape once per m; the halves of a shape's walk
+    # and its count f^shape are built at its first walk and kept, so verify
+    # cauchy builds one of each per partition of 1..10; the shape of 0 needs
+    # no halves, but its count is held to the budget too
+    tables = tableaux._halves, tableaux._syt_count
     for table in tables:
         table.cache_clear()
     try:
         assert checks.verify_cauchy_spec(10, 6).ok
-        moves, tails = (table.cache_info() for table in tables)
+        halves, counts = (table.cache_info() for table in tables)
     finally:
         for table in tables:
             table.cache_clear()
     shapes = sum(1 for n in range(1, 11) for _ in partitions(n))
     assert shapes == 138
-    assert tails.misses == tails.currsize == shapes
-    assert tails.hits == 5 * shapes  # m = 2..6
-    assert moves.misses == moves.currsize == shapes
-    # one more read of each shape's moves, as its completion table is built
-    assert moves.hits == 6 * shapes
+    assert halves.misses == halves.currsize == shapes
+    assert halves.hits == 5 * shapes  # m = 2..6
+    assert counts.misses == counts.currsize == shapes + 1
+    assert counts.hits == 5 * (shapes + 1)
 
 
 def test_interleaved_walks_of_one_shape_yield_what_walks_in_turn_yield():
@@ -537,17 +523,6 @@ def test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once():
         got = list(enumerate_all_syb(n))
         assert sorted(got) == sorted(q for shape in bipartitions(n) for q in enumerate_syb(shape))
         assert len(set(got)) == len(got), n
-
-
-def test_the_all_shapes_walks_yield_the_objects_of_the_placing_oracles():
-    # the objects are built from row words cut at n, so the lattice's empty
-    # rows, and for tableaux its whole minus part, must be dropped; the
-    # oracles place entries in the rows of each shape with no word at all
-    for n in range(8):
-        expected = [q for shape in partitions(n) for q in standard_fillings_by_placing(shape)]
-        assert sorted(enumerate_all_syt(n)) == sorted(expected), n
-        expected = [q for shape in bipartitions(n) for q in bitableaux_by_placing(*shape)]
-        assert sorted(enumerate_all_syb(n)) == sorted(expected), n
 
 
 def test_syb_signed_descent_set_examples():
