@@ -282,7 +282,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
                 ):
                     bad += 1
                     if bad == 1:  # a word the map refuses fixes no object
-                        first = shown(_bitableau_of_word(row, n)) if image else f"row word {row}"
+                        first = shown(_bitableau_of_word(row)) if image else f"row word {row}"
                 previous = row
             expected = involution_count(n, signed=signed)
             lhs = f"{total} {noun}" + (f", expected {expected}" if total != expected else "")

@@ -4,9 +4,12 @@ Rows are numbered from the top, so "lower" always means a larger row index.
 A tableau is a tuple of row tuples; a bitableau is a (plus, minus) pair of
 tableaux whose entries partition 1..n.
 
-A standard bitableau of shape (plus, minus) is a standard filling of plus
-and minus side by side: the rows of plus, then the rows of minus, where the
-first row of minus starts a second part and so lies under no other row.
+Every walk and every reader numbers the rows of a filling of n entries one
+way, the lattice's: the rows of plus 0..n-1 and those of minus n..2n-1.  A
+standard bitableau of shape (plus, minus) is a standard filling of rows
+capped by plus, padded with rows capped at 0 up to row n, and then by
+minus, where row n, the first row of minus, lies under no other row; a row
+capped at 0 takes no entry.  A tableau is the bitableau with no minus part.
 One walk serves every enumerator.  It grows the shape one entry at a
 time, which enforces standardness by construction: entries 1..n are
 placed in turn, each in the top-most row that can take it next and then in
@@ -22,56 +25,52 @@ sub-diagram of h cells, every way to place entries h + 1..n from it, but
 for the descent at h, which depends on the head.  A filling is a head
 followed by a tail of the sub-diagram the head fills, so the heads that
 reach one sub-diagram share its tails rather than walking them again.
-Both halves are kept for the life of the process, one pair per shape,
-size and first row of the second part: a Schur sweep walks each shape
-once per m, and rebuilding the table each time was about an eighth of
-verify cauchy's time.
+Both halves are kept for the life of the process, one pair per row caps
+and size: a Schur sweep walks each shape once per m, and rebuilding the
+table each time was about an eighth of verify cauchy's time.
 The walk yields each filling's row word, the tuple of the rows it chose,
 or with `descents` its descent set, an int, and builds no tableau.  One
-builder, _bitableau_of_word, turns a row word into its filling, cut into
-its two parts, each part without its empty rows, and each enumerator maps
-it over the words when asked for objects.
+builder, _bitableau_of_word, turns a row word into its filling, cut at
+row n into its two parts, each part without its empty rows, and each
+enumerator maps it over the words when asked for objects.
 
-A per-shape walk fills the rows of its shape: a tableau is the walk over
-one part, a bitableau the walk over two.  Each yields its objects once, in
-the order of the plain recursive walks that tests/oracles.py keeps as
-references.  An all-shapes walk is one walk over the lattice of every
-(bi)partition of n: n rows of up to n cells for tableaux, and for
-bitableaux n rows of plus and then n rows of minus, from row n on.  Its
-sub-diagrams of n cells are exactly the (bi)partitions of n, so it yields
-every object of size n once, with no loop over the shapes, in strictly
-increasing lexicographic order of the rows chosen for entries 1..n, shapes
-interleaved.  With `words` set they yield each object's row word, the
-rows the walk chose, and the transpose sweep of checks, which relies on
-that order, reads only those.
+A per-shape walk caps its rows by its shape: a tableau's shape, whose at
+most n rows are all rows of plus, or a bitableau's (*plus, 0, ..., 0,
+*minus), which is plus alone when minus is empty.  Each yields its objects once, in the order of the plain
+recursive walks that tests/oracles.py keeps as references.  An all-shapes
+walk is one walk over the lattice of every (bi)partition of n: n rows of
+up to n cells for tableaux, and for bitableaux n rows of plus and then n
+rows of minus.  Its sub-diagrams of n cells are exactly the
+(bi)partitions of n, so it yields every object of size n once, with no
+loop over the shapes, in strictly increasing lexicographic order of the
+rows chosen for entries 1..n, shapes interleaved.  With `words` set they
+yield each object's row word, the rows the walk chose, and the transpose
+sweep of checks, which relies on that order, reads only those.
 
 Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
-read off the row of each entry.  Every walk numbers the rows of plus from
-0 and those of minus on from `second`, len(plus) in a per-shape walk and n
-in the lattice, and the reader numbers them as the lattice does.  So an
-entry is negative when its row is at least `second`, a tableau is the
-bitableau with no minus part, no sign bit set, and as a +,- step always
-climbs and a -,+ step never does, one comparison of neighbours tests each
-i.  With `descents` set each enumerator yields each object's descent set in
-its place: the path builder sets an entry's bits as it places the entry,
-so the walk builds no tableau and no tuple for a filling.
+read off the row of each entry.  An entry is negative when its row is at
+least n, so a tableau is the bitableau with no sign bit set, and as a +,-
+step always climbs and a -,+ step never does, one comparison of
+neighbours tests each i.  With `descents` set each enumerator yields each
+object's descent set in its place: the path builder sets an entry's bits
+as it places the entry, so the walk builds no tableau and no tuple for a
+filling.
 
 A finished object, as the enumerators yield it without a flag, is read
-only through its row word in the lattice's numbering: rows of plus 0..n-1,
-rows of minus n..2n-1, and n - 1 in entry 0, the word the all-shapes walks
-yield with `words` set.  _word_of turns a bitableau into that word and is
-the one standardness test: the word must be a lattice word within each
-part, which _transpose_word tests, and _bitableau_of_word must build the
-filling back from it.  On the word, syb_signed_descent_set sets the bits
-of each entry, and syb_transpose is _transpose_word, the one transpose
-map, the map the transpose sweep of checks applies to every word it walks
-and certifies; a tableau q is read as the bitableau (q, ()).  Both reject
-anything but a (plus, minus) pair of tuples or lists, entries that are not
-ints or are bools, entries other than 1..n each once, and fillings that
-are not standard, in that order.  Nothing here calls the window-side
-descent functions, so the two sides of the bijection share only the
-layout.
+only through its row word, the word the all-shapes walks yield with
+`words` set: entry e is the row of entry e, and entry 0 is n - 1.
+_word_of turns a bitableau into that word and is the one standardness
+test: the word must be a lattice word within each part, which
+_transpose_word tests, and _bitableau_of_word must build the filling back
+from it.  On the word, syb_signed_descent_set sets the bits of each entry,
+and syb_transpose is _transpose_word, the one transpose map, the map the
+transpose sweep of checks applies to every word it walks and certifies; a
+tableau q is read as the bitableau (q, ()).  Both reject anything but a
+(plus, minus) pair of tuples or lists, entries that are not ints or are
+bools, entries other than 1..n each once, and fillings that are not
+standard, in that order.  Nothing here calls the window-side descent
+functions, so the two sides of the bijection share only the layout.
 """
 from __future__ import annotations
 
@@ -88,8 +87,10 @@ Bitableau = tuple[Tableau, Tableau]
 
 
 def validate_shape(shape: Shape) -> None:
-    """Raise ValueError unless shape is a partition: weakly decreasing
-    parts, each a positive int and not a bool."""
+    """Raise ValueError unless shape is a partition: a tuple or a list of
+    weakly decreasing parts, each a positive int and not a bool."""
+    if not isinstance(shape, (tuple, list)):
+        raise ValueError(f"a partition is a tuple or a list of parts, got {shape!r}")
     for part in shape:
         if isinstance(part, bool) or not isinstance(part, int) or part <= 0:
             raise ValueError(f"partition parts must be positive integers, got {shape}")
@@ -144,14 +145,15 @@ def _syt_count(shape: Shape) -> int:
 _Moves = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _moves(shape: Shape, second: int, size: int) -> _Moves:
-    """The table of the walk over the rows of shape up to `size` cells,
-    where the rows from index `second` on form a second part: its first row
-    is exempt from the column rule against the row above.  The states are
-    the sub-diagrams of at most `size` cells, each a tuple of row lengths,
-    numbered in the order a breadth-first search from the empty one finds
-    them, so state 0 is the empty filling; one of `size` cells has no move.
-    _halves reads it once per shape and keeps what it builds from it."""
+def _moves(shape: Shape, size: int) -> _Moves:
+    """The table of the walk over the rows that shape caps, up to `size`
+    cells, where the rows from index `size` on are those of minus: row
+    `size` is exempt from the column rule against the row above.  The
+    states are the sub-diagrams of at most `size` cells, each a tuple of
+    row lengths, numbered in the order a breadth-first search from the
+    empty one finds them, so state 0 is the empty filling; one of `size`
+    cells has no move.  _halves reads it once per shape and keeps what it
+    builds from it."""
     order = [(0,) * len(shape)]
     index = {order[0]: 0}
     moves = []
@@ -159,7 +161,7 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
         row_moves = []
         for r, col in enumerate(lengths if sum(lengths) < size else ()):
             # cells fill left to right, so only the column rule remains
-            if col < shape[r] and (r == 0 or r == second or lengths[r - 1] > col):
+            if col < shape[r] and (r == 0 or r == size or lengths[r - 1] > col):
                 grown = (*lengths[:r], col + 1, *lengths[r + 1 :])
                 if grown not in index:
                     index[grown] = len(order)
@@ -174,18 +176,16 @@ def _moves(shape: Shape, second: int, size: int) -> _Moves:
 _Path = tuple[int, tuple[int, ...], int]
 
 
-def _extend(
-    paths: list[_Path], moves: _Moves, second: int, size: int, entries: range
-) -> list[_Path]:
+def _extend(paths: list[_Path], moves: _Moves, size: int, entries: range) -> list[_Path]:
     """Every way to place `entries` after each path, in the walk's order:
     one entry at a time, each path in turn, each in the top-most row that
     can take it, then in each lower one.  Entry e sets descent bit e - 1
     when its row lies below the path's last row, but never bit 0, and sign
-    bit size + e - 1 when its row is at least `second`."""
+    bit size + e - 1 when its row is at least `size`, a row of minus."""
     for e in entries:
         descent, sign = (1 << (e - 1)) & ~1, 1 << (size + e - 1)
         paths = [
-            (bits + (rows[-1] < r) * descent + (r >= second) * sign, (*rows, r), v)
+            (bits + (rows[-1] < r) * descent + (r >= size) * sign, (*rows, r), v)
             for bits, rows, u in paths
             for r, v in moves[u]
         ]
@@ -201,33 +201,33 @@ _Tails = tuple[tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], .
 
 
 @cache
-def _halves(shape: Shape, second: int, size: int) -> tuple[tuple[_Path, ...], _Tails]:
-    """Every filling of the walk over the rows of shape up to `size` cells,
-    as two halves built by _extend over the table _moves(shape, second,
-    size).  The heads start from the empty diagram and the row word's
-    index 0, second - 1, and place entries 1..h, h = 2 * size // 3.  The
-    tails place entries h + 1..size from each sub-diagram the heads reach,
-    once for all the heads that reach it, grouped by the row `first` of
-    entry h + 1, each group with the bits and the rows of its tails as two
-    tuples.  A tail's bits leave out the descent at h, which depends on
+def _halves(shape: Shape, size: int) -> tuple[tuple[_Path, ...], _Tails]:
+    """Every filling of the walk over the rows that shape caps, up to
+    `size` cells, as two halves built by _extend over the table
+    _moves(shape, size).  With h = 2 * size // 3, the heads start from the
+    empty diagram and the row word's index 0, size - 1, and place entries
+    1..h.  The tails place entries h + 1..size from each sub-diagram the heads
+    reach, once for all the heads that reach it, grouped by the row `first`
+    of entry h + 1, each group with the bits and the rows of its tails as
+    two tuples.  A tail's bits leave out the descent at h, which depends on
     the head's last row, and its rows leave out the head's.  Equal bits
     and equal rows are kept as one object: the tails of the lattice of
     size 11 hold 69,296 completions in 1.8 MB, against 8.0 MB with a copy
     of each, beside its b(7) = 6,512 heads.
 
     Both halves are built once per process and kept, as qsym keeps its
-    chain counts, keyed by the three arguments; so shape must be a tuple,
+    chain counts, keyed by both arguments; so shape must be a tuple,
     and every walk passes one whatever sequence it was given."""
-    moves = _moves(shape, second, size)
+    moves = _moves(shape, size)
     h = 2 * size // 3
-    heads = _extend([(0, (second - 1,), 0)], moves, second, size, range(1, h + 1))
+    heads = _extend([(0, (size - 1,), 0)], moves, size, range(1, h + 1))
     shared = {}
     tails = [()] * len(moves)
     for s in {s for _, _, s in heads}:
         groups = []
         for first, t in moves[s]:
-            start = [((first >= second) << (size + h), (first,), t)]
-            found = _extend(start, moves, second, size, range(h + 2, size + 1))
+            start = [((first >= size) << (size + h), (first,), t)]
+            found = _extend(start, moves, size, range(h + 2, size + 1))
             bits = tuple(shared.setdefault(x, x) for x, _, _ in found)
             rows = tuple(shared.setdefault(x, x) for _, x, _ in found)
             groups.append((first, bits, rows))
@@ -235,38 +235,35 @@ def _halves(shape: Shape, second: int, size: int) -> tuple[tuple[_Path, ...], _T
     return tuple(heads), tuple(tails)
 
 
-def _fillings(
-    shape: Shape, second: int, n: int, descents: bool = False
-) -> Iterator[int | tuple[int, ...]]:
-    """Every standard filling of n entries of the rows of shape, where the
-    rows from index `second` on form a second part, empty when `second` is
-    the number of rows: its first row is exempt from the column rule
-    against the row above.  Entries 1..n are placed in turn, each in the
-    top-most row that can take it next, then in each lower one.
+def _fillings(shape: Shape, n: int, descents: bool = False) -> Iterator[int | tuple[int, ...]]:
+    """Every standard filling of n entries of the rows that shape caps,
+    where the rows from index n on are those of minus, none when shape has
+    at most n rows: row n is exempt from the column rule against the row
+    above.  Entries 1..n are placed in turn, each in the top-most row that
+    can take it next, then in each lower one.
 
-    The fillings are the heads of _halves(shape, second, n), each followed
-    by every tail of the sub-diagram it fills: heads in their order, and
-    for each the tails in theirs.  Both halves keep the walk's order, so
-    the fillings come in strictly increasing lexicographic order of the
-    rows chosen.  Where shape caps no row below n, as in the lattice of the
+    The fillings are the heads of _halves(shape, n), each followed by
+    every tail of the sub-diagram it fills: heads in their order, and for
+    each the tails in theirs.  Both halves keep the walk's order, so the
+    fillings come in strictly increasing lexicographic order of the rows
+    chosen.  Where shape caps no row below n, as in the lattice of the
     all-shapes walks, the sub-diagrams of n cells are every shape of n that
     the rows allow.
 
     Each filling is yielded as its row word, the head's rows and then the
-    tail's: the row of entry e in the walk's numbering at index e, and
-    second - 1 at index 0, the last row of the first part, so that the
-    word steps up from index 0 exactly when entry 1 lies in the second
-    part.  _bitableau_of_word turns a word back into its filling.  With
-    descents set, each filling's packed signed descent set takes its
-    place: the head's bits plus the tail's, and bit h, the descent between
-    the halves, when the tail's first row lies below the head's last.  A
-    negative entry 1 steps up from index 0 but sets no descent bit, so
-    bit h is 0 when h is 0.  Neither mode does any other work for a
-    filling."""
+    tail's: the row of entry e at index e, and n - 1 at index 0, the last
+    row of plus, so that the word steps up from index 0 exactly when entry
+    1 lies in a row of minus.  _bitableau_of_word turns a word back into
+    its filling.  With descents set, each filling's packed signed descent
+    set takes its place: the head's bits plus the tail's, and bit h, the
+    descent between the halves, when the tail's first row lies below the
+    head's last.  A negative entry 1 steps up from index 0 but sets no
+    descent bit, so bit h is 0 when h is 0.  Neither mode does any other
+    work for a filling."""
     if n == 0:
-        yield 0 if descents else (second - 1,)
+        yield 0 if descents else (-1,)
         return
-    heads, tails = _halves(shape, second, n)
+    heads, tails = _halves(shape, n)
     if descents:
         rise = (1 << 2 * n // 3) & ~1
         for bits, rows, s in heads:
@@ -278,16 +275,16 @@ def _fillings(
                 yield from map(rows.__add__, trows)
 
 
-def _bitableau_of_word(word: tuple[int, ...], second: int) -> Bitableau:
-    """The filling whose row word is word, as a walk split at `second`
-    yields it: each entry e placed in row word[e], and the rows cut into
-    the pair of the rows before `second` and the rows from it, each part
-    without its empty rows.  A part of n entries has at most n rows, so no
-    walk numbers a row past second + n - 1."""
-    rows = [[] for _ in range(second + len(word) - 1)]
-    for e in range(1, len(word)):
+def _bitableau_of_word(word: tuple[int, ...]) -> Bitableau:
+    """The filling whose row word is word, as every walk yields it: each
+    entry e of n = len(word) - 1 placed in row word[e], and the rows cut
+    into the pair of rows 0..n-1, those of plus, and rows n..2n-1, those
+    of minus, each part without its empty rows."""
+    n = len(word) - 1
+    rows = [[] for _ in range(2 * n)]
+    for e in range(1, n + 1):
         rows[word[e]].append(e)
-    return tuple(tuple(map(tuple, filter(None, part))) for part in (rows[:second], rows[second:]))
+    return tuple(tuple(map(tuple, filter(None, part))) for part in (rows[:n], rows[n:]))
 
 
 def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | int]:
@@ -298,11 +295,11 @@ def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | in
     its filling.  Their count f^shape is held to the budget."""
     validate_shape(shape)
     rows = tuple(shape)
-    _check_budget(sum(rows), _syt_count(rows), f"standard Young tableaux of shape {shape}")
-    # every row belongs to the first part, so every sign is +1: no sign bit is set
-    second = len(rows)
-    walk = _fillings(rows, second, sum(rows), descents)
-    yield from walk if descents else (_bitableau_of_word(word, second)[0] for word in walk)
+    n = sum(rows)
+    _check_budget(n, _syt_count(rows), f"standard Young tableaux of shape {shape}")
+    # a shape of n cells has at most n rows, all of plus: no sign bit is set
+    walk = _fillings(rows, n, descents)
+    yield from walk if descents else (_bitableau_of_word(word)[0] for word in walk)
 
 
 def enumerate_all_syt(
@@ -323,8 +320,8 @@ def enumerate_all_syt(
     _check_budget(n, involution_count(n), "standard Young tableaux")
     if descents and words:
         raise ValueError("a walk yields descent sets or row words, not both")
-    walk = _fillings((n,) * n, n, n, descents)
-    yield from walk if descents or words else (_bitableau_of_word(word, n)[0] for word in walk)
+    walk = _fillings((n,) * n, n, descents)
+    yield from walk if descents or words else (_bitableau_of_word(word)[0] for word in walk)
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -333,22 +330,28 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     syb_signed_descent_set reads off the finished bitableau.
 
     A bitableau is a standard filling of plus and minus side by side, so
-    the walk of enumerate_syt serves here too: it fills the rows of plus
-    and then of minus, the first row of minus under no other, and each
-    filling is built from its row word, cut after the rows of plus.  Each
-    entry is tried in the rows of plus before those of minus, top-most
-    first.  Their count C(n, |plus|) f^plus f^minus is held to the budget.
+    the walk of enumerate_syt serves here too: it fills the rows of plus,
+    then rows capped at 0 up to row n, and then the rows of minus, the
+    first of them under no other, and each filling is built from its row
+    word, cut at row n.  Each entry is tried in the rows of plus before
+    those of minus, top-most first.  Their count C(n, |plus|) f^plus
+    f^minus is held to the budget.  Anything but a (plus, minus) pair of
+    partitions raises ValueError at the first next().
     """
-    plus_shape, minus_shape = shape
-    validate_shape(plus_shape)
-    validate_shape(minus_shape)
-    k = sum(plus_shape)
-    n = k + sum(minus_shape)
-    count = comb(n, k) * _syt_count(tuple(plus_shape)) * _syt_count(tuple(minus_shape))
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
+        raise ValueError(f"a bitableau shape is a (plus, minus) pair of partitions, got {shape!r}")
+    plus, minus = shape
+    validate_shape(plus)
+    validate_shape(minus)
+    k = sum(plus)
+    n = k + sum(minus)
+    count = comb(n, k) * _syt_count(tuple(plus)) * _syt_count(tuple(minus))
     _check_budget(n, count, f"standard Young bitableaux of shape {shape}")
-    second = len(plus_shape)
-    walk = _fillings((*plus_shape, *minus_shape), second, n, descents)
-    yield from walk if descents else (_bitableau_of_word(word, second) for word in walk)
+    # rows capped at 0 put minus at row n; with no minus this is the walk of
+    # enumerate_syt, which keeps one pair of halves for both
+    caps = (*plus, *(0,) * (n - len(plus)), *minus) if minus else tuple(plus)
+    walk = _fillings(caps, n, descents)
+    yield from walk if descents else map(_bitableau_of_word, walk)
 
 
 def enumerate_all_syb(
@@ -373,8 +376,8 @@ def enumerate_all_syb(
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
     if descents and words:
         raise ValueError("a walk yields descent sets or row words, not both")
-    walk = _fillings((n,) * (2 * n), n, n, descents)
-    yield from walk if descents or words else (_bitableau_of_word(word, n) for word in walk)
+    walk = _fillings((n,) * (2 * n), n, descents)
+    yield from walk if descents or words else map(_bitableau_of_word, walk)
 
 
 def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
@@ -444,7 +447,7 @@ def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
             word[entry] = r
     word = tuple(word)
     filling = tuple(tuple(map(tuple, part)) for part in bitableau)
-    if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:
+    if _transpose_word(word, n) is None or _bitableau_of_word(word) != filling:
         raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
     return word
 
@@ -485,4 +488,4 @@ def syb_transpose(bitableau: Bitableau) -> Bitableau:
     tableaux.transpose group."""
     word = _word_of(bitableau)
     n = len(word) - 1
-    return _bitableau_of_word(_transpose_word(word, n), n)
+    return _bitableau_of_word(_transpose_word(word, n))

@@ -508,7 +508,7 @@ def test_the_transpose_words_are_those_of_the_built_transposes():
             assert image == _word_of(t), q
             # the transpose of the transpose, read off the image word alone
             assert checks._transpose_word(image, n) == row, q
-            assert _bitableau_of_word(row, n) == q
+            assert _bitableau_of_word(row) == q
 
 
 def test_the_transpose_map_takes_exactly_the_standard_words():

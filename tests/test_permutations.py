@@ -38,7 +38,7 @@ from oracles import (
 )
 
 
-def test_descent_set():
+def test_signed_descent_set_of_a_permutation_sets_no_sign_bit():
     # a permutation is an all-positive signed window: its descent set is the
     # positions, bit i for a descent at i, and no sign bit is set
     assert signed_descent_set((1, 2, 3, 4)) == 0

@@ -100,7 +100,7 @@ def test_fundamental_spec_closed_form():
                     ), (n, strict, m)
 
 
-def test_signed_fundamental_spec_examples():
+def test_fundamental_spec_of_a_signed_window_examples():
     assert fundamental_spec(signed_descent_set((-1,)), 1, 3) == 2
     # identity: unconstrained multiset count
     for n in range(0, 5):
@@ -181,7 +181,7 @@ def test_fundamental_spec_keeps_its_error_texts(sdes, m, message):
 
 
 @pytest.mark.parametrize("sdes", [(1 << 5, 2), (0b1, 2), (-1, 2), (2.0, 2), (0b10, 0)])
-def test_signed_fundamental_spec_rejects_bad_input(sdes):
+def test_fundamental_spec_rejects_a_packed_set_outside_the_layout(sdes):
     # (mask, n): a mask outside the layout of n entries, each time it is asked
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ def test_signed_fundamental_spec_rejects_bad_input(sdes):
     assert _count_chains.cache_info().currsize == 0
 
 
-def test_signed_fundamental_spec_against_chain_enumeration():
+def test_fundamental_spec_against_chain_enumeration():
     for n in range(0, 4):
         for w in enumerate_group(n, signed=True):
             positions, signs = signed_descent_set_by_definition(w)
@@ -200,7 +200,7 @@ def test_signed_fundamental_spec_against_chain_enumeration():
                 ), (w, m)
 
 
-def test_signed_fundamental_spec_closed_form_exhaustive():
+def test_fundamental_spec_closed_form_exhaustive():
     for n in range(0, 5):
         for w in enumerate_group(n, signed=True):
             mask = signed_descent_set(w)

@@ -78,6 +78,15 @@ def test_validate_shape():
                 next(enumerate_syt(shape, descents))
         with pytest.raises(ValueError, match="partition parts must be positive integers"):
             schur_spec(shape, 3)
+    # an int once died in iter(), and a str was read part by part
+    for shape in [5, "21", None]:
+        with pytest.raises(ValueError, match="a partition is a tuple or a list of parts"):
+            validate_shape(shape)
+        for descents in (False, True):
+            with pytest.raises(ValueError, match="a partition is a tuple or a list of parts"):
+                next(enumerate_syt(shape, descents))
+        with pytest.raises(ValueError, match="a partition is a tuple or a list of parts"):
+            schur_spec(shape, 3)
 
 
 def test_enumerate_syt_counts():
@@ -94,26 +103,27 @@ def test_enumerate_syt_against_filtering_oracle():
             assert all(is_standard_tableau(q) and tableau_shape(q) == shape for q in got)
 
 
-def _row_word(bitableau, second):
-    """The row word of a filling as a walk whose second part starts at row
-    `second` numbers the rows: the row of entry e at index e, the rows of
-    minus from `second` on, and second - 1 at index 0."""
+def _row_word(bitableau):
+    """The row word of a filling of n entries as every walk numbers the
+    rows: the row of entry e at index e, the rows of minus from n on, and
+    n - 1 at index 0."""
     plus, minus = bitableau
-    word = [second - 1] * (1 + sum(map(len, plus)) + sum(map(len, minus)))
-    for r, row in [*enumerate(plus), *enumerate(minus, second)]:
+    n = sum(map(len, plus)) + sum(map(len, minus))
+    word = [n - 1] * (n + 1)
+    for r, row in [*enumerate(plus), *enumerate(minus, n)]:
         for entry in row:
             word[entry] = r
     return tuple(word)
 
 
-def _assert_the_walks_follow(expected, second, n, got_objects, got_words, got_masks):
+def _assert_the_walks_follow(expected, n, got_objects, got_words, got_masks, word_of=_row_word):
     # the three modes of one walk, each an iterator, against the pairs
     # (object, its descent set by definition) in the reference walk's order
     missing = None, None
     for got, (q, _) in zip_longest(got_objects, expected, fillvalue=missing):
         assert got == q
     for got, (q, _) in zip_longest(got_words, expected, fillvalue=missing):
-        assert q is not None and got == _row_word(q, second)
+        assert q is not None and got == word_of(q)
     for got, (_, des) in zip_longest(got_masks, expected, fillvalue=missing):
         assert got is not None and unpack_descents(got, n) == des
 
@@ -123,7 +133,9 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
     # from a table, yet every mode must yield the reference walks' sequence:
     # every shape of n <= 8 and the lattices of n <= 9.  n = 0, 1 and 2
     # place 0, 0 and 1 entries before the table.  A tableau q is read as
-    # (q, ()), and a per-shape walk's words come from _fillings
+    # (q, ()), and a per-shape walk's words come from _fillings: they are
+    # the lattice words, the rows of minus numbered from n, that _word_of
+    # gives for its objects, as _row_word does for the lattice walks
     def with_descents(objects):
         return [(q, bitableau_descent_set_by_definition(q)) for q in objects]
 
@@ -135,11 +147,11 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
             if n <= 8:
                 _assert_the_walks_follow(
                     expected,
-                    len(plus),
                     n,
                     enumerate_syb((plus, minus)),
-                    tableaux._fillings((*plus, *minus), len(plus), n),
+                    tableaux._fillings((*plus, *(0,) * (n - len(plus)), *minus), n),
                     enumerate_syb((plus, minus), True),
+                    tableaux._word_of,
                 )
         for shape in partitions(n):
             expected = with_descents((q, ()) for q in standard_fillings_by_placing(shape))
@@ -147,18 +159,17 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
             if n <= 8:
                 _assert_the_walks_follow(
                     expected,
-                    len(shape),
                     n,
                     ((q, ()) for q in enumerate_syt(shape)),
-                    tableaux._fillings(shape, len(shape), n),
+                    tableaux._fillings(shape, n),
                     enumerate_syt(shape, True),
+                    tableaux._word_of,
                 )
         # a lattice walk yields the objects of every shape of size n in the
-        # order of their row words, the rows of minus numbered from n
-        in_word_order = partial(sorted, key=lambda pair: _row_word(pair[0], n))
+        # order of their row words
+        in_word_order = partial(sorted, key=lambda pair: _row_word(pair[0]))
         _assert_the_walks_follow(
             in_word_order(signed),
-            n,
             n,
             enumerate_all_syb(n),
             enumerate_all_syb(n, words=True),
@@ -166,7 +177,6 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
         )
         _assert_the_walks_follow(
             in_word_order(unsigned),
-            n,
             n,
             ((q, ()) for q in enumerate_all_syt(n)),
             enumerate_all_syt(n, words=True),
@@ -177,16 +187,17 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
 def test_each_table_has_one_state_per_sub_diagram():
     for n in range(9):
         for shape in partitions(n):
-            assert len(tableaux._moves(shape, len(shape), n)) == sub_diagram_count(shape), shape
+            assert len(tableaux._moves(shape, n)) == sub_diagram_count(shape), shape
+    # the rows capped at 0 between plus and minus add no state
     for n in range(7):
         for plus, minus in bipartitions(n):
-            table = tableaux._moves((*plus, *minus), len(plus), n)
+            table = tableaux._moves((*plus, *(0,) * (n - len(plus)), *minus), n)
             assert len(table) == sub_diagram_count(plus) * sub_diagram_count(minus), (plus, minus)
     # the lattice tables of the all-shapes walks: one state per partition, or
     # per bipartition, of each size up to n, and no move from one of size n
     for n in range(8):
         for caps, shapes in (((n,) * n, partitions), ((n,) * (2 * n), bipartitions)):
-            table = tableaux._moves(caps, n, n)
+            table = tableaux._moves(caps, n)
             assert len(table) == sum(1 for k in range(n + 1) for _ in shapes(k)), (n, shapes)
             assert sum(not moves for moves in table) == sum(1 for _ in shapes(n)), (n, shapes)
 
@@ -241,11 +252,19 @@ def test_enumerate_syb_against_pairing_oracle():
         ((2.0,), ()),
         ((), (True,)),
         (("2",), (1,)),
+        # not a (plus, minus) pair: these once died in Python's own unpacking
+        5,
+        ((1,),),
+        ((1,), (1,), (1,)),
+        "ab",
     ],
 )
 def test_enumerate_syb_rejects_a_part_that_is_no_partition(shape):
-    with pytest.raises(ValueError, match="partition parts must be"):
-        next(enumerate_syb(shape))
+    pair = isinstance(shape, tuple) and len(shape) == 2
+    message = "partition parts must be" if pair else "a bitableau shape is a \\(plus, minus\\) pair"
+    walk = enumerate_syb(shape)  # refused at the first next() only
+    with pytest.raises(ValueError, match=message):
+        next(walk)
 
 
 def test_enumerate_syb_takes_list_parts():
@@ -263,7 +282,7 @@ def test_enumerate_syb_takes_list_parts():
     assert list(enumerate_syt([2, 1], True)) == list(enumerate_syt((2, 1), True))
 
 
-def test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order():
+def test_the_descents_walk_of_a_shape_yields_the_descent_set_of_each_tableau_in_walk_order():
     for n in range(10):
         for shape in partitions(n):
             masks = list(enumerate_syt(shape, True))
@@ -329,14 +348,14 @@ def _des_b(mask, n):
     return (mask & ((1 << n) - 1)).bit_count() + (mask >> n & 1)
 
 
-def test_syt_transpose_matches_the_column_reading():
+def test_a_tableau_transposes_to_its_column_reading():
     # a tableau q is the bitableau (q, ()), whose transpose is ((), q')
     for n in range(0, 9):
         for q in enumerate_all_syt(n):
             assert syb_transpose((q, ())) == ((), transpose_by_columns(q)), q
 
 
-def test_syt_descent_set():
+def test_tableau_descent_set_examples():
     # bit i for a descent at i; a tableau, read as (q, ()), sets no sign bit
     assert syb_signed_descent_set((((1, 2, 3),), ())) == 0
     assert syb_signed_descent_set((((1,), (2,), (3,), (4,)), ())) == 0b1110
@@ -345,7 +364,7 @@ def test_syt_descent_set():
     assert unpack_descents(syb_signed_descent_set((((1, 2), (3,)), ())), 3) == ((2,), (1, 1, 1))
 
 
-def test_syt_descent_set_is_the_all_plus_bitableau_reading():
+def test_tableau_descent_sets_are_the_all_plus_bitableau_reading():
     # the tableau walk is the bitableau walk with no minus part; a tableau
     # read as the minus part keeps its descents and sets every sign bit
     for n in range(0, 9):
@@ -358,7 +377,7 @@ def test_syt_descent_set_is_the_all_plus_bitableau_reading():
                 assert syb_signed_descent_set(((), q)) == mask | ((1 << n) - 1) << n, q
 
 
-def test_syt_transpose():
+def test_tableau_transpose_examples():
     assert syb_transpose((((1, 2, 3),), ())) == ((), ((1,), (2,), (3,)))
     square = ((1, 2), (3, 4))
     assert syb_transpose((square, ())) == ((), ((1, 3), (2, 4)))
@@ -368,7 +387,7 @@ def test_syt_transpose():
     assert syb_transpose(((), ())) == ((), ())
 
 
-def test_syt_transpose_complements_descents():
+def test_tableau_transpose_complements_descents():
     for n in range(1, 8):
         for q in enumerate_all_syt(n):
             t = transpose_by_columns(q)
@@ -633,7 +652,7 @@ def test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau(
             function(q)
 
 
-def test_syb_des_b_examples():
+def test_bitableau_des_b_examples():
     assert _des_b(syb_signed_descent_set((((1, 2, 3),), ())), 3) == 0
     assert _des_b(syb_signed_descent_set((((1,),), ((2,),))), 2) == 1
     assert _des_b(syb_signed_descent_set(([(1,)], [(2,)])), 2) == 1
@@ -642,7 +661,7 @@ def test_syb_des_b_examples():
         assert _des_b(syb_signed_descent_set(((), column)), n) == n
 
 
-def test_syb_des_b_counts_the_signed_descent_set():
+def test_bitableau_des_b_counts_the_signed_descent_set():
     # the transpose sweep counts des_B as the steps up a row word, whose
     # rows are numbered as the lattice numbers them and whose entry 0 is n - 1
     for n in range(0, 8):

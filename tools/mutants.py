@@ -39,7 +39,40 @@ CHECKS = "src/eulerinv/checks.py"
 PERMUTATIONS = "src/eulerinv/permutations.py"
 TABLEAUX = "src/eulerinv/tableaux.py"
 TEST_CHECKS = "tests/test_checks.py::"
+TEST_PERMUTATIONS = "tests/test_permutations.py::"
 TEST_TABLEAUX = "tests/test_tableaux.py::"
+
+
+def _cut_walk(path: str, function: str, kept: int, kills: tuple[str, ...]) -> Mutant:
+    """A mutant under which the generator function `function` yields only
+    its first `kept` objects: the function is renamed, and a wrapper under
+    its own name slices what the renamed one yields."""
+    whole = f"{function}_whole"
+    wrapper = (
+        f"def {function}(*args, **kwargs):\n"
+        f"    yield from __import__('itertools').islice({whole}(*args, **kwargs), {kept})\n\n\n"
+    )
+    name = f"{function} " + ("yields nothing" if kept == 0 else "stops after its first object")
+    return Mutant(name, path, f"def {function}(", f"{wrapper}def {whole}(", kills)
+
+
+#: The tests that catch an involution walk, a tableau walk or a group walk
+#: that leaves objects out, as every sweep must.
+INVOLUTION_WALK_KILLS = (
+    TEST_PERMUTATIONS + "test_enumerate_involutions_counts",
+    TEST_PERMUTATIONS + "test_enumerate_signed_involutions_counts",
+    TEST_CHECKS + "test_des_statistic_conjecture",
+)
+FILLINGS_KILLS = (
+    TEST_TABLEAUX + "test_enumerate_syt_counts",
+    TEST_TABLEAUX + "test_syb_totals_match_involution_counts",
+    TEST_CHECKS + "test_descent_multiset_bijection",
+    "tests/test_qsym.py::test_verify_signed_schur_spec",
+)
+GROUP_WALK_KILLS = (
+    TEST_PERMUTATIONS + "test_enumerate_group_counts",
+    "tests/test_qsym.py::test_verify_signed_spec_closed_form",
+)
 
 MUTANTS = (
     Mutant(
@@ -107,10 +140,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the walk's sign bit set at r > second",
+        "the walk's sign bit set at r > size, past the first row of minus",
         TABLEAUX,
-        "(r >= second) * sign",
-        "(r > second) * sign",
+        "(r >= size) * sign",
+        "(r > size) * sign",
         (
             TEST_CHECKS + "test_descent_multiset_bijection",
             "tests/test_qsym.py::test_verify_signed_schur_spec",
@@ -126,7 +159,7 @@ MUTANTS = (
         (
             TEST_CHECKS + "test_descent_multiset_bijection",
             TEST_TABLEAUX + "test_the_split_walks_yield_the_sequences_of_the_reference_walks",
-            TEST_TABLEAUX + "test_the_descents_walk_of_a_shape_yields_syt_descent_set_in_walk_order",
+            TEST_TABLEAUX + "test_the_descents_walk_of_a_shape_yields_the_descent_set_of_each_tableau_in_walk_order",
         ),
     ),
     Mutant(
@@ -152,9 +185,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the walk's second part under the column rule",
+        "the walk's first row of minus under the column rule",
         TABLEAUX,
-        "(r == 0 or r == second or lengths[r - 1] > col)",
+        "(r == 0 or r == size or lengths[r - 1] > col)",
         "(r == 0 or lengths[r - 1] > col)",
         (
             TEST_TABLEAUX + "test_enumerate_syb_against_pairing_oracle",
@@ -185,7 +218,7 @@ MUTANTS = (
     Mutant(
         "the standard check skips the rebuild",
         TABLEAUX,
-        "if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:",
+        "if _transpose_word(word, n) is None or _bitableau_of_word(word) != filling:",
         "if _transpose_word(word, n) is None:",
         (
             TEST_TABLEAUX + "test_the_set_readers_accept_exactly_the_standard_fillings",
@@ -195,8 +228,8 @@ MUTANTS = (
     Mutant(
         "the standard check skips the lattice test",
         TABLEAUX,
-        "if _transpose_word(word, n) is None or _bitableau_of_word(word, n) != filling:",
-        "if _bitableau_of_word(word, n) != filling:",
+        "if _transpose_word(word, n) is None or _bitableau_of_word(word) != filling:",
+        "if _bitableau_of_word(word) != filling:",
         (
             TEST_TABLEAUX + "test_the_set_readers_accept_exactly_the_standard_fillings",
             TEST_TABLEAUX + "test_the_transpose_accepts_exactly_the_standard_fillings",
@@ -218,7 +251,7 @@ MUTANTS = (
         "elif prev > v:",
         "elif prev > v or prev < 0:",
         (
-            "tests/test_permutations.py::test_signed_descent_set_examples",
+            TEST_PERMUTATIONS + "test_signed_descent_set_examples",
             TEST_CHECKS + "test_descent_multiset_bijection",
         ),
     ),
@@ -242,6 +275,15 @@ MUTANTS = (
         "if isinstance(value, bool) or not isinstance(value, int):",
         "if isinstance(value, str):",
         (TEST_CHECKS + "test_guo_zeng_lemma_rejects_arguments_that_are_not_ints",),
+    ),
+    *(
+        _cut_walk(path, function, kept, kills)
+        for path, function, kills in (
+            (PERMUTATIONS, "_involution_walk", INVOLUTION_WALK_KILLS),
+            (TABLEAUX, "_fillings", FILLINGS_KILLS),
+            (PERMUTATIONS, "enumerate_group", GROUP_WALK_KILLS),
+        )
+        for kept in (0, 1)
     ),
 )
 
