@@ -12,13 +12,15 @@ never fail a run.
 The transpose sweep checks that transposition is a bijection, and its
 failure names the first violating object.  It builds no object, no
 transpose and no set: each all-shapes walk yields row words alone, and
-_transpose_word, the one transpose map, which tableaux keeps with the
-word's layout and applies in syb_transpose, gives each word's transpose's
-word in one pass and tests that the word is standard.  The descent numbers
-are counted on the words, and transposing twice is checked by mapping the
-image word back.  The words come in strictly rising order, so a repeat is
-a word not above the one before.  Only a failure rebuilds an object, the
-first violating one, from its word, through the one builder of tableaux,
+_transpose_words, the one transpose map, which tableaux keeps with the
+word's layout and applies in syb_transpose to a stream of one word, gives
+each word's transpose's word and tests that the word is standard.  It maps
+the head that neighbouring words share once, and each tail once for every
+sub-diagram its head fills.  The descent numbers are counted on the words,
+and transposing twice is checked by a second stream that maps the images
+back.  The words come in strictly rising order, so a repeat is a word not
+above the one before.  Only a failure rebuilds an object, the first
+violating one, from its word, through the one builder of tableaux,
 _bitableau_of_word, and only when the map takes that word: a word it
 refuses is named as it is.
 
@@ -29,7 +31,7 @@ sdes-bijection record unpacks any, to name the first set that differs.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, repeat
+from itertools import islice, repeat, tee
 from math import comb, factorial
 from operator import lt, mul, sub
 
@@ -60,7 +62,7 @@ from .reports import Report, int_list
 from .tableaux import (
     _bitableau_of_word,
     _syt_count,
-    _transpose_word,
+    _transpose_words,
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
@@ -235,31 +237,36 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     word does not exceed the previous object's.  A failure names the first violating
     object in walk order, rebuilt from its row word by
     tableaux._bitableau_of_word, the builder every enumerator of objects
-    maps over its walk's words, when _transpose_word takes that word and
+    maps over its walk's words, when _transpose_words takes that word and
     its entries lie in the walk's rows; a word it refuses, with an entry
     outside the rows or no lattice word, or a tableau's word that reaches
     the rows of minus, fixes no object of the walk, and the failure names
     the row word itself.
 
     No object and no transpose is built.  Each walk yields row words alone
-    (words=True), and _transpose_word maps a word to its transpose's in one
-    pass, testing on the way that the word is standard.  Both descent
-    numbers are counted on the words: des_B is the number of rises,
+    (words=True), teed through two streams of _transpose_words: the row
+    words to their transposes' words, testing on the way that each word is
+    standard, and those images back.  The walk yields its words as heads
+    and tails, so a stream maps each head once, and each tail once for
+    every sub-diagram its heads fill, keeping the tail images of one size
+    until that size ends.  Both descent numbers are counted on the
+    words: des_B is the number of rises,
     word[i] < word[i + 1], where word[0], n - 1, is below word[1] exactly
     when entry 1 is negative.  A tableau q is read as the bitableau (q, ()):
     its des_B is des(q) and its transpose is ((), q'), whose des_B is
     des(q') + 1 from n = 1 on, so n - des_B is the rule for both walks.
-    Transposing twice is checked on the image word alone, which must map
-    back to the object's own word.
+    Transposing twice is checked on the image word alone, which the second
+    stream must map back to the object's own word; image heads are the
+    transposes of row heads, so it shares its heads in the same way.
 
     The walk of each size yields its objects in strictly increasing
     lexicographic order of their row words, so a word that is not above
     the one before, a repeated object or two objects with one word, is a
-    violation, and the sweep keeps only the previous word.  Distinct words
-    and a transpose that transposes back make the map injective: two
-    objects with one image would have one word, and the count makes it
-    onto: the walk yields every object of its size.  Each size is walked
-    once."""
+    violation, and the sweep keeps the previous word, beside the two
+    streams' tail images of the size it walks.  Distinct words and a
+    transpose that transposes back make the map injective: two objects
+    with one image would have one word, and the count makes it onto: the
+    walk yields every object of its size.  Each size is walked once."""
     report = Report()
     families = (
         ("transpose-signed", signed_n_max, True, enumerate_all_syb, lambda q: q, "bitableaux"),
@@ -269,14 +276,15 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
         for n in range(n_max + 1):
             previous = ()
             total = bad = 0
-            for row in walk(n, words=True):
+            rows, fed = tee(walk(n, words=True))
+            images, fed = tee(_transpose_words(fed, n))
+            for row, image, back in zip(rows, images, _transpose_words(fed, n)):
                 total += 1
-                image = _transpose_word(row, n)
                 if not signed and image is not None and max(row) >= n:
                     image = None  # a tableau's word in the rows of minus
                 if (
                     image is None
-                    or _transpose_word(image, n) != row
+                    or back != row
                     or sum(map(lt, row, row[1:])) + sum(map(lt, image, image[1:])) != n
                     or row <= previous
                 ):

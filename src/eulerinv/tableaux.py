@@ -64,9 +64,13 @@ _word_of turns a bitableau into that word and is the one standardness
 test: the word must be a lattice word within each part, which
 _transpose_word tests, and _bitableau_of_word must build the filling back
 from it.  On the word, syb_signed_descent_set sets the bits of each entry,
-and syb_transpose is _transpose_word, the one transpose map, the map the
-transpose sweep of checks applies to every word it walks and certifies; a
-tableau q is read as the bitableau (q, ()).  Both reject anything but a
+and syb_transpose is _transpose_word, the one transpose map on one word; a
+tableau q is read as the bitableau (q, ()).  _transpose_word is the stream
+map _transpose_words on a stream of that word alone, and the transpose
+sweep of checks applies the same stream to every word it walks and
+certifies.  A stream maps the head that neighbouring words share once, and
+each tail once for every sub-diagram its head fills; one step, _columns,
+places the entries of both.  Both readers reject anything but a
 (plus, minus) pair of tuples or lists, entries that are not ints or are
 bools, entries other than 1..n each once, and fillings that are not
 standard, in that order.  Nothing here calls the window-side descent
@@ -74,7 +78,7 @@ functions, so the two sides of the bijection share only the layout.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain
 from math import comb, factorial
@@ -380,30 +384,26 @@ def enumerate_all_syb(
     yield from walk if descents or words else map(_bitableau_of_word, walk)
 
 
-def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """The row word of the transpose of the bitableau whose row word is
-    word, read from that word alone, or None when word is no row word of a
-    standard bitableau of size n.
+def _columns(entries: tuple[int, ...], taken: list[int], rows: int) -> tuple[int, ...] | None:
+    """The transpose's rows of entries, placed in turn after the cells
+    that taken counts, or None when one of them cannot be placed: the one
+    step of the transpose map, for the head and the tail of a word alike.
 
-    word[e] is the row of entry e as the lattice walk of enumerate_all_syb
-    numbers them: the rows of plus 0..n-1, those of minus n..2n-1; word[0]
-    is copied.  The transpose is (minus', plus'), whose rows are columns.
-    A row takes its entries in increasing order, so the column of e,
-    counted from 0, is the number of entries its row took before e: an
-    entry of minus goes to the row of plus' of its column, an entry of
-    plus to n plus that.  taken[r] is where the next entry of row r goes.
+    An entry is a row of the lattice, the rows of plus 0..n-1 and those of
+    minus n..2n-1, with rows = 2n.  A row takes its entries in increasing
+    order, so the column of an entry, counted from 0, is the number of
+    entries its row took before it: an entry of minus goes to the row of
+    plus' of its column, an entry of plus to n plus that.  taken[r] is
+    where the next entry of row r goes, and each entry placed moves it on.
 
-    The same pass tests that word is standard.  Every entry must be a row,
-    0..2n-1, and the word must be a lattice word within each part: no row
-    but the first of a part may take an entry when it holds as many as the
-    row above.  That is taken[r - 1] > taken[r], where the first row of
-    minus always passes, because the last row of plus stands n higher, and
-    the first row of plus compares with taken[-1], the last slot, which
-    holds 2n."""
-    rows = 2 * n
-    taken = [n] * n + [0] * n + [rows]
-    image = [word[0]]
-    for r in word[1:]:
+    The same step tests that the entries extend a standard filling.  Every
+    entry must be a row, 0..rows-1, and no row but the first of a part may
+    take an entry when it holds as many as the row above.  That is
+    taken[r - 1] > taken[r], where the first row of minus always passes,
+    because the last row of plus stands n higher, and the first row of
+    plus compares with taken[-1], the last slot, which holds 2n."""
+    image = []
+    for r in entries:
         if not 0 <= r < rows:
             return None
         column = taken[r]
@@ -412,6 +412,60 @@ def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
         image.append(column)
         taken[r] = column + 1
     return tuple(image)
+
+
+#: What a tail memo of _transpose_words gives for a tail not mapped yet.
+_UNMAPPED = object()
+
+
+def _transpose_words(
+    words: Iterable[tuple[int, ...] | None], n: int
+) -> Iterator[tuple[int, ...] | None]:
+    """The row word of the transpose of each bitableau of size n whose row
+    word comes in words, read from that word alone, or None for a word
+    that is no row word of a standard bitableau of size n, and for None.
+
+    word[e] is the row of entry e as the lattice walk of enumerate_all_syb
+    numbers them; word[0] is copied.  The transpose is (minus', plus'),
+    whose rows are columns, and _columns maps the entries in turn.
+
+    A walk yields its words as heads and tails in lexicographic order, so
+    neighbours share their first h = 2n // 3 + 1 entries.  The head is
+    mapped only when it changes, and the image prefix and the taken slots
+    it leaves are kept.  Each tail is mapped from a copy of those slots,
+    and its image is kept by the slots, as a tuple, and then by the tail:
+    heads that fill one sub-diagram share its tails, and a tail is mapped
+    once for them all.  The memo lives as long as the stream, one size."""
+    rows = 2 * n
+    h = 2 * n // 3 + 1
+    memo = {}
+    head = prefix = None
+    for word in words:
+        if word is None:
+            yield None
+            continue
+        if word[:h] != head:
+            head = word[:h]
+            taken = [n] * n + [0] * n + [rows]
+            prefix = _columns(head[1:], taken, rows)
+            if prefix is not None:
+                prefix = head[:1] + prefix
+                tails = memo.setdefault(tuple(taken), {})
+        if prefix is None:
+            yield None
+            continue
+        tail = word[h:]
+        image = tails.get(tail, _UNMAPPED)
+        if image is _UNMAPPED:
+            image = tails[tail] = _columns(tail, taken.copy(), rows)
+        yield None if image is None else prefix + image
+
+
+def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """The row word of the transpose of the bitableau whose row word is
+    word, or None when word is no row word of a standard bitableau of size
+    n: the stream map _transpose_words on a stream of one word."""
+    return next(_transpose_words((word,), n))
 
 
 def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
@@ -481,9 +535,10 @@ def syb_transpose(bitableau: Bitableau) -> Bitableau:
     that is not a standard bitableau raises ValueError, as in
     syb_signed_descent_set.
 
-    It maps the row word of _word_of by _transpose_word, the map that
-    verify transpose applies to every word of each size it walks and
-    certifies, and builds the image with _bitableau_of_word; that is why it
+    It maps the row word of _word_of by _transpose_word, the stream map
+    that verify transpose applies to every word of each size it walks and
+    certifies, on a stream of one word, and builds the image with
+    _bitableau_of_word; that is why it
     stays public, beside being the live name of the benchmark tracer's
     tableaux.transpose group."""
     word = _word_of(bitableau)

@@ -277,6 +277,32 @@ def transpose_by_columns(tableau):
     )
 
 
+def transpose_word_by_counting(word, n):
+    """The transpose's row word of one row word of size n, or None, in one
+    pass over the whole word with nothing kept between words: the map the
+    stream of the library must match word for word.
+
+    Rows of plus are 0..n-1 and those of minus n..2n-1; word[0] is copied.
+    taken[r] is where the next entry of row r goes, its column counted from
+    0, with n added for the rows of plus' that the entries of plus go to.
+    An entry outside the 2n rows, or one that enters a row holding as many
+    as the row above it in its part, makes the word no standard one: the
+    first row of plus compares with the last slot, 2n, and the first row of
+    minus with the last row of plus, n higher."""
+    rows = 2 * n
+    taken = [n] * n + [0] * n + [rows]
+    image = [word[0]]
+    for r in word[1:]:
+        if not 0 <= r < rows:
+            return None
+        column = taken[r]
+        if taken[r - 1] <= column:
+            return None
+        image.append(column)
+        taken[r] = column + 1
+    return tuple(image)
+
+
 def signed_descent_set_by_definition(window):
     """(Des(w), signs): i is a descent when the signs step +,- , or when they
     agree and the absolute values step down."""

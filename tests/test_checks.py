@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 from itertools import count, islice, product
@@ -17,6 +18,8 @@ from eulerinv.permutations import (
 from eulerinv.reports import CheckRecord, Report, int_list
 from eulerinv.tableaux import (
     _bitableau_of_word,
+    _transpose_word,
+    _transpose_words,
     _word_of,
     bipartitions,
     enumerate_all_syb,
@@ -34,6 +37,7 @@ from oracles import (
     standard_fillings_by_filtering,
     telephone_number,
     transpose_by_columns,
+    transpose_word_by_counting,
 )
 
 
@@ -465,9 +469,11 @@ def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
     }
 
 
-def test_transpose_sweep_keeps_only_the_previous_word():
-    # the sweep keeps only the previous row word, and peaks near 0.9 MB; a
-    # set of the bytes of the 32,400 image words of size 8 peaked at 4.3 MB
+def test_transpose_sweep_memory_is_bounded_per_size():
+    # the sweep keeps the previous row word, and each of its two streams the
+    # head it last mapped and a memo of the tail images of one size, freed
+    # when that size ends; it peaks near 1.7 MB.  A set of the bytes of the
+    # 32,400 image words of size 8 peaked at 4.3 MB
     tracemalloc.start()
     try:
         assert checks.verify_transpose_complement(8, 8).ok
@@ -483,8 +489,8 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
     # tableaux of size 2 miss the complement, and the one of size 1 does not
     monkeypatch.setattr(
         checks,
-        "_transpose_word",
-        lambda word, n: (word[0], *(r + n if r < n else r - n for r in word[1:])),
+        "_transpose_words",
+        lambda words, n: ((w[0], *(r + n if r < n else r - n for r in w[1:])) for w in words),
     )
     failure = checks.verify_transpose_complement(0, 2).failures[0]
     assert failure.params == (("n", 2),)
@@ -504,10 +510,10 @@ def test_the_transpose_words_are_those_of_the_built_transposes():
         pairs += [((q, ()), ((), transpose_by_columns(q))) for q in enumerate_all_syt(n)]
         for q, t in pairs:
             row = _word_of(q)
-            image = checks._transpose_word(row, n)
+            image = _transpose_word(row, n)
             assert image == _word_of(t), q
             # the transpose of the transpose, read off the image word alone
-            assert checks._transpose_word(image, n) == row, q
+            assert _transpose_word(image, n) == row, q
             assert _bitableau_of_word(row) == q
 
 
@@ -519,12 +525,28 @@ def test_the_transpose_map_takes_exactly_the_standard_words():
         standard = set(enumerate_all_syb(n, words=True))
         for entries in product(range(-2, 2 * n + 2), repeat=n):
             word = (n - 1, *entries)
-            assert (checks._transpose_word(word, n) is not None) == (word in standard), word
+            assert (_transpose_word(word, n) is not None) == (word in standard), word
     # a row of plus or of minus ahead of the row above it, and entries past
     # either end of the rows, the last of which would index past the table
     for word in ((1, 1, 0), (1, 3, 2), (1, 0, 3), (1, 0, -4), (1, 0, 4), (1, 0, 5)):
-        assert checks._transpose_word(word, 2) is None, word
-    assert checks._transpose_word((1, 0, 2), 2) == (1, 2, 0)
+        assert _transpose_word(word, 2) is None, word
+    assert _transpose_word((1, 0, 2), 2) == (1, 2, 0)
+
+
+def test_the_transpose_stream_maps_each_word_as_the_one_pass_oracle_does():
+    # every word of n entries drawn from two rows around the lattice's rows,
+    # sorted as a walk yields them, shuffled and reversed, with a None after
+    # every fifth word: sharing heads and tails across words changes no image
+    for n in range(5):
+        words = [(n - 1, *entries) for entries in product(range(-2, 2 * n + 2), repeat=n)]
+        shuffled = words.copy()
+        random.Random(n).shuffle(shuffled)
+        for order in (words, shuffled, words[::-1]):
+            stream = []
+            for i, word in enumerate(order):
+                stream += (word, None) if i % 5 == 4 else (word,)
+            expected = [None if w is None else transpose_word_by_counting(w, n) for w in stream]
+            assert list(_transpose_words(stream, n)) == expected, n
 
 
 def test_the_row_words_of_each_walk_rise_strictly():
@@ -536,19 +558,19 @@ def test_the_row_words_of_each_walk_rise_strictly():
 
 
 def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
-    # a map that is one off in entry 0 on its way back, on every second call,
+    # a map that is one off in entry 0 on its way back, in every second stream,
     # gives no object its own word back, while every image and descent
     # number stays right
-    transpose = checks._transpose_word
+    transpose = checks._transpose_words
     calls = count()
 
-    def off_on_the_way_back(word, n):
-        image = transpose(word, n)
-        if next(calls) % 2:  # the sweep maps each row word, then its image
-            image = (image[0] + 1, *image[1:])
-        return image
+    def off_on_the_way_back(words, n):
+        images = transpose(words, n)
+        if next(calls) % 2:  # each size streams its row words, then their images
+            images = ((image[0] + 1, *image[1:]) for image in images)
+        return images
 
-    monkeypatch.setattr(checks, "_transpose_word", off_on_the_way_back)
+    monkeypatch.setattr(checks, "_transpose_words", off_on_the_way_back)
     report = checks.verify_transpose_complement(3, 3)
     expected = [
         f"{len(objects)} violations, first {objects[0]}"
@@ -563,13 +585,12 @@ def test_transpose_counts_an_image_entry_past_the_rows_as_a_violation(monkeypatc
     # images one row too low reach row 2n, past the lattice's rows: mapping
     # one back is refused, not an IndexError, and every object from n = 1 on
     # is a violation, the first named
-    transpose = checks._transpose_word
+    transpose = checks._transpose_words
 
-    def one_too_high(word, n):
-        image = transpose(word, n)
-        return image and (image[0], *(r + 1 for r in image[1:]))
+    def one_too_high(words, n):
+        return (image and (image[0], *(r + 1 for r in image[1:])) for image in transpose(words, n))
 
-    monkeypatch.setattr(checks, "_transpose_word", one_too_high)
+    monkeypatch.setattr(checks, "_transpose_words", one_too_high)
     report = checks.verify_transpose_complement(3, 0)
     assert [r.status for r in report] == ["pass", "fail", "fail", "fail", "pass"]
     assert [r.rhs for r in report.failures] == [

@@ -96,18 +96,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the transpose map's lattice test dropped",
+        "the transpose step's lattice test dropped",
         TABLEAUX,
         "        if taken[r - 1] <= column:\n            return None\n",
         "",
         (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
     ),
     Mutant(
-        "the transpose map's range test dropped",
+        "the transpose step's range test dropped",
         TABLEAUX,
         "        if not 0 <= r < rows:\n            return None\n",
         "",
         (TEST_CHECKS + "test_the_transpose_map_takes_exactly_the_standard_words",),
+    ),
+    Mutant(
+        "the transpose stream keeps a stale head",
+        TABLEAUX,
+        "if word[:h] != head:",
+        "if head is None:",
+        (
+            TEST_CHECKS + "test_transpose_complement",
+            TEST_CHECKS + "test_the_transpose_stream_maps_each_word_as_the_one_pass_oracle_does",
+        ),
+    ),
+    Mutant(
+        "the transpose stream's tail memo ignores the state",
+        TABLEAUX,
+        "memo.setdefault(tuple(taken), {})",
+        "memo.setdefault(0, {})",
+        (
+            TEST_CHECKS + "test_transpose_complement",
+            TEST_CHECKS + "test_the_transpose_stream_maps_each_word_as_the_one_pass_oracle_does",
+        ),
     ),
     Mutant(
         "the transpose sweep's rise test weakened to <",
