@@ -14,6 +14,18 @@ walk yields each involution's descent number in place of its window: every
 step compares the neighbours it completes, so a row of involutions is
 counted with no tuple built and no second pass over any window.
 
+A count walk stops stepping once n // 2 slots are still open, a fixed
+cut as the tableau walk's split at 2n // 3 is.  What is left to count
+there depends only on the open slots and on how each set slot beside
+one of them, the leading 0 and the sentinel past slot n - 1 included,
+compares with the values the open slots can take: those values belong to
+the open slots, so no set slot holds one.  The walk therefore keys its
+memo of tails, the counts of every completion in walk order, by the open
+slots and the bisect rank of each such neighbour among their sorted
+values; the key is exact, and the walk yields the count so far plus each
+count of the tail.  The memo lives for one walk, and a walk of windows
+never reads it.
+
 The type-B descent number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
 the integers by v -> v for v > 0 and v -> -(n+1) - v for v < 0; the
@@ -45,6 +57,7 @@ sets it once and every walk below sees the same value.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -213,20 +226,34 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
     """Each involution of B_n (signed) or S_n once, in lexicographic window
     order: the S_n walk is the B_n walk without its negative candidates.
     Given a statistic, each involution's descent number takes its place.
+    An unknown statistic raises ValueError at the call.
 
     Fixed points take either sign; the two positions of a 2-cycle must agree
     in sign for the square to be the identity.  The smallest open slot takes
     each candidate in turn, one _Step each; a fixed point is the step with
     i = j, which writes its slot twice.  The walk keeps an explicit stack of
     step iterators, one for each tuple of open slots on the current path,
-    and yields from this one frame.  The steps of each open tuple are built
-    once per call, and the last open slot is set in place rather than pushed.
+    and yields from this one frame.  The steps of each open tuple it pushes
+    are built once per call, and the last open slot is set in place rather
+    than pushed.
 
     To count, the slots hold ranks in the order counted, followed by a
     sentinel above every rank and the leading 0, which is slot -1.  A step
     lists the neighbouring pairs it completes, and the stack carries the
     count so far with each step iterator; the last slot completes its own
     two pairs.  A walk of windows lists no pairs.
+
+    A count walk steps only while more than n // 2 slots are open.  Past
+    that it yields the count so far plus each count of a tail: the counts
+    of the pairs still open, for every way to fill the open slots, in walk
+    order.  A tail is built once per key (rest, ranks), by this same loop
+    run from rest with count 0, and kept for the rest of the walk.  ranks
+    holds the bisect rank of each set slot beside an open one, slots -1 and
+    n included, among the sorted candidate values of rest.  The candidates
+    of rest are the values of its own slots, so no set slot holds one, and
+    a tail compares only candidates with each other and with these
+    neighbours: the ranks decide every comparison, and the key is exact.
+    A walk of windows never reads a tail.
     """
     counting = statistic is not None
     if counting:
@@ -257,40 +284,63 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         out += [step(p, q, 1, left) for q, left in cycles]
         return out
 
+    def border(rest: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        # the candidate values of rest ascending, and the set slots beside rest
+        signs = (-1, 1) if signed else (1,)
+        values = sorted(entry(k, sign) for k in rest for sign in signs)
+        return values, sorted({s for k in rest for s in (k - 1, k + 1)}.difference(rest))
+
     if n == 0:
-        yield 0 if counting else ()
-        return
+        return iter([0 if counting else ()])
     window = [0] * n + ([n + 1, 0] if counting else [])
     negative = [entry(k, -1) for k in range(n)]  # the fixed point w(k) < 0
     memo: dict[tuple[int, ...], list[_Step]] = {}
-    stack = [(iter(steps(tuple(range(n)))), 0)]
-    while stack:
-        choices, below = stack[-1]
-        for i, a, j, b, rest, pairs in choices:
-            window[i] = a
-            window[j] = b
-            count = below
-            if pairs:  # none in a walk of windows, which skips the loop
-                for s in pairs:
-                    if window[s] > window[s + 1]:
-                        count += 1
-            if len(rest) > 1:
-                todo = memo.get(rest)
-                if todo is None:
-                    todo = memo[rest] = steps(rest)
-                stack.append((iter(todo), count))
-                break
-            if rest:  # one open slot left: a fixed point
-                k = rest[0]
-                if signed:
-                    v = window[k] = negative[k]
+    borders: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    tails: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+
+    def walk(first: list[_Step], cut: int) -> Iterator[Window | int]:
+        # the walk from the steps first, counting from 0, reading a tail
+        # once at most cut slots are open
+        stack = [(iter(first), 0)]
+        while stack:
+            choices, below = stack[-1]
+            for i, a, j, b, rest, pairs in choices:
+                window[i] = a
+                window[j] = b
+                count = below
+                if pairs:  # none in a walk of windows, which skips the loop
+                    for s in pairs:
+                        if window[s] > window[s + 1]:
+                            count += 1
+                if len(rest) > 1:
+                    if len(rest) > cut:
+                        todo = memo.get(rest)
+                        if todo is None:
+                            todo = memo[rest] = steps(rest)
+                        stack.append((iter(todo), count))
+                        break
+                    found = borders.get(rest)
+                    if found is None:
+                        found = borders[rest] = border(rest)
+                    values, beside = found
+                    key = rest, tuple([bisect(values, window[s]) for s in beside])
+                    tail = tails.get(key)
+                    if tail is None:
+                        tail = tails[key] = tuple(walk(steps(rest), 1))
+                    yield from map(count.__add__, tail)
+                elif rest:  # one open slot left: a fixed point
+                    k = rest[0]
+                    if signed:
+                        v = window[k] = negative[k]
+                        yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
+                    v = window[k] = k + 1
                     yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
-                v = window[k] = k + 1
-                yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
+                else:
+                    yield count if counting else tuple(window)
             else:
-                yield count if counting else tuple(window)
-        else:
-            stack.pop()
+                stack.pop()
+
+    return walk(steps(tuple(range(n))), n // 2 if counting else 1)
 
 
 def enumerate_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:

@@ -166,10 +166,11 @@ def test_involution_enumerators_match_the_recursive_walk(n):
     assert list(enumerate_signed_involutions(n)) == involutions_by_recursive_walk(n, signed=True)
 
 
-@pytest.mark.parametrize(("signed", "n_max"), [(True, 9), (False, 10)])
+@pytest.mark.parametrize(("signed", "n_max"), [(True, 9), (False, 12)])
 def test_walk_counts_match_the_per_window_statistics_in_walk_order(signed, n_max):
     # desB and desCoxeter give equal rows for every n <= 9, so only a check
-    # window by window tells a count in the wrong order from a right one
+    # window by window tells a count in the wrong order from a right one;
+    # S_12 reads tails of six open slots, as poly --kind invA --n 12 does
     enumerate_ = enumerate_signed_involutions if signed else enumerate_involutions
     for n in range(n_max + 1):
         walks = zip(enumerate_(n), enumerate_(n, DES_B), enumerate_(n, DES_COXETER), strict=True)
@@ -187,6 +188,9 @@ def test_interleaved_involution_walks_do_not_share_state():
         lambda: enumerate_signed_involutions(5, DES_B),
         lambda: enumerate_involutions(6, DES_COXETER),
         lambda: enumerate_signed_involutions(4, DES_COXETER),
+        # tails of 3-4 open slots recur under different heads at these sizes
+        lambda: enumerate_signed_involutions(7, DES_B),
+        lambda: enumerate_involutions(9, DES_COXETER),
     ]
     walks = [start() for start in starts]
     seen: list[list] = [[] for _ in walks]
@@ -208,6 +212,8 @@ def test_interleaved_involution_walks_do_not_share_state():
         involution_count(5, signed=True),
         involution_count(6),
         involution_count(4, signed=True),
+        involution_count(7, signed=True),
+        involution_count(9),
     ]
     assert seen == [list(start()) for start in starts]
 
@@ -249,6 +255,8 @@ def test_enumerate_involutions_counts():
         windows = list(enumerate_involutions(n))
         assert len(windows) == len(set(windows)) == telephone_number(n)
         assert all(is_involution(w) for w in windows)
+        for statistic in (DES_B, DES_COXETER):
+            assert sum(1 for _ in enumerate_involutions(n, statistic)) == telephone_number(n), (n, statistic)
 
 
 def _strictly_increasing(windows):
@@ -273,6 +281,8 @@ def test_enumerate_signed_involutions_counts():
             seen.add(w)
             assert is_involution(w)
         assert count == len(seen) == signed_telephone_number(n), n
+        for statistic in (DES_B, DES_COXETER):
+            assert sum(1 for _ in enumerate_signed_involutions(n, statistic)) == count, (n, statistic)
 
 
 def test_enumerate_signed_involutions_lexicographic():

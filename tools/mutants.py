@@ -283,6 +283,23 @@ MUTANTS = (
         (TEST_CHECKS + "test_des_statistic_conjecture", TEST_CHECKS + "test_genfun_sweeps"),
     ),
     Mutant(
+        "the involution walk's tail memo keyed by the open slots alone",
+        PERMUTATIONS,
+        "key = rest, tuple([bisect(values, window[s]) for s in beside])",
+        "key = rest, ()",
+        (TEST_PERMUTATIONS + "test_walk_counts_match_the_per_window_statistics_in_walk_order",),
+    ),
+    Mutant(
+        "an involution walk's tail leaves out its last completion",
+        PERMUTATIONS,
+        "tail = tails[key] = tuple(walk(steps(rest), 1))",
+        "tail = tails[key] = tuple(walk(steps(rest), 1))[:-1]",
+        (
+            TEST_PERMUTATIONS + "test_enumerate_involutions_counts",
+            TEST_PERMUTATIONS + "test_enumerate_signed_involutions_counts",
+        ),
+    ),
+    Mutant(
         "a recurrence coefficient changed",
         "src/eulerinv/distributions.py",
         "(2 * k + 1) * prev_k",
