@@ -22,9 +22,14 @@ compares with the values the open slots can take: those values belong to
 the open slots, so no set slot holds one.  The walk therefore keys its
 memo of tails, the counts of every completion in walk order, by the open
 slots and the bisect rank of each such neighbour among their sorted
-values; the key is exact, and the walk yields the count so far plus each
-count of the tail.  The memo lives for one walk, and a walk of windows
-never reads it.
+values; the key is exact.  A tail that is not in the memo yet is built
+from the steps of its open slots, each followed by the memoized tail of
+the slots that step leaves open, under the same key, shifted by the
+step's count: so a smaller tail is counted once, and joined into each
+larger one by C iterators.  The walk yields each tail as one block, the
+count so far plus each count of the tail, and returns the chain of its
+blocks, so a count reaches the caller through C iterators alone.  The
+memo lives for one walk, and a walk of windows never reads it.
 
 The type-B descent number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
@@ -61,6 +66,8 @@ from bisect import bisect
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cache
+from itertools import chain
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
 from math import factorial
@@ -233,27 +240,30 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
     each candidate in turn, one _Step each; a fixed point is the step with
     i = j, which writes its slot twice.  The walk keeps an explicit stack of
     step iterators, one for each tuple of open slots on the current path,
-    and yields from this one frame.  The steps of each open tuple it pushes
-    are built once per call, and the last open slot is set in place rather
-    than pushed.
+    and yields from this one frame.  The steps of each open tuple are built
+    once per call, and a walk of windows sets the last open slot in place
+    rather than pushing it.
 
     To count, the slots hold ranks in the order counted, followed by a
     sentinel above every rank and the leading 0, which is slot -1.  A step
     lists the neighbouring pairs it completes, and the stack carries the
-    count so far with each step iterator; the last slot completes its own
-    two pairs.  A walk of windows lists no pairs.
+    count so far with each step iterator.  A walk of windows lists no pairs.
 
     A count walk steps only while more than n // 2 slots are open.  Past
-    that it yields the count so far plus each count of a tail: the counts
-    of the pairs still open, for every way to fill the open slots, in walk
-    order.  A tail is built once per key (rest, ranks), by this same loop
-    run from rest with count 0, and kept for the rest of the walk.  ranks
+    that it yields a block, the count so far plus each count of a tail:
+    the counts of the pairs still open, for every way to fill the open
+    slots, in walk order.  The walk returns itertools.chain.from_iterable
+    over its blocks, so a count passes through C iterators alone.  A tail
+    is kept for the rest of the walk under the key (rest, ranks): ranks
     holds the bisect rank of each set slot beside an open one, slots -1 and
     n included, among the sorted candidate values of rest.  The candidates
     of rest are the values of its own slots, so no set slot holds one, and
     a tail compares only candidates with each other and with these
     neighbours: the ranks decide every comparison, and the key is exact.
-    A walk of windows never reads a tail.
+    A missing tail is built from the steps of rest, each followed by the
+    tail, under the same key, of the slots it leaves open, shifted by the
+    step's count; the tail of no open slot is the one count 0.  A walk of
+    windows never reads a tail.
     """
     counting = statistic is not None
     if counting:
@@ -284,6 +294,7 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         out += [step(p, q, 1, left) for q, left in cycles]
         return out
 
+    @cache
     def border(rest: tuple[int, ...]) -> tuple[list[int], list[int]]:
         # the candidate values of rest ascending, and the set slots beside rest
         signs = (-1, 1) if signed else (1,)
@@ -294,14 +305,37 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         return iter([0 if counting else ()])
     window = [0] * n + ([n + 1, 0] if counting else [])
     negative = [entry(k, -1) for k in range(n)]  # the fixed point w(k) < 0
+    # the steps of each open tuple, in a dict rather than functools.cache as
+    # border is: a get costs a walk of windows less per push than that call
     memo: dict[tuple[int, ...], list[_Step]] = {}
-    borders: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    tails: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    tails: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {((), ()): [0]}
 
-    def walk(first: list[_Step], cut: int) -> Iterator[Window | int]:
-        # the walk from the steps first, counting from 0, reading a tail
-        # once at most cut slots are open
-        stack = [(iter(first), 0)]
+    def tail(rest: tuple[int, ...]) -> list[int]:
+        # the counts of every completion of rest, in walk order
+        values, beside = border(rest)
+        key = rest, tuple([bisect(values, window[s]) for s in beside])
+        out = tails.get(key)
+        if out is None:
+            out = []
+            todo = memo.get(rest)
+            if todo is None:
+                todo = memo[rest] = steps(rest)
+            for i, a, j, b, left, pairs in todo:
+                window[i] = a
+                window[j] = b
+                count = 0
+                for s in pairs:
+                    if window[s] > window[s + 1]:
+                        count += 1
+                out += map(count.__add__, tail(left))
+            tails[key] = out
+        return out
+
+    cut = n // 2 if counting else 1
+
+    def walk() -> Iterator[Iterator[int] | Window]:
+        # a window at a time, or a block of counts at a time
+        stack = [(iter(steps(tuple(range(n)))), 0)]
         while stack:
             choices, below = stack[-1]
             for i, a, j, b, rest, pairs in choices:
@@ -312,48 +346,47 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
                     for s in pairs:
                         if window[s] > window[s + 1]:
                             count += 1
-                if len(rest) > 1:
-                    if len(rest) > cut:
-                        todo = memo.get(rest)
-                        if todo is None:
-                            todo = memo[rest] = steps(rest)
-                        stack.append((iter(todo), count))
-                        break
-                    found = borders.get(rest)
-                    if found is None:
-                        found = borders[rest] = border(rest)
-                    values, beside = found
-                    key = rest, tuple([bisect(values, window[s]) for s in beside])
-                    tail = tails.get(key)
-                    if tail is None:
-                        tail = tails[key] = tuple(walk(steps(rest), 1))
-                    yield from map(count.__add__, tail)
+                if len(rest) > cut:
+                    todo = memo.get(rest)
+                    if todo is None:
+                        todo = memo[rest] = steps(rest)
+                    stack.append((iter(todo), count))
+                    break
+                if counting:
+                    yield map(count.__add__, tail(rest))
                 elif rest:  # one open slot left: a fixed point
                     k = rest[0]
                     if signed:
-                        v = window[k] = negative[k]
-                        yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
-                    v = window[k] = k + 1
-                    yield count + (window[k - 1] > v) + (v > window[k + 1]) if counting else tuple(window)
+                        window[k] = negative[k]
+                        yield tuple(window)
+                    window[k] = k + 1
+                    yield tuple(window)
                 else:
-                    yield count if counting else tuple(window)
+                    yield tuple(window)
             else:
                 stack.pop()
 
-    return walk(steps(tuple(range(n))), n // 2 if counting else 1)
+    return chain.from_iterable(walk()) if counting else walk()
 
 
 def enumerate_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:
     """Yield each involution of S_n once, in lexicographic window order; given
     DES_B or DES_COXETER, yield its descent number instead.  On S_n both
-    count ordinary descents."""
+    count ordinary descents.
+
+    A generator function, so that the budget and n checks run at the first
+    next(), and so that perfbench/tracer.py, which counts the objects of a
+    generator function only, counts what it yields.  A count resumes this
+    one Python frame, as the counting walk hands over C iterators; a window
+    also resumes the walk's own frame."""
     _check_budget(n, involution_count(n), "involutions of the symmetric group")
     yield from _involution_walk(n, False, statistic)
 
 
 def enumerate_signed_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:
     """Yield each involution of B_n once, in lexicographic window order; given
-    DES_B or DES_COXETER, yield des_b or des_coxeter of it instead."""
+    DES_B or DES_COXETER, yield des_b or des_coxeter of it instead.  A
+    generator function, as enumerate_involutions is and for its reasons."""
     _check_budget(n, involution_count(n, signed=True), "involutions of the hyperoctahedral group")
     yield from _involution_walk(n, True, statistic)
 

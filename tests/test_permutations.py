@@ -191,6 +191,10 @@ def test_interleaved_involution_walks_do_not_share_state():
         # tails of 3-4 open slots recur under different heads at these sizes
         lambda: enumerate_signed_involutions(7, DES_B),
         lambda: enumerate_involutions(9, DES_COXETER),
+        # one n and the same open slots, but each statistic orders the
+        # entries its own way, so equal keys can hold different tails
+        lambda: enumerate_signed_involutions(8, DES_B),
+        lambda: enumerate_signed_involutions(8, DES_COXETER),
     ]
     walks = [start() for start in starts]
     seen: list[list] = [[] for _ in walks]
@@ -214,8 +218,14 @@ def test_interleaved_involution_walks_do_not_share_state():
         involution_count(4, signed=True),
         involution_count(7, signed=True),
         involution_count(9),
+        involution_count(8, signed=True),
+        involution_count(8, signed=True),
     ]
     assert seen == [list(start()) for start in starts]
+    # a rerun would read a memo shared by the two B_8 walks the same way, so
+    # they are also held to the statistic of each window, which reads none
+    windows = list(enumerate_signed_involutions(8))
+    assert seen[-2:] == [list(map(des_b, windows)), list(map(des_coxeter, windows))]
 
 
 def test_des_coxeter_examples():

@@ -292,12 +292,19 @@ MUTANTS = (
     Mutant(
         "an involution walk's tail leaves out its last completion",
         PERMUTATIONS,
-        "tail = tails[key] = tuple(walk(steps(rest), 1))",
-        "tail = tails[key] = tuple(walk(steps(rest), 1))[:-1]",
+        "tails[key] = out",
+        "tails[key] = out[:-1]",
         (
             TEST_PERMUTATIONS + "test_enumerate_involutions_counts",
             TEST_PERMUTATIONS + "test_enumerate_signed_involutions_counts",
         ),
+    ),
+    Mutant(
+        "a sub-tail joined without its step's count",
+        PERMUTATIONS,
+        "out += map(count.__add__, tail(left))",
+        "out += tail(left)",
+        (TEST_PERMUTATIONS + "test_walk_counts_match_the_per_window_statistics_in_walk_order",),
     ),
     Mutant(
         "a recurrence coefficient changed",
