@@ -5,31 +5,33 @@ signed permutation additionally carries signs, the implicit symmetry being
 w(-a) = -w(a).  Involutions are generated constructively (fixed points with
 free signs, 2-cycles with a shared sign) rather than by filtering the full
 group: B_9 has about 1.9 * 10^11 elements but only 168,992 involutions.
-One walk serves both groups: the involutions of S_n are the involutions of
-B_n with no negative entry, and the S_n walk is that all-positive slice.
-The walk is iterative and runs in a single generator frame, with an explicit
-stack of the choices still open on its path, so a window reaches the caller
-through no chain of nested generators.  Given DES_B or DES_COXETER, the
-walk yields each involution's descent number in place of its window: every
-step compares the neighbours it completes, so a row of involutions is
-counted with no tuple built and no second pass over any window.
+One table of steps serves both groups: the involutions of S_n are the
+involutions of B_n with no negative entry, and the S_n walk is that
+all-positive slice.  Two walks read it.  The walk of windows is iterative
+and runs in a single generator frame, with an explicit stack of the choices
+still open on its path, so a window reaches the caller through no chain of
+nested generators.  Given DES_B or DES_COXETER, the counting walk yields
+each involution's descent number in place of its window: every step
+compares the neighbours it completes, so a row of involutions is counted
+with no tuple built and no second pass over any window.
 
-A count walk stops stepping once n // 2 slots are still open, a fixed
-cut as the tableau walk's split at 2n // 3 is.  What is left to count
-there depends only on the open slots and on how each set slot beside
-one of them, the leading 0 and the sentinel past slot n - 1 included,
-compares with the values the open slots can take: those values belong to
-the open slots, so no set slot holds one.  The walk therefore keys its
-memo of tails, the counts of every completion in walk order, by the open
-slots and the bisect rank of each such neighbour among their sorted
-values; the key is exact.  A tail that is not in the memo yet is built
-from the steps of its open slots, each followed by the memoized tail of
-the slots that step leaves open, under the same key, shifted by the
-step's count: so a smaller tail is counted once, and joined into each
-larger one by C iterators.  The walk yields each tail as one block, the
-count so far plus each count of the tail, and returns the chain of its
-blocks, so a count reaches the caller through C iterators alone.  The
-memo lives for one walk, and a walk of windows never reads it.
+The counting walk is one recursive generator of blocks, which steps until
+n // 2 slots are still open, a fixed cut as the tableau walk's split at
+2n // 3 is.  What is left to count there depends only on the open slots
+and on how each set slot beside one of them, the leading 0 and the
+sentinel past slot n - 1 included, compares with the values the open slots
+can take: those values belong to the open slots, so no set slot holds one.
+The walk therefore keys its memo of tails, the counts of every completion
+in walk order, by the open slots and the bisect rank of each such
+neighbour among their sorted values; the key is exact.  A tail that is not
+in the memo yet is the chain of the blocks of its open slots from count 0:
+the same generator sets each step of those slots and joins the memoized
+tail, under the same key, of the slots that step leaves open, shifted by
+the step's count, so a smaller tail is counted once, and joined into each
+larger one by C iterators.  A block is the count so far plus each count of
+a tail, and the walk returns the chain of its blocks, so a count reaches
+the caller through C iterators alone.  The memo lives for one walk, and a
+walk of windows never reads it.
 
 The type-B descent number compares neighbours of (0, w(1), ..., w(n))
 under the colored order -1 < -2 < ... < -n < 0 < 1 < ... < n, mapped onto
@@ -238,32 +240,33 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
     Fixed points take either sign; the two positions of a 2-cycle must agree
     in sign for the square to be the identity.  The smallest open slot takes
     each candidate in turn, one _Step each; a fixed point is the step with
-    i = j, which writes its slot twice.  The walk keeps an explicit stack of
-    step iterators, one for each tuple of open slots on the current path,
-    and yields from this one frame.  The steps of each open tuple are built
-    once per call, and a walk of windows sets the last open slot in place
-    rather than pushing it.
+    i = j, which writes its slot twice.  The steps of each tuple of open
+    slots are built once per call, and both walks read them.
+
+    A walk of windows keeps an explicit stack of step iterators, one for
+    each tuple of open slots on the current path, and yields each window
+    from this one frame.  It sets the last open slot in place rather than
+    pushing it, and its steps list no pairs.
 
     To count, the slots hold ranks in the order counted, followed by a
     sentinel above every rank and the leading 0, which is slot -1.  A step
-    lists the neighbouring pairs it completes, and the stack carries the
-    count so far with each step iterator.  A walk of windows lists no pairs.
-
-    A count walk steps only while more than n // 2 slots are open.  Past
-    that it yields a block, the count so far plus each count of a tail:
-    the counts of the pairs still open, for every way to fill the open
-    slots, in walk order.  The walk returns itertools.chain.from_iterable
-    over its blocks, so a count passes through C iterators alone.  A tail
-    is kept for the rest of the walk under the key (rest, ranks): ranks
-    holds the bisect rank of each set slot beside an open one, slots -1 and
-    n included, among the sorted candidate values of rest.  The candidates
-    of rest are the values of its own slots, so no set slot holds one, and
-    a tail compares only candidates with each other and with these
-    neighbours: the ranks decide every comparison, and the key is exact.
-    A missing tail is built from the steps of rest, each followed by the
+    lists the neighbouring pairs it completes.  The recursive generator
+    blocks(open_, below) sets each step of open_ and adds the pairs it
+    completes to the count below it.  While more than n // 2 slots stay
+    open it recurses; past that it yields a block, the count so far plus
+    each count of a tail: the counts of the pairs still open, for every
+    way to fill the open slots, in walk order.  The walk returns
+    itertools.chain.from_iterable over its blocks, so a count passes
+    through C iterators alone.  A tail is kept for the rest of the walk
+    under the key (rest, ranks): ranks holds the bisect rank of each set
+    slot beside an open one, slots -1 and n included, among the sorted
+    candidate values of rest.  The candidates of rest are the values of its
+    own slots, so no set slot holds one, and a tail compares only
+    candidates with each other and with these neighbours: the ranks decide
+    every comparison, and the key is exact.  A missing tail is the chain of
+    blocks(rest, 0), the same loop: the steps of rest, each followed by the
     tail, under the same key, of the slots it leaves open, shifted by the
-    step's count; the tail of no open slot is the one count 0.  A walk of
-    windows never reads a tail.
+    step's count.  The tail of no open slot is the one count 0.
     """
     counting = statistic is not None
     if counting:
@@ -280,6 +283,7 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         pairs = tuple(s for s in ends if s < n - 1 and s not in rest and s + 1 not in rest)
         return (i, entry(j, sign), j, entry(i, sign), rest, pairs)
 
+    @cache
     def steps(open_: tuple[int, ...]) -> list[_Step]:
         # Candidates for the entry at p ascending in the natural integer
         # order: -q for q descending and -p (B_n only), then +p, then +q
@@ -294,6 +298,32 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         out += [step(p, q, 1, left) for q, left in cycles]
         return out
 
+    def windows() -> Iterator[Window]:
+        # a window at a time, the last open slot set in place
+        window = [0] * n
+        stack = [iter(steps(tuple(range(n))))]
+        while stack:
+            for i, a, j, b, rest, _ in stack[-1]:
+                window[i] = a
+                window[j] = b
+                if len(rest) > 1:
+                    stack.append(iter(steps(rest)))
+                    break
+                if rest:  # one open slot left: a fixed point
+                    k = rest[0]
+                    if signed:
+                        window[k] = -k - 1
+                        yield tuple(window)
+                    window[k] = k + 1
+                yield tuple(window)
+            else:
+                stack.pop()
+
+    if n == 0:
+        return iter([0 if counting else ()])
+    if not counting:
+        return windows()
+
     @cache
     def border(rest: tuple[int, ...]) -> tuple[list[int], list[int]]:
         # the candidate values of rest ascending, and the set slots beside rest
@@ -301,13 +331,7 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         values = sorted(entry(k, sign) for k in rest for sign in signs)
         return values, sorted({s for k in rest for s in (k - 1, k + 1)}.difference(rest))
 
-    if n == 0:
-        return iter([0 if counting else ()])
-    window = [0] * n + ([n + 1, 0] if counting else [])
-    negative = [entry(k, -1) for k in range(n)]  # the fixed point w(k) < 0
-    # the steps of each open tuple, in a dict rather than functools.cache as
-    # border is: a get costs a walk of windows less per push than that call
-    memo: dict[tuple[int, ...], list[_Step]] = {}
+    window = [0] * n + [n + 1, 0]
     tails: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {((), ()): [0]}
 
     def tail(rest: tuple[int, ...]) -> list[int]:
@@ -316,57 +340,26 @@ def _involution_walk(n: int, signed: bool, statistic: str | None) -> Iterator[Wi
         key = rest, tuple([bisect(values, window[s]) for s in beside])
         out = tails.get(key)
         if out is None:
-            out = []
-            todo = memo.get(rest)
-            if todo is None:
-                todo = memo[rest] = steps(rest)
-            for i, a, j, b, left, pairs in todo:
-                window[i] = a
-                window[j] = b
-                count = 0
-                for s in pairs:
-                    if window[s] > window[s + 1]:
-                        count += 1
-                out += map(count.__add__, tail(left))
-            tails[key] = out
+            out = tails[key] = list(chain.from_iterable(blocks(rest, 0)))
         return out
 
-    cut = n // 2 if counting else 1
+    cut = n // 2
 
-    def walk() -> Iterator[Iterator[int] | Window]:
-        # a window at a time, or a block of counts at a time
-        stack = [(iter(steps(tuple(range(n)))), 0)]
-        while stack:
-            choices, below = stack[-1]
-            for i, a, j, b, rest, pairs in choices:
-                window[i] = a
-                window[j] = b
-                count = below
-                if pairs:  # none in a walk of windows, which skips the loop
-                    for s in pairs:
-                        if window[s] > window[s + 1]:
-                            count += 1
-                if len(rest) > cut:
-                    todo = memo.get(rest)
-                    if todo is None:
-                        todo = memo[rest] = steps(rest)
-                    stack.append((iter(todo), count))
-                    break
-                if counting:
-                    yield map(count.__add__, tail(rest))
-                elif rest:  # one open slot left: a fixed point
-                    k = rest[0]
-                    if signed:
-                        window[k] = negative[k]
-                        yield tuple(window)
-                    window[k] = k + 1
-                    yield tuple(window)
-                else:
-                    yield tuple(window)
+    def blocks(open_: tuple[int, ...], below: int) -> Iterator[Iterator[int]]:
+        # the counts of every completion of open_, below added, a block at a time
+        for i, a, j, b, rest, pairs in steps(open_):
+            window[i] = a
+            window[j] = b
+            count = below
+            for s in pairs:
+                if window[s] > window[s + 1]:
+                    count += 1
+            if len(rest) > cut:
+                yield from blocks(rest, count)
             else:
-                stack.pop()
+                yield map(count.__add__, tail(rest))
 
-    return chain.from_iterable(walk()) if counting else walk()
+    return chain.from_iterable(blocks(tuple(range(n)), 0))
 
 
 def enumerate_involutions(n: int, statistic: str | None = None) -> Iterator[Window | int]:
@@ -378,7 +371,7 @@ def enumerate_involutions(n: int, statistic: str | None = None) -> Iterator[Wind
     next(), and so that perfbench/tracer.py, which counts the objects of a
     generator function only, counts what it yields.  A count resumes this
     one Python frame, as the counting walk hands over C iterators; a window
-    also resumes the walk's own frame."""
+    also resumes the frame of the walk of windows."""
     _check_budget(n, involution_count(n), "involutions of the symmetric group")
     yield from _involution_walk(n, False, statistic)
 

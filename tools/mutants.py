@@ -292,19 +292,33 @@ MUTANTS = (
     Mutant(
         "an involution walk's tail leaves out its last completion",
         PERMUTATIONS,
-        "tails[key] = out",
-        "tails[key] = out[:-1]",
+        "list(chain.from_iterable(blocks(rest, 0)))",
+        "list(chain.from_iterable(blocks(rest, 0)))[:-1]",
         (
             TEST_PERMUTATIONS + "test_enumerate_involutions_counts",
             TEST_PERMUTATIONS + "test_enumerate_signed_involutions_counts",
         ),
     ),
     Mutant(
-        "a sub-tail joined without its step's count",
+        "a tail joined without its step's count",
         PERMUTATIONS,
-        "out += map(count.__add__, tail(left))",
-        "out += tail(left)",
+        "yield map(count.__add__, tail(rest))",
+        "yield tail(rest)",
         (TEST_PERMUTATIONS + "test_walk_counts_match_the_per_window_statistics_in_walk_order",),
+    ),
+    Mutant(
+        "a counting walk recurses without its step's count",
+        PERMUTATIONS,
+        "blocks(rest, count)",
+        "blocks(rest, below)",
+        (TEST_PERMUTATIONS + "test_walk_counts_match_the_per_window_statistics_in_walk_order",),
+    ),
+    Mutant(
+        "a walk of windows gives its negative fixed point a plus sign",
+        PERMUTATIONS,
+        "window[k] = -k - 1",
+        "window[k] = k + 1",
+        (TEST_PERMUTATIONS + "test_involution_enumerators_match_the_recursive_walk",),
     ),
     Mutant(
         "a recurrence coefficient changed",
