@@ -61,16 +61,15 @@ A finished object, as the enumerators yield it without a flag, is read
 only through its row word, the word the all-shapes walks yield with
 `words` set: entry e is the row of entry e, and entry 0 is n - 1.
 _word_of turns a bitableau into that word and is the one standardness
-test: the word must be a lattice word within each part, which
-_transpose_word tests, and _bitableau_of_word must build the filling back
+test: the word must be a lattice word within each part, which the
+transpose map tests, and _bitableau_of_word must build the filling back
 from it.  On the word, syb_signed_descent_set sets the bits of each entry,
-and syb_transpose is _transpose_word, the one transpose map on one word; a
-tableau q is read as the bitableau (q, ()).  _transpose_word is the stream
-map _transpose_words on a stream of that word alone, and the transpose
-sweep of checks applies the same stream to every word it walks and
-certifies.  A stream maps the head that neighbouring words share once, and
-each tail once for every sub-diagram its head fills; one step, _columns,
-places the entries of both.  Both readers reject anything but a
+and syb_transpose is _transposer(n)(word), the one transpose map on one
+word; a tableau q is read as the bitableau (q, ()).  The transpose sweep
+of checks makes one such map per size and calls it on every word it walks
+and certifies, and on that word's image.  A map keeps each head it has
+mapped, and each tail once for every sub-diagram its head fills; one step,
+_columns, places the entries of both.  Both readers reject anything but a
 (plus, minus) pair of tuples or lists, entries that are not ints or are
 bools, entries other than 1..n each once, and fillings that are not
 standard, in that order.  Nothing here calls the window-side descent
@@ -78,7 +77,7 @@ functions, so the two sides of the bijection share only the layout.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import chain
 from math import comb, factorial
@@ -196,7 +195,15 @@ def _extend(paths: list[_Path], moves: _Moves, size: int, entries: range) -> lis
     return paths
 
 
-#: The two halves of the walk over one shape, split at h = 2 * size // 3:
+def _split(size: int) -> int:
+    """h = 2 * size // 3, where the walk over `size` cells splits each
+    filling: its heads place entries 1..h and its tails the rest.  The
+    transpose map cuts its words after index h, so that its heads are the
+    walk's."""
+    return 2 * size // 3
+
+
+#: The two halves of the walk over one shape, split at h = _split(size):
 #: heads holds every path of entries 1..h, and tails[s], for each
 #: sub-diagram s of h cells, holds (first, bits, rows) for each row `first`
 #: that entry h + 1 can take from s, top-most first, and () for every
@@ -208,7 +215,7 @@ _Tails = tuple[tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], .
 def _halves(shape: Shape, size: int) -> tuple[tuple[_Path, ...], _Tails]:
     """Every filling of the walk over the rows that shape caps, up to
     `size` cells, as two halves built by _extend over the table
-    _moves(shape, size).  With h = 2 * size // 3, the heads start from the
+    _moves(shape, size).  With h = _split(size), the heads start from the
     empty diagram and the row word's index 0, size - 1, and place entries
     1..h.  The tails place entries h + 1..size from each sub-diagram the heads
     reach, once for all the heads that reach it, grouped by the row `first`
@@ -223,7 +230,7 @@ def _halves(shape: Shape, size: int) -> tuple[tuple[_Path, ...], _Tails]:
     chain counts, keyed by both arguments; so shape must be a tuple,
     and every walk passes one whatever sequence it was given."""
     moves = _moves(shape, size)
-    h = 2 * size // 3
+    h = _split(size)
     heads = _extend([(0, (size - 1,), 0)], moves, size, range(1, h + 1))
     shared = {}
     tails = [()] * len(moves)
@@ -269,7 +276,7 @@ def _fillings(shape: Shape, n: int, descents: bool = False) -> Iterator[int | tu
         return
     heads, tails = _halves(shape, n)
     if descents:
-        rise = (1 << 2 * n // 3) & ~1
+        rise = (1 << _split(n)) & ~1
         for bits, rows, s in heads:
             for first, tbits, _ in tails[s]:
                 yield from map((bits + rise if rows[-1] < first else bits).__add__, tbits)
@@ -414,58 +421,54 @@ def _columns(entries: tuple[int, ...], taken: list[int], rows: int) -> tuple[int
     return tuple(image)
 
 
-#: What a tail memo of _transpose_words gives for a tail not mapped yet.
+#: What a table of _transposer gives for a head or a tail not mapped yet.
 _UNMAPPED = object()
 
 
-def _transpose_words(
-    words: Iterable[tuple[int, ...] | None], n: int
-) -> Iterator[tuple[int, ...] | None]:
-    """The row word of the transpose of each bitableau of size n whose row
-    word comes in words, read from that word alone, or None for a word
-    that is no row word of a standard bitableau of size n, and for None.
+def _transposer(n: int) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
+    """The transpose map of size n, as a function: it takes the row word of
+    a bitableau of size n and gives the row word of its transpose, read
+    from that word alone, or None for a word that is no row word of a
+    standard bitableau of size n.
 
     word[e] is the row of entry e as the lattice walk of enumerate_all_syb
     numbers them; word[0] is copied.  The transpose is (minus', plus'),
     whose rows are columns, and _columns maps the entries in turn.
 
-    A walk yields its words as heads and tails in lexicographic order, so
-    neighbours share their first h = 2n // 3 + 1 entries.  The head is
-    mapped only when it changes, and the image prefix and the taken slots
-    it leaves are kept.  Each tail is mapped from a copy of those slots,
-    and its image is kept by the slots, as a tuple, and then by the tail:
-    heads that fill one sub-diagram share its tails, and a tail is mapped
-    once for them all.  The memo lives as long as the stream, one size."""
+    A word is cut after index h = _split(n), as the walk cuts it into a
+    head and a tail.  Each head is mapped once, and its image prefix, the
+    taken slots it leaves and the tail memo of those slots are kept by the
+    head itself.  Each tail is mapped from a copy of the slots, and its
+    image is kept by the slots, as a tuple, and then by the tail: heads
+    that fill one sub-diagram share its tails, and a tail is mapped once
+    for them all.  The images of the row words of size n are those row
+    words again, so one map serves both directions, and nothing it keeps
+    depends on the order in which words come.  What it keeps lives as long
+    as the function, one size."""
     rows = 2 * n
-    h = 2 * n // 3 + 1
+    h = _split(n) + 1
+    heads = {}
     memo = {}
-    head = prefix = None
-    for word in words:
-        if word is None:
-            yield None
-            continue
-        if word[:h] != head:
-            head = word[:h]
+
+    def transpose(word: tuple[int, ...]) -> tuple[int, ...] | None:
+        head = word[:h]
+        mapped = heads.get(head, _UNMAPPED)
+        if mapped is _UNMAPPED:
             taken = [n] * n + [0] * n + [rows]
-            prefix = _columns(head[1:], taken, rows)
-            if prefix is not None:
-                prefix = head[:1] + prefix
-                tails = memo.setdefault(tuple(taken), {})
-        if prefix is None:
-            yield None
-            continue
+            mapped = _columns(head[1:], taken, rows)
+            if mapped is not None:
+                mapped = head[:1] + mapped, taken, memo.setdefault(tuple(taken), {})
+            heads[head] = mapped
+        if mapped is None:
+            return None
+        prefix, taken, tails = mapped
         tail = word[h:]
         image = tails.get(tail, _UNMAPPED)
         if image is _UNMAPPED:
             image = tails[tail] = _columns(tail, taken.copy(), rows)
-        yield None if image is None else prefix + image
+        return None if image is None else prefix + image
 
-
-def _transpose_word(word: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """The row word of the transpose of the bitableau whose row word is
-    word, or None when word is no row word of a standard bitableau of size
-    n: the stream map _transpose_words on a stream of one word."""
-    return next(_transpose_words((word,), n))
+    return transpose
 
 
 def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
@@ -479,7 +482,7 @@ def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
     list of two tuples or lists of rows, each row a tuple or a list; its
     entries are ints, no bool among them, and they are 1..n, each once; and
     the filling is standard, checked in that order.  Standard is two tests
-    of the word: _transpose_word takes it, so it is a lattice word within
+    of the word: the transpose map takes it, so it is a lattice word within
     each part, and the cells of entries 1..e are a pair of partitions for
     every e; and _bitableau_of_word builds the filling back from it, so
     each row increases, no row is empty and every entry sits in the row its
@@ -501,7 +504,7 @@ def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
             word[entry] = r
     word = tuple(word)
     filling = tuple(tuple(map(tuple, part)) for part in bitableau)
-    if _transpose_word(word, n) is None or _bitableau_of_word(word) != filling:
+    if _transposer(n)(word) is None or _bitableau_of_word(word) != filling:
         raise ValueError(f"rows and columns of a standard filling increase, got {bitableau}")
     return word
 
@@ -535,12 +538,10 @@ def syb_transpose(bitableau: Bitableau) -> Bitableau:
     that is not a standard bitableau raises ValueError, as in
     syb_signed_descent_set.
 
-    It maps the row word of _word_of by _transpose_word, the stream map
-    that verify transpose applies to every word of each size it walks and
-    certifies, on a stream of one word, and builds the image with
-    _bitableau_of_word; that is why it
+    It maps the row word of _word_of by _transposer(n), the map that
+    verify transpose applies to every word of each size it walks and
+    certifies, and builds the image with _bitableau_of_word; that is why it
     stays public, beside being the live name of the benchmark tracer's
     tableaux.transpose group."""
     word = _word_of(bitableau)
-    n = len(word) - 1
-    return _bitableau_of_word(_transpose_word(word, n))
+    return _bitableau_of_word(_transposer(len(word) - 1)(word))

@@ -280,7 +280,8 @@ def transpose_by_columns(tableau):
 def transpose_word_by_counting(word, n):
     """The transpose's row word of one row word of size n, or None, in one
     pass over the whole word with nothing kept between words: the map the
-    stream of the library must match word for word.
+    library's transpose map, which keeps heads and tails, must match word
+    for word.
 
     Rows of plus are 0..n-1 and those of minus n..2n-1; word[0] is copied.
     taken[r] is where the next entry of row r goes, its column counted from

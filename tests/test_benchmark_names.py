@@ -53,8 +53,8 @@ def test_every_traced_group_keeps_a_live_name():
     # exists, so each group needs one live function until the benchmark
     # drops the group: syb_signed_descent_set keeps tableaux.stat and
     # syb_transpose keeps tableaux.transpose.  No sweep calls either; the
-    # transpose sweep applies syb_transpose's word map as a stream,
-    # tableaux's private _transpose_words, which the tracer does not wrap
+    # transpose sweep calls syb_transpose's word map, the function that
+    # tableaux's private _transposer makes, which the tracer does not wrap
     tracer = _load_tracer()
     groups = tracer.GROUPS.items()
     assert [group for group, names in groups if not any(map(callable, map(_resolve, names)))] == []

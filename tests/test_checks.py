@@ -18,8 +18,7 @@ from eulerinv.permutations import (
 from eulerinv.reports import CheckRecord, Report, int_list
 from eulerinv.tableaux import (
     _bitableau_of_word,
-    _transpose_word,
-    _transpose_words,
+    _transposer,
     _word_of,
     bipartitions,
     enumerate_all_syb,
@@ -470,10 +469,10 @@ def test_transpose_walks_each_size_once_at_its_defaults(monkeypatch):
 
 
 def test_transpose_sweep_memory_is_bounded_per_size():
-    # the sweep keeps the previous row word, and each of its two streams the
-    # head it last mapped and a memo of the tail images of one size, freed
-    # when that size ends; it peaks near 1.7 MB.  A set of the bytes of the
-    # 32,400 image words of size 8 peaked at 4.3 MB
+    # the sweep keeps the previous row word, and its one transpose map of
+    # each size the heads it has mapped and one memo of the tail images of
+    # both directions, freed when that size ends; it peaks near 1.2 MB.  A
+    # set of the bytes of the 32,400 image words of size 8 peaked at 4.3 MB
     tracemalloc.start()
     try:
         assert checks.verify_transpose_complement(8, 8).ok
@@ -489,8 +488,8 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
     # tableaux of size 2 miss the complement, and the one of size 1 does not
     monkeypatch.setattr(
         checks,
-        "_transpose_words",
-        lambda words, n: ((w[0], *(r + n if r < n else r - n for r in w[1:])) for w in words),
+        "_transposer",
+        lambda n: lambda w: (w[0], *(r + n if r < n else r - n for r in w[1:])),
     )
     failure = checks.verify_transpose_complement(0, 2).failures[0]
     assert failure.params == (("n", 2),)
@@ -508,12 +507,13 @@ def test_the_transpose_words_are_those_of_the_built_transposes():
             for q in enumerate_all_syb(n)
         ]
         pairs += [((q, ()), ((), transpose_by_columns(q))) for q in enumerate_all_syt(n)]
+        transpose = _transposer(n)
         for q, t in pairs:
             row = _word_of(q)
-            image = _transpose_word(row, n)
+            image = transpose(row)
             assert image == _word_of(t), q
             # the transpose of the transpose, read off the image word alone
-            assert _transpose_word(image, n) == row, q
+            assert transpose(image) == row, q
             assert _bitableau_of_word(row) == q
 
 
@@ -523,30 +523,50 @@ def test_the_transpose_map_takes_exactly_the_standard_words():
     # and for a word that is no lattice word within each part alike
     for n in range(5):
         standard = set(enumerate_all_syb(n, words=True))
+        transpose = _transposer(n)
         for entries in product(range(-2, 2 * n + 2), repeat=n):
             word = (n - 1, *entries)
-            assert (_transpose_word(word, n) is not None) == (word in standard), word
+            assert (transpose(word) is not None) == (word in standard), word
     # a row of plus or of minus ahead of the row above it, and entries past
     # either end of the rows, the last of which would index past the table
     for word in ((1, 1, 0), (1, 3, 2), (1, 0, 3), (1, 0, -4), (1, 0, 4), (1, 0, 5)):
-        assert _transpose_word(word, 2) is None, word
-    assert _transpose_word((1, 0, 2), 2) == (1, 2, 0)
+        assert _transposer(2)(word) is None, word
+    assert _transposer(2)((1, 0, 2)) == (1, 2, 0)
 
 
 def test_the_transpose_stream_maps_each_word_as_the_one_pass_oracle_does():
     # every word of n entries drawn from two rows around the lattice's rows,
-    # sorted as a walk yields them, shuffled and reversed, with a None after
-    # every fifth word: sharing heads and tails across words changes no image
+    # sorted as a walk yields them, shuffled and reversed, each order through
+    # one map: sharing heads and tails across words changes no image
     for n in range(5):
         words = [(n - 1, *entries) for entries in product(range(-2, 2 * n + 2), repeat=n)]
         shuffled = words.copy()
         random.Random(n).shuffle(shuffled)
         for order in (words, shuffled, words[::-1]):
-            stream = []
-            for i, word in enumerate(order):
-                stream += (word, None) if i % 5 == 4 else (word,)
-            expected = [None if w is None else transpose_word_by_counting(w, n) for w in stream]
-            assert list(_transpose_words(stream, n)) == expected, n
+            transpose = _transposer(n)
+            expected = [transpose_word_by_counting(word, n) for word in order]
+            assert list(map(transpose, order)) == expected, n
+
+
+def test_one_transpose_map_serves_both_directions(monkeypatch):
+    # the images of the row words of the bitableaux of a size are those row
+    # words again, and a tableau q and its image ((), q') are bitableaux too.
+    # So once a map has taken every bitableau's row word, it maps each image
+    # back, and each tableau's word and its image, from what it keeps, and
+    # places no entry; a memo of its own for the way back would place them
+    columns = tableaux._columns
+    placed = []
+    monkeypatch.setattr(tableaux, "_columns", lambda *args: placed.append(args) or columns(*args))
+    for n in range(7):
+        transpose = _transposer(n)
+        rows = list(enumerate_all_syb(n, words=True))
+        images = list(map(transpose, rows))
+        assert placed and None not in images, n
+        placed.clear()
+        assert list(map(transpose, images)) == rows, n
+        tableau_rows = list(enumerate_all_syt(n, words=True))
+        assert list(map(transpose, map(transpose, tableau_rows))) == tableau_rows, n
+        assert placed == [], n
 
 
 def test_the_row_words_of_each_walk_rise_strictly():
@@ -558,19 +578,24 @@ def test_the_row_words_of_each_walk_rise_strictly():
 
 
 def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
-    # a map that is one off in entry 0 on its way back, in every second stream,
+    # a map that is one off in entry 0 on its way back, in every second call,
     # gives no object its own word back, while every image and descent
     # number stays right
-    transpose = checks._transpose_words
+    transposer = checks._transposer
     calls = count()
 
-    def off_on_the_way_back(words, n):
-        images = transpose(words, n)
-        if next(calls) % 2:  # each size streams its row words, then their images
-            images = ((image[0] + 1, *image[1:]) for image in images)
-        return images
+    def off_on_the_way_back(n):
+        transpose = transposer(n)
 
-    monkeypatch.setattr(checks, "_transpose_words", off_on_the_way_back)
+        def mapped(word):
+            image = transpose(word)
+            if next(calls) % 2:  # each word is mapped, then its image
+                image = (image[0] + 1, *image[1:])
+            return image
+
+        return mapped
+
+    monkeypatch.setattr(checks, "_transposer", off_on_the_way_back)
     report = checks.verify_transpose_complement(3, 3)
     expected = [
         f"{len(objects)} violations, first {objects[0]}"
@@ -585,12 +610,13 @@ def test_transpose_counts_an_image_entry_past_the_rows_as_a_violation(monkeypatc
     # images one row too low reach row 2n, past the lattice's rows: mapping
     # one back is refused, not an IndexError, and every object from n = 1 on
     # is a violation, the first named
-    transpose = checks._transpose_words
+    transposer = checks._transposer
 
-    def one_too_high(words, n):
-        return (image and (image[0], *(r + 1 for r in image[1:])) for image in transpose(words, n))
+    def one_too_high(n):
+        transpose = transposer(n)
+        return lambda word: (image := transpose(word)) and (image[0], *(r + 1 for r in image[1:]))
 
-    monkeypatch.setattr(checks, "_transpose_words", one_too_high)
+    monkeypatch.setattr(checks, "_transposer", one_too_high)
     report = checks.verify_transpose_complement(3, 0)
     assert [r.status for r in report] == ["pass", "fail", "fail", "fail", "pass"]
     assert [r.rhs for r in report.failures] == [
