@@ -48,6 +48,7 @@ from .distributions import (
     signed_involution_recurrence_rows,
 )
 from .permutations import (
+    _check_int,
     des_b,
     enumerate_group,
     enumerate_involutions,
@@ -186,33 +187,42 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
     return report
 
 
+def _tally(total: int, noun: str, expected: int) -> str:
+    """How many objects a walk yielded, and how many it should have, when
+    those differ."""
+    return f"{total} {noun}" + ("" if total == expected else f", expected {expected}")
+
+
 def verify_descent_multiset_bijection(signed_n_max: int = 6, unsigned_n_max: int = 7) -> Report:
     """Descent-preserving bijection consequences, checked as multiset
     equalities: signed descent sets over B-involutions against bitableaux,
     and descent sets over involutions against standard tableaux.
 
     Both sides count packed descent sets, so a record passes when the two
-    Counters of ints agree.  A failure unpacks only the sets whose
+    Counters of ints agree and each side holds involution_count(n, signed=...)
+    sets: two walks of nothing agree.  A side of another size names the
+    count it should have.  A failure unpacks only the sets whose
     multiplicities differ and names the first as (positions, signs), in
     natural tuple order, with its count on each side; its signs are printed
     only when one is -1."""
     report = Report()
     families = (
-        ("sdes-multiset-signed", signed_n_max, enumerate_signed_involutions,
+        ("sdes-multiset-signed", signed_n_max, True, enumerate_signed_involutions,
          enumerate_all_syb, "bitableaux"),
-        ("des-multiset-unsigned", unsigned_n_max, enumerate_involutions,
+        ("des-multiset-unsigned", unsigned_n_max, False, enumerate_involutions,
          enumerate_all_syt, "tableaux"),
     )
-    for check, n_max, involutions, tableaux, noun in families:
+    for check, n_max, signed, involutions, tableaux, noun in families:
         for n in range(n_max + 1):
             perm_side = Counter(map(signed_descent_set, involutions(n)))
             tab_side = Counter(tableaux(n, True))
-            lhs = f"{sum(perm_side.values())} involutions"
-            rhs = f"{sum(tab_side.values())} {noun}"
-            ok = perm_side == tab_side
-            if not ok:
-                keys = perm_side.keys() | tab_side.keys()
-                differ = {unpack_descents(d, n): d for d in keys if perm_side[d] != tab_side[d]}
+            expected = involution_count(n, signed=signed)
+            lhs = _tally(perm_side.total(), "involutions", expected)
+            rhs = _tally(tab_side.total(), noun, expected)
+            ok = perm_side == tab_side and tab_side.total() == expected
+            if perm_side != tab_side:
+                # a set whose counts differ has an item in one Counter alone
+                differ = {unpack_descents(d, n): d for d, _ in perm_side.items() ^ tab_side.items()}
                 (positions, signs), mask = min(differ.items())
                 witness = "Des={" + int_list(positions) + "}"
                 if -1 in signs:
@@ -294,10 +304,8 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
                         first = shown(_bitableau_of_word(row)) if image else f"row word {row}"
                 previous = row
             expected = involution_count(n, signed=signed)
-            lhs = f"{total} {noun}" + (f", expected {expected}" if total != expected else "")
-            rhs = f"{bad} violations"
-            if bad:
-                rhs += f", first {first}"
+            lhs = _tally(total, noun, expected)
+            rhs = f"{bad} violations" + (f", first {first}" if bad else "")
             report.check(check, (("n", n),), bad == 0 and total == expected, lhs, rhs)
     return report
 
@@ -449,19 +457,13 @@ def check_guo_zeng_lemma(
     nonnegative weighted sum.
 
     Instances are built so the hypothesis holds by construction, which keeps
-    every trial productive.  Each of trials, length_max and seed must be an
-    int, not a bool, or ValueError is raised.
+    every trial productive.  Unless trials and length_max are ints of at
+    least 1 and seed a nonnegative int, no bool among them, ValueError is
+    raised.
     """
-    for name, value in (("trials", trials), ("length_max", length_max), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"guo-zeng-lemma needs an int {name}, got {value!r}")
-    if trials < 1 or length_max < 1:
-        raise ValueError(
-            "guo-zeng-lemma needs trials and length_max of at least 1, "
-            f"got {trials} and {length_max}"
-        )
-    if seed < 0:
-        raise ValueError(f"guo-zeng-lemma needs a nonnegative seed, got {seed}")
+    _check_int(trials, "trials", 1)
+    _check_int(length_max, "length_max", 1)
+    _check_int(seed, "seed")
     instances = _lemma_instances(trials, length_max, seed)
     counterexample = next(((a, x) for a, x in instances if sum(map(mul, a, x)) < 0), None)
     report = Report()

@@ -32,7 +32,7 @@ from math import comb
 from .permutations import (
     DES_B,
     DES_COXETER,
-    _check_nonnegative,
+    _check_int,
     _statistic,
     des_coxeter,
     enumerate_group,
@@ -107,8 +107,7 @@ def signed_involution_recurrence_rows(n_max: int) -> list[tuple[int, ...]]:
     """Type-B involution rows 0..n_max (none when n_max < 0), from one run of
     the three-term linear recurrence, entirely without enumeration.  An
     n_max that is not an int, a bool among them, raises ValueError."""
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    _check_int(n_max, "n_max", None)
     return list(_recurrence_rows(n_max))
 
 
@@ -116,7 +115,7 @@ def signed_involution_eulerian_recurrence(n: int) -> tuple[int, ...]:
     """Type-B involution distribution: row n of the same single run, with
     no earlier row kept.  An n that is not a nonnegative int, a bool among
     them, raises ValueError."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     (row,) = deque(_recurrence_rows(n), maxlen=1)
     return row
 
@@ -126,20 +125,18 @@ def r_closed(n: int, m: int) -> int:
     (1-x)^(n+1): the t^n coefficient of (1-t)^-(2m+1) (1-t^2)^-(m^2), since
     sum_n r(n, m) t^n is that product.  An n or m that is not a nonnegative
     int, a bool among them, raises ValueError."""
-    _check_nonnegative(n, "n")
-    _check_nonnegative(m, "m")
+    _check_int(n, "n")
+    _check_int(m, "m")
     return negative_binomial_coefficient(2 * m + 1, m * m, n)
 
 
 def is_symmetric(coeffs: tuple[int, ...], n: int) -> bool:
-    """Whether coefficients satisfy a_i = a_{n-i} for 0 <= i <= n, reading
-    absent coefficients as zero.  An n that is not a nonnegative int, a
-    bool among them, raises ValueError."""
-    _check_nonnegative(n, "n")
-    if len(coeffs) > n + 1:
-        return False
-    padded = coeffs + (0,) * (n + 1 - len(coeffs))
-    return padded == padded[::-1]
+    """Whether coefficients, a tuple or a list, satisfy a_i = a_{n-i} for
+    0 <= i <= n, reading absent coefficients as zero.  An n that is not a
+    nonnegative int, a bool among them, raises ValueError."""
+    _check_int(n, "n")
+    padded = (*coeffs, *(0,) * (n + 1 - len(coeffs)))
+    return len(padded) == n + 1 and padded == padded[::-1]
 
 
 def is_unimodal(coeffs: tuple[int, ...]) -> bool:
@@ -182,7 +179,7 @@ def gamma_reconstruct(gammas: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Rebuild sum_i gammas[i] x^i (1+x)^(n-2i), where n is twice the center
     of symmetry; the result has no trailing zero.  An n that is not a
     nonnegative int, a bool among them, raises ValueError."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     if 2 * (len(gammas) - 1) > n:
         raise ValueError(
             f"{len(gammas)} gamma entries need a doubled center of at least "

@@ -56,11 +56,15 @@ plumbing only, and reads no descent rule.
 Every enumerator, here and in the tableau walks, holds the number of objects
 it is about to generate to one cap, which _check_budget reads when the walk
 starts, at its first next().  The count is also where an n that is not a
-nonnegative int, a bool among them, is rejected, by _check_nonnegative, so
-a walk over involutions or tableaux raises ValueError at its first next()
-too.  The cap lives in a context variable: it is DEFAULT_BUDGET unless an
-enclosing ``with enumeration_budget(cap):`` block has set it, so a caller
-sets it once and every walk below sees the same value.
+nonnegative int, a bool among them, is rejected, by _check_int, so a walk
+over involutions or tableaux raises ValueError at its first next() too.
+_check_int is the package's one check of a count, a size, a bound, a cap
+or a seed, and _is_int its one test of an int that is not a bool: the
+checks of a shape's parts, a filling's entries and a packed descent set,
+which keep their own messages, call it too.  The cap lives in a context
+variable: it is DEFAULT_BUDGET unless an enclosing
+``with enumeration_budget(cap):`` block has set it, so a caller sets it
+once and every walk below sees the same value.
 """
 from __future__ import annotations
 
@@ -96,8 +100,7 @@ def enumeration_budget(cap: int) -> Iterator[None]:
     at DEFAULT_BUDGET.  A cap that is not an int of at least 1, a bool
     among them, raises ValueError on entry, before any cap is set.
     """
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"enumeration budget must be an integer of at least 1, got {cap!r}")
+    _check_int(cap, "enumeration budget", 1)
     token = _BUDGET.set(cap)
     try:
         yield
@@ -113,19 +116,27 @@ def _check_budget(n: int, count: int, what: str) -> None:
         )
 
 
-def _check_nonnegative(value: int, name: str) -> None:
-    """Raise ValueError unless value is a nonnegative int and not a bool;
-    name is the parameter the message names."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+def _is_int(value: object) -> bool:
+    """Whether value is an int and not a bool, which is an int too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value: int, name: str, least: int | None = 0) -> None:
+    """Raise ValueError unless value is an int, not a bool, and no less
+    than least, which None leaves unbounded; name is the parameter the
+    message names."""
+    if not _is_int(value) or least is not None and value < least:
+        kind = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+        kind = "an integer" if least is None else kind
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_descents(mask: int, n: int) -> None:
     """Raise ValueError unless mask is a packed descent set of n entries, in
     the layout of the module docstring: an int, not a bool, below 2^(2n)
-    with bit 0 clear.  A bad n raises as in _check_nonnegative."""
-    _check_nonnegative(n, "n")
-    if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0 or mask >> 2 * n or mask & 1:
+    with bit 0 clear.  A bad n raises as in _check_int."""
+    _check_int(n, "n")
+    if not _is_int(mask) or mask < 0 or mask >> 2 * n or mask & 1:
         raise ValueError(
             f"a packed descent set of {n} entries is an int below 2**{2 * n} "
             f"with bit 0 clear, got {mask!r}"
@@ -217,7 +228,7 @@ def involution_count(n: int, signed: bool = False) -> int:
     """Number of involutions in B_n (signed) or S_n:
     c(n) = f (c(n-1) + (n-1) c(n-2)), with f = 2 for B_n and 1 for S_n.
     An n that is not a nonnegative int, a bool among them, raises ValueError."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     factor = 2 if signed else 1
     a, b = 0, 1  # c(-1) = 0 makes the step at k = 1 give c(1) = f
     for k in range(1, n + 1):
@@ -387,7 +398,7 @@ def enumerate_signed_involutions(n: int, statistic: str | None = None) -> Iterat
 def enumerate_group(n: int, signed: bool) -> Iterator[Window]:
     """Yield all of S_n (n! windows) or B_n (2^n n! windows); a bad n
     raises ValueError at the first next(), as in involution_count."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     order = factorial(n) * (2**n if signed else 1)
     name = "the hyperoctahedral group" if signed else "the symmetric group"
     _check_budget(n, order, name)

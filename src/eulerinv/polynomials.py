@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .permutations import _check_int
+
 
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b) for a >= 0, with C(a, b) = 0 outside 0 <= b <= a.
@@ -56,25 +58,17 @@ def poly_multiply(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_series(a: int, b: int, order: int, name: str) -> None:
-    """Raise ValueError unless a, b and order are ints, no bool among them,
-    and a, b >= 0; name is the parameter the message calls order.  A
-    negative order is no error: it asks for no coefficient."""
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (a, b, order)):
-        got = f"a={a!r}, b={b!r}, {name}={order!r}"
-        raise ValueError(f"exponents and {name} must be integers, got {got}")
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative")
-
-
 def negative_binomial_coefficient(a: int, b: int, n: int) -> int:
     """The t^n coefficient of (1-t)^(-a) * (1-t^2)^(-b), for a, b >= 0; 0
-    for n < 0.  Arguments are checked as in _check_series.
+    for n < 0.  An a or b that is not a nonnegative int, or an n that is not
+    an int, a bool among them, raises ValueError; a negative n is no error.
 
     It is the double count sum_j multiset(b, j) * multiset(a, n-2j): pick j
     factors of t^2, fill the rest with ordinary t's.
     """
-    _check_series(a, b, n, "n")
+    _check_int(a, "a")
+    _check_int(b, "b")
+    _check_int(n, "n", None)
     total = 0
     for j in range(n // 2 + 1):
         left = multiset_count(b, j)
@@ -85,7 +79,9 @@ def negative_binomial_coefficient(a: int, b: int, n: int) -> int:
 
 def expand_negative_binomial_product(a: int, b: int, order: int) -> tuple[int, ...]:
     """Coefficients of (1-t)^(-a) * (1-t^2)^(-b) through t^order; index n
-    holds t^n, and a negative order gives ().  Arguments are checked as in
-    _check_series."""
-    _check_series(a, b, order, "order")
+    holds t^n, and a negative order gives ().  The arguments are checked as
+    in negative_binomial_coefficient, order as its n."""
+    _check_int(a, "a")
+    _check_int(b, "b")
+    _check_int(order, "order", None)
     return tuple(negative_binomial_coefficient(a, b, n) for n in range(order + 1))

@@ -35,7 +35,7 @@ from collections import Counter
 from functools import cache
 from itertools import accumulate
 
-from .permutations import _check_descents, _check_nonnegative
+from .permutations import _check_descents, _check_int
 from .tableaux import Shape, enumerate_syt, validate_shape
 
 
@@ -72,7 +72,7 @@ def fundamental_spec(mask: int, n: int, m: int) -> int:
     the one-alphabet specialization of the descent set at 1^m.  An n or m
     that is not a nonnegative int, a bool among them, or a mask outside the
     layout of n entries raises ValueError."""
-    _check_nonnegative(m, "m")
+    _check_int(m, "m")
     _check_descents(mask, n)
     return _count_chains(mask, n, m)
 
@@ -83,7 +83,7 @@ def schur_spec(shape: Shape, m: int) -> int:
     semistandard fillings with entries at most m.  A bad m raises
     ValueError, as in fundamental_spec, before any tableau is walked."""
     validate_shape(shape)
-    _check_nonnegative(m, "m")
+    _check_int(m, "m")
     if m == 0:
         return 1 if sum(shape) == 0 else 0
     # the walk yields well-formed descent sets, packed as the memo keys them

@@ -82,7 +82,7 @@ from functools import cache
 from itertools import chain
 from math import comb, factorial
 
-from .permutations import _check_budget, _check_nonnegative, involution_count
+from .permutations import _check_budget, _check_int, _is_int, involution_count
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -95,7 +95,7 @@ def validate_shape(shape: Shape) -> None:
     if not isinstance(shape, (tuple, list)):
         raise ValueError(f"a partition is a tuple or a list of parts, got {shape!r}")
     for part in shape:
-        if isinstance(part, bool) or not isinstance(part, int) or part <= 0:
+        if not _is_int(part) or part <= 0:
             raise ValueError(f"partition parts must be positive integers, got {shape}")
     for a, b in zip(shape, shape[1:]):
         if a < b:
@@ -105,7 +105,7 @@ def validate_shape(shape: Shape) -> None:
 def partitions(n: int) -> Iterator[Shape]:
     """Yield the partitions of n, largest part first.  An n that is not a
     nonnegative int, a bool among them, raises ValueError."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     yield from _partitions(n, n)
 
 
@@ -122,7 +122,7 @@ def _partitions(n: int, largest: int) -> Iterator[Shape]:
 def bipartitions(n: int) -> Iterator[tuple[Shape, Shape]]:
     """Yield all ordered pairs of partitions with total weight n; a bad n
     raises ValueError, as in partitions."""
-    _check_nonnegative(n, "n")
+    _check_int(n, "n")
     for plus_weight in range(n + 1):
         for plus in _partitions(plus_weight, plus_weight):
             for minus in _partitions(n - plus_weight, n - plus_weight):
@@ -492,7 +492,7 @@ def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
     if not (pair and all(isinstance(x, (tuple, list)) for x in chain(bitableau, *bitableau))):
         raise ValueError(f"a bitableau is a (plus, minus) pair of tableaux, got {bitableau}")
     entries = [*chain(*bitableau[0], *bitableau[1])]
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):
+    if not all(map(_is_int, entries)):
         raise ValueError(f"a standard filling holds 1..n, each an int, got {bitableau}")
     n = len(entries)
     if sorted(entries) != list(range(1, n + 1)):

@@ -260,7 +260,7 @@ def test_descent_multiset_failure_names_the_differing_descent_set(monkeypatch):
     failure = report.failures[0]
     assert failure.params == (("n", 2),)
     assert failure.lhs == "6 involutions, 1 with Des={} signs=--"
-    assert failure.rhs == "5 bitableaux, 0 with Des={} signs=--"
+    assert failure.rhs == "5 bitableaux, expected 6, 0 with Des={} signs=--"
     # the other records are the passes of the unpatched run
     unchanged = [r for r in passing if (r.check, r.params) != ("sdes-multiset-signed", (("n", 2),))]
     assert [r for r in report if r.status == "pass"] == unchanged
@@ -271,7 +271,7 @@ def test_descent_multiset_failure_reports_the_smallest_set_in_sorted_order(monke
     _drop_from_walk(monkeypatch, "enumerate_all_syb", 2, {3, 5})
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.lhs == "6 involutions, 1 with Des={} signs=-+"
-    assert failure.rhs == "4 bitableaux, 0 with Des={} signs=-+"
+    assert failure.rhs == "4 bitableaux, expected 6, 0 with Des={} signs=-+"
 
 
 def test_signed_descent_multiset_failure_names_an_all_plus_set_without_signs(monkeypatch):
@@ -280,7 +280,7 @@ def test_signed_descent_multiset_failure_names_an_all_plus_set_without_signs(mon
     failure = checks.verify_descent_multiset_bijection(2, 0).failures[0]
     assert failure.params == (("n", 2),)
     assert failure.lhs == "6 involutions, 1 with Des={}"
-    assert failure.rhs == "5 bitableaux, 0 with Des={}"
+    assert failure.rhs == "5 bitableaux, expected 6, 0 with Des={}"
 
 
 def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch):
@@ -293,7 +293,7 @@ def test_unsigned_descent_multiset_failure_names_a_set_without_signs(monkeypatch
     failure = report.failures[0]
     assert failure.params == (("n", 3),)
     assert failure.lhs == "4 involutions, 1 with Des={2}"
-    assert failure.rhs == "3 tableaux, 0 with Des={2}"
+    assert failure.rhs == "3 tableaux, expected 4, 0 with Des={2}"
 
 
 def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpacking(monkeypatch):
@@ -899,6 +899,23 @@ def test_des_statistics_agree_fails_when_the_involution_walk_yields_nothing(monk
     ]
 
 
+def test_descent_multiset_bijection_fails_when_both_walks_yield_nothing(monkeypatch):
+    # two empty Counters agree; each side names the count its walk missed
+    for walk in ("enumerate_signed_involutions", "enumerate_involutions"):
+        monkeypatch.setattr(checks, walk, lambda *args: iter(()))
+    for walk in ("enumerate_all_syb", "enumerate_all_syt"):
+        monkeypatch.setattr(checks, walk, lambda *args: iter(()))
+    report = checks.verify_descent_multiset_bijection(3, 3)
+    assert [r.status for r in report] == ["fail"] * 8
+    assert [(r.check, r.params, r.lhs, r.rhs) for r in report][3:5] == [
+        ("sdes-multiset-signed", (("n", 3),), "0 involutions, expected 20", "0 bitableaux, expected 20"),
+        ("des-multiset-unsigned", (("n", 0),), "0 involutions, expected 1", "0 tableaux, expected 1"),
+    ]
+    assert report.failures[3].plain() == (
+        "sdes-multiset-signed n=3: fail (0 involutions, expected 20 | 0 bitableaux, expected 20)"
+    )
+
+
 @pytest.mark.parametrize(
     "patch, check, n, lhs, rhs",
     [
@@ -960,14 +977,14 @@ def test_guo_zeng_lemma_rejects_empty_sweeps(trials, length_max):
 @pytest.mark.parametrize(
     "arguments, text",
     [
-        ({"trials": True}, "guo-zeng-lemma needs an int trials, got True"),
-        ({"trials": 10.0}, "guo-zeng-lemma needs an int trials, got 10.0"),
-        ({"length_max": 2.0}, "guo-zeng-lemma needs an int length_max, got 2.0"),
-        ({"length_max": False}, "guo-zeng-lemma needs an int length_max, got False"),
-        ({"seed": 1.5}, "guo-zeng-lemma needs an int seed, got 1.5"),
-        ({"seed": "5"}, "guo-zeng-lemma needs an int seed, got '5'"),
-        ({"trials": 0}, "guo-zeng-lemma needs trials and length_max of at least 1, got 0 and 8"),
-        ({"seed": -1}, "guo-zeng-lemma needs a nonnegative seed, got -1"),
+        ({"trials": True}, "trials must be an integer of at least 1, got True"),
+        ({"trials": 10.0}, "trials must be an integer of at least 1, got 10.0"),
+        ({"length_max": 2.0}, "length_max must be an integer of at least 1, got 2.0"),
+        ({"length_max": False}, "length_max must be an integer of at least 1, got False"),
+        ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+        ({"seed": "5"}, "seed must be a nonnegative integer, got '5'"),
+        ({"trials": 0}, "trials must be an integer of at least 1, got 0"),
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
     ],
 )
 def test_guo_zeng_lemma_rejects_arguments_that_are_not_ints(arguments, text):

@@ -446,10 +446,11 @@ def test_verify_with_only_note_records_is_usage_error(monkeypatch, capsys):
 def test_guo_zeng_lemma_without_trials_is_usage_error(capsys, flags):
     code, output = run_cli(["verify", "guo-zeng-lemma", *flags])
     assert code == 2 and output == ""
-    assert "guo-zeng-lemma needs trials and length_max of at least 1" in capsys.readouterr().err
+    name = {"--trials": "trials", "--n-max": "length_max"}[flags[0]]
+    assert f"{name} must be an integer of at least 1, got 0" in capsys.readouterr().err
 
 
 def test_guo_zeng_lemma_with_negative_seed_is_usage_error(capsys):
     code, output = run_cli(["verify", "guo-zeng-lemma", "--seed", "-5"])
     assert code == 2 and output == ""
-    assert "guo-zeng-lemma needs a nonnegative seed, got -5" in capsys.readouterr().err
+    assert "seed must be a nonnegative integer, got -5" in capsys.readouterr().err

@@ -257,6 +257,17 @@ def test_is_symmetric_rejects_an_n_that_is_no_nonnegative_int(n):
         is_symmetric((1, 2, 1), n)
 
 
+def test_is_symmetric_and_gamma_vector_take_a_list_as_a_tuple():
+    # poly_multiply, gamma_reconstruct and is_unimodal take lists too
+    for coeffs, n in (((1, 2, 1), 2), ((1, 2, 1), 3), ((0, 1), 2), ((1, 17, 40, 17, 1), 4), ((), 2)):
+        assert is_symmetric(list(coeffs), n) == is_symmetric(coeffs, n), (coeffs, n)
+    assert not is_symmetric([1, 2, 1, 0], 2)
+    for coeffs, n in (((1, 2, 1), 2), ((0, 1), 2), ((1, 17, 40, 17, 1), 4)):
+        assert gamma_vector(list(coeffs), n) == gamma_vector(coeffs, n), (coeffs, n)
+    with pytest.raises(ValueError, match="not symmetric"):
+        gamma_vector([1, 2], 1)
+
+
 def test_is_unimodal():
     assert is_unimodal((1, 17, 40, 17, 1))
     assert not is_unimodal((1, 0, 1))

@@ -73,11 +73,11 @@ def test_expand_examples():
     assert expand_negative_binomial_product(1, 0, 3) == (1, 1, 1, 1)
     assert expand_negative_binomial_product(0, 0, 2) == (1, 0, 0)
     assert negative_binomial_coefficient(3, 1, 2) == 7
-    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+    with pytest.raises(ValueError, match="^a must be a nonnegative integer, got -1$"):
         negative_binomial_coefficient(-1, 0, 2)
     # the exponents are checked even when order < 0 asks for no coefficient
-    for a, b, order in ((-1, 0, 2), (0, -1, -1)):
-        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+    for a, b, order, name in ((-1, 0, 2, "a"), (0, -1, -1, "b")):
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got -1$"):
             expand_negative_binomial_product(a, b, order)
     assert expand_negative_binomial_product(1, 0, -1) == ()
     assert negative_binomial_coefficient(1, 0, -1) == 0
@@ -88,9 +88,15 @@ def test_expand_examples():
     [(1, 0, True), (True, 0, 2), (1, False, 2), (1, 0, 2.0), (1.0, 0, 2), (1, 0, "2")],
 )
 def test_series_reject_an_argument_that_is_no_int(a, b, order):
+    # a and b are checked first, each a nonnegative int; the last argument is any int
     series = ((negative_binomial_coefficient, "n"), (expand_negative_binomial_product, "order"))
     for coefficients, name in series:
-        text = f"exponents and {name} must be integers, got a={a!r}, b={b!r}, {name}={order!r}"
+        if type(a) is not int:
+            text = f"a must be a nonnegative integer, got {a!r}"
+        elif type(b) is not int:
+            text = f"b must be a nonnegative integer, got {b!r}"
+        else:
+            text = f"{name} must be an integer, got {order!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             coefficients(a, b, order)
 

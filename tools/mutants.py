@@ -229,7 +229,7 @@ MUTANTS = (
     Mutant(
         "bipartitions takes n unchecked",
         TABLEAUX,
-        'as in partitions."""\n    _check_nonnegative(n, "n")\n',
+        'as in partitions."""\n    _check_int(n, "n")\n',
         'as in partitions."""\n',
         (TEST_TABLEAUX + "test_partitions_reject_an_n_that_is_no_nonnegative_int",),
     ),
@@ -243,7 +243,7 @@ MUTANTS = (
     Mutant(
         "_word_of takes a float or a bool entry",
         TABLEAUX,
-        "if any(isinstance(e, bool) or not isinstance(e, int) for e in entries):",
+        "if not all(map(_is_int, entries)):",
         "if any(isinstance(e, str) for e in entries):",
         (TEST_TABLEAUX + "test_the_oracle_and_both_functions_refuse_a_filling_that_is_not_a_bitableau",),
     ),
@@ -342,9 +342,23 @@ MUTANTS = (
     Mutant(
         "the lemma check takes a bool or a float",
         CHECKS,
-        "if isinstance(value, bool) or not isinstance(value, int):",
-        "if isinstance(value, str):",
+        '_check_int(trials, "trials", 1)',
+        '_check_int(int(trials), "trials", 1)',
         (TEST_CHECKS + "test_guo_zeng_lemma_rejects_arguments_that_are_not_ints",),
+    ),
+    Mutant(
+        "_is_int takes a bool",
+        PERMUTATIONS,
+        "return isinstance(value, int) and not isinstance(value, bool)",
+        "return isinstance(value, int)",
+        ("tests/test_boundary.py::test_an_integer_parameter_refuses_all_but_an_int_of_at_least_its_least",),
+    ),
+    Mutant(
+        "sdes-bijection passes two walks of nothing",
+        CHECKS,
+        "ok = perm_side == tab_side and tab_side.total() == expected",
+        "ok = perm_side == tab_side",
+        (TEST_CHECKS + "test_descent_multiset_bijection_fails_when_both_walks_yield_nothing",),
     ),
     *(
         _cut_walk(path, function, kept, kills)
