@@ -11,15 +11,15 @@ never fail a run.
 
 The transpose sweep checks that transposition is a bijection, and its
 failure names the first violating object.  It builds no object, no
-transpose and no set: each all-shapes walk yields row words alone, and
-the one transpose map, which tableaux._transposer makes with the word's
-layout and syb_transpose applies to one word, gives each word's
-transpose's word and tests that the word is standard.  One map serves a
-size: it maps each head once, and each tail once for every sub-diagram its
-head fills.  The descent numbers are counted on the words, and
-transposing twice is checked by calling the same map on each image.  The
-words come in strictly rising order, so a repeat is a word not
-above the one before.  Only a failure rebuilds an object, the first
+transpose and no set: each all-shapes walk yields row words, not
+objects, and the one transpose map, which tableaux._transposer makes
+with the word's layout and syb_transpose applies to one word, gives each
+word's transpose's word and tests that the word is standard.  One map
+serves a size: it maps each head once, and each tail once for every
+sub-diagram its head fills.  The descent numbers are counted on the
+words, and transposing twice is checked by calling the same map on each
+image.  The words come in strictly rising order, so a repeat is a word
+not above the one before.  Only a failure rebuilds an object, the first
 violating one, from its word, through the one builder of tableaux,
 _bitableau_of_word, and only when the map takes that word: a word it
 refuses is named as it is.
@@ -244,27 +244,27 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
     when a tableau's word has an entry past row n - 1, in the rows of
     minus, when its transpose's descent number is not the complement of
     its own, when transposing twice does not give it back, or when its row
-    word does not exceed the previous object's.  A failure names the first violating
-    object in walk order, rebuilt from its row word by
-    tableaux._bitableau_of_word, the builder every enumerator of objects
-    maps over its walk's words, when the transpose map takes that word and
-    its entries lie in the walk's rows; a word it refuses, with an entry
-    outside the rows or no lattice word, or a tableau's word that reaches
-    the rows of minus, fixes no object of the walk, and the failure names
-    the row word itself.
+    word does not exceed the previous object's.  A failure names the first
+    violating object in walk order, rebuilt from its row word by
+    tableaux._bitableau_of_word, the builder every per-shape walk maps over
+    its words, when the transpose map takes that word and its entries lie
+    in the walk's rows; a word it refuses, with an entry outside the rows
+    or no lattice word, or a tableau's word that reaches the rows of minus,
+    fixes no object of the walk, and the failure names the row word
+    itself.
 
-    No object and no transpose is built.  Each walk yields row words alone
-    (words=True), and one map of _transposer(n) per size is called twice
-    per word: on the row word, giving its transpose's word and testing on
-    the way that the word is standard, and, when that image is a word, on
-    the image.  The map keeps each head it has mapped, and each tail once
-    for every sub-diagram its heads fill, for both directions at once,
-    until that size ends.  Both descent numbers are counted on the
-    words: des_B is the number of rises,
-    word[i] < word[i + 1], where word[0], n - 1, is below word[1] exactly
-    when entry 1 is negative.  A tableau q is read as the bitableau (q, ()):
-    its des_B is des(q) and its transpose is ((), q'), whose des_B is
-    des(q') + 1 from n = 1 on, so n - des_B is the rule for both walks.
+    No object and no transpose is built.  Each walk yields row words, and
+    one map of _transposer(n) per size is called twice per word: on the
+    row word, giving its transpose's word and testing on the way that the
+    word is standard, and, when that image is a word, on the image.  The
+    map keeps each head it has mapped, and each tail once for every
+    sub-diagram its heads fill, for both directions at once, until that
+    size ends.  Both descent numbers are counted on the words: des_B is
+    the number of rises, word[i] < word[i + 1], where word[0], n - 1, is
+    below word[1] exactly when entry 1 is negative.  A tableau q is read
+    as the bitableau (q, ()): its des_B is des(q) and its transpose is
+    ((), q'), whose des_B is des(q') + 1 from n = 1 on, so n - des_B is the
+    rule for both walks.
     Transposing twice is checked on the image word alone, which the map
     must send back to the object's own word; the images of the bitableaux
     of one size are their row words again, so there that call finds each
@@ -288,7 +288,7 @@ def verify_transpose_complement(signed_n_max: int = 6, unsigned_n_max: int = 7) 
             previous = ()
             total = bad = 0
             transpose = _transposer(n)
-            for row in walk(n, words=True):
+            for row in walk(n):
                 total += 1
                 image = transpose(row)
                 if not signed and image is not None and max(row) >= n:
@@ -457,22 +457,24 @@ def check_guo_zeng_lemma(
     nonnegative weighted sum.
 
     Instances are built so the hypothesis holds by construction, which keeps
-    every trial productive.  Unless trials and length_max are ints of at
-    least 1 and seed a nonnegative int, no bool among them, ValueError is
-    raised.
+    every trial productive.  A counterexample fails the record and names
+    its a and x; with none, the record passes only when `trials` instances
+    were drawn, and otherwise names how many were, so a draw of nothing
+    fails.  Unless trials and length_max are ints of at least 1 and seed a
+    nonnegative int, no bool among them, ValueError is raised.
     """
     _check_int(trials, "trials", 1)
     _check_int(length_max, "length_max", 1)
     _check_int(seed, "seed")
-    instances = _lemma_instances(trials, length_max, seed)
-    counterexample = next(((a, x) for a, x in instances if sum(map(mul, a, x)) < 0), None)
     report = Report()
     params = (("trials", trials), ("length_max", length_max), ("seed", seed))
-    if counterexample is None:
-        report.check("guo-zeng-lemma", params, True, f"{trials} trials", "0 counterexamples")
-    else:
-        a, x = counterexample
-        report.check("guo-zeng-lemma", params, False, f"a={int_list(a)}", f"x={int_list(x)}")
+    drawn = 0
+    for drawn, (a, x) in enumerate(_lemma_instances(trials, length_max, seed), 1):
+        if sum(map(mul, a, x)) < 0:
+            report.check("guo-zeng-lemma", params, False, f"a={int_list(a)}", f"x={int_list(x)}")
+            return report
+    lhs = _tally(drawn, "trials", trials)
+    report.check("guo-zeng-lemma", params, drawn == trials, lhs, "0 counterexamples")
     return report
 
 

@@ -8,7 +8,11 @@ them from checks, at the defaults of its signature; a verify flag overrides
 the parameters _FLAG_PARAMS names for it, and a flag the sweep has no
 parameter for is a usage error.  The names are read from the code of
 ``getattr(sweep, "__wrapped__", sweep)``, so a functools.wraps wrapper, such
-as the benchmark tracer's, hides none.
+as the benchmark tracer's, hides none.  A sweep refuses a bad value by its
+parameter's name, so its ValueError is prefixed with the verify command and
+the flags given, as in ``verify guo-zeng-lemma --n-max 0: length_max must
+be ...``.  Every subcommand takes --format and --budget from one parent
+parser, where both are declared once.
 
 Plain output prints coefficient lists space-separated, lowest degree first,
 so rows diff cleanly against published tables.  Structured output prints the
@@ -80,48 +84,45 @@ def _build_parser() -> argparse.ArgumentParser:
         "with mechanical verification of their identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every subcommand takes, declared once and given to each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("plain", "structured"),
+        default="plain",
+        help="plain human-readable lines or tab-separated records",
+    )
+    common.add_argument(
+        "--budget",
+        type=int,
+        help="most objects one enumeration may generate; binds every enumeration "
+        "the command makes, and a command that enumerates nothing never reaches it",
+    )
 
-    def add_common(p):
-        p.add_argument(
-            "--format",
-            choices=("plain", "structured"),
-            default="plain",
-            help="plain human-readable lines or tab-separated records",
-        )
-        p.add_argument(
-            "--budget",
-            type=int,
-            help="most objects one enumeration may generate; binds every enumeration "
-            "the command makes, and a command that enumerates nothing never reaches it",
-        )
-
-    poly = sub.add_parser("poly", help="print a descent distribution")
+    poly = sub.add_parser("poly", parents=[common], help="print a descent distribution")
     poly.add_argument("--kind", choices=("invA", "invB", "fullA", "fullB"), required=True)
     poly.add_argument("--n", type=int, required=True)
     poly.add_argument("--stat", choices=(DES_B, DES_COXETER), default=DES_B)
-    add_common(poly)
     poly.set_defaults(run=_run_poly)
 
-    gamma = sub.add_parser("gamma", help="print a gamma vector")
+    gamma = sub.add_parser("gamma", parents=[common], help="print a gamma vector")
     gamma.add_argument("--kind", choices=("invA", "invB"), default="invB")
     gamma.add_argument("--n", type=int, required=True)
-    add_common(gamma)
     gamma.set_defaults(run=_run_gamma)
 
-    verify = sub.add_parser("verify", help="run a verification sweep")
+    verify = sub.add_parser("verify", parents=[common], help="run a verification sweep")
     verify.add_argument("target", choices=sorted(SWEEPS))
     for flag, names in _FLAG_PARAMS.items():
         verify.add_argument(flag, type=int, help="sets the sweep's " + " / ".join(names))
-    add_common(verify)
     verify.set_defaults(run=_run_verify)
 
-    counter = sub.add_parser("counterexample", help="reproduce a counterexample")
+    counter = sub.add_parser("counterexample", parents=[common], help="reproduce a counterexample")
     counter.add_argument("target", choices=("r89",))
-    add_common(counter)
     counter.set_defaults(run=_run_report, report=checks.verify_counterexample_89)
 
-    table = sub.add_parser("table", help="recompute and compare all reference rows")
-    add_common(table)
+    table = sub.add_parser(
+        "table", parents=[common], help="recompute and compare all reference rows"
+    )
     table.set_defaults(run=_run_report, report=checks.reference_table_report)
 
     return parser
@@ -201,16 +202,20 @@ def _sweep_parameters(sweep) -> tuple[str, ...]:
 
 def _run_verify(args, structured, out) -> int:
     params = _sweep_parameters(SWEEPS[args.target])
-    kwargs = {}
+    kwargs, command = {}, f"verify {args.target}"
     for flag, names in _FLAG_PARAMS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
         taken = [name for name in names if name in params]
         if not taken:
-            raise ValueError(f"verify {args.target} takes no {flag}")
+            raise ValueError(f"{command} takes no {flag}")
         kwargs.update(dict.fromkeys(taken, value))
-    report = SWEEPS[args.target](**kwargs)
+        command += f" {flag} {value}"
+    try:  # the sweep names its parameter; name the command and the flags that set it
+        report = SWEEPS[args.target](**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{command}: {exc}") from None
     if all(record.status == NOTE for record in report):
         raise ValueError(
             f"verify {args.target} made no pass or fail check at these arguments, "
@@ -225,8 +230,7 @@ def _run_report(args, structured, out) -> int:
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     structured = args.format == "structured"
     try:
         with enumeration_budget(_resolve_budget(args)):

@@ -32,34 +32,36 @@ The walk yields each filling's row word, the tuple of the rows it chose,
 or with `descents` its descent set, an int, and builds no tableau.  One
 builder, _bitableau_of_word, turns a row word into its filling, cut at
 row n into its two parts, each part without its empty rows, and each
-enumerator maps it over the words when asked for objects.
+per-shape walk maps it over the words when not asked for descent sets.
 
 A per-shape walk caps its rows by its shape: a tableau's shape, whose at
 most n rows are all rows of plus, or a bitableau's (*plus, 0, ..., 0,
-*minus), which is plus alone when minus is empty.  Each yields its objects once, in the order of the plain
-recursive walks that tests/oracles.py keeps as references.  An all-shapes
-walk is one walk over the lattice of every (bi)partition of n: n rows of
-up to n cells for tableaux, and for bitableaux n rows of plus and then n
-rows of minus.  Its sub-diagrams of n cells are exactly the
-(bi)partitions of n, so it yields every object of size n once, with no
-loop over the shapes, in strictly increasing lexicographic order of the
-rows chosen for entries 1..n, shapes interleaved.  With `words` set they
-yield each object's row word, the rows the walk chose, and the transpose
-sweep of checks, which relies on that order, reads only those.
+*minus), which is plus alone when minus is empty.  Each yields its
+objects once, in the order of the plain recursive walks that
+tests/oracles.py keeps as references.  An all-shapes walk is one walk
+over the lattice of every (bi)partition of n: n rows of up to n cells
+for tableaux, and for bitableaux n rows of plus and then n rows of
+minus.  Its sub-diagrams of n cells are exactly the (bi)partitions of n,
+so it covers every object of size n once, with no loop over the shapes,
+in strictly increasing lexicographic order of the rows chosen for
+entries 1..n, shapes interleaved.  It yields each object's row word, the
+rows the walk chose, and builds no object: the transpose sweep of
+checks, which relies on that order, reads only those, and the objects
+themselves come from the per-shape walks.
 
 Descent sets are ints, packed in the layout of permutations.py: bit i for
 a descent at i, bit n + e - 1 for an entry e in the minus part.  They are
 read off the row of each entry.  An entry is negative when its row is at
 least n, so a tableau is the bitableau with no sign bit set, and as a +,-
 step always climbs and a -,+ step never does, one comparison of
-neighbours tests each i.  With `descents` set each enumerator yields each
+neighbours tests each i.  With `descents` set each walk yields each
 object's descent set in its place: the path builder sets an entry's bits
 as it places the entry, so the walk builds no tableau and no tuple for a
 filling.
 
-A finished object, as the enumerators yield it without a flag, is read
-only through its row word, the word the all-shapes walks yield with
-`words` set: entry e is the row of entry e, and entry 0 is n - 1.
+A finished object, as the per-shape walks yield it without a flag, is
+read only through its row word, the word the all-shapes walks yield
+without one: entry e is the row of entry e, and entry 0 is n - 1.
 _word_of turns a bitableau into that word and is the one standardness
 test: the word must be a lattice word within each part, which the
 transpose map tests, and _bitableau_of_word must build the filling back
@@ -313,26 +315,20 @@ def enumerate_syt(shape: Shape, descents: bool = False) -> Iterator[Tableau | in
     yield from walk if descents else (_bitableau_of_word(word)[0] for word in walk)
 
 
-def enumerate_all_syt(
-    n: int, descents: bool = False, *, words: bool = False
-) -> Iterator[Tableau | int | tuple[int, ...]]:
-    """All standard Young tableaux with n entries, or their packed descent
-    sets, or their row words, from one walk over the lattice of partitions
-    of at most n: n rows of up to n cells each.  Each comes once, in
-    strictly increasing lexicographic order of the rows chosen for entries
-    1..n, so shapes interleave.  There are as many as involutions of S_n,
-    and that count is held to the budget.
+def enumerate_all_syt(n: int, descents: bool = False) -> Iterator[tuple[int, ...] | int]:
+    """The row word of every standard Young tableau with n entries, or with
+    descents set its packed descent set, from one walk over the lattice of
+    partitions of at most n: n rows of up to n cells each.  Each comes
+    once, in strictly increasing lexicographic order of the rows chosen for
+    entries 1..n, so shapes interleave.  There are as many as involutions
+    of S_n, and that count is held to the budget.
 
-    With words set, a tableau's row word is the tuple whose entry e is the
-    row of entry e, from 0 at the top, and whose entry 0 is n - 1: the word
-    of the bitableau (tableau, ()) in enumerate_all_syb's numbering.  No
-    tableau is built; without either flag each is built from its word.
-    Asking for descents and words at once raises ValueError."""
+    A tableau's row word is the tuple whose entry e is the row of entry e,
+    from 0 at the top, and whose entry 0 is n - 1: the word of the
+    bitableau (tableau, ()) in enumerate_all_syb's numbering.  No tableau
+    is built; enumerate_syt yields the tableaux of one shape."""
     _check_budget(n, involution_count(n), "standard Young tableaux")
-    if descents and words:
-        raise ValueError("a walk yields descent sets or row words, not both")
-    walk = _fillings((n,) * n, n, descents)
-    yield from walk if descents or words else (_bitableau_of_word(word)[0] for word in walk)
+    yield from _fillings((n,) * n, n, descents)
 
 
 def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterator[Bitableau | int]:
@@ -365,30 +361,24 @@ def enumerate_syb(shape: tuple[Shape, Shape], descents: bool = False) -> Iterato
     yield from walk if descents else map(_bitableau_of_word, walk)
 
 
-def enumerate_all_syb(
-    n: int, descents: bool = False, *, words: bool = False
-) -> Iterator[Bitableau | int | tuple[int, ...]]:
-    """All standard Young bitableaux with n entries, or their packed signed
-    descent sets, or their row words, from one walk over the lattice of
-    bipartitions of at most n: n rows of plus, then n of minus, of up to n
-    cells each.  Each comes once, in strictly increasing lexicographic
-    order of the rows chosen for entries 1..n, rows of plus before rows of
-    minus, so shapes interleave.  There are as many as involutions of B_n,
-    and that count is held to the budget.
+def enumerate_all_syb(n: int, descents: bool = False) -> Iterator[tuple[int, ...] | int]:
+    """The row word of every standard Young bitableau with n entries, or
+    with descents set its packed signed descent set, from one walk over the
+    lattice of bipartitions of at most n: n rows of plus, then n of minus,
+    of up to n cells each.  Each comes once, in strictly increasing
+    lexicographic order of the rows chosen for entries 1..n, rows of plus
+    before rows of minus, so shapes interleave.  There are as many as
+    involutions of B_n, and that count is held to the budget.
 
-    With words set, a bitableau's row word is the tuple whose entry e is
-    the row of entry e: the rows of plus numbered 0..n-1 from the top and
-    those of minus n..2n-1, as the lattice numbers them.  Its entry 0 is
-    n - 1, so the word rises from entry 0 exactly when entry 1 is negative,
-    and its number of rises, sum(map(lt, word, word[1:])), is the des_B of
-    the bitableau.  The word fixes the bitableau, and no bitableau is
-    built; without either flag each is built from its word.  Asking for
-    descents and words at once raises ValueError."""
+    A bitableau's row word is the tuple whose entry e is the row of entry
+    e: the rows of plus numbered 0..n-1 from the top and those of minus
+    n..2n-1, as the lattice numbers them.  Its entry 0 is n - 1, so the
+    word rises from entry 0 exactly when entry 1 is negative, and its
+    number of rises, sum(map(lt, word, word[1:])), is the des_B of the
+    bitableau.  The word fixes the bitableau, and no bitableau is built;
+    enumerate_syb yields the bitableaux of one shape."""
     _check_budget(n, involution_count(n, signed=True), "standard Young bitableaux")
-    if descents and words:
-        raise ValueError("a walk yields descent sets or row words, not both")
-    walk = _fillings((n,) * (2 * n), n, descents)
-    yield from walk if descents or words else map(_bitableau_of_word, walk)
+    yield from _fillings((n,) * (2 * n), n, descents)
 
 
 def _columns(entries: tuple[int, ...], taken: list[int], rows: int) -> tuple[int, ...] | None:
@@ -475,8 +465,8 @@ def _word_of(bitableau: Bitableau) -> tuple[int, ...]:
     """The row word of a standard bitableau, the inverse of
     _bitableau_of_word: entry e is the row of entry e, the rows of plus
     numbered 0..n-1 and those of minus n..2n-1 as the lattice numbers them,
-    and entry 0 is n - 1, so that enumerate_all_syb(n, words=True) yields
-    the word of each bitableau it walks.
+    and entry 0 is n - 1, so that enumerate_all_syb(n) yields the word of
+    each bitableau it walks.
 
     Raise ValueError unless bitableau is a (plus, minus) pair, a tuple or a
     list of two tuples or lists of rows, each row a tuple or a list; its

@@ -29,6 +29,7 @@ from eulerinv.permutations import (
 from eulerinv.polynomials import binomial
 from eulerinv.qsym import fundamental_spec, schur_spec
 from eulerinv.tableaux import (
+    _bitableau_of_word,
     enumerate_all_syb,
     enumerate_all_syt,
     partitions,
@@ -117,11 +118,12 @@ def test_criterion_06_schur_specializations():
 def test_criterion_07_descent_multiset_bijection():
     for n in range(7):
         perm = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
-        tab = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
+        tab = Counter(syb_signed_descent_set(_bitableau_of_word(w)) for w in enumerate_all_syb(n))
         assert perm == tab, n
     for n in range(8):
         perm = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
-        tab = Counter(syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n))
+        # a tableau's row word builds the bitableau (q, ())
+        tab = Counter(syb_signed_descent_set(_bitableau_of_word(w)) for w in enumerate_all_syt(n))
         assert perm == tab, n
     passed(7, "descent multisets agree with (bi)tableaux (B: n<=6, A: n<=7)")
 
@@ -131,11 +133,11 @@ def test_criterion_08_transpose_complementation():
         return (mask & ((1 << n) - 1)).bit_count() + (mask >> n & 1)
 
     for n in range(7):
-        for q in enumerate_all_syb(n):
+        for q in map(_bitableau_of_word, enumerate_all_syb(n)):
             image = syb_signed_descent_set(syb_transpose(q))
             assert des_b(image, n) == n - des_b(syb_signed_descent_set(q), n)
     for n in range(1, 8):
-        for q in enumerate_all_syt(n):
+        for q, _ in map(_bitableau_of_word, enumerate_all_syt(n)):
             des = syb_signed_descent_set((q, ())).bit_count()  # a tableau sets no sign bit
             t = transpose_by_columns(q)
             assert syb_signed_descent_set((t, ())).bit_count() == n - 1 - des

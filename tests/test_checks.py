@@ -23,6 +23,8 @@ from eulerinv.tableaux import (
     bipartitions,
     enumerate_all_syb,
     enumerate_all_syt,
+    enumerate_syb,
+    enumerate_syt,
     partitions,
 )
 from oracles import (
@@ -239,11 +241,11 @@ def _drop_from_walk(monkeypatch, walk, n, positions):
 
 def _repeat_first(monkeypatch, walk, n):
     """Make the named walk of checks yield the first object of its size-n walk
-    twice, passing any further arguments, such as words, through."""
+    twice, passing any further arguments through."""
     original = getattr(checks, walk)
 
-    def repeating(size, *args, **kwargs):
-        objects = list(original(size, *args, **kwargs))
+    def repeating(size, *args):
+        objects = list(original(size, *args))
         if size == n:
             objects.insert(1, objects[0])
         yield from objects
@@ -321,7 +323,8 @@ def test_descent_multiset_failure_names_the_first_set_in_tuple_order_after_unpac
         n = failure.params[0][1]
         signed = failure.check == "sdes-multiset-signed"
         involutions = enumerate_signed_involutions(n) if signed else enumerate_involutions(n)
-        objects = enumerate_all_syb(n) if signed else ((q, ()) for q in enumerate_all_syt(n))
+        lattice = enumerate_all_syb if signed else enumerate_all_syt
+        objects = map(_bitableau_of_word, lattice(n))  # a tableau's word builds (q, ())
         perm_side = Counter(map(signed_descent_set_by_definition, involutions))
         tab_side = Counter((p[:-1], s) for p, s in map(bitableau_descent_set_by_definition, objects))
         first = min(d for d in perm_side.keys() | tab_side.keys() if perm_side[d] != tab_side[d])
@@ -418,19 +421,27 @@ def test_the_signed_schur_sweep_walks_each_bipartition_once(monkeypatch):
 
 def _record_walks(monkeypatch):
     """Record the size of every call of the two tableau walks of checks, each
-    of which must ask for row words."""
+    of which must ask for row words, not descent sets."""
     calls = {}
     for name in ("enumerate_all_syb", "enumerate_all_syt"):
         original = getattr(checks, name)
         sizes = calls[name] = []
 
-        def recording(n, *, words, original=original, sizes=sizes):
-            assert words is True
+        def recording(n, descents=False, original=original, sizes=sizes):
+            assert descents is False
             sizes.append(n)
-            return original(n, words=True)
+            return original(n)
 
         monkeypatch.setattr(checks, name, recording)
     return calls
+
+
+def _lattice_objects(walk, n):
+    """The objects of the all-shapes walk of size n, in walk order, as the
+    transpose sweep names them: each built from its row word, a tableau
+    alone and a bitableau as the pair."""
+    objects = map(_bitableau_of_word, walk(n))
+    return [q if walk is enumerate_all_syb else q[0] for q in objects]
 
 
 def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
@@ -440,8 +451,8 @@ def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
     calls = _record_walks(monkeypatch)
     for name in ("enumerate_all_syb", "enumerate_all_syt"):
 
-        def first_word_only(n, *, words, original=getattr(checks, name)):
-            found = list(original(n, words=words))
+        def first_word_only(n, original=getattr(checks, name)):
+            found = list(original(n))
             return iter(found[:1] * len(found))
 
         monkeypatch.setattr(checks, name, first_word_only)
@@ -450,7 +461,7 @@ def test_transpose_walks_each_size_once_when_every_image_repeats(monkeypatch):
     expected = []
     for walk in (enumerate_all_syb, enumerate_all_syt):
         for n in range(6):
-            objects = list(walk(n))
+            objects = _lattice_objects(walk, n)
             repeats = len(objects) - 1
             expected.append(f"{repeats} violations" + (f", first {objects[0]}" if repeats else ""))
     assert [r.rhs for r in report] == expected
@@ -499,14 +510,19 @@ def test_transpose_failure_names_the_first_of_several_violations(monkeypatch):
 def test_the_transpose_words_are_those_of_the_built_transposes():
     # a tableau q is read as (q, ()), and its transpose is ((), q'); the
     # transposes are the oracle's, as syb_transpose applies the map itself.
-    # _word_of numbers the rows as the words mode of the all-shapes walks
-    # does: the rows of plus from 0, those of minus from n, n - 1 in entry 0
+    # _word_of numbers the rows as the all-shapes walks do: the rows of plus
+    # from 0, those of minus from n, n - 1 in entry 0
     for n in range(8):
         pairs = [
             (q, (transpose_by_columns(q[1]), transpose_by_columns(q[0])))
-            for q in enumerate_all_syb(n)
+            for shape in bipartitions(n)
+            for q in enumerate_syb(shape)
         ]
-        pairs += [((q, ()), ((), transpose_by_columns(q))) for q in enumerate_all_syt(n)]
+        pairs += [
+            ((q, ()), ((), transpose_by_columns(q)))
+            for shape in partitions(n)
+            for q in enumerate_syt(shape)
+        ]
         transpose = _transposer(n)
         for q, t in pairs:
             row = _word_of(q)
@@ -522,7 +538,7 @@ def test_the_transpose_map_takes_exactly_the_standard_words():
     # the map refuses it unless the walk yields it, for an entry out of range
     # and for a word that is no lattice word within each part alike
     for n in range(5):
-        standard = set(enumerate_all_syb(n, words=True))
+        standard = set(enumerate_all_syb(n))
         transpose = _transposer(n)
         for entries in product(range(-2, 2 * n + 2), repeat=n):
             word = (n - 1, *entries)
@@ -559,12 +575,12 @@ def test_one_transpose_map_serves_both_directions(monkeypatch):
     monkeypatch.setattr(tableaux, "_columns", lambda *args: placed.append(args) or columns(*args))
     for n in range(7):
         transpose = _transposer(n)
-        rows = list(enumerate_all_syb(n, words=True))
+        rows = list(enumerate_all_syb(n))
         images = list(map(transpose, rows))
         assert placed and None not in images, n
         placed.clear()
         assert list(map(transpose, images)) == rows, n
-        tableau_rows = list(enumerate_all_syt(n, words=True))
+        tableau_rows = list(enumerate_all_syt(n))
         assert list(map(transpose, map(transpose, tableau_rows))) == tableau_rows, n
         assert placed == [], n
 
@@ -573,7 +589,7 @@ def test_the_row_words_of_each_walk_rise_strictly():
     # the order the transpose sweep's repeat test relies on
     for n in range(8):
         for walk in (enumerate_all_syb, enumerate_all_syt):
-            words = list(walk(n, words=True))
+            words = list(walk(n))
             assert all(map(lt, words, words[1:])), n
 
 
@@ -600,7 +616,7 @@ def test_transpose_fails_when_transposing_twice_misses_the_object(monkeypatch):
     expected = [
         f"{len(objects)} violations, first {objects[0]}"
         for walk in (enumerate_all_syb, enumerate_all_syt)
-        for objects in (list(walk(n)) for n in range(4))
+        for objects in (_lattice_objects(walk, n) for n in range(4))
     ]
     assert [r.rhs for r in report.failures] == expected
     assert len(report) == 8
@@ -621,7 +637,7 @@ def test_transpose_counts_an_image_entry_past_the_rows_as_a_violation(monkeypatc
     assert [r.status for r in report] == ["pass", "fail", "fail", "fail", "pass"]
     assert [r.rhs for r in report.failures] == [
         f"{len(objects)} violations, first {objects[0]}"
-        for objects in (list(enumerate_all_syb(n)) for n in (1, 2, 3))
+        for objects in (_lattice_objects(enumerate_all_syb, n) for n in (1, 2, 3))
     ]
 
 
@@ -640,8 +656,8 @@ def test_transpose_counts_a_word_that_is_not_standard_as_a_violation(monkeypatch
     # failure names the word, not a filling built from it
     original = checks.enumerate_all_syb
 
-    def bent(n, *, words):
-        found = list(original(n, words=words))
+    def bent(n):
+        found = list(original(n))
         if n == 3:
             assert found[-1] == (2, 3, 4, 5)
             found[-1] = word
@@ -660,8 +676,8 @@ def test_transpose_fails_when_the_walk_misses_an_object(monkeypatch):
     # bitableaux of size 3 make no bijection, and the record names the 20
     original = checks.enumerate_all_syb
 
-    def short(n, *, words):
-        found = list(original(n, words=words))
+    def short(n):
+        found = list(original(n))
         return iter(found[:-1] if n == 3 else found)
 
     monkeypatch.setattr(checks, "enumerate_all_syb", short)
@@ -678,8 +694,8 @@ def test_transpose_counts_a_tableau_word_in_the_rows_of_minus_as_a_violation(mon
     # map takes it and the count stays 4, but it is no tableau's word
     original = checks.enumerate_all_syt
 
-    def bent(n, *, words):
-        found = list(original(n, words=words))
+    def bent(n):
+        found = list(original(n))
         if n == 3:
             assert found[-1] == (2, 0, 1, 2)
             found[-1] = (2, 0, 1, 3)
@@ -771,6 +787,21 @@ def test_guo_zeng_lemma_fails_with_the_first_counterexample(monkeypatch):
     assert _structured(checks.check_guo_zeng_lemma(3, 2, 5)) == [
         "check=guo-zeng-lemma\tparams=trials=3,length_max=2,seed=5\tstatus=fail"
         "\tlhs=a=0,-1\trhs=x=2,1"
+    ]
+
+
+@pytest.mark.parametrize("kept", [0, 1, 99, None])
+def test_guo_zeng_lemma_passes_only_when_it_draws_every_trial(monkeypatch, kept):
+    # the draw cut to its first `kept` instances, or left whole: a draw of no
+    # counterexample passes only when it held every trial, and a draw of
+    # nothing once printed "100 trials | 0 counterexamples"
+    if kept is not None:
+        draw = checks._lemma_instances
+        monkeypatch.setattr(checks, "_lemma_instances", lambda *args: islice(draw(*args), kept))
+    report = checks.check_guo_zeng_lemma(100, 8, 1)
+    verdict = "pass (100 trials" if kept is None else f"fail ({kept} trials, expected 100"
+    assert [r.plain() for r in report] == [
+        f"guo-zeng-lemma trials=100 length_max=8 seed=1: {verdict} | 0 counterexamples)"
     ]
 
 

@@ -450,6 +450,26 @@ def test_guo_zeng_lemma_without_trials_is_usage_error(capsys, flags):
     assert f"{name} must be an integer of at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-max", "0"], "--n-max 0: length_max must be an integer of at least 1, got 0"),
+        (["--seed", "-5"], "--seed -5: seed must be a nonnegative integer, got -5"),
+        # the flags given, in the order the verify table lists them
+        (
+            ["--seed", "3", "--trials", "0"],
+            "--trials 0 --seed 3: trials must be an integer of at least 1, got 0",
+        ),
+    ],
+    ids=["n-max", "seed", "two-flags"],
+)
+def test_a_sweep_usage_error_names_the_command_and_the_flags_given(capsys, flags, message):
+    # the sweep names its own parameter; the prefix says which flag set it
+    code, output = run_cli(["verify", "guo-zeng-lemma", *flags])
+    assert code == 2 and output == ""
+    assert capsys.readouterr().err == f"error: verify guo-zeng-lemma {message}\n"
+
+
 def test_guo_zeng_lemma_with_negative_seed_is_usage_error(capsys):
     code, output = run_cli(["verify", "guo-zeng-lemma", "--seed", "-5"])
     assert code == 2 and output == ""

@@ -22,6 +22,7 @@ from eulerinv.permutations import (
     unpack_descents,
 )
 from eulerinv.tableaux import (
+    _bitableau_of_word,
     enumerate_all_syb,
     enumerate_all_syt,
     syb_signed_descent_set,
@@ -104,13 +105,13 @@ def test_descent_set_producers_build_well_formed_sets():
     for n in range(0, 7):
         for w in enumerate_signed_involutions(n):
             _assert_well_formed(signed_descent_set(w), n, w)
-        for q in enumerate_all_syb(n):
+        for q in map(_bitableau_of_word, enumerate_all_syb(n)):
             _assert_well_formed(syb_signed_descent_set(q), n, q)
         # permutations and standard tableaux give the same sets, no sign bit set
         for w in enumerate_involutions(n):
             _assert_well_formed(signed_descent_set(w), n, w)
             assert signed_descent_set(w) >> n == 0, w
-        for q in enumerate_all_syt(n):
+        for q, _ in map(_bitableau_of_word, enumerate_all_syt(n)):
             _assert_well_formed(syb_signed_descent_set((q, ())), n, q)
             assert syb_signed_descent_set((q, ())) >> n == 0, q
     for n in range(0, 5):

@@ -116,6 +116,18 @@ def _row_word(bitableau):
     return tuple(word)
 
 
+def _lattice_bitableaux(n):
+    """The bitableaux of size n in the lattice walk's order, each built from
+    the row word enumerate_all_syb yields by the library's one builder."""
+    return map(tableaux._bitableau_of_word, enumerate_all_syb(n))
+
+
+def _lattice_tableaux(n):
+    """The tableaux of size n in the lattice walk's order: the plus part of
+    the filling each row word of enumerate_all_syt builds."""
+    return (tableaux._bitableau_of_word(word)[0] for word in enumerate_all_syt(n))
+
+
 def _assert_the_walks_follow(expected, n, got_objects, got_words, got_masks, word_of=_row_word):
     # the three modes of one walk, each an iterator, against the pairs
     # (object, its descent set by definition) in the reference walk's order
@@ -171,15 +183,15 @@ def test_the_split_walks_yield_the_sequences_of_the_reference_walks():
         _assert_the_walks_follow(
             in_word_order(signed),
             n,
+            _lattice_bitableaux(n),
             enumerate_all_syb(n),
-            enumerate_all_syb(n, words=True),
             enumerate_all_syb(n, True),
         )
         _assert_the_walks_follow(
             in_word_order(unsigned),
             n,
-            ((q, ()) for q in enumerate_all_syt(n)),
-            enumerate_all_syt(n, words=True),
+            ((q, ()) for q in _lattice_tableaux(n)),
+            enumerate_all_syt(n),
             enumerate_all_syt(n, True),
         )
 
@@ -311,10 +323,10 @@ def test_the_descents_walk_of_a_bipartition_yields_syb_signed_descent_set_in_wal
 def test_the_descents_walks_over_all_shapes_keep_the_walk_order():
     for n in range(9):
         got = list(enumerate_all_syt(n, True))
-        assert got == [syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n)]
+        assert got == [syb_signed_descent_set((q, ())) for q in _lattice_tableaux(n)]
     for n in range(7):
         got = list(enumerate_all_syb(n, True))
-        assert got == list(map(syb_signed_descent_set, enumerate_all_syb(n)))
+        assert got == list(map(syb_signed_descent_set, _lattice_bitableaux(n)))
 
 
 def test_descents_walks_are_held_to_the_budget_at_the_first_next_only():
@@ -351,7 +363,7 @@ def _des_b(mask, n):
 def test_a_tableau_transposes_to_its_column_reading():
     # a tableau q is the bitableau (q, ()), whose transpose is ((), q')
     for n in range(0, 9):
-        for q in enumerate_all_syt(n):
+        for q in _lattice_tableaux(n):
             assert syb_transpose((q, ())) == ((), transpose_by_columns(q)), q
 
 
@@ -389,7 +401,7 @@ def test_tableau_transpose_examples():
 
 def test_tableau_transpose_complements_descents():
     for n in range(1, 8):
-        for q in enumerate_all_syt(n):
+        for q in _lattice_tableaux(n):
             t = transpose_by_columns(q)
             assert is_standard_tableau(t)
             des = syb_signed_descent_set((q, ())).bit_count()
@@ -503,43 +515,37 @@ def test_each_all_shapes_walk_is_one_walk_of_the_lattice(monkeypatch):
 
         monkeypatch.setattr(tableaux, name, recording)
     for n in range(7):
-        for mode in ({}, {"descents": True}, {"words": True}):
-            assert sum(1 for _ in enumerate_all_syt(n, **mode)) == telephone_number(n)
-            assert sum(1 for _ in enumerate_all_syb(n, **mode)) == signed_telephone_number(n)
+        for descents in (False, True):
+            assert sum(1 for _ in enumerate_all_syt(n, descents)) == telephone_number(n)
+            assert sum(1 for _ in enumerate_all_syb(n, descents)) == signed_telephone_number(n)
     assert calls == []
 
 
 def test_the_words_walks_yield_the_row_word_of_each_object_in_walk_order():
     # entry e of a word is the row of entry e, the rows of minus numbered from
     # n as the lattice numbers them, and entry 0 is n - 1; a tableau q is the
-    # bitableau (q, ())
+    # bitableau (q, ()).  The words are those of the per-shape walks' objects,
+    # each once, in increasing order
     for n in range(8):
         walks = (
-            (enumerate_all_syb, lambda q: q),
-            (enumerate_all_syt, lambda q: (q, ())),
+            (enumerate_all_syb, bipartitions, enumerate_syb, lambda q: q),
+            (enumerate_all_syt, partitions, enumerate_syt, lambda q: (q, ())),
         )
-        for walk, as_bitableau in walks:
-            expected = [tableaux._word_of(q) for q in map(as_bitableau, walk(n))]
-            got = list(walk(n, words=True))
+        for walk, shapes, per_shape, as_bitableau in walks:
+            objects = (as_bitableau(q) for shape in shapes(n) for q in per_shape(shape))
+            expected = sorted(map(tableaux._word_of, objects))
+            got = list(walk(n))
             assert all(type(word) is tuple for word in got)
             assert got == expected, (walk, n)
 
 
-@pytest.mark.parametrize("walk", [enumerate_all_syt, enumerate_all_syb])
-def test_an_all_shapes_walk_yields_descent_sets_or_words_not_both(walk):
-    with pytest.raises(ValueError, match="descent sets or row words, not both"):
-        next(walk(3, True, words=True))
-    with pytest.raises(ValueError, match="descent sets or row words, not both"):
-        next(walk(0, descents=True, words=True))
-
-
 def test_the_all_shapes_walks_yield_each_object_of_the_per_shape_walks_once():
     for n in range(8):
-        got = list(enumerate_all_syt(n))
+        got = list(_lattice_tableaux(n))
         assert sorted(got) == sorted(q for shape in partitions(n) for q in enumerate_syt(shape))
         assert len(set(got)) == len(got), n
     for n in range(7):
-        got = list(enumerate_all_syb(n))
+        got = list(_lattice_bitableaux(n))
         assert sorted(got) == sorted(q for shape in bipartitions(n) for q in enumerate_syb(shape))
         assert len(set(got)) == len(got), n
 
@@ -665,7 +671,7 @@ def test_bitableau_des_b_counts_the_signed_descent_set():
     # the transpose sweep counts des_B as the steps up a row word, whose
     # rows are numbered as the lattice numbers them and whose entry 0 is n - 1
     for n in range(0, 8):
-        for q, row in zip(enumerate_all_syb(n), enumerate_all_syb(n, words=True), strict=True):
+        for q, row in zip(_lattice_bitableaux(n), enumerate_all_syb(n), strict=True):
             positions, signs = unpack_descents(syb_signed_descent_set(q), n)
             assert sum(map(lt, row, row[1:])) == len(positions) + (signs[:1] == (-1,)), q
 
@@ -674,11 +680,11 @@ def test_the_readers_match_the_descent_set_by_definition():
     # the walk and the readers number rows alike, so the oracle, which only
     # scans for the part and row of each entry, is the independent reference
     for n in range(0, 8):
-        for q in enumerate_all_syb(n):
+        for q in _lattice_bitableaux(n):
             positions, signs = bitableau_descent_set_by_definition(q)
             assert unpack_descents(syb_signed_descent_set(q), n) == (positions, signs), q
     for n in range(0, 10):
-        for q in enumerate_all_syt(n):
+        for q in _lattice_tableaux(n):
             positions, signs = bitableau_descent_set_by_definition((q, ()))
             assert signs == (1,) * n
             assert unpack_descents(syb_signed_descent_set((q, ())), n) == (positions, signs), q
@@ -707,7 +713,7 @@ def test_syb_transpose_examples():
 def test_syb_transpose_complements_des_b():
     for n in range(0, 7):
         images = set()
-        for q in enumerate_all_syb(n):
+        for q in _lattice_bitableaux(n):
             t = syb_transpose(q)
             images.add(t)
             assert _des_b(syb_signed_descent_set(t), n) == n - _des_b(syb_signed_descent_set(q), n)
@@ -717,9 +723,9 @@ def test_syb_transpose_complements_des_b():
 def test_descent_multisets_match_involutions():
     for n in range(0, 7):
         signed_perm_side = Counter(signed_descent_set(w) for w in enumerate_signed_involutions(n))
-        bitableau_side = Counter(syb_signed_descent_set(q) for q in enumerate_all_syb(n))
+        bitableau_side = Counter(map(syb_signed_descent_set, _lattice_bitableaux(n)))
         assert signed_perm_side == bitableau_side, n
     for n in range(0, 8):
         perm_side = Counter(signed_descent_set(w) for w in enumerate_involutions(n))
-        tableau_side = Counter(syb_signed_descent_set((q, ())) for q in enumerate_all_syt(n))
+        tableau_side = Counter(syb_signed_descent_set((q, ())) for q in _lattice_tableaux(n))
         assert perm_side == tableau_side, n

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 CHECKS = "src/eulerinv/checks.py"
+CLI = "src/eulerinv/cli.py"
 PERMUTATIONS = "src/eulerinv/permutations.py"
 TABLEAUX = "src/eulerinv/tableaux.py"
 TEST_CHECKS = "tests/test_checks.py::"
@@ -73,6 +74,8 @@ GROUP_WALK_KILLS = (
     TEST_PERMUTATIONS + "test_enumerate_group_counts",
     "tests/test_qsym.py::test_verify_signed_spec_closed_form",
 )
+#: The test that catches a lemma check whose draw holds fewer than its trials.
+LEMMA_DRAW_KILLS = (TEST_CHECKS + "test_guo_zeng_lemma_passes_only_when_it_draws_every_trial",)
 
 #: The transpose map's head table, from the lookup of a word's head to the
 #: store of its image prefix, slots and tail memo: each keys the table.
@@ -354,6 +357,13 @@ MUTANTS = (
         ("tests/test_boundary.py::test_an_integer_parameter_refuses_all_but_an_int_of_at_least_its_least",),
     ),
     Mutant(
+        "a sweep's usage error names the verify target but not the flags given",
+        CLI,
+        '        command += f" {flag} {value}"\n',
+        "",
+        ("tests/test_cli.py::test_a_sweep_usage_error_names_the_command_and_the_flags_given",),
+    ),
+    Mutant(
         "sdes-bijection passes two walks of nothing",
         CHECKS,
         "ok = perm_side == tab_side and tab_side.total() == expected",
@@ -366,6 +376,7 @@ MUTANTS = (
             (PERMUTATIONS, "_involution_walk", INVOLUTION_WALK_KILLS),
             (TABLEAUX, "_fillings", FILLINGS_KILLS),
             (PERMUTATIONS, "enumerate_group", GROUP_WALK_KILLS),
+            (CHECKS, "_lemma_instances", LEMMA_DRAW_KILLS),
         )
         for kept in (0, 1)
     ),
