@@ -30,7 +30,6 @@ from .permutations import (
     unpack_descents,
 )
 from .polynomials import (
-    binomial,
     expand_negative_binomial_product,
     negative_binomial_coefficient,
     poly_multiply,

@@ -25,8 +25,10 @@ _bitableau_of_word, and only when the map takes that word: a word it
 refuses is named as it is.
 
 Descent sets from windows and tableau walks alike are the packed ints of
-permutations.py and reach fundamental_spec as they are; only a failing
-sdes-bijection record unpacks any, to name the first set that differs.
+permutations.py.  The lemma31 and signed-schur sweeps hand them as they are
+to qsym's unchecked chain count, _count_chains, as schur_spec does; only a
+failing sdes-bijection record unpacks any, to name the first set that
+differs.
 """
 from __future__ import annotations
 
@@ -57,8 +59,8 @@ from .permutations import (
     signed_descent_set,
     unpack_descents,
 )
-from .polynomials import binomial, expand_negative_binomial_product, poly_multiply
-from .qsym import fundamental_spec, schur_spec
+from .polynomials import expand_negative_binomial_product, poly_multiply
+from .qsym import _count_chains, schur_spec
 from .reports import Report, int_list
 from .tableaux import (
     _bitableau_of_word,
@@ -100,7 +102,7 @@ def verify_genfun_a(n_max: int = 8, m_max: int = 6) -> Report:
     for m in range(m_max + 1):
         series = expand_negative_binomial_product(m + 1, m * (m + 1) // 2, n_max)
         for n in range(n_max + 1):
-            lhs = sum(c * binomial(n + m - j, n) for j, c in enumerate(rows[n]))
+            lhs = sum(c * comb(n + m - j, n) for j, c in enumerate(rows[n]))
             report.compare("genfun-a", (("n", n), ("m", m)), lhs, series[n])
     return report
 
@@ -113,7 +115,7 @@ def verify_genfun_b(n_max: int = 8, k_max: int = 8) -> Report:
     for n in range(n_max + 1):
         row = involution_eulerian(n, signed=True)
         for k in range(k_max + 1):
-            lhs = sum(c * binomial(n + k - j, n) for j, c in enumerate(row))
+            lhs = sum(c * comb(n + k - j, n) for j, c in enumerate(row))
             report.compare("genfun-b", (("n", n), ("k", k)), lhs, r_closed(n, k))
     return report
 
@@ -130,8 +132,8 @@ def verify_signed_spec_closed_form(n_max: int = 4, m_max: int = 6) -> Report:
             seen = 0
             for w in enumerate_group(n, signed=True):
                 seen += 1
-                lhs = fundamental_spec(signed_descent_set(w), n, m)
-                rhs = binomial(n + m - 1 - des_b(w), n)
+                lhs = _count_chains(signed_descent_set(w), n, m)
+                rhs = comb(n + m - 1 - des_b(w), n)
                 if lhs != rhs:
                     params = (("n", n), ("m", m), ("w", " ".join(map(str, w))))
                     report.compare("signed-spec-closed-form", params, lhs, rhs)
@@ -149,7 +151,7 @@ def verify_cauchy_spec(n_max: int = 6, m_max: int = 4) -> Report:
     matches the t^n coefficient of (1-t)^(-m) (1-t^2)^(-C(m,2))."""
     report = Report()
     for m in range(m_max + 1):
-        series = expand_negative_binomial_product(m, binomial(m, 2), n_max)
+        series = expand_negative_binomial_product(m, comb(m, 2), n_max)
         for n in range(n_max + 1):
             lhs = sum(schur_spec(shape, m) for shape in partitions(n))
             report.compare("cauchy-specialization", (("n", n), ("m", m)), lhs, series[n])
@@ -171,7 +173,7 @@ def verify_signed_schur_spec(n_max: int = 5, m_max: int = 4) -> Report:
             total = sum(count for _, count in walk)
             expected = comb(n, sum(plus)) * _syt_count(plus) * _syt_count(minus)
             for m in range(1, m_max + 1):
-                lhs = sum(count * fundamental_spec(mask, n, m) for mask, count in walk)
+                lhs = sum(count * _count_chains(mask, n, m) for mask, count in walk)
                 rhs = schur_spec(plus, m) * schur_spec(minus, m - 1)
                 params = (
                     ("n", n),
@@ -412,7 +414,7 @@ def verify_counterexample_89() -> Report:
     )
     for n in range(_CONVOLUTION_N_MAX + 1):
         row = involution_eulerian(n, signed=True)
-        q = tuple(binomial(n + k, k) for k in range(n + 1))
+        q = tuple(comb(n + k, k) for k in range(n + 1))
         product = poly_multiply(row, q)[: n + 1]
         expected = tuple(r_closed(n, k) for k in range(n + 1))
         report.compare("r-convolution", (("n", n),), product, expected)

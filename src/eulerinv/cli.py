@@ -217,10 +217,7 @@ def _run_verify(args, structured, out) -> int:
     except ValueError as exc:
         raise ValueError(f"{command}: {exc}") from None
     if all(record.status == NOTE for record in report):
-        raise ValueError(
-            f"verify {args.target} made no pass or fail check at these arguments, "
-            "so it has nothing to report"
-        )
+        raise ValueError(f"{command} made no pass or fail check, so it has nothing to report")
     return _emit(report, structured, out)
 
 

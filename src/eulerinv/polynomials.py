@@ -1,4 +1,4 @@
-"""Binomial coefficients, one product series and one convolution.
+"""Multiset counts, one product series and one convolution.
 
 The product series is (1-t)^(-a) (1-t^2)^(-b): negative_binomial_coefficient
 gives one of its coefficients and expand_negative_binomial_product the first
@@ -17,29 +17,16 @@ from math import comb
 from .permutations import _check_int
 
 
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b) for a >= 0, with C(a, b) = 0 outside 0 <= b <= a.
-
-    Only a negative a is refused.  The types go unchecked, so
-    binomial(True, 2) is 0 and binomial(4, True) is 4: one pass of
-    perfbench's bijection workload calls it 26,530 times, and a check
-    here would show in its time."""
-    if a < 0:
-        raise ValueError(f"binomial expects a nonnegative first argument, got {a}")
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def multiset_count(symbols: int, size: int) -> int:
     """Number of multisets of the given size drawn from `symbols` symbols.
 
-    Equals the coefficient of t^size in (1-t)^(-symbols); handles symbols = 0
-    (empty product) without leaving binomial's domain.
+    Equals the coefficient of t^size in (1-t)^(-symbols), C(symbols + size - 1,
+    size); symbols = 0 (the empty product) is handled apart, so comb never
+    sees a negative argument.
     """
     if symbols == 0:
         return 1 if size == 0 else 0
-    return binomial(symbols + size - 1, size)
+    return comb(symbols + size - 1, size)
 
 
 def poly_multiply(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

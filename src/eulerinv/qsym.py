@@ -24,7 +24,8 @@ program once per distinct set, weighted by that count.
 The dynamic program is memoized for the life of the process, keyed by the
 packed descent set, n and m, three ints; it reads the strict steps and the
 signs straight off the bits.  fundamental_spec checks its input and passes
-it on as it is; schur_spec passes the walk's ints, which need no check.
+it on as it is; schur_spec, and the lemma31 and signed-schur sweeps of
+checks, pass their walks' ints, which need no check.
 Nothing here decodes a set.  The memo stays small because a key is a
 descent set, not an object: at most 2^(n-1) strict sets per (n, m) when
 every sign is +1, and 2^(n-1) * 2^n with mixed signs.

@@ -15,7 +15,6 @@ import pytest
 import eulerinv
 from eulerinv import DEFAULT_BUDGET, permutations
 from eulerinv.cli import SWEEPS
-from eulerinv.polynomials import binomial
 
 #: Each public integer parameter, as (function, parameter), and the least
 #: value it takes; None sets no bound.
@@ -55,9 +54,6 @@ LEAST = {
 
 #: The integer parameters no row covers, each with its reason.
 EXCLUDED = {
-    ("binomial", "a"): "unchecked for speed: one traced bijection pass calls it 26,530 "
-    "times; only a negative a is refused, and its docstring says what it takes",
-    ("binomial", "b"): "unchecked for speed, as its a",
     ("fundamental_spec", "mask"): "a packed descent set, refused by its own layout "
     "message; tests/test_qsym.py pins it",
     ("unpack_descents", "mask"): "a packed descent set, refused by its own layout "
@@ -154,9 +150,3 @@ def test_an_integer_parameter_takes_its_least(name, parameter, least):
     # with no bound, a negative value is taken and asks for nothing
     _first_step(name, parameter, -1 if least is None else least)()
     assert permutations._BUDGET.get() == DEFAULT_BUDGET
-
-
-def test_binomial_takes_what_its_docstring_says():
-    assert binomial(True, 2) == 0 and binomial(4, True) == 4
-    with pytest.raises(ValueError, match="^binomial expects a nonnegative first argument, got -1$"):
-        binomial(-1, 0)

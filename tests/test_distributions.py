@@ -18,7 +18,7 @@ from eulerinv.distributions import (
     signed_involution_eulerian_recurrence,
     signed_involution_recurrence_rows,
 )
-from eulerinv.polynomials import binomial, expand_negative_binomial_product
+from eulerinv.polynomials import expand_negative_binomial_product
 from eulerinv.tableaux import _bitableau_of_word, enumerate_all_syb, syb_signed_descent_set
 from oracles import (
     gamma_by_convolution,
@@ -220,17 +220,17 @@ def test_r_three_routes_agree():
 def test_genfun_hand_checks():
     # type B at n=1, k=1: 1*C(2,1) + 1*C(1,1) = 3 = r(1,1)
     row = involution_eulerian(1, signed=True)
-    assert sum(c * binomial(1 + 1 - j, 1) for j, c in enumerate(row)) == 3 == r_closed(1, 1)
+    assert sum(c * comb(1 + 1 - j, 1) for j, c in enumerate(row)) == 3 == r_closed(1, 1)
     # type A at n=1, m=1 against the series route
     series = expand_negative_binomial_product(2, 1, 1)
-    assert binomial(2, 1) == series[1] == 2
+    assert comb(2, 1) == series[1] == 2
 
 
 def test_genfun_a_with_frozen_row_six():
     # the published n=6 row feeds the left side directly
     row = INVOLUTION_ROWS[6]
     for m in range(0, 5):
-        lhs = sum(c * binomial(6 + m - j, 6) for j, c in enumerate(row))
+        lhs = sum(c * comb(6 + m - j, 6) for j, c in enumerate(row))
         series = expand_negative_binomial_product(m + 1, m * (m + 1) // 2, 6)
         assert lhs == series[6], m
 

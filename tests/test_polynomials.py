@@ -4,32 +4,12 @@ import re
 import pytest
 
 from eulerinv.polynomials import (
-    binomial,
     expand_negative_binomial_product,
     multiset_count,
     negative_binomial_coefficient,
     poly_multiply,
 )
 from oracles import geometric, geometric_squares, naive_truncated_product
-
-
-def test_binomial_small_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7921, 0) == 1
-    assert binomial(4, 7) == 0
-    assert binomial(10, -3) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_rejects_negative_a():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_pascal_rule():
-    for a in range(1, 65):
-        for b in range(1, a + 1):
-            assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
 
 def test_multiset_count():

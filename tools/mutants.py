@@ -281,6 +281,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "lemma31 counts chains at m - 1",
+        CHECKS,
+        "_count_chains(signed_descent_set(w), n, m)",
+        "_count_chains(signed_descent_set(w), n, m - 1)",
+        ("tests/test_qsym.py::test_verify_signed_spec_closed_form",),
+    ),
+    Mutant(
+        "signed-schur counts chains at m + 1",
+        CHECKS,
+        "count * _count_chains(mask, n, m) for mask, count in walk)",
+        "count * _count_chains(mask, n, m + 1) for mask, count in walk)",
+        ("tests/test_qsym.py::test_verify_signed_schur_spec",),
+    ),
+    Mutant(
+        "multiset_count takes one symbol too many",
+        "src/eulerinv/polynomials.py",
+        "comb(symbols + size - 1, size)",
+        "comb(symbols + size, size)",
+        ("tests/test_polynomials.py::test_multiset_count",),
+    ),
+    Mutant(
         "signed_descent_set makes a -,+ step a descent",
         PERMUTATIONS,
         "elif prev > v:",
