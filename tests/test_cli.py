@@ -424,6 +424,7 @@ def test_gamma_inva_rejects_n_below_one(capsys):
         ["verify", "recurrence", "--n-max", "0"],
         ["verify", "proof-identity", "--n-max", "2"],
         ["verify", "conjecture-des", "--n-max", "-1"],
+        ["verify", "signed-schur", "--n-max", "2", "--m-max", "0"],
     ],
 )
 def test_verify_that_checks_nothing_is_usage_error(capsys, argv):

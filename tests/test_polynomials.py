@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,6 +18,23 @@ def test_multiset_count():
     assert multiset_count(0, 3) == 0
     assert multiset_count(3, 2) == 6  # multisets of size 2 from 3 symbols
     assert multiset_count(1, 9) == 1
+
+
+def test_multiset_count_against_listed_multisets():
+    for symbols in range(7):
+        for size in range(7):
+            listed = sum(1 for _ in combinations_with_replacement(range(symbols), size))
+            assert multiset_count(symbols, size) == listed, (symbols, size)
+    assert multiset_count(7921, 0) == 1
+
+
+def test_multiset_count_pascal_rule():
+    # a multiset either holds no copy of the last symbol or one more copy of it
+    for symbols in range(1, 33):
+        for size in range(1, 33):
+            assert multiset_count(symbols, size) == multiset_count(
+                symbols - 1, size
+            ) + multiset_count(symbols, size - 1), (symbols, size)
 
 
 def test_polynomial_products():

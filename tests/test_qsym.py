@@ -273,6 +273,23 @@ def test_specialization_sweeps_fail_when_one_side_is_wrong(monkeypatch):
     assert (failure.lhs, failure.rhs) == ("1", "0")
 
 
+def test_sweeps_count_chains_only_on_sets_fundamental_spec_takes(monkeypatch):
+    # lemma31 and signed-schur skip fundamental_spec's layout check, so every
+    # set their walks hand the chain count must be one that check accepts
+    from eulerinv import checks
+
+    seen = set()
+
+    def recording(mask, n, m):
+        seen.add((mask, n, m))
+        return _count_chains(mask, n, m)
+
+    monkeypatch.setattr(checks, "_count_chains", recording)
+    assert verify_signed_spec_closed_form(3, 3).ok and verify_signed_schur_spec(3, 3).ok
+    assert {n for _, n, _ in seen} == {0, 1, 2, 3}
+    for mask, n, m in seen:
+        assert fundamental_spec(mask, n, m) == _count_chains(mask, n, m), (mask, n, m)
+
 
 def test_verify_signed_spec_closed_form():
     assert verify_signed_spec_closed_form(3, 5).ok
